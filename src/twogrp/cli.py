@@ -15,7 +15,7 @@ Exit codes are a total contract: 0 = all checks pass, 1 = a semantic
 failure (axiom violation, failed precondition, wrong presentation), 2 =
 malformed input (parse error, dangling reference, unknown fixture).
 
-Instance spaces larger than 2^18 are sampled with a fixed seed and the
+Instance spaces larger than 2^19 are sampled (2^16 draws, seed 0) and the
 report lines say so; everything at desk scale runs exhaustively.  With
 ``--parallel N`` the loops are partitioned into chunks fanned out to N
 worker threads; reports are identical for every N.

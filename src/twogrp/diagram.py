@@ -7,6 +7,12 @@ optionally partitioned into chunks fanned out to worker threads (reports
 merge associatively; the witness is always the first failure in canonical
 index order, independent of scheduling).
 
+Each leg composes with one lookup per step in the carrier's table of
+composable pairs (``FinGroupoid.composable``).  An instance with a miss is
+recomposed by ``compose_path``, whose checking walk names the id or endpoint
+that breaks the chain.  A sample draws the same tuples ``Random.choice``
+would at the same seed.
+
 A check may also be discharged by a *strict profile*: when every leg of both
 routes is drawn from pointwise-identity families combined by identity-
 preserving tables and functors, each route composes to the identity of the
@@ -16,13 +22,12 @@ are verified by cheap full-table scans, never assumed.
 
 from __future__ import annotations
 
-import random
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice, product
 
-from .groupoid import FinGroupoid, GFunctor, NatFamily, compose_path
+from .groupoid import FinGroupoid, GFunctor, NatFamily, _sample_tuples, compose_path
 from .errors import StructureError
 from .report import CheckResult, Status, Witness
 
@@ -42,8 +47,7 @@ def index_space(
     total = len(objects) ** arity
     if sample is None or sample >= total:
         return product(objects, repeat=arity), total, "exhaustive"
-    rng = random.Random(seed)
-    drawn = [tuple(rng.choice(objects) for _ in range(arity)) for _ in range(sample)]
+    drawn = _sample_tuples(objects, arity, sample, seed)
     return drawn, sample, f"sampled(n={sample},seed={seed})"
 
 
@@ -91,13 +95,28 @@ def strict_profile(
 def _scan(
     gpd: FinGroupoid, legs: LegsFn, idxs: Iterable[tuple[str, ...]]
 ) -> tuple[int, Witness | None]:
+    pairs = gpd.composable
+    mors = gpd.morphisms
     checked = 0
     for idx in idxs:
         checked += 1
         try:
             left_legs, right_legs = legs(idx)
-            left = compose_path(gpd, left_legs)
-            right = compose_path(gpd, right_legs)
+            try:
+                # compose_path's fast path, inlined: one lookup per step
+                left = left_legs[-1]
+                if left not in mors:
+                    raise KeyError(left)
+                for g in left_legs[-2::-1]:
+                    left = pairs[g, left]
+                right = right_legs[-1]
+                if right not in mors:
+                    raise KeyError(right)
+                for g in right_legs[-2::-1]:
+                    right = pairs[g, right]
+            except (IndexError, KeyError):
+                left = compose_path(gpd, left_legs)
+                right = compose_path(gpd, right_legs)
         except StructureError as err:
             return checked, Witness(tuple(idx), note=f"route does not evaluate: {err}")
         if left != right:

@@ -5,15 +5,23 @@ Everything downstream reduces to this module: a structure is a groupoid plus
 tables, an axiom is an equality of two ``compose_path`` results, and a failed
 axiom is reported with the exact instance it fails at.
 
+Composition walks a chain with one lookup per step in the carrier's table of
+composable pairs (``FinGroupoid.composable``: the ``compose`` entries whose
+two ids are known morphisms that meet end to start).  Any miss reruns the
+checking walk, which tests every id and endpoint and raises the precise
+error, so a chain that does not compose fails exactly as it always did.
+
 Morphism equality is identifier equality.  Canonical order (sorted ids)
 drives every scan, so witnesses and search results are reproducible.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import product, repeat
 
 from . import expr as ex
 from .errors import ArityMismatch, DomainMismatch, EndpointMismatch, MalformedTable, StructureError
@@ -112,6 +120,21 @@ class FinGroupoid:
             self._cache["hom"] = {k: tuple(v) for k, v in idx.items()}
         return self._cache["hom"].get((src, dst), ())
 
+    @property
+    def composable(self) -> dict[tuple[str, str], str]:
+        """``compose`` restricted to pairs ``(g, f)`` of known morphisms with
+        ``dst(f) == src(g)``: a hit is a step the checking walk accepts."""
+        table = self._cache.get("composable")
+        if table is None:
+            mors = self.morphisms
+            table = {}
+            for (g, f), h in self.compose.items():
+                mg, mf = mors.get(g), mors.get(f)
+                if mg is not None and mf is not None and mf.dst == mg.src:
+                    table[g, f] = h
+            self._cache["composable"] = table
+        return table
+
     def identities_preserved_by_inverse(self) -> bool:
         if "inv_id" not in self._cache:
             self._cache["inv_id"] = all(
@@ -127,6 +150,21 @@ def compose_path(gpd: FinGroupoid, chain: Sequence[str]) -> str:
     displayed composite transcribes literally.  A singleton chain returns its
     element; an empty chain is rejected.
     """
+    try:
+        acc = chain[-1]
+        if acc in gpd.morphisms:
+            pairs = gpd.composable
+            for g in chain[-2::-1]:
+                acc = pairs[g, acc]
+            return acc
+    except (IndexError, KeyError):
+        pass
+    return _compose_checked(gpd, chain)
+
+
+def _compose_checked(gpd: FinGroupoid, chain: Sequence[str]) -> str:
+    """The reference walk: test every id, then every endpoint, step by step.
+    Raises the error that names exactly what does not compose."""
     if not chain:
         raise ValueError("cannot compose an empty chain")
     for mid in chain:
@@ -422,11 +460,17 @@ class NatFamily:
                 self._cache[key] = False
                 return False
             ident = gpd.identity
+            src_at = ex.compile_obj(self.src_expr, env)
+            tgt_at = ex.compile_obj(self.tgt_expr, env)
             ok = True
             try:
                 for idx, mid in self.components.items():
-                    src = ex.eval_obj(self.src_expr, env, idx)
-                    if mid != ident.get(src) or ex.eval_obj(self.tgt_expr, env, idx) != src:
+                    try:
+                        src, tgt = src_at(idx), tgt_at(idx)
+                    except KeyError:
+                        src = ex.eval_obj(self.src_expr, env, idx)
+                        tgt = ex.eval_obj(self.tgt_expr, env, idx)
+                    if mid != ident.get(src) or tgt != src:
                         ok = False
                         break
             except StructureError:
@@ -442,21 +486,8 @@ class NatFamily:
         return self
 
 
-def identity_family(gpd: FinGroupoid, arity: int, src_expr: ex.Expr, tgt_expr: ex.Expr, env: ex.Env) -> NatFamily:
-    """The family whose component at every index is the identity of the
-    evaluated source expression (source and target must agree objectwise)."""
-    comps = {}
-    from itertools import product
-
-    for idx in product(gpd.objects_sorted, repeat=arity):
-        comps[idx] = gpd.identity[ex.eval_obj(src_expr, env, idx)]
-    return NatFamily(arity, comps, src_expr, tgt_expr)
-
-
 def validate_family(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, label: str = "family") -> Report:
     """Totality and endpoint correctness of a family over the full index space."""
-    from itertools import product
-
     report = Report()
     started = time.perf_counter()
     witness = None
@@ -464,19 +495,26 @@ def validate_family(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, label: str = 
     for idx in fam.components:
         if len(idx) != fam.arity:
             raise ArityMismatch(f"{label}: component keyed by {idx} but arity is {fam.arity}")
+    comps, mors = fam.components, gpd.morphisms
+    src_at = ex.compile_obj(fam.src_expr, env)
+    dst_at = ex.compile_obj(fam.tgt_expr, env)
     for idx in product(gpd.objects_sorted, repeat=fam.arity):
         n += 1
-        mid = fam.components.get(idx)
-        if mid is None or mid not in gpd.morphisms:
+        mid = comps.get(idx)
+        mor = mors.get(mid)
+        if mor is None:
             witness = Witness(idx, note="component missing or unknown")
             break
-        want_src = ex.eval_obj(fam.src_expr, env, idx)
-        want_dst = ex.eval_obj(fam.tgt_expr, env, idx)
-        if gpd.src(mid) != want_src or gpd.dst(mid) != want_dst:
+        try:
+            want_src, want_dst = src_at(idx), dst_at(idx)
+        except KeyError:
+            want_src = ex.eval_obj(fam.src_expr, env, idx)
+            want_dst = ex.eval_obj(fam.tgt_expr, env, idx)
+        if mor.src != want_src or mor.dst != want_dst:
             witness = Witness(
                 idx,
                 left=mid,
-                note=f"endpoints {gpd.src(mid)}->{gpd.dst(mid)} differ from declared {want_src}->{want_dst}",
+                note=f"endpoints {mor.src}->{mor.dst} differ from declared {want_src}->{want_dst}",
             )
             break
     _timed(report, f"{label}-endpoints", started, witness, n)
@@ -501,9 +539,6 @@ def check_naturality(
     ``codomain`` (defaults to ``domain``).  With ``sample`` set, a fixed-seed
     random subset of morphism tuples is used instead of the full product.
     """
-    from itertools import product
-    import random
-
     codomain = codomain or domain
     report = Report()
     started = time.perf_counter()
@@ -515,16 +550,29 @@ def check_naturality(
         space: Iterable[tuple[str, ...]] = product(mors, repeat=k)
         mode = "exhaustive"
     else:
-        rng = random.Random(seed)
-        space = (tuple(rng.choice(mors) for _ in range(k)) for _ in range(sample))
+        space = _sample_tuples(mors, k, sample, seed)
         mode = f"sampled(n={sample},seed={seed})"
+    ends, comps, pairs = domain.morphisms, fam.components, codomain.composable
     for fs in space:
         n += 1
-        xs = tuple(domain.src(f) for f in fs)
-        ys = tuple(domain.dst(f) for f in fs)
+        xs = tuple([ends[f].src for f in fs])
+        ys = tuple([ends[f].dst for f in fs])
+        # compose_path's fast path, inlined; each miss takes the checked route
         try:
-            left = compose_path(codomain, [fam.at(*ys), lhs_action(fs)])
-            right = compose_path(codomain, [rhs_action(fs), fam.at(*xs)])
+            at_y = comps.get(ys)
+            if at_y is None:
+                at_y = fam.at(*ys)
+            image = lhs_action(fs)
+            left = pairs.get((at_y, image))
+            if left is None:
+                left = compose_path(codomain, [at_y, image])
+            image = rhs_action(fs)
+            at_x = comps.get(xs)
+            if at_x is None:
+                at_x = fam.at(*xs)
+            right = pairs.get((image, at_x))
+            if right is None:
+                right = compose_path(codomain, [image, at_x])
         except StructureError as err:
             witness = Witness(fs, note=f"square does not typecheck: {err}")
             break
@@ -534,3 +582,26 @@ def check_naturality(
     status = Status.FAIL if witness is not None else Status.PASS
     report.add(CheckResult(label, status, witness, n, mode, time.perf_counter() - started))
     return report
+
+
+def _sample_tuples(seq: Sequence[str], arity: int, count: int, seed: int) -> list[tuple[str, ...]]:
+    """``count`` tuples drawn as ``tuple(rng.choice(seq) for _ in range(arity))``
+    with ``rng = random.Random(seed)``, without a call per coordinate.
+
+    ``Random.choice`` draws ``getrandbits(len(seq).bit_length())`` until the
+    value is below ``len(seq)``; this runs the same rejection over the same
+    stream, so every seed yields the tuples ``Random.choice`` would.
+    """
+    need = count * arity
+    n = len(seq)
+    if need > 0 and not n:
+        raise IndexError("Cannot choose from an empty sequence")
+    if not arity:
+        return [()] * count
+    getrandbits = random.Random(seed).getrandbits
+    k = n.bit_length()
+    picks: list[str] = []
+    while len(picks) < need:
+        picks += [seq[r] for r in map(getrandbits, repeat(k, need - len(picks))) if r < n]
+    del picks[need:]
+    return list(zip(*[iter(picks)] * arity))

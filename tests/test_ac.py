@@ -149,3 +149,17 @@ def test_validate_ac_sampled_mode():
     rep = validate_ac(a, sample=2000, seed=3, allow_strict_skip=False)
     assert rep.ok
     assert rep["AC1"].mode == "sampled(n=2000,seed=3)"
+
+
+def test_sampled_ac1_witness_is_pinned():
+    # the draw of a seed is part of the report contract: this witness must
+    # not move when the sampler or the loop changes
+    ac = to_ac(build_super_line_2group())
+    pert = replace(ac, acomm=perturb_family(ac.acomm, ("1", "1", "1", "1"), "0|0"), _cache={})
+    row = validate_ac(pert, sample=64, seed=20251018, allow_strict_skip=False)["AC1"]
+    assert (row.status, row.instances, row.mode) == (Status.FAIL, 5, "sampled(n=64,seed=20251018)")
+    w = row.witness
+    assert w.index == ("1", "1", "0", "1", "1", "1", "0", "0")
+    assert (w.left, w.right) == ("1|1", "0|1")
+    assert w.left_path == ("1|1", "0|1", "0|1")
+    assert w.right_path == ("0|1", "0|1", "0|1")

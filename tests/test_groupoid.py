@@ -19,7 +19,9 @@ from twogrp import (
     validate_functor,
     validate_groupoid,
 )
+from twogrp.diagram import index_space
 from twogrp.functors import check_fsum_naturality
+from twogrp.groupoid import _compose_checked
 from twogrp.monoidal import check_structure_naturality
 
 from helpers import SEED, cyclic_one_object, discrete, pair_groupoid_z2, perturb_family
@@ -101,6 +103,64 @@ def test_compose_path_invariant_under_reassociation():
         cut = rng.randrange(1, len(chain))
         split = compose_path(gpd, [compose_path(gpd, chain[:cut]), compose_path(gpd, chain[cut:])])
         assert whole == split
+
+
+def _outcome(fn, gpd, chain):
+    try:
+        return ("ok", fn(gpd, chain))
+    except Exception as err:  # the type, message and position are compared
+        return (type(err).__name__, str(err), getattr(err, "position", None))
+
+
+def test_compose_path_fast_path_matches_checking_walk():
+    rng = random.Random(SEED)
+    for gpd in (cyclic_one_object(4), pair_groupoid_z2(), build_super_line_2group().carrier):
+        mors = gpd.morphisms_sorted
+        for length in range(1, 5):
+            for _ in range(40):
+                # a composable chain, built from its first-applied leg up
+                chain = [rng.choice(mors)]
+                while len(chain) < length:
+                    chain.insert(0, rng.choice(gpd.by_src[gpd.dst(chain[0])]))
+                assert _outcome(compose_path, gpd, chain) == _outcome(_compose_checked, gpd, chain)
+                assert _outcome(compose_path, gpd, chain)[0] == "ok"
+
+
+def test_compose_path_failures_match_checking_walk():
+    pair = pair_groupoid_z2()
+    cyc = cyclic_one_object(4)
+    no_composite = FinGroupoid.build(
+        ["*"], [("0", "*", "*"), ("1", "*", "*")],
+        {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1"}, {"*": "0"}, {"0": "0", "1": "1"},
+    )
+    # never validated: compose holds an entry at a pair that does not compose,
+    # so a bare compose[(g, f)] lookup would wrongly succeed
+    stray = discrete(["a", "b"])
+    stray.compose[("0|a", "0|b")] = "0|a"
+    cases = [
+        (cyc, [], "ValueError"),
+        (cyc, ["9"], "MalformedTable"),
+        (cyc, ["1", "9"], "MalformedTable"),
+        (cyc, ["9", "1", "2"], "MalformedTable"),
+        (pair, ["0|ab", "1|ab"], "EndpointMismatch"),
+        (pair, ["0|aa", "0|ba", "1|ab", "0|ab"], "EndpointMismatch"),
+        (no_composite, ["1", "0", "1"], "MalformedTable"),
+        (stray, ["0|a", "0|b"], "EndpointMismatch"),
+    ]
+    for gpd, chain, kind in cases:
+        got = _outcome(compose_path, gpd, chain)
+        assert got == _outcome(_compose_checked, gpd, chain)
+        assert got[0] == kind, (chain, got)
+    assert _outcome(compose_path, pair, ["0|aa", "0|ba", "1|ab", "0|ab"])[2] == 2
+    assert _outcome(compose_path, stray, ["0|a", "0|b"])[2] == 0
+
+
+def test_composable_table_keeps_only_composable_pairs():
+    stray = discrete(["a", "b"])
+    stray.compose[("0|a", "0|b")] = "0|a"
+    stray.compose[("0|a", "nope")] = "0|a"
+    assert stray.composable == {("0|a", "0|a"): "0|a", ("0|b", "0|b"): "0|b"}
+    assert stray.composable is stray.composable
 
 
 # -- functors ---------------------------------------------------------------
@@ -193,3 +253,33 @@ def test_check_naturality_sampled_mode_is_deterministic():
     r2 = check_naturality(fam, lhs, rhs, domain=m.carrier, sample=500, seed=7)
     assert r1.checks[0].instances == r2.checks[0].instances == 500
     assert r1.checks[0].mode == "sampled(n=500,seed=7)"
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 25, 36, 64])
+def test_index_space_draws_what_random_choice_draws(n):
+    objs = tuple(f"o{k:02d}" for k in range(n))
+    for arity in range(1, 6):
+        for seed in (0, 1, 7, SEED):
+            sample = min(n ** arity - 1, 300)
+            drawn, count, mode = index_space(objs, arity, sample, seed)
+            rng = random.Random(seed)
+            assert list(drawn) == [tuple(rng.choice(objs) for _ in range(arity)) for _ in range(sample)]
+            assert (count, mode) == (sample, f"sampled(n={sample},seed={seed})")
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 25, 36, 64])
+def test_sampled_naturality_draws_what_random_choice_draws(n):
+    from twogrp import NatFamily
+    from twogrp import expr as ex
+
+    gpd = cyclic_one_object(n)
+    for arity in (1, 2, 3, 5):
+        fam = NatFamily(arity, {("*",) * arity: "0"}, ex.var(0), ex.var(0))
+        for seed in (0, 3, SEED):
+            seen = []
+            lhs = lambda fs: seen.append(fs) or fs[0]
+            rep = check_naturality(fam, lhs, lambda fs: fs[0], domain=gpd, sample=200, seed=seed)
+            assert rep.ok
+            rng = random.Random(seed)
+            mors = gpd.morphisms_sorted
+            assert seen == [tuple(rng.choice(mors) for _ in range(arity)) for _ in range(200)]
