@@ -36,7 +36,6 @@ from .monoidal import (
     MonStructure,
     WeakInverseCert,
     basic_unitor,
-    check_sm_naturality,
     find_weak_inverse,
     validate_2group,
     validate_sm,

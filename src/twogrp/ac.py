@@ -8,8 +8,9 @@ with axioms AC1 (4x4 interchange), AC2 (unital squares) and AC3
   border independently and exists for cross-checking),
 * ``to_sm``  rebuilds a and c out of b through the unit slots.
 
-Both translations re-validate their output; round-tripping reproduces the
-input tables exactly.
+Both translations validate their input and always re-check their output
+(a converted structure is never assumed valid); round-tripping reproduces
+the input tables exactly.
 """
 
 from __future__ import annotations
@@ -123,7 +124,6 @@ def validate_ac(
     check_data: bool = True,
     sample: int | None = None,
     seed: int = 0,
-    workers: int = 1,
     allow_strict_skip: bool = True,
 ) -> Report:
     """Run AC1 (over object 8-tuples), the four AC2 unital squares and the
@@ -146,7 +146,7 @@ def validate_ac(
         skip = allow_strict_skip and strict_profile(gpd, [(f, env) for f in fams], tables)
         report.add(
             check_diagram(law, gpd, objs, arity, legs_fn,
-                          sample=sample, seed=seed, workers=workers, strict_skip=skip)
+                          sample=sample, seed=seed, strict_skip=skip)
         )
 
     run("AC1", 8, ac1_legs(a), [a.acomm])
@@ -241,20 +241,18 @@ def canonical_acomm_table(m: MonStructure) -> dict[tuple[str, str, str, str], st
 def to_ac(
     m: MonStructure,
     *,
-    revalidate: bool = True,
     sample: int | None = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> ACStructure:
     """Translate a symmetric structure to its AC presentation.
 
     The input must pass ``validate_sm`` with a commutator present; the b
     table is materialized from the border composite and the output is
-    re-checked against AC1-AC3 (never assumed) unless ``revalidate=False``.
+    re-checked against AC1-AC3 (never assumed).
     """
     if m.comm is None:
         raise PreconditionFailed("translation needs a commutator")
-    pre = validate_sm(m, sample=sample, seed=seed, workers=workers)
+    pre = validate_sm(m, sample=sample, seed=seed)
     if not pre.ok:
         fails = ", ".join(c.law for c in pre.failures())
         raise PreconditionFailed(f"input fails the symmetric axiom suite: {fails}")
@@ -263,11 +261,10 @@ def to_ac(
     if strict_profile(m.carrier, [(m.assoc, env), (m.comm, env)], [m.id_table_args()], uses_inverse=True):
         b_fam.mark_strict(m.carrier)
     out = ACStructure(m.carrier, m.sum_obj, m.sum_mor, m.unit, b_fam, m.lunit, m.runit)
-    if revalidate:
-        post = validate_ac(out, check_data=False, sample=sample, seed=seed, workers=workers)
-        if not post.ok:
-            fails = ", ".join(c.law for c in post.failures())
-            raise PreconditionFailed(f"translated structure fails: {fails}")
+    post = validate_ac(out, check_data=False, sample=sample, seed=seed)
+    if not post.ok:
+        fails = ", ".join(c.law for c in post.failures())
+        raise PreconditionFailed(f"translated structure fails: {fails}")
     return out
 
 
@@ -302,18 +299,16 @@ def canonical_comm(a: ACStructure, x: str, y: str) -> str:
 def to_sm(
     a: ACStructure,
     *,
-    revalidate: bool = True,
     sample: int | None = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> MonStructure:
     """Translate an AC structure to its symmetric presentation.
 
     The input must pass ``validate_ac``; the canonical associator and
     commutator are materialized and the output is re-checked against
-    SC1-SC4 unless ``revalidate=False``.
+    SC1-SC4.
     """
-    pre = validate_ac(a, sample=sample, seed=seed, workers=workers)
+    pre = validate_ac(a, sample=sample, seed=seed)
     if not pre.ok:
         fails = ", ".join(c.law for c in pre.failures())
         raise PreconditionFailed(f"input fails the AC axiom suite: {fails}")
@@ -336,9 +331,8 @@ def to_sm(
         a_fam.mark_strict(gpd)
         c_fam.mark_strict(gpd)
     out = MonStructure(gpd, a.sum_obj, a.sum_mor, a.unit, a_fam, c_fam, a.lunit, a.runit)
-    if revalidate:
-        post = validate_sm(out, check_data=False, sample=sample, seed=seed, workers=workers)
-        if not post.ok:
-            fails = ", ".join(c.law for c in post.failures())
-            raise PreconditionFailed(f"translated structure fails: {fails}")
+    post = validate_sm(out, check_data=False, sample=sample, seed=seed)
+    if not post.ok:
+        fails = ", ".join(c.law for c in post.failures())
+        raise PreconditionFailed(f"translated structure fails: {fails}")
     return out

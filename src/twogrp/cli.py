@@ -16,9 +16,10 @@ failure (axiom violation, failed precondition, wrong presentation), 2 =
 malformed input (parse error, dangling reference, unknown fixture).
 
 Instance spaces larger than 2^19 are sampled (2^16 draws, seed 0) and the
-report lines say so; everything at desk scale runs exhaustively.  With
-``--parallel N`` the loops are partitioned into chunks fanned out to N
-worker threads; reports are identical for every N.
+report lines say so; everything at desk scale runs exhaustively.  A command
+converts each structure block it needs in the other presentation at most
+once: a functor whose source and target are the same block gets one
+converted structure for both endpoints.
 """
 
 from __future__ import annotations
@@ -46,10 +47,9 @@ from .functors import (
     validate_sm_functor,
     validate_transformation,
 )
-from .groupoid import check_naturality, validate_groupoid
+from .groupoid import validate_groupoid
 from .monoidal import MonStructure, check_structure_naturality, validate_2group, validate_sm
 from .report import Report
-from . import expr as ex
 from .rings import validate_ac_ring, validate_jp, validate_quang, validate_two_ring_data
 
 SUITES = ("sm", "ac", "2group", "sm-functor", "ac-functor", "transformation", "quang", "jp", "acring")
@@ -116,6 +116,13 @@ def _as_ac(blk: Block) -> ACStructure:
     return to_ac(blk.obj)
 
 
+def _endpoints(src_blk: Block, tgt_blk: Block, as_kind) -> tuple:
+    """Both functor endpoints in one presentation, converting a shared
+    source/target block once."""
+    src = as_kind(src_blk)
+    return src, src if tgt_blk is src_blk else as_kind(tgt_blk)
+
+
 def _structure_reports(doc: StructureDocument, blk: Block, args) -> list[Report]:
     s = blk.obj
     n = len(doc.groupoid.objects)
@@ -124,14 +131,14 @@ def _structure_reports(doc: StructureDocument, blk: Block, args) -> list[Report]
     reports = [validate_groupoid(doc.groupoid)]
     if args.suite == "2group":
         sm = _as_sm(blk)
-        rep = validate_2group(sm, sample=sample, workers=args.parallel)
+        rep = validate_2group(sm, sample=sample)
         reports.append(rep)
         reports.append(check_structure_naturality(sm, sample=nat_sample))
     elif blk.kind == "ac":
-        reports.append(validate_ac(s, sample=sample, workers=args.parallel))
+        reports.append(validate_ac(s, sample=sample))
         reports.append(check_structure_naturality(s, sample=nat_sample))
     else:
-        reports.append(validate_sm(s, sample=sample, workers=args.parallel))
+        reports.append(validate_sm(s, sample=sample))
         reports.append(check_structure_naturality(s, sample=nat_sample))
     return reports
 
@@ -146,11 +153,11 @@ def _functor_reports(doc: StructureDocument, args) -> list[Report]:
     sample = _auto_sample(n, _SUITE_MAX_ARITY[args.suite])
     nat_sample = _auto_sample(len(doc.groupoid.morphisms), 2)
     if args.suite == "sm-functor":
-        src, tgt = _as_sm(src_blk), _as_sm(tgt_blk)
-        rep = validate_sm_functor(blk.obj, src, tgt, sample=sample, workers=args.parallel)
+        src, tgt = _endpoints(src_blk, tgt_blk, _as_sm)
+        rep = validate_sm_functor(blk.obj, src, tgt, sample=sample)
     else:
-        src, tgt = _as_ac(src_blk), _as_ac(tgt_blk)
-        rep = validate_ac_functor(blk.obj, src, tgt, sample=sample, workers=args.parallel)
+        src, tgt = _endpoints(src_blk, tgt_blk, _as_ac)
+        rep = validate_ac_functor(blk.obj, src, tgt, sample=sample)
     nat = check_fsum_naturality(blk.obj, src, tgt, sample=nat_sample)
     return [rep, nat]
 
@@ -162,7 +169,7 @@ def _transformation_reports(doc: StructureDocument, args) -> list[Report]:
     tgt = doc.block(fsrc.refs["target"]).obj
     nat_sample = _auto_sample(len(doc.groupoid.morphisms), 1)
     return [
-        validate_transformation(blk.obj, src, tgt, sample=nat_sample, workers=args.parallel)
+        validate_transformation(blk.obj, src, tgt, sample=nat_sample)
     ]
 
 
@@ -179,22 +186,10 @@ def _ring_reports(doc: StructureDocument, args) -> list[Report]:
     nat_sample = _auto_sample(len(doc.groupoid.morphisms), 3)
     reports = [validate_two_ring_data(ring, sample=sample)]
     if reports[0].ok:
+        # validate_two_ring_data has just checked the family endpoints
         validator = {"quang": validate_quang, "jp": validate_jp, "acring": validate_ac_ring}[args.suite]
-        reports.append(validator(ring, sample=sample, workers=args.parallel))
-        env = ring.env()
-        nat = Report()
-        for fam_name, fam in ring.families().items():
-            nat.extend(
-                check_naturality(
-                    fam,
-                    ex.mor_action(fam.src_expr, env),
-                    ex.mor_action(fam.tgt_expr, env),
-                    domain=ring.carrier,
-                    sample=nat_sample,
-                    label=f"naturality({fam_name})",
-                )
-            )
-        reports.append(nat)
+        reports.append(validator(ring, check_data=False, sample=sample))
+        reports.append(check_structure_naturality(ring, sample=nat_sample))
     return reports
 
 
@@ -278,7 +273,7 @@ def cmd_zero_iso(args) -> int:
         raise CliFailure("functor endpoints must be sm or ac structures", 1)
     try:
         if args.mode == "canonical":
-            result = canonical_zero_iso(blk.obj, _as_sm(src_blk), _as_sm(tgt_blk))
+            result = canonical_zero_iso(blk.obj, *_endpoints(src_blk, tgt_blk, _as_sm))
             print(f"canonical zero isomorphism: {result}")
             return 0
         mode = "SF3" if src_blk.kind == "sm" else "AF2"
@@ -348,8 +343,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--name", help="block to check (default: the unique block of the needed kind)")
     p.add_argument("--functor", help="functor/transformation block to check")
     p.add_argument("--witness", action="store_true", help="print full composite chains leg by leg")
-    p.add_argument("--parallel", type=int, default=1, metavar="N",
-                   help="partition instance spaces across N worker threads")
     p.add_argument("--out", help="also write the report to this file")
     p.set_defaults(fn=cmd_check)
 

@@ -2,10 +2,9 @@
 
 Every coherence axiom in this package is an equality of two composite
 morphisms, quantified over a finite tuple space.  This module runs that loop:
-exhaustively by default, over a fixed-seed random sample on request, and
-optionally partitioned into chunks fanned out to worker threads (reports
-merge associatively; the witness is always the first failure in canonical
-index order, independent of scheduling).
+exhaustively by default or over a fixed-seed random sample on request, in
+one serial pass; the witness is always the first failure in canonical
+index order.
 
 Each leg composes with one lookup per step in the carrier's table of
 composable pairs (``FinGroupoid.composable``).  An instance with a miss is
@@ -23,17 +22,14 @@ are verified by cheap full-table scans, never assumed.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
-from itertools import islice, product
+from collections.abc import Callable, Iterable, Sequence
+from itertools import product
 
 from .groupoid import FinGroupoid, GFunctor, NatFamily, _sample_tuples, compose_path
 from .errors import StructureError
 from .report import CheckResult, Status, Witness
 
 LegsFn = Callable[[tuple[str, ...]], tuple[Sequence[str], Sequence[str]]]
-
-_CHUNK = 8192
 
 
 def index_space(
@@ -126,14 +122,6 @@ def _scan(
     return checked, None
 
 
-def _chunks(it: Iterator, size: int) -> Iterator[list]:
-    while True:
-        block = list(islice(it, size))
-        if not block:
-            return
-        yield block
-
-
 def check_diagram(
     law: str,
     gpd: FinGroupoid,
@@ -143,7 +131,6 @@ def check_diagram(
     *,
     sample: int | None = None,
     seed: int = 0,
-    workers: int = 1,
     strict_skip: bool = False,
 ) -> CheckResult:
     """Check one two-route diagram over the full (or sampled) index space.
@@ -158,16 +145,7 @@ def check_diagram(
         return CheckResult(law, Status.PASS, None, total, "strict-profile", time.perf_counter() - started)
 
     space, total, mode = index_space(objects, arity, sample, seed)
-    if workers <= 1:
-        checked, witness = _scan(gpd, legs, space)
-    else:
-        checked, witness = 0, None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for done, wit in pool.map(lambda block: _scan(gpd, legs, block), _chunks(iter(space), _CHUNK)):
-                checked += done
-                if wit is not None:
-                    witness = wit
-                    break
+    checked, witness = _scan(gpd, legs, space)
     status = Status.FAIL if witness is not None else Status.PASS
     instances = checked if witness is not None else total
     return CheckResult(law, status, witness, instances, mode, time.perf_counter() - started)

@@ -246,7 +246,6 @@ def validate_sm_functor(
     check_data: bool = True,
     sample: int | None = None,
     seed: int = 0,
-    workers: int = 1,
     allow_strict_skip: bool = True,
 ) -> Report:
     """SF1 (associativity square), SF2 (symmetry square, not-applicable when
@@ -270,7 +269,7 @@ def validate_sm_functor(
     )
     report.add(
         check_diagram("SF1", gpd, objs, 3, sf1_legs(fun, src, tgt),
-                      sample=sample, seed=seed, workers=workers, strict_skip=skip)
+                      sample=sample, seed=seed, strict_skip=skip)
     )
     if src.comm is None or tgt.comm is None:
         report.add(CheckResult("SF2", Status.NOT_APPLICABLE, None, 0, "skipped"))
@@ -280,7 +279,7 @@ def validate_sm_functor(
         )
         report.add(
             check_diagram("SF2", gpd, objs, 2, sf2_legs(fun, src, tgt),
-                          sample=sample, seed=seed, workers=workers, strict_skip=skip)
+                          sample=sample, seed=seed, strict_skip=skip)
         )
     if fun.fzero is None:
         report.add(CheckResult("SF3", Status.MISSING_DATA, None, 0, "skipped (no zero iso)"))
@@ -296,7 +295,7 @@ def validate_sm_functor(
             report.add(
                 check_diagram(f"SF3/{side}", gpd, objs, 1,
                               zero_square_legs(fun, src, tgt, side, fun.fzero),
-                              sample=sample, seed=seed, workers=workers, strict_skip=skip)
+                              sample=sample, seed=seed, strict_skip=skip)
             )
     return report
 
@@ -309,7 +308,6 @@ def validate_ac_functor(
     check_data: bool = True,
     sample: int | None = None,
     seed: int = 0,
-    workers: int = 1,
     allow_strict_skip: bool = True,
 ) -> Report:
     """AF1 (interchange square over object 4-tuples) and the two AF2 unit
@@ -332,7 +330,7 @@ def validate_ac_functor(
     )
     report.add(
         check_diagram("AF1", gpd, objs, 4, af1_legs(fun, src, tgt),
-                      sample=sample, seed=seed, workers=workers, strict_skip=skip)
+                      sample=sample, seed=seed, strict_skip=skip)
     )
     if fun.fzero is None:
         report.add(CheckResult("AF2", Status.MISSING_DATA, None, 0, "skipped (no zero iso)"))
@@ -348,7 +346,7 @@ def validate_ac_functor(
             report.add(
                 check_diagram(f"AF2/{side}", gpd, objs, 1,
                               zero_square_legs(fun, src, tgt, side, fun.fzero),
-                              sample=sample, seed=seed, workers=workers, strict_skip=skip)
+                              sample=sample, seed=seed, strict_skip=skip)
             )
     return report
 
@@ -361,7 +359,6 @@ def validate_transformation(
     check_data: bool = True,
     sample: int | None = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> Report:
     """Base naturality, T1 (compatibility with the monoidality families) and
     T2 (compatibility of the zero isomorphisms; missing-data when either
@@ -389,7 +386,7 @@ def validate_transformation(
     gpd = tgt.carrier
     report.add(
         check_diagram("T1", gpd, src.carrier.objects_sorted, 2, t1_legs(tr, src, tgt),
-                      sample=sample, seed=seed, workers=workers)
+                      sample=sample, seed=seed)
     )
     if tr.source.fzero is None or tr.target.fzero is None:
         report.add(CheckResult("T2", Status.MISSING_DATA, None, 0, "skipped (no zero iso)"))
@@ -569,14 +566,13 @@ def derive_sm_axioms_from_ac(
     *,
     sample: int | None = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> Report:
     """Re-check an AC functor (with zero isomorphism, passing AF1+AF2)
     against the symmetric axioms of the translated endpoint structures.
     Contract: SF1, SF2 and SF3 all pass."""
     from .ac import to_sm
 
-    pre = validate_ac_functor(fun, src, tgt, sample=sample, seed=seed, workers=workers)
+    pre = validate_ac_functor(fun, src, tgt, sample=sample, seed=seed)
     fails = [c.law for c in pre.failures()]
     missing = [c.law for c in pre.checks if c.status is Status.MISSING_DATA]
     if fails or missing:
@@ -584,6 +580,6 @@ def derive_sm_axioms_from_ac(
             "AC functor suite must pass with a zero isomorphism first "
             f"(failing: {fails or missing})"
         )
-    src_sm = to_sm(src, sample=sample, seed=seed, workers=workers)
-    tgt_sm = src_sm if src is tgt else to_sm(tgt, sample=sample, seed=seed, workers=workers)
-    return validate_sm_functor(fun, src_sm, tgt_sm, sample=sample, seed=seed, workers=workers)
+    src_sm = to_sm(src, sample=sample, seed=seed)
+    tgt_sm = src_sm if src is tgt else to_sm(tgt, sample=sample, seed=seed)
+    return validate_sm_functor(fun, src_sm, tgt_sm, sample=sample, seed=seed)

@@ -20,7 +20,6 @@ from .groupoid import (
     FinGroupoid,
     NatFamily,
     check_naturality,
-    compose_path,
     validate_family,
     validate_groupoid,
 )
@@ -223,10 +222,8 @@ def validate_sm(
     m: MonStructure,
     *,
     check_data: bool = True,
-    check_carrier: bool = False,
     sample: int | None = None,
     seed: int = 0,
-    workers: int = 1,
     allow_strict_skip: bool = True,
 ) -> Report:
     """Run the symmetric monoidal axiom suite (pentagon, triangle, hexagon,
@@ -239,8 +236,6 @@ def validate_sm(
     if m.assoc is None or m.lunit is None or m.runit is None:
         raise MissingFamily("a, l, r are required for the monoidal axiom suite")
     report = Report()
-    if check_carrier:
-        report.extend(validate_groupoid(m.carrier), prefix="carrier:")
     if check_data:
         _check_bifunctor(m, report)
         _check_families(m, report)
@@ -257,7 +252,7 @@ def validate_sm(
         report.add(
             check_diagram(
                 law, gpd, objs, arity, legs_fn,
-                sample=sample, seed=seed, workers=workers, strict_skip=skip,
+                sample=sample, seed=seed, strict_skip=skip,
             )
         )
 
@@ -286,9 +281,6 @@ def check_structure_naturality(m, *, sample: int | None = None, seed: int = 0) -
             )
         )
     return report
-
-
-check_sm_naturality = check_structure_naturality
 
 
 def basic_unitor(m: MonStructure) -> str:
@@ -333,7 +325,6 @@ def validate_2group(
     *,
     sample: int | None = None,
     seed: int = 0,
-    workers: int = 1,
     allow_strict_skip: bool = True,
 ) -> Report:
     """Carrier groupoid laws + symmetric monoidal axioms + a weak inverse for
@@ -344,7 +335,7 @@ def validate_2group(
     if not report.ok:
         return report
     report.extend(
-        validate_sm(m, sample=sample, seed=seed, workers=workers, allow_strict_skip=allow_strict_skip)
+        validate_sm(m, sample=sample, seed=seed, allow_strict_skip=allow_strict_skip)
     )
     started = time.perf_counter()
     certs = []
@@ -362,9 +353,3 @@ def validate_2group(
     )
     report.artifacts["weak_inverses"] = certs
     return report
-
-
-def eta_roundtrip_is_identity(m: MonStructure, cert: WeakInverseCert) -> bool:
-    """eta^-1 o eta == id(0); holds in any groupoid, kept as a cross-check."""
-    gpd = m.carrier
-    return compose_path(gpd, [gpd.inv(cert.eta), cert.eta]) == gpd.identity[m.unit]

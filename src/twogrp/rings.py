@@ -28,11 +28,12 @@ from . import expr as ex
 from .ac import ACStructure, canonical_acomm_at, to_ac, to_sm, validate_ac
 from .diagram import check_diagram, strict_profile
 from .errors import MissingAbsorbers, PreconditionFailed, PresentationMismatch
-from .groupoid import FinGroupoid, GFunctor, NatFamily, compose_path, validate_family, validate_groupoid
+from .groupoid import FinGroupoid, GFunctor, NatFamily, validate_family, validate_groupoid
 from .monoidal import MonStructure, validate_sm, find_weak_inverse
 from .functors import (
     StructuredFunctor,
     canonical_zero_iso,
+    enumerate_zero_isos,
     fsum_family,
     sf1_legs,
     sf2_legs,
@@ -311,29 +312,47 @@ def _b_strict(ring: TwoRingData) -> list[tuple[NatFamily, dict]]:
     return [(ring.add.assoc, env), (ring.add.comm, env)]
 
 
-def _common_rows(
+def _suite_runner(
     ring: TwoRingData,
-    b_at,
+    presentation: str,
     report: Report,
     *,
-    sample,
-    seed,
-    workers,
-    allow_strict_skip,
-) -> None:
+    check_data: bool,
+    sample: int | None,
+    seed: int,
+    allow_strict_skip: bool,
+):
+    """The preamble the three suites share: the presentation check, the data
+    rows, then ``run(law, arity, legs, fams, uses_inverse=False)``, which
+    discharges one diagram by its strict profile or checks it in the engine
+    and adds the row to ``report``.  Returns ``None`` when a data row fails."""
+    if ring.presentation != presentation:
+        form = "AC" if ring.presentation == "ac" else "symmetric"
+        raise PresentationMismatch(f"additive structure is in {form} form; convert first")
+    absorbers = presentation == "ac"
+    if absorbers and (ring.absorb_l is None or ring.absorb_r is None):
+        raise MissingAbsorbers("AC presentation requires the m and n families")
+    if check_data:
+        _check_ring_families(ring, report, absorbers=absorbers)
+        if not report.ok:
+            return None
     gpd = ring.carrier
     objs = gpd.objects_sorted
     tables = [ring.add.id_table_args(), ring.mul.id_table_args()]
-    renv = ring.env()
-    menv = ring.mul.env()
 
     def run(law, arity, legs_fn, fams, uses_inverse=False):
         skip = allow_strict_skip and strict_profile(gpd, fams, tables, uses_inverse=uses_inverse)
         report.add(
             check_diagram(law, gpd, objs, arity, legs_fn,
-                          sample=sample, seed=seed, workers=workers, strict_skip=skip)
+                          sample=sample, seed=seed, strict_skip=skip)
         )
 
+    return run
+
+
+def _common_rows(ring: TwoRingData, b_at, run) -> None:
+    renv = ring.env()
+    menv = ring.mul.env()
     binv = ring.presentation == "sm"
     d_l, d_r = (ring.dist_l, renv), (ring.dist_r, renv)
     run("2R2", 4, _r2_legs(ring, b_at), [d_l, d_r] + _b_strict(ring), uses_inverse=binv)
@@ -363,7 +382,6 @@ def _pair_axiom(
     *,
     sample,
     seed,
-    workers,
     allow_strict_skip,
 ) -> CheckResult:
     """SF1/SF2 of the multiplication endofunctors, aggregated over the fixed
@@ -381,7 +399,7 @@ def _pair_axiom(
     for x in objs:
         fun = left_mult_functor(ring, x) if side == "left" else right_mult_functor(ring, x)
         res = check_diagram(law, gpd, objs, arity, legs_builder(fun, add, add),
-                            sample=sample, seed=seed, workers=workers)
+                            sample=sample, seed=seed)
         total += res.instances
         mode = res.mode
         if res.status is Status.FAIL:
@@ -400,7 +418,6 @@ def validate_quang(
     check_data: bool = True,
     sample: int | None = None,
     seed: int = 0,
-    workers: int = 1,
     allow_strict_skip: bool = True,
 ) -> Report:
     """Axiom suite 2R1-2R6 for the symmetric presentation.
@@ -410,15 +427,13 @@ def validate_quang(
     the additive 2-group; 2R2 routes through the canonical
     associo-commutator of the additive structure.
     """
-    if ring.presentation != "sm":
-        raise PresentationMismatch("additive structure is in AC form; convert first")
     report = Report()
-    if check_data:
-        _check_ring_families(ring, report, absorbers=False)
-        if not report.ok:
-            return report
+    run = _suite_runner(ring, "sm", report, check_data=check_data, sample=sample, seed=seed,
+                        allow_strict_skip=allow_strict_skip)
+    if run is None:
+        return report
 
-    common = dict(sample=sample, seed=seed, workers=workers, allow_strict_skip=allow_strict_skip)
+    common = dict(sample=sample, seed=seed, allow_strict_skip=allow_strict_skip)
     add = ring.add
     renv, aenv = ring.env(), add.env()
     report.add(_pair_axiom("2R1/left-assoc", ring, "left", sf1_legs, 3,
@@ -431,7 +446,7 @@ def validate_quang(
                            [(ring.dist_r, renv), (add.comm, aenv)], **common))
 
     b_at = lambda p, q, r, s: canonical_acomm_at(add, p, q, r, s)
-    _common_rows(ring, b_at, report, **common)
+    _common_rows(ring, b_at, run)
     return report
 
 
@@ -492,36 +507,25 @@ def validate_jp(
     check_data: bool = True,
     sample: int | None = None,
     seed: int = 0,
-    workers: int = 1,
     allow_strict_skip: bool = True,
 ) -> Report:
     """Axiom suite 2R1' + 2R2-2R6 for the symmetric presentation.  2R1'
     quantifies two diagrams over object 5-tuples, routed through the
     canonical associo-commutator."""
-    if ring.presentation != "sm":
-        raise PresentationMismatch("additive structure is in AC form; convert first")
     report = Report()
-    if check_data:
-        _check_ring_families(ring, report, absorbers=False)
-        if not report.ok:
-            return report
-    gpd = ring.carrier
-    objs = gpd.objects_sorted
+    run = _suite_runner(ring, "sm", report, check_data=check_data, sample=sample, seed=seed,
+                        allow_strict_skip=allow_strict_skip)
+    if run is None:
+        return report
     add = ring.add
-    tables = [add.id_table_args(), ring.mul.id_table_args()]
     b_at = lambda p, q, r, s: canonical_acomm_at(add, p, q, r, s)
 
     renv, aenv = ring.env(), add.env()
     for form in ("d", "e"):
         fams = [(ring.dist_l if form == "d" else ring.dist_r, renv),
                 (add.assoc, aenv), (add.comm, aenv)]
-        skip = allow_strict_skip and strict_profile(gpd, fams, tables, uses_inverse=True)
-        report.add(
-            check_diagram(f"2R1-prime/{form}", gpd, objs, 5, _r1_prime_legs(ring, b_at, form),
-                          sample=sample, seed=seed, workers=workers, strict_skip=skip)
-        )
-    _common_rows(ring, b_at, report,
-                 sample=sample, seed=seed, workers=workers, allow_strict_skip=allow_strict_skip)
+        run(f"2R1-prime/{form}", 5, _r1_prime_legs(ring, b_at, form), fams, uses_inverse=True)
+    _common_rows(ring, b_at, run)
     return report
 
 
@@ -531,47 +535,30 @@ def validate_ac_ring(
     check_data: bool = True,
     sample: int | None = None,
     seed: int = 0,
-    workers: int = 1,
     allow_strict_skip: bool = True,
 ) -> Report:
     """Axiom suite 2R1'' + 2R2-2R6 for the AC presentation: the two
     interchange diagrams for the given b plus the four absorber unit
     squares."""
-    if ring.presentation != "ac":
-        raise PresentationMismatch("additive structure is in symmetric form; convert first")
-    if ring.absorb_l is None or ring.absorb_r is None:
-        raise MissingAbsorbers("AC presentation requires the m and n families")
     report = Report()
-    if check_data:
-        _check_ring_families(ring, report, absorbers=True)
-        if not report.ok:
-            return report
-    gpd = ring.carrier
-    objs = gpd.objects_sorted
+    run = _suite_runner(ring, "ac", report, check_data=check_data, sample=sample, seed=seed,
+                        allow_strict_skip=allow_strict_skip)
+    if run is None:
+        return report
     add = ring.add
-    tables = [add.id_table_args(), ring.mul.id_table_args()]
     b = add.acomm.components
     b_at = lambda p, q, r, s: b[(p, q, r, s)]
 
     renv, aenv = ring.env(), add.env()
     for form in ("d", "e"):
         fams = [(ring.dist_l if form == "d" else ring.dist_r, renv), (add.acomm, aenv)]
-        skip = allow_strict_skip and strict_profile(gpd, fams, tables)
-        report.add(
-            check_diagram(f"2R1-dprime/{form}", gpd, objs, 5, _r1_prime_legs(ring, b_at, form),
-                          sample=sample, seed=seed, workers=workers, strict_skip=skip)
-        )
+        run(f"2R1-dprime/{form}", 5, _r1_prime_legs(ring, b_at, form), fams)
     for which, fam in (("m-left", ring.absorb_l), ("m-right", ring.absorb_l),
                        ("n-left", ring.absorb_r), ("n-right", ring.absorb_r)):
         d_or_e = ring.dist_l if which.startswith("m") else ring.dist_r
         fams = [(fam, renv), (d_or_e, renv), (add.lunit, aenv), (add.runit, aenv)]
-        skip = allow_strict_skip and strict_profile(gpd, fams, tables)
-        report.add(
-            check_diagram(f"2R1-dprime/{which}", gpd, objs, 2, _absorber_legs(ring, which),
-                          sample=sample, seed=seed, workers=workers, strict_skip=skip)
-        )
-    _common_rows(ring, b_at, report,
-                 sample=sample, seed=seed, workers=workers, allow_strict_skip=allow_strict_skip)
+        run(f"2R1-dprime/{which}", 2, _absorber_legs(ring, which), fams)
+    _common_rows(ring, b_at, run)
     return report
 
 
@@ -659,43 +646,6 @@ class NoAbsorbers:
     note: str = ""
 
 
-def _absorber_candidates(ring: TwoRingData, acring: TwoRingData, x: str, side: str) -> list[str]:
-    """Morphisms 0 -> x*0 (resp. 0 -> 0*x) satisfying both unit squares for
-    every second argument; exhaustive scan in canonical order."""
-    gpd = ring.carrier
-    zero = ring.add.unit
-    mo = ring.mul.sum_obj
-    target = mo[(x, zero)] if side == "left" else mo[(zero, x)]
-    good = []
-    for cand in gpd.hom(zero, target):
-        comps = {(x,): cand}
-        zid = gpd.identity[zero]
-        trial = TwoRingData(
-            ring.carrier, acring.add, ring.mul, ring.dist_l, ring.dist_r,
-            absorb_l_family(comps, zero, zid) if side == "left" else acring.absorb_l,
-            absorb_r_family(comps, zero, zid) if side == "right" else acring.absorb_r,
-        )
-        whiches = ("m-left", "m-right") if side == "left" else ("n-left", "n-right")
-        ok = True
-        for which in whiches:
-            legs = _absorber_legs(trial, which)
-            for y in gpd.objects_sorted:
-                key = (x, y) if side == "left" else (y, x)
-                try:
-                    left, right = legs(key)
-                    if compose_path(gpd, left) != compose_path(gpd, right):
-                        ok = False
-                        break
-                except Exception:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            good.append(cand)
-    return good
-
-
 def jp_upgrade(ring: TwoRingData, *, validate: bool = True) -> TwoRingData | NoAbsorbers:
     """Brute-force search for absorbing isomorphism families turning a ring
     passing the 2R1' suite into an AC (hence symmetric-presentation) ring.
@@ -712,20 +662,24 @@ def jp_upgrade(ring: TwoRingData, *, validate: bool = True) -> TwoRingData | NoA
             fails = ", ".join(c.law for c in pre.failures())
             raise PreconditionFailed(f"input fails the 2R1' suite: {fails}")
     add_ac = to_ac(ring.add)
-    shell = TwoRingData(ring.carrier, add_ac, ring.mul, ring.dist_l, ring.dist_r, None, None)
     zero = ring.add.unit
     zid = ring.carrier.identity[zero]
     m_comps = {}
     n_comps = {}
+    # m_x is a zero iso of (x*-) and n_x one of (-*x): the m/n absorber
+    # squares are the AF2 unit squares of the multiplication endofunctors
     for x in ring.carrier.objects_sorted:
-        found = _absorber_candidates(ring, shell, x, "left")
-        if not found:
-            return NoAbsorbers(x, "left")
-        m_comps[(x,)] = found[0]
-        found = _absorber_candidates(ring, shell, x, "right")
-        if not found:
-            return NoAbsorbers(x, "right")
-        n_comps[(x,)] = found[0]
+        for side, mult_functor, comps in (("left", left_mult_functor, m_comps),
+                                          ("right", right_mult_functor, n_comps)):
+            try:
+                found = enumerate_zero_isos(mult_functor(ring, x), add_ac, add_ac, "AF2")
+            except KeyError:
+                # a multiplication or distributor table of an unvalidated
+                # input lacks an entry the squares at x read: no candidate
+                found = []
+            if not found:
+                return NoAbsorbers(x, side)
+            comps[(x,)] = found[0]
     out = TwoRingData(
         ring.carrier, add_ac, ring.mul, ring.dist_l, ring.dist_r,
         absorb_l_family(m_comps, zero, zid),

@@ -152,11 +152,32 @@ def test_zero_iso_empty_enumeration_and_failed_precondition(capsys, dual_file):
     assert "SF1" in out
 
 
-def test_parallel_reports_are_deterministic(capsys, super_line_file):
-    _, out1, _ = run(capsys, "check", str(super_line_file), "--suite", "sm", "--parallel", "1")
-    _, out4, _ = run(capsys, "check", str(super_line_file), "--suite", "sm", "--parallel", "4")
-    strip = lambda s: re.sub(r"time=[0-9.]+ms", "", s)
-    assert strip(out1) == strip(out4)
+def test_shared_endpoint_block_is_converted_once(capsys, monkeypatch, dual_file):
+    import twogrp.cli
+
+    calls = []
+    real = twogrp.cli.to_sm
+    monkeypatch.setattr(twogrp.cli, "to_sm", lambda a: calls.append(a) or real(a))
+    code, _, _ = run(capsys, "check", str(dual_file), "--suite", "sm-functor")
+    assert code == 1
+    assert len(calls) == 1
+    calls.clear()
+    code, out, _ = run(capsys, "zero-iso", str(dual_file), "--functor", "F", "--mode", "canonical")
+    assert code == 1 and "SF1" in out
+    assert len(calls) == 1
+
+
+def test_ring_suites_print_each_endpoint_row_once(capsys, tmp_path):
+    z4 = tmp_path / "z4.json"
+    z4ac = tmp_path / "z4ac.json"
+    assert main(["fixture", "strict-2ring", "--ring", "z4", "--out", str(z4)]) == 0
+    assert main(["convert", str(z4), "--to", "ac", "--out", str(z4ac)]) == 0
+    for path, suite, families in ((z4, "quang", "de"), (z4ac, "acring", "demn")):
+        code, out, _ = run(capsys, "check", str(path), "--suite", suite)
+        assert code == 0
+        rows = re.findall(r"^(\S+-endpoints)\s", out, re.M)
+        assert len(rows) == len(set(rows))
+        assert {f"{f}-endpoints" for f in families} <= set(rows)
 
 
 def test_check_out_flag_writes_report(capsys, super_line_file, tmp_path):

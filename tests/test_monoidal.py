@@ -16,7 +16,7 @@ from twogrp import (
     weak_inverse_candidates,
 )
 from twogrp.groupoid import compose_path
-from twogrp.monoidal import basic_unitor, eta_roundtrip_is_identity
+from twogrp.monoidal import basic_unitor
 from twogrp.report import Status
 
 from helpers import (
@@ -157,7 +157,6 @@ def test_eta_certificate_roundtrip():
     for m in (super_line(), strict_cyclic_2group(4)):
         for x in m.carrier.objects_sorted:
             cert = find_weak_inverse(m, x)
-            assert eta_roundtrip_is_identity(m, cert)
             gpd = m.carrier
             assert compose_path(gpd, [gpd.inv(cert.eta), cert.eta]) == gpd.identity[m.unit]
 

@@ -22,8 +22,9 @@ from twogrp import (
     validate_quang,
     validate_two_ring_data,
 )
-from twogrp.functors import tau_family, validate_transformation
-from twogrp.rings import _absorber_candidates, left_mult_functor, right_mult_functor
+from twogrp.ac import to_ac
+from twogrp.functors import enumerate_zero_isos, tau_family, validate_transformation
+from twogrp.rings import left_mult_functor, right_mult_functor
 from twogrp.report import Status
 
 from helpers import perturb_family
@@ -207,11 +208,12 @@ def test_jp_upgrade_recovers_identity_absorbers():
 
 
 def test_absorber_candidates_are_unique_on_strict_fixtures():
+    # the m/n absorber squares are the AF2 unit squares of x*- and -*x
     ring = z6()
-    shell = quang_to_ac_ring(ring, validate=False)
+    add = quang_to_ac_ring(ring, validate=False).add
     for x in ring.carrier.objects_sorted:
-        assert len(_absorber_candidates(ring, shell, x, "left")) == 1
-        assert len(_absorber_candidates(ring, shell, x, "right")) == 1
+        assert len(enumerate_zero_isos(left_mult_functor(ring, x), add, add, "AF2")) == 1
+        assert len(enumerate_zero_isos(right_mult_functor(ring, x), add, add, "AF2")) == 1
 
 
 def test_jp_upgrade_reports_blocking_object():
@@ -226,10 +228,23 @@ def test_jp_upgrade_reports_blocking_object():
     assert isinstance(result, NoAbsorbers)
     assert (result.obj, result.side) == ("0", "right")
     # the empty-hom path: no morphism 0 -> 1*0 exists at all
-    from twogrp.ac import to_ac
+    add = to_ac(doctored.add)
+    assert enumerate_zero_isos(left_mult_functor(doctored, "1"), add, add, "AF2") == []
 
-    shell = replace(doctored, add=to_ac(doctored.add), absorb_l=None, absorb_r=None, _cache={})
-    assert _absorber_candidates(doctored, shell, "1", "left") == []
+
+def test_jp_upgrade_rejects_squares_that_read_a_missing_entry():
+    # 1*0 sent outside the carrier: the square of -*0 at 1 looks up the
+    # identity of an unknown object, which rejects every candidate at 0
+    ring = z6()
+    mul_obj = dict(ring.mul.sum_obj)
+    mul_obj[("1", "0")] = "7"
+    doctored = replace(ring, mul=replace(ring.mul, sum_obj=mul_obj, _cache={}), _cache={})
+    add = to_ac(doctored.add)
+    with pytest.raises(KeyError):
+        enumerate_zero_isos(right_mult_functor(doctored, "0"), add, add, "AF2")
+    result = jp_upgrade(doctored, validate=False)
+    assert isinstance(result, NoAbsorbers)
+    assert (result.obj, result.side) == ("0", "right")
 
 
 def test_quang_implies_jp_on_fixtures():
