@@ -21,7 +21,7 @@ from itertools import product
 from . import expr as ex
 from .diagram import check_diagram, strict_profile
 from .errors import PreconditionFailed
-from .groupoid import FinGroupoid, NatFamily, compose_path, validate_family
+from .groupoid import FinGroupoid, NatFamily, compose_path
 from .monoidal import (
     MonStructure,
     SumStructure,
@@ -29,6 +29,7 @@ from .monoidal import (
     comm_family,
     validate_sm,
     _check_bifunctor,
+    _check_families,
 )
 from .report import Report
 
@@ -131,22 +132,18 @@ def validate_ac(
     report = Report()
     if check_data:
         _check_bifunctor(a, report)
-        env = a.env()
-        for name, fam in a.families().items():
-            report.extend(validate_family(a.carrier, fam, env, label=name))
+        _check_families(a, report)
         if not report.ok:
             return report
 
     gpd = a.carrier
     objs = gpd.objects_sorted
-    tables = [a.id_table_args()]
     env = a.env()
 
     def run(law, arity, legs_fn, fams):
-        skip = allow_strict_skip and strict_profile(gpd, [(f, env) for f in fams], tables)
+        strict = ([(f, env) for f in fams], [a]) if allow_strict_skip else None
         report.add(
-            check_diagram(law, gpd, objs, arity, legs_fn,
-                          sample=sample, seed=seed, strict_skip=skip)
+            check_diagram(law, gpd, objs, arity, legs_fn, sample=sample, seed=seed, strict=strict)
         )
 
     run("AC1", 8, ac1_legs(a), [a.acomm])
@@ -207,7 +204,7 @@ def canonical_acomm_at(m: MonStructure, x: str, y: str, z: str, t: str) -> str:
         if "acomm_strict" not in m._cache:
             env = m.env()
             m._cache["acomm_strict"] = strict_profile(
-                m.carrier, [(m.assoc, env), (m.comm, env)], [m.id_table_args()], uses_inverse=True
+                m.carrier, [(m.assoc, env), (m.comm, env)], [m], uses_inverse=True
             )
         if m._cache["acomm_strict"]:
             so = m.sum_obj
@@ -227,7 +224,7 @@ def canonical_acomm_table(m: MonStructure) -> dict[tuple[str, str, str, str], st
     objs = gpd.objects_sorted
     table: dict[tuple[str, str, str, str], str] = {}
     env = m.env()
-    if strict_profile(gpd, [(m.assoc, env), (m.comm, env)], [m.id_table_args()], uses_inverse=True):
+    if strict_profile(gpd, [(m.assoc, env), (m.comm, env)], [m], uses_inverse=True):
         ident = gpd.identity
         for idx in product(objs, repeat=4):
             x, y, z, t = idx
@@ -258,7 +255,7 @@ def to_ac(
         raise PreconditionFailed(f"input fails the symmetric axiom suite: {fails}")
     b_fam = acomm_family(canonical_acomm_table(m))
     env = m.env()
-    if strict_profile(m.carrier, [(m.assoc, env), (m.comm, env)], [m.id_table_args()], uses_inverse=True):
+    if strict_profile(m.carrier, [(m.assoc, env), (m.comm, env)], [m], uses_inverse=True):
         b_fam.mark_strict(m.carrier)
     out = ACStructure(m.carrier, m.sum_obj, m.sum_mor, m.unit, b_fam, m.lunit, m.runit)
     post = validate_ac(out, check_data=False, sample=sample, seed=seed)
@@ -315,8 +312,7 @@ def to_sm(
     gpd = a.carrier
     objs = gpd.objects_sorted
     env = a.env()
-    strict = strict_profile(gpd, [(a.acomm, env), (a.lunit, env), (a.runit, env)],
-                            [a.id_table_args()], uses_inverse=True)
+    strict = strict_profile(gpd, [(a.acomm, env), (a.lunit, env), (a.runit, env)], [a], uses_inverse=True)
     if strict:
         ident, so = gpd.identity, a.sum_obj
         a_table = {

@@ -48,7 +48,7 @@ from .functors import (
     validate_transformation,
 )
 from .groupoid import validate_groupoid
-from .monoidal import MonStructure, check_structure_naturality, validate_2group, validate_sm
+from .monoidal import MonStructure, _check_weak_inverses, check_structure_naturality, validate_sm
 from .report import Report
 from .rings import validate_ac_ring, validate_jp, validate_quang, validate_two_ring_data
 
@@ -130,16 +130,14 @@ def _structure_reports(doc: StructureDocument, blk: Block, args) -> list[Report]
     nat_sample = _auto_sample(len(doc.groupoid.morphisms), 4 if blk.kind == "ac" else 3)
     reports = [validate_groupoid(doc.groupoid)]
     if args.suite == "2group":
-        sm = _as_sm(blk)
-        rep = validate_2group(sm, sample=sample)
-        reports.append(rep)
-        reports.append(check_structure_naturality(sm, sample=nat_sample))
-    elif blk.kind == "ac":
-        reports.append(validate_ac(s, sample=sample))
-        reports.append(check_structure_naturality(s, sample=nat_sample))
+        s = _as_sm(blk)
+        if reports[0].ok:
+            # validate_2group, with the carrier rows above printed once
+            reports.append(validate_sm(s, sample=sample))
+            _check_weak_inverses(s, reports[-1])
     else:
-        reports.append(validate_sm(s, sample=sample))
-        reports.append(check_structure_naturality(s, sample=nat_sample))
+        reports.append((validate_ac if blk.kind == "ac" else validate_sm)(s, sample=sample))
+    reports.append(check_structure_naturality(s, sample=nat_sample))
     return reports
 
 

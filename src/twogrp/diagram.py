@@ -13,10 +13,12 @@ that breaks the chain.  A sample draws the same tuples ``Random.choice``
 would at the same seed.
 
 A check may also be discharged by a *strict profile*: when every leg of both
-routes is drawn from pointwise-identity families combined by identity-
-preserving tables and functors, each route composes to the identity of the
-instance's start object, so all instances commute.  The profile conditions
-are verified by cheap full-table scans, never assumed.
+routes is drawn from strict families (identities at their declared
+endpoints) combined by identity-preserving sums and functors, each route
+composes to the identity of the instance's start object, so all instances
+commute.  ``check_diagram`` tests the profile itself.  A family's strict
+bit comes from the scan that validates its endpoints, or is set by the
+constructor that builds it from identities.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import time
 from collections.abc import Callable, Iterable, Sequence
 from itertools import product
 
-from .groupoid import FinGroupoid, GFunctor, NatFamily, _sample_tuples, compose_path
+from .groupoid import FinGroupoid, NatFamily, _sample_tuples, compose_path
 from .errors import StructureError
 from .report import CheckResult, Status, Witness
 
@@ -47,23 +49,10 @@ def index_space(
     return drawn, sample, f"sampled(n={sample},seed={seed})"
 
 
-def tables_preserve_identities(gpd: FinGroupoid, obj_table: dict, mor_table: dict, cache: dict, key: str) -> bool:
-    if key not in cache:
-        ok = True
-        ident = gpd.identity
-        for (x, y), z in obj_table.items():
-            if mor_table.get((ident[x], ident[y])) != ident[z]:
-                ok = False
-                break
-        cache[key] = ok
-    return cache[key]
-
-
 def strict_profile(
     gpd: FinGroupoid,
     families: Sequence[tuple[NatFamily | None, dict]],
-    id_tables: Sequence[tuple[dict, dict, dict, str]] = (),
-    functors: Sequence[GFunctor] = (),
+    maps: Sequence = (),
     uses_inverse: bool = False,
 ) -> bool:
     """True when the given ingredients can only produce identity legs at the
@@ -71,21 +60,16 @@ def strict_profile(
 
     ``families`` pairs each family with the evaluation environment of the
     structure it belongs to (the endpoint check is what makes the shortcut
-    sound); ``id_tables`` entries are ``(obj_table, mor_table, cache, key)``
-    for each bifunctor the diagram sums/multiplies legs with.
+    sound); ``maps`` lists the sum structures and functors that combine or
+    map legs, each of which must preserve identities.
     """
     for fam, env in families:
         if fam is not None and not fam.is_strict(gpd, env):
             return False
-    for obj_table, mor_table, cache, key in id_tables:
-        if not tables_preserve_identities(gpd, obj_table, mor_table, cache, key):
+    for m in maps:
+        if not m.preserves_identities():
             return False
-    for fun in functors:
-        if not fun.preserves_identities():
-            return False
-    if uses_inverse and not gpd.identities_preserved_by_inverse():
-        return False
-    return True
+    return not uses_inverse or gpd.identities_preserved_by_inverse()
 
 
 def _scan(
@@ -131,16 +115,16 @@ def check_diagram(
     *,
     sample: int | None = None,
     seed: int = 0,
-    strict_skip: bool = False,
+    strict: tuple | None = None,
 ) -> CheckResult:
     """Check one two-route diagram over the full (or sampled) index space.
 
-    ``strict_skip=True`` asserts the caller verified a strict profile for
-    this law: the loop is skipped and the instance count records the space
-    the profile covers.
+    ``strict`` holds the ``strict_profile`` arguments after ``gpd``; when
+    that profile holds, the loop is skipped and the instance count records
+    the space it covers.  ``None`` always runs the loop.
     """
     started = time.perf_counter()
-    if strict_skip:
+    if strict is not None and strict_profile(gpd, *strict):
         total = len(objects) ** arity if sample is None else sample
         return CheckResult(law, Status.PASS, None, total, "strict-profile", time.perf_counter() - started)
 

@@ -3,9 +3,9 @@ axiom suites.
 
 A structured functor is a base functor plus a monoidality family
 F_+(x,y): Fx +' Fy -> F(x+y) and an optional zero isomorphism F_0: 0' -> F0.
-The same triple is checked against the symmetric axioms (SF1-SF3) or the AC
-axioms (AF1-AF2) depending on the presentation of its endpoints; SF3 and AF2
-are the same squares.
+One suite body checks the triple against the symmetric axioms (SF1-SF3) or
+the AC axioms (AF1-AF2), by the presentation of its endpoints; SF3 and AF2
+are the same squares, and the engine tests each row's strict profile.
 
 The zero isomorphism into a 2-group target is special: under SF1 it exists
 uniquely and is produced in closed form by ``canonical_zero_iso``; under AF1
@@ -238,6 +238,58 @@ def _zero_identity(fun: StructuredFunctor, src, tgt) -> bool:
     )
 
 
+def _functor_suite(
+    fun: StructuredFunctor,
+    src,
+    tgt,
+    interchange: list,
+    unit_law: str,
+    *,
+    check_data: bool,
+    sample: int | None,
+    seed: int,
+    allow_strict_skip: bool,
+) -> Report:
+    """The body of both functor suites: the data rows, each interchange row
+    ``(law, arity, make_legs, src_family, tgt_family)`` the presentation
+    lists (``make_legs=None``: not applicable), then the unit squares
+    SF3 = AF2 under ``unit_law`` (missing-data without a zero iso)."""
+    report = Report()
+    if check_data:
+        _data_rows(fun, src, tgt, report)
+        if not report.ok:
+            return report
+
+    gpd = tgt.carrier
+    objs = src.carrier.objects_sorted
+    fenv, senv, tenv = functor_env(fun, src, tgt), src.env(), tgt.env()
+
+    def strict(*fams):
+        return ([(fun.fsum, fenv), *fams], [tgt, fun.base]) if allow_strict_skip else None
+
+    for law, arity, make_legs, src_fam, tgt_fam in interchange:
+        if make_legs is None:
+            report.add(CheckResult(law, Status.NOT_APPLICABLE, None, 0, "skipped"))
+            continue
+        profile = strict((src_fam, senv), (tgt_fam, tenv))
+        report.add(
+            check_diagram(law, gpd, objs, arity, make_legs(fun, src, tgt),
+                          sample=sample, seed=seed, strict=profile)
+        )
+    if fun.fzero is None:
+        report.add(CheckResult(unit_law, Status.MISSING_DATA, None, 0, "skipped (no zero iso)"))
+        return report
+    unitors = (src.lunit, senv), (src.runit, senv), (tgt.lunit, tenv), (tgt.runit, tenv)
+    units = strict(*unitors) if allow_strict_skip and _zero_identity(fun, src, tgt) else None
+    for side in ("right", "left"):
+        report.add(
+            check_diagram(f"{unit_law}/{side}", gpd, objs, 1,
+                          zero_square_legs(fun, src, tgt, side, fun.fzero),
+                          sample=sample, seed=seed, strict=units)
+        )
+    return report
+
+
 def validate_sm_functor(
     fun: StructuredFunctor,
     src: MonStructure,
@@ -251,53 +303,11 @@ def validate_sm_functor(
     """SF1 (associativity square), SF2 (symmetry square, not-applicable when
     either endpoint lacks a commutator) and the two SF3 unit squares
     (missing-data when the functor has no zero isomorphism)."""
-    report = Report()
-    if check_data:
-        _data_rows(fun, src, tgt, report)
-        if not report.ok:
-            return report
-
-    gpd = tgt.carrier
-    objs = src.carrier.objects_sorted
-    tables = [tgt.id_table_args()]
-    funs = [fun.base]
-    fenv = functor_env(fun, src, tgt)
-    senv, tenv = src.env(), tgt.env()
-
-    skip = allow_strict_skip and strict_profile(
-        gpd, [(fun.fsum, fenv), (src.assoc, senv), (tgt.assoc, tenv)], tables, funs
-    )
-    report.add(
-        check_diagram("SF1", gpd, objs, 3, sf1_legs(fun, src, tgt),
-                      sample=sample, seed=seed, strict_skip=skip)
-    )
-    if src.comm is None or tgt.comm is None:
-        report.add(CheckResult("SF2", Status.NOT_APPLICABLE, None, 0, "skipped"))
-    else:
-        skip = allow_strict_skip and strict_profile(
-            gpd, [(fun.fsum, fenv), (src.comm, senv), (tgt.comm, tenv)], tables, funs
-        )
-        report.add(
-            check_diagram("SF2", gpd, objs, 2, sf2_legs(fun, src, tgt),
-                          sample=sample, seed=seed, strict_skip=skip)
-        )
-    if fun.fzero is None:
-        report.add(CheckResult("SF3", Status.MISSING_DATA, None, 0, "skipped (no zero iso)"))
-    else:
-        fams = [(fun.fsum, fenv), (src.lunit, senv), (src.runit, senv),
-                (tgt.lunit, tenv), (tgt.runit, tenv)]
-        skip = (
-            allow_strict_skip
-            and _zero_identity(fun, src, tgt)
-            and strict_profile(gpd, fams, tables, funs)
-        )
-        for side in ("right", "left"):
-            report.add(
-                check_diagram(f"SF3/{side}", gpd, objs, 1,
-                              zero_square_legs(fun, src, tgt, side, fun.fzero),
-                              sample=sample, seed=seed, strict_skip=skip)
-            )
-    return report
+    symmetric = src.comm is not None and tgt.comm is not None
+    interchange = [("SF1", 3, sf1_legs, src.assoc, tgt.assoc),
+                   ("SF2", 2, sf2_legs if symmetric else None, src.comm, tgt.comm)]
+    return _functor_suite(fun, src, tgt, interchange, "SF3", check_data=check_data,
+                          sample=sample, seed=seed, allow_strict_skip=allow_strict_skip)
 
 
 def validate_ac_functor(
@@ -312,43 +322,9 @@ def validate_ac_functor(
 ) -> Report:
     """AF1 (interchange square over object 4-tuples) and the two AF2 unit
     squares (the same squares as SF3; missing-data without a zero iso)."""
-    report = Report()
-    if check_data:
-        _data_rows(fun, src, tgt, report)
-        if not report.ok:
-            return report
-
-    gpd = tgt.carrier
-    objs = src.carrier.objects_sorted
-    tables = [tgt.id_table_args()]
-    funs = [fun.base]
-    fenv = functor_env(fun, src, tgt)
-    senv, tenv = src.env(), tgt.env()
-
-    skip = allow_strict_skip and strict_profile(
-        gpd, [(fun.fsum, fenv), (src.acomm, senv), (tgt.acomm, tenv)], tables, funs
-    )
-    report.add(
-        check_diagram("AF1", gpd, objs, 4, af1_legs(fun, src, tgt),
-                      sample=sample, seed=seed, strict_skip=skip)
-    )
-    if fun.fzero is None:
-        report.add(CheckResult("AF2", Status.MISSING_DATA, None, 0, "skipped (no zero iso)"))
-    else:
-        fams = [(fun.fsum, fenv), (src.lunit, senv), (src.runit, senv),
-                (tgt.lunit, tenv), (tgt.runit, tenv)]
-        skip = (
-            allow_strict_skip
-            and _zero_identity(fun, src, tgt)
-            and strict_profile(gpd, fams, tables, funs)
-        )
-        for side in ("right", "left"):
-            report.add(
-                check_diagram(f"AF2/{side}", gpd, objs, 1,
-                              zero_square_legs(fun, src, tgt, side, fun.fzero),
-                              sample=sample, seed=seed, strict_skip=skip)
-            )
-    return report
+    interchange = [("AF1", 4, af1_legs, src.acomm, tgt.acomm)]
+    return _functor_suite(fun, src, tgt, interchange, "AF2", check_data=check_data,
+                          sample=sample, seed=seed, allow_strict_skip=allow_strict_skip)
 
 
 def validate_transformation(
@@ -524,8 +500,7 @@ def canonical_zero_iso(fun: StructuredFunctor, src: MonStructure, tgt: MonStruct
     sf1_strict = strict_profile(
         tgt.carrier,
         [(fun.fsum, functor_env(fun, src, tgt)), (src.assoc, src.env()), (tgt.assoc, tgt.env())],
-        [tgt.id_table_args()],
-        [fun.base],
+        [tgt, fun.base],
     )
     if not sf1_strict:
         sf1 = check_diagram(

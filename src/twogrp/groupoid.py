@@ -440,64 +440,37 @@ class NatFamily:
                 raise ArityMismatch(f"family has arity {self.arity}, got index {idx}") from None
             raise MalformedTable(f"family has no component at {idx}") from None
 
-    def is_pointwise_identity(self, gpd: FinGroupoid) -> bool:
-        """True when every component is an identity morphism (of whatever
-        object; see :meth:`is_strict` for the endpoint-aware condition)."""
-        key = ("ptid", id(gpd))
-        if key not in self._cache:
-            ids = set(gpd.identity.values())
-            self._cache[key] = all(mid in ids for mid in self.components.values())
-        return self._cache[key]
-
     def is_strict(self, gpd: FinGroupoid, env: ex.Env) -> bool:
         """True when every component is the identity of its declared source
-        object and the declared target coincides with it.  This is the
-        condition the strict-profile shortcut is allowed to rely on: a
-        component that is an identity at the wrong object fails it."""
+        object, which is also its declared target: the condition the strict
+        profile relies on.  The bit comes from the endpoint scan of
+        :func:`validate_family`, run here if no scan or constructor set it."""
         key = ("strict", id(gpd))
         if key not in self._cache:
-            if not self.is_pointwise_identity(gpd):
-                self._cache[key] = False
-                return False
-            ident = gpd.identity
-            src_at = ex.compile_obj(self.src_expr, env)
-            tgt_at = ex.compile_obj(self.tgt_expr, env)
-            ok = True
-            try:
-                for idx, mid in self.components.items():
-                    try:
-                        src, tgt = src_at(idx), tgt_at(idx)
-                    except KeyError:
-                        src = ex.eval_obj(self.src_expr, env, idx)
-                        tgt = ex.eval_obj(self.tgt_expr, env, idx)
-                    if mid != ident.get(src) or tgt != src:
-                        ok = False
-                        break
-            except StructureError:
-                ok = False
-            self._cache[key] = ok
+            self._cache[key] = False
+            if set(gpd.identity.values()).issuperset(self.components.values()):
+                try:
+                    _scan_endpoints(gpd, self, env)
+                except StructureError:
+                    pass  # a scan that raises leaves the bit False
         return self._cache[key]
 
     def mark_strict(self, gpd: FinGroupoid) -> "NatFamily":
         """Record that this family was constructed as identities at the
-        evaluated source objects (constructors use this to avoid a rescan)."""
+        evaluated source objects."""
         self._cache[("strict", id(gpd))] = True
-        self._cache[("ptid", id(gpd))] = True
         return self
 
 
-def validate_family(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, label: str = "family") -> Report:
-    """Totality and endpoint correctness of a family over the full index space."""
-    report = Report()
-    started = time.perf_counter()
-    witness = None
-    n = 0
-    for idx in fam.components:
-        if len(idx) != fam.arity:
-            raise ArityMismatch(f"{label}: component keyed by {idx} but arity is {fam.arity}")
+def _scan_endpoints(gpd: FinGroupoid, fam: NatFamily, env: ex.Env) -> tuple[int, Witness | None]:
+    """Compare each component's endpoints with the declared ones over the
+    full index space, in canonical order; returns the instances checked and
+    the first failure.  A scan that ends records the family's strict bit."""
     comps, mors = fam.components, gpd.morphisms
     src_at = ex.compile_obj(fam.src_expr, env)
     dst_at = ex.compile_obj(fam.tgt_expr, env)
+    witness = None
+    n = 0
     for idx in product(gpd.objects_sorted, repeat=fam.arity):
         n += 1
         mid = comps.get(idx)
@@ -517,6 +490,27 @@ def validate_family(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, label: str = 
                 note=f"endpoints {mor.src}->{mor.dst} differ from declared {want_src}->{want_dst}",
             )
             break
+    # strict once the endpoints are checked: each distinct id is the identity
+    # of its own source.  A constructor's mark stands unless the scan fails.
+    key = ("strict", id(gpd))
+    if witness is not None or not fam._cache.get(key):
+        used = set(comps.values())
+        fam._cache[key] = witness is None and used <= set(gpd.identity.values()) and all(
+            (mor := mors.get(mid)) is not None and mor.src == mor.dst and gpd.identity.get(mor.src) == mid
+            for mid in used
+        )
+    return n, witness
+
+
+def validate_family(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, label: str = "family") -> Report:
+    """Totality and endpoint correctness of a family over the full index
+    space; the scan also records the family's strict bit."""
+    report = Report()
+    started = time.perf_counter()
+    for idx in fam.components:
+        if len(idx) != fam.arity:
+            raise ArityMismatch(f"{label}: component keyed by {idx} but arity is {fam.arity}")
+    n, witness = _scan_endpoints(gpd, fam, env)
     _timed(report, f"{label}-endpoints", started, witness, n)
     return report
 

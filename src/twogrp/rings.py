@@ -29,7 +29,7 @@ from .ac import ACStructure, canonical_acomm_at, to_ac, to_sm, validate_ac
 from .diagram import check_diagram, strict_profile
 from .errors import MissingAbsorbers, PreconditionFailed, PresentationMismatch
 from .groupoid import FinGroupoid, GFunctor, NatFamily, validate_family, validate_groupoid
-from .monoidal import MonStructure, validate_sm, find_weak_inverse
+from .monoidal import MonStructure, _check_weak_inverses, validate_sm
 from .functors import (
     StructuredFunctor,
     canonical_zero_iso,
@@ -324,27 +324,24 @@ def _suite_runner(
 ):
     """The preamble the three suites share: the presentation check, the data
     rows, then ``run(law, arity, legs, fams, uses_inverse=False)``, which
-    discharges one diagram by its strict profile or checks it in the engine
-    and adds the row to ``report``.  Returns ``None`` when a data row fails."""
+    checks one diagram in the engine and adds the row to ``report``.
+    Returns ``None`` when a data row fails."""
     if ring.presentation != presentation:
         form = "AC" if ring.presentation == "ac" else "symmetric"
         raise PresentationMismatch(f"additive structure is in {form} form; convert first")
-    absorbers = presentation == "ac"
-    if absorbers and (ring.absorb_l is None or ring.absorb_r is None):
-        raise MissingAbsorbers("AC presentation requires the m and n families")
+    absorbers = _needs_absorbers(ring)
     if check_data:
         _check_ring_families(ring, report, absorbers=absorbers)
         if not report.ok:
             return None
     gpd = ring.carrier
     objs = gpd.objects_sorted
-    tables = [ring.add.id_table_args(), ring.mul.id_table_args()]
+    maps = [ring.add, ring.mul]
 
     def run(law, arity, legs_fn, fams, uses_inverse=False):
-        skip = allow_strict_skip and strict_profile(gpd, fams, tables, uses_inverse=uses_inverse)
+        strict = (fams, maps, uses_inverse) if allow_strict_skip else None
         report.add(
-            check_diagram(law, gpd, objs, arity, legs_fn,
-                          sample=sample, seed=seed, strict_skip=skip)
+            check_diagram(law, gpd, objs, arity, legs_fn, sample=sample, seed=seed, strict=strict)
         )
 
     return run
@@ -361,6 +358,16 @@ def _common_rows(ring: TwoRingData, b_at, run) -> None:
     run("2R5", 4, _r5_legs(ring), [d_r, (ring.mul.assoc, menv)])
     run("2R6/left", 2, _r6_legs(ring, "left"), [d_l, (ring.mul.lunit, menv)])
     run("2R6/right", 2, _r6_legs(ring, "right"), [d_r, (ring.mul.runit, menv)])
+
+
+def _needs_absorbers(ring: TwoRingData) -> bool:
+    """True for the AC presentation, whose suite needs the m and n families;
+    raises :class:`MissingAbsorbers` when it lacks either."""
+    if ring.presentation != "ac":
+        return False
+    if ring.absorb_l is None or ring.absorb_r is None:
+        raise MissingAbsorbers("AC presentation requires the m and n families")
+    return True
 
 
 def _check_ring_families(ring: TwoRingData, report: Report, absorbers: bool) -> None:
@@ -389,9 +396,8 @@ def _pair_axiom(
     gpd = ring.carrier
     objs = gpd.objects_sorted
     add = ring.add
-    tables = [add.id_table_args(), ring.mul.id_table_args()]
     started = time.perf_counter()
-    if allow_strict_skip and strict_profile(gpd, fams, tables):
+    if allow_strict_skip and strict_profile(gpd, fams, [add, ring.mul]):
         total = len(objs) ** (arity + 1) if sample is None else len(objs) * sample
         return CheckResult(law, Status.PASS, None, total, "strict-profile", time.perf_counter() - started)
     total = 0
@@ -433,17 +439,12 @@ def validate_quang(
     if run is None:
         return report
 
-    common = dict(sample=sample, seed=seed, allow_strict_skip=allow_strict_skip)
     add = ring.add
     renv, aenv = ring.env(), add.env()
-    report.add(_pair_axiom("2R1/left-assoc", ring, "left", sf1_legs, 3,
-                           [(ring.dist_l, renv), (add.assoc, aenv)], **common))
-    report.add(_pair_axiom("2R1/left-comm", ring, "left", sf2_legs, 2,
-                           [(ring.dist_l, renv), (add.comm, aenv)], **common))
-    report.add(_pair_axiom("2R1/right-assoc", ring, "right", sf1_legs, 3,
-                           [(ring.dist_r, renv), (add.assoc, aenv)], **common))
-    report.add(_pair_axiom("2R1/right-comm", ring, "right", sf2_legs, 2,
-                           [(ring.dist_r, renv), (add.comm, aenv)], **common))
+    for side, dist in (("left", ring.dist_l), ("right", ring.dist_r)):
+        for law, legs, arity, fam in (("assoc", sf1_legs, 3, add.assoc), ("comm", sf2_legs, 2, add.comm)):
+            report.add(_pair_axiom(f"2R1/{side}-{law}", ring, side, legs, arity, [(dist, renv), (fam, aenv)],
+                                   sample=sample, seed=seed, allow_strict_skip=allow_strict_skip))
 
     b_at = lambda p, q, r, s: canonical_acomm_at(add, p, q, r, s)
     _common_rows(ring, b_at, run)
@@ -566,29 +567,16 @@ def validate_two_ring_data(ring: TwoRingData, *, sample: int | None = None, seed
     """Structural preconditions: carrier groupoid laws, additive 2-group (in
     its presentation), multiplicative monoidal axioms, and family endpoint
     totality."""
-    from .monoidal import validate_2group
-
     report = Report()
     report.extend(validate_groupoid(ring.carrier), prefix="carrier:")
     if not report.ok:
         return report
-    if ring.presentation == "sm":
-        report.extend(validate_2group(ring.add, sample=sample, seed=seed), prefix="add:")
-    else:
-        report.extend(validate_ac(ring.add, sample=sample, seed=seed), prefix="add:")
-        started = time.perf_counter()
-        witness = None
-        for x in ring.carrier.objects_sorted:
-            try:
-                find_weak_inverse(ring.add, x)
-            except Exception:
-                witness = Witness((x,), note="no weak inverse")
-                break
-        report.add(CheckResult("add:weak-inverses", Status.FAIL if witness else Status.PASS,
-                               witness, len(ring.carrier.objects), "exhaustive",
-                               time.perf_counter() - started))
+    add_suite = validate_sm if ring.presentation == "sm" else validate_ac
+    add = add_suite(ring.add, sample=sample, seed=seed)
+    _check_weak_inverses(ring.add, add)
+    report.extend(add, prefix="add:")
     report.extend(validate_sm(ring.mul, sample=sample, seed=seed), prefix="mul:")
-    _check_ring_families(ring, report, absorbers=ring.presentation == "ac" and ring.absorb_l is not None)
+    _check_ring_families(ring, report, absorbers=_needs_absorbers(ring))
     return report
 
 

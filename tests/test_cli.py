@@ -1,6 +1,9 @@
 """CLI contract: exit codes, reports, conversion round-trips, determinism."""
 
+import contextlib
+import io
 import re
+from pathlib import Path
 
 import pytest
 
@@ -229,3 +232,78 @@ def test_check_transformation_suite(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(path), "--suite", "transformation")
     assert code == 1
     assert re.search(r"^T1\s+fail", out, re.M)
+
+
+# every applicable suite on each document, `check --witness`
+PINNED_SUITES = (
+    ("dn3", ("ac", "2group", "sm-functor", "ac-functor")),
+    ("dn3_sm", ("sm", "2group", "sm-functor", "ac-functor")),
+    ("sl", ("sm", "2group")),
+    ("sl_ac", ("ac", "2group")),
+    ("z4", ("sm", "2group", "quang", "jp")),
+    ("z4_ac", ("ac", "2group", "acring")),
+)
+PINNED_ROWS = Path(__file__).parent / "data" / "cli_rows.txt"
+
+
+def pinned_report_rows(tmp_path) -> str:
+    """The stdout of every pinned command with ``time=`` stripped, each
+    headed by the command and its exit code.  ``PINNED_ROWS`` holds this
+    text; write the function's output there to regenerate it."""
+    paths = {name: str(tmp_path / f"{name}.json") for name, _ in PINNED_SUITES}
+    for argv in (
+        ["fixture", "dual-numbers", "--mod", "3", "--mult", "1,2", "--out", paths["dn3"]],
+        ["convert", paths["dn3"], "--to", "sm", "--out", paths["dn3_sm"]],
+        ["fixture", "super-line", "--out", paths["sl"]],
+        ["convert", paths["sl"], "--to", "ac", "--out", paths["sl_ac"]],
+        ["fixture", "strict-2ring", "--ring", "z4", "--out", paths["z4"]],
+        ["convert", paths["z4"], "--to", "ac", "--out", paths["z4_ac"]],
+    ):
+        assert main(argv) == 0
+    out = []
+    for name, suites in PINNED_SUITES:
+        for suite in suites:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(["check", paths[name], "--suite", suite, "--witness"])
+            out.append(f"$ check {name} --suite {suite} --witness: exit {code}\n")
+            out.append(re.sub(r" time=\S+", "", buf.getvalue()))
+    return "".join(out)
+
+
+def test_report_rows_match_pinned(tmp_path):
+    assert pinned_report_rows(tmp_path) == PINNED_ROWS.read_text(encoding="utf-8")
+
+
+@pytest.fixture
+def ring_ac_data(tmp_path):
+    import json
+
+    z4, z4ac = tmp_path / "z4.json", tmp_path / "z4ac.json"
+    assert main(["fixture", "strict-2ring", "--ring", "z4", "--out", str(z4)]) == 0
+    assert main(["convert", str(z4), "--to", "ac", "--out", str(z4ac)]) == 0
+    return json.loads(z4ac.read_text())
+
+
+@pytest.mark.parametrize("family", ["m", "n"])
+def test_ac_ring_with_one_absorber_family_aborts(capsys, tmp_path, ring_ac_data, family):
+    import json
+
+    next(b for b in ring_ac_data["structures"] if b["kind"] == "tworing")[family] = None
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(ring_ac_data))
+    code, out, _ = run(capsys, "check", str(path), "--suite", "acring")
+    assert code == 1
+    assert out.startswith("check aborted:") and "m and n families" in out
+
+
+def test_ac_ring_with_a_missing_sum_pair_exits_1(capsys, tmp_path, ring_ac_data):
+    import json
+
+    add = next(b for b in ring_ac_data["structures"] if b["kind"] == "ac")
+    del add["op_obj"][len(add["op_obj"]) // 2]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(ring_ac_data))
+    code, out, _ = run(capsys, "check", str(path), "--suite", "acring")
+    assert code == 1
+    assert out.startswith("check aborted:")

@@ -7,6 +7,7 @@ from twogrp import (
     build_mult_endofunctor,
     build_strict_2ring,
     build_super_line_2group,
+    ring_dual_numbers,
     ring_zmod,
 )
 from twogrp.document import (
@@ -16,6 +17,7 @@ from twogrp.document import (
     serialize_document,
 )
 from twogrp.errors import DocumentError
+from twogrp.report import Report
 
 
 def super_line_doc() -> StructureDocument:
@@ -120,3 +122,89 @@ def test_canonical_output_is_sorted_and_stable():
     text2 = serialize_document(dual_doc(2, (1, 1)))
     assert text1 == text2
     assert text1.endswith("\n")
+
+
+# -- the strict profile on parsed documents -----------------------------------
+#
+# Fixture families are marked strict when they are built; a parsed family
+# gets its strict bit from the endpoint scan.  Each case is a function
+# returning ``(make, run)``: ``make()`` parses a fresh copy of a document and
+# ``run(parsed, allow_strict_skip, check_data)`` runs one suite on it.
+
+
+def reparsed(gpd, *blocks) -> StructureDocument:
+    return parse_document(serialize_document(StructureDocument(gpd, list(blocks))))
+
+
+def _sl_case(presentation):
+    from twogrp import to_ac, validate_ac, validate_sm
+
+    sl = build_super_line_2group()
+    s, kind, suite = (sl, "sm", validate_sm) if presentation == "sm" else (to_ac(sl), "ac", validate_ac)
+    return (lambda: reparsed(sl.carrier, Block(kind, "add", s)).block("add").obj,
+            lambda m, skip, data: suite(m, allow_strict_skip=skip, check_data=data))
+
+
+def _dual_case(mult, presentation):
+    from twogrp import canonical_zero_iso, validate_ac_functor, validate_sm_functor
+
+    ac = build_dual_numbers_2group(3)
+    sm = build_dual_numbers_2group(3, "sm")
+    fun = build_mult_endofunctor(3, *mult, ac)
+    if mult[1] == 0:
+        fun = fun.with_zero(canonical_zero_iso(fun, sm, sm))
+    s, suite = (sm, validate_sm_functor) if presentation == "sm" else (ac, validate_ac_functor)
+
+    def make():
+        doc = reparsed(s.carrier, Block(presentation, "add", s),
+                       Block("functor", "F", fun, {"source": "add", "target": "add"}))
+        return doc.block("F").obj, doc.block("add").obj
+
+    return make, lambda parsed, skip, data: suite(parsed[0], parsed[1], parsed[1],
+                                                  allow_strict_skip=skip, check_data=data)
+
+
+def _ring_case(table, presentation):
+    from twogrp import quang_to_ac_ring, validate_ac_ring, validate_jp, validate_quang
+
+    ring = build_strict_2ring(table)
+    if presentation == "ac":
+        ring = quang_to_ac_ring(ring)
+    suites = (validate_ac_ring,) if presentation == "ac" else (validate_quang, validate_jp)
+
+    def make():
+        return reparsed(ring.carrier, Block(presentation, "add", ring.add), Block("mul", "mul", ring.mul),
+                        Block("tworing", "ring", ring, {"add": "add", "mul": "mul"})).block("ring").obj
+
+    def run(parsed, skip, data):
+        rep = Report()
+        for suite in suites:
+            rep.extend(suite(parsed, allow_strict_skip=skip, check_data=data), prefix=f"{suite.__name__}:")
+        return rep
+
+    return make, run
+
+
+PARSED_CASES = {
+    "super-line sm": lambda: _sl_case("sm"),
+    "super-line ac": lambda: _sl_case("ac"),
+    "dual m=3 F(1,0) sm": lambda: _dual_case((1, 0), "sm"),
+    "dual m=3 F(1,0) ac": lambda: _dual_case((1, 0), "ac"),
+    "dual m=3 F(1,1) sm": lambda: _dual_case((1, 1), "sm"),
+    "dual m=3 F(1,1) ac": lambda: _dual_case((1, 1), "ac"),
+    "z4 sm": lambda: _ring_case(ring_zmod(4), "sm"),
+    "z4 ac": lambda: _ring_case(ring_zmod(4), "ac"),
+    "z3e sm": lambda: _ring_case(ring_dual_numbers(3), "sm"),
+    "z3e ac": lambda: _ring_case(ring_dual_numbers(3), "ac"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSED_CASES))
+def test_strict_profile_agrees_with_forced_full_on_parsed_documents(case):
+    make, run = PARSED_CASES[case]()
+    full = {c.law: c for c in run(make(), False, True).checks}
+    for check_data in (True, False):
+        fast = run(make(), True, check_data)
+        assert fast.checks
+        for row in fast.checks:
+            assert (row.status, row.witness) == (full[row.law].status, full[row.law].witness), row.law

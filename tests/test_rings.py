@@ -274,3 +274,30 @@ def test_randomized_jp_not_quang_search_is_reported_not_asserted():
         # the hierarchy can never invert
         assert not (quang_ok and not jp_ok)
     print(f"jp-not-quang candidates found: {found or 'none (example not exercised)'}")
+
+
+def test_family_missing_a_component_is_not_strict():
+    from twogrp.document import Block, StructureDocument, parse_document, serialize_document
+
+    ring = build_strict_2ring(ring_zmod(4))
+    text = serialize_document(StructureDocument(ring.carrier, [
+        Block("sm", "add", ring.add), Block("mul", "mul", ring.mul),
+        Block("tworing", "ring", ring, {"add": "add", "mul": "mul"})]))
+    gone = ("1", "2", "3")
+
+    def parsed():
+        ring = parse_document(text).block("ring").obj
+        del ring.dist_l.components[gone]
+        return ring
+
+    # every remaining component is an identity, but d is not total
+    bad = parsed()
+    assert not bad.dist_l.is_strict(bad.carrier, bad.env())
+    rep = validate_jp(parsed())
+    assert rep["d-endpoints"].status is Status.FAIL
+    assert rep["d-endpoints"].witness.index == gone
+    # without the data rows, the profile no longer vouches for d: the suite
+    # runs the loop, which reads the missing component as the reference does
+    for skip in (True, False):
+        with pytest.raises(KeyError):
+            validate_jp(parsed(), check_data=False, allow_strict_skip=skip)
