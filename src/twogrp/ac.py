@@ -256,7 +256,7 @@ def to_ac(
     b_fam = acomm_family(canonical_acomm_table(m))
     env = m.env()
     if strict_profile(m.carrier, [(m.assoc, env), (m.comm, env)], [m], uses_inverse=True):
-        b_fam.mark_strict(m.carrier)
+        b_fam.mark_strict(m.carrier, env)
     out = ACStructure(m.carrier, m.sum_obj, m.sum_mor, m.unit, b_fam, m.lunit, m.runit)
     post = validate_ac(out, check_data=False, sample=sample, seed=seed)
     if not post.ok:
@@ -324,8 +324,8 @@ def to_sm(
         c_table = {idx: canonical_comm(a, *idx) for idx in product(objs, repeat=2)}
     a_fam, c_fam = assoc_family(a_table), comm_family(c_table)
     if strict:
-        a_fam.mark_strict(gpd)
-        c_fam.mark_strict(gpd)
+        a_fam.mark_strict(gpd, env)
+        c_fam.mark_strict(gpd, env)
     out = MonStructure(gpd, a.sum_obj, a.sum_mor, a.unit, a_fam, c_fam, a.lunit, a.runit)
     post = validate_sm(out, check_data=False, sample=sample, seed=seed)
     if not post.ok:

@@ -15,11 +15,15 @@ Exit codes are a total contract: 0 = all checks pass, 1 = a semantic
 failure (axiom violation, failed precondition, wrong presentation), 2 =
 malformed input (parse error, dangling reference, unknown fixture).
 
-Instance spaces larger than 2^19 are sampled (2^16 draws, seed 0) and the
-report lines say so; everything at desk scale runs exhaustively.  A command
-converts each structure block it needs in the other presentation at most
-once: a functor whose source and target are the same block gets one
-converted structure for both endpoints.
+Sampling is chosen per suite: when the largest object-tuple space of the
+suite exceeds 2^19 instances, every law of it with more than 2^16 instances
+is sampled (2^16 draws, seed 0), and the report lines say so; naturality
+rows apply the same rule to morphism tuples of the largest family arity.
+Everything at desk scale runs exhaustively.  A command converts each
+structure block it needs in the other presentation at most once (a functor
+whose source and target are the same block gets one converted structure for
+both endpoints), and every translation checks with the sample ``--suite ac``
+would use on its carrier.
 """
 
 from __future__ import annotations
@@ -104,16 +108,23 @@ def _pick(doc: StructureDocument, kinds: tuple[str, ...], name: str | None) -> B
         raise CliFailure(str(err), 2) from err
 
 
+def _convert_sample(structure) -> int | None:
+    """The sample a translation of ``structure`` checks with: the one
+    ``check --suite ac`` uses on that carrier, as AC1 is the largest space
+    a translation checks in either direction."""
+    return _auto_sample(len(structure.carrier.objects), _SUITE_MAX_ARITY["ac"])
+
+
 def _as_sm(blk: Block) -> MonStructure:
     if blk.kind == "sm":
         return blk.obj
-    return to_sm(blk.obj)
+    return to_sm(blk.obj, sample=_convert_sample(blk.obj))
 
 
 def _as_ac(blk: Block) -> ACStructure:
     if blk.kind == "ac":
         return blk.obj
-    return to_ac(blk.obj)
+    return to_ac(blk.obj, sample=_convert_sample(blk.obj))
 
 
 def _endpoints(src_blk: Block, tgt_blk: Block, as_kind) -> tuple:
@@ -230,7 +241,8 @@ def cmd_convert(args) -> int:
         blk = _pick(doc, ("sm", "ac"), args.name)
         if blk.kind == args.to:
             raise CliFailure(f"structure {blk.name!r} is already in the {args.to!r} presentation", 1)
-        converted = to_ac(blk.obj) if args.to == "ac" else to_sm(blk.obj)
+        convert = to_ac if args.to == "ac" else to_sm
+        converted = convert(blk.obj, sample=_convert_sample(blk.obj))
         new_blocks = [
             Block(args.to, b.name, converted, b.refs) if b.name == blk.name else b
             for b in doc.blocks
@@ -248,7 +260,8 @@ def _convert_ring(doc: StructureDocument, blk: Block, args) -> int:
     ring = blk.obj
     if ring.presentation == args.to:
         raise CliFailure(f"2-ring is already in the {args.to!r} presentation", 1)
-    converted = quang_to_ac_ring(ring) if args.to == "ac" else ac_ring_to_quang(ring)
+    convert = quang_to_ac_ring if args.to == "ac" else ac_ring_to_quang
+    converted = convert(ring, sample=_convert_sample(ring))
     add_name = blk.refs["add"]
     new_blocks = []
     for b in doc.blocks:

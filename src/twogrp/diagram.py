@@ -18,7 +18,9 @@ endpoints) combined by identity-preserving sums and functors, each route
 composes to the identity of the instance's start object, so all instances
 commute.  ``check_diagram`` tests the profile itself.  A family's strict
 bit comes from the scan that validates its endpoints, or is set by the
-constructor that builds it from identities.
+constructor that builds it from identities; either holds only for the
+carrier and the tables it was established under.  A route that reads a
+missing table entry is a witness, as one that does not compose is.
 """
 
 from __future__ import annotations
@@ -99,6 +101,8 @@ def _scan(
                 right = compose_path(gpd, right_legs)
         except StructureError as err:
             return checked, Witness(tuple(idx), note=f"route does not evaluate: {err}")
+        except KeyError as err:  # a leg builder read a missing table entry
+            return checked, Witness(tuple(idx), note=f"route does not evaluate: no entry at {err}")
         if left != right:
             return checked, Witness(
                 tuple(idx), left, right, tuple(left_legs), tuple(right_legs)
@@ -121,11 +125,12 @@ def check_diagram(
 
     ``strict`` holds the ``strict_profile`` arguments after ``gpd``; when
     that profile holds, the loop is skipped and the instance count records
-    the space it covers.  ``None`` always runs the loop.
+    the whole space it covers, sampled or not.  ``None`` always runs the
+    loop.
     """
     started = time.perf_counter()
     if strict is not None and strict_profile(gpd, *strict):
-        total = len(objects) ** arity if sample is None else sample
+        total = len(objects) ** arity
         return CheckResult(law, Status.PASS, None, total, "strict-profile", time.perf_counter() - started)
 
     space, total, mode = index_space(objects, arity, sample, seed)

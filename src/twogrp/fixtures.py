@@ -40,7 +40,10 @@ def _identity_components(gpd: FinGroupoid, arity: int, src_of) -> dict:
     }
 
 
-def _strict_families(gpd: FinGroupoid, add, unit: str, with_comm: bool):
+def _strict_families(gpd: FinGroupoid, sum_obj: dict, sum_mor: dict, unit: str, with_comm: bool):
+    """Identity a, (c,) l, r for the sum given by the two tables, each marked
+    strict under them."""
+    add = lambda x, y: sum_obj[(x, y)]
     unit_id = gpd.identity[unit]
     a = assoc_family(_identity_components(gpd, 3, lambda i: add(i[0], add(i[1], i[2]))))
     l = lunit_family(_identity_components(gpd, 1, lambda i: add(unit, i[0])), unit, unit_id)
@@ -48,7 +51,7 @@ def _strict_families(gpd: FinGroupoid, add, unit: str, with_comm: bool):
     c = comm_family(_identity_components(gpd, 2, lambda i: add(i[0], i[1]))) if with_comm else None
     for fam in (a, l, r, c):
         if fam is not None:
-            fam.mark_strict(gpd)
+            fam.mark_strict(gpd, {"+": (sum_obj, sum_mor)})
     return a, c, l, r
 
 
@@ -121,12 +124,12 @@ def build_dual_numbers_2group(m: int, presentation: str = "ac") -> ACStructure |
     sum_obj, sum_mor = _dual_sum_tables(m, gpd)
     unit = _dual_obj(0, 0)
     add = lambda x, y: sum_obj[(x, y)]
-    a, c, l, r = _strict_families(gpd, add, unit, with_comm=True)
+    a, c, l, r = _strict_families(gpd, sum_obj, sum_mor, unit, with_comm=True)
     if presentation == "sm":
         return MonStructure(gpd, sum_obj, sum_mor, unit, a, c, l, r)
     b = acomm_family(
         _identity_components(gpd, 4, lambda i: add(add(i[0], i[1]), add(i[2], i[3])))
-    ).mark_strict(gpd)
+    ).mark_strict(gpd, {"+": (sum_obj, sum_mor)})
     return ACStructure(gpd, sum_obj, sum_mor, unit, b, l, r)
 
 
@@ -210,8 +213,7 @@ def build_super_line_2group() -> MonStructure:
             n2, o2 = g.split("|", 1)
             sum_mor[(f, g)] = _mor((int(n1) + int(n2)) % 2, sum_obj[(o1, o2)])
     unit = "0"
-    add = lambda x, y: sum_obj[(x, y)]
-    a, _, l, r = _strict_families(gpd, add, unit, with_comm=False)
+    a, _, l, r = _strict_families(gpd, sum_obj, sum_mor, unit, with_comm=False)
     c = comm_family(
         {
             (x, y): _mor((int(x) * int(y)) % 2, sum_obj[(x, y)])
@@ -319,25 +321,28 @@ def build_strict_2ring(ring: RingTable, presentation: str = "sm") -> TwoRingData
 
     addo = lambda x, y: ring.add[(x, y)]
     mulo = lambda x, y: ring.mul[(x, y)]
-    a, c, l, r = _strict_families(gpd, addo, ring.zero, with_comm=True)
+    add_obj, add_mor = dict(ring.add), lift(ring.add)
+    a, c, l, r = _strict_families(gpd, add_obj, add_mor, ring.zero, with_comm=True)
     if presentation == "sm":
         add_struct: MonStructure | ACStructure = MonStructure(
-            gpd, dict(ring.add), lift(ring.add), ring.zero, a, c, l, r
+            gpd, add_obj, add_mor, ring.zero, a, c, l, r
         )
     else:
         b = acomm_family(
             _identity_components(gpd, 4, lambda i: addo(addo(i[0], i[1]), addo(i[2], i[3])))
-        ).mark_strict(gpd)
-        add_struct = ACStructure(gpd, dict(ring.add), lift(ring.add), ring.zero, b, l, r)
-    ax, _, lx, rx = _strict_families(gpd, mulo, ring.one, with_comm=False)
-    mul_struct = MonStructure(gpd, dict(ring.mul), lift(ring.mul), ring.one, ax, None, lx, rx)
+        ).mark_strict(gpd, {"+": (add_obj, add_mor)})
+        add_struct = ACStructure(gpd, add_obj, add_mor, ring.zero, b, l, r)
+    mul_obj, mul_mor = dict(ring.mul), lift(ring.mul)
+    ax, _, lx, rx = _strict_families(gpd, mul_obj, mul_mor, ring.one, with_comm=False)
+    mul_struct = MonStructure(gpd, mul_obj, mul_mor, ring.one, ax, None, lx, rx)
 
+    ring_env = {"+": (add_obj, add_mor), "*": (mul_obj, mul_mor)}
     d = dist_l_family(
         _identity_components(gpd, 3, lambda i: addo(mulo(i[0], i[1]), mulo(i[0], i[2])))
-    ).mark_strict(gpd)
+    ).mark_strict(gpd, ring_env)
     e = dist_r_family(
         _identity_components(gpd, 3, lambda i: addo(mulo(i[0], i[2]), mulo(i[1], i[2])))
-    ).mark_strict(gpd)
+    ).mark_strict(gpd, ring_env)
     if presentation == "sm":
         m_fam = n_fam = None
     else:

@@ -15,7 +15,6 @@ oracle: it scans every carrier morphism 0' -> F0 with no shortcuts.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from . import expr as ex
@@ -30,6 +29,7 @@ from .errors import (
 from .groupoid import (
     GFunctor,
     NatFamily,
+    _first_failure,
     check_naturality,
     compose_gfunctors,
     compose_path,
@@ -222,14 +222,8 @@ def _data_rows(fun: StructuredFunctor, src, tgt, report: Report) -> None:
             and gpd.src(fun.fzero) == tgt.unit
             and gpd.dst(fun.fzero) == fun.base.obj_map[src.unit]
         )
-        report.add(
-            CheckResult(
-                "fzero-endpoints",
-                Status.PASS if ok else Status.FAIL,
-                None if ok else Witness((fun.fzero,), note="zero iso endpoints are not 0' -> F0"),
-                1,
-            )
-        )
+        case = None if ok else Witness((fun.fzero,), note="zero iso endpoints are not 0' -> F0")
+        _first_failure(report, "fzero-endpoints", [case])
 
 
 def _zero_identity(fun: StructuredFunctor, src, tgt) -> bool:
@@ -366,23 +360,21 @@ def validate_transformation(
     )
     if tr.source.fzero is None or tr.target.fzero is None:
         report.add(CheckResult("T2", Status.MISSING_DATA, None, 0, "skipped (no zero iso)"))
-    else:
-        started = time.perf_counter()
+        return report
+
+    def t2():
+        legs = (tr.tau.at(src.unit), tr.source.fzero)
         try:
-            left = compose_path(gpd, [tr.tau.at(src.unit), tr.source.fzero])
-        except StructureError as err:
-            left, witness = None, Witness((src.unit,), note=str(err))
+            left = compose_path(gpd, legs)
+        except StructureError:
+            left = None
         right = tr.target.fzero
-        if left == right:
-            result = CheckResult("T2", Status.PASS, None, 1, "exhaustive", time.perf_counter() - started)
+        if left != right:
+            yield Witness((src.unit,), left, right, legs, (right,))
         else:
-            result = CheckResult(
-                "T2", Status.FAIL,
-                Witness((src.unit,), left, right,
-                        (tr.tau.at(src.unit), tr.source.fzero), (right,)),
-                1, "exhaustive", time.perf_counter() - started,
-            )
-        report.add(result)
+            yield None
+
+    _first_failure(report, "T2", t2())
     return report
 
 
@@ -469,7 +461,7 @@ def zero_iso_ok(fun: StructuredFunctor, src, tgt, candidate: str) -> bool:
                 left, right = legs((x,))
                 if compose_path(gpd, left) != compose_path(gpd, right):
                     return False
-            except StructureError:
+            except (StructureError, KeyError):
                 return False
     return True
 

@@ -12,14 +12,17 @@ checking walk, which tests every id and endpoint and raises the precise
 error, so a chain that does not compose fails exactly as it always did.
 
 Morphism equality is identifier equality.  Canonical order (sorted ids)
-drives every scan, so witnesses and search results are reproducible.
+drives every scan, so witnesses and search results are reproducible.  Every
+data row (the laws of a carrier or a functor, the bifunctor, family
+endpoints, naturality squares, weak inverses, T2) is one generator of
+per-instance outcomes consumed by ``_first_failure``.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import product, repeat
 
@@ -188,9 +191,21 @@ def _compose_checked(gpd: FinGroupoid, chain: Sequence[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _timed(report: Report, law: str, started: float, witness: Witness | None, instances: int) -> None:
+def _first_failure(
+    report: Report, law: str, cases: Iterable[Witness | None], mode: str = "exhaustive"
+) -> None:
+    """Add the timed row for ``law``.  ``cases`` yields ``None`` for each
+    instance that holds and a :class:`Witness` for the first that fails; the
+    scan stops there, so the instance count covers the cases examined up to
+    and including the failing one.  Every data row is built here."""
+    started = time.perf_counter()
+    n = 0
+    witness = None
+    for n, witness in enumerate(cases, 1):
+        if witness is not None:
+            break
     status = Status.FAIL if witness is not None else Status.PASS
-    report.add(CheckResult(law, status, witness, instances, "exhaustive", time.perf_counter() - started))
+    report.add(CheckResult(law, status, witness, n, mode, time.perf_counter() - started))
 
 
 def validate_groupoid(gpd: FinGroupoid) -> Report:
@@ -222,85 +237,69 @@ def validate_groupoid(gpd: FinGroupoid) -> Report:
     mors = gpd.morphisms_sorted
     by_src = gpd.by_src
 
-    # composability coverage + endpoint law of composites
-    started = time.perf_counter()
-    witness = None
-    n = 0
-    for f in mors:
-        for g in by_src[gpd.dst(f)]:
-            n += 1
-            gf = gpd.compose.get((g, f))
-            if gf is None:
-                witness = Witness((g, f), note="composable pair missing from compose table")
-                break
-            if gpd.src(gf) != gpd.src(f) or gpd.dst(gf) != gpd.dst(g):
-                witness = Witness((g, f), left=gf, note="composite has wrong endpoints")
-                break
-        if witness:
-            break
-    _timed(report, "endpoints", started, witness, n)
-
-    # associativity over composable triples
-    started = time.perf_counter()
-    witness = None
-    n = 0
-    if report.ok:
+    def endpoints():
+        # composability coverage + endpoint law of composites
         for f in mors:
             for g in by_src[gpd.dst(f)]:
-                gf = gpd.compose[(g, f)]
-                for h in by_src[gpd.dst(g)]:
-                    n += 1
-                    if gpd.compose[(h, gf)] != gpd.compose[(gpd.compose[(h, g)], f)]:
-                        witness = Witness(
-                            (h, g, f),
-                            left=gpd.compose[(h, gf)],
-                            right=gpd.compose[(gpd.compose[(h, g)], f)],
-                        )
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    _timed(report, "associativity", started, witness, n)
+                gf = gpd.compose.get((g, f))
+                if gf is None:
+                    yield Witness((g, f), note="composable pair missing from compose table")
+                elif gpd.src(gf) != gpd.src(f) or gpd.dst(gf) != gpd.dst(g):
+                    yield Witness((g, f), left=gf, note="composite has wrong endpoints")
+                else:
+                    yield None
 
-    # identities neutral with correct endpoints
-    started = time.perf_counter()
-    witness = None
-    n = 0
-    for x in gpd.objects_sorted:
-        i = gpd.identity[x]
-        n += 1
-        if gpd.src(i) != x or gpd.dst(i) != x:
-            witness = Witness((x,), left=i, note="identity endpoints differ from object")
-            break
-    if witness is None and report.ok:
-        for f in mors:
-            n += 1
-            m = gpd.morphisms[f]
-            if gpd.compose[(f, gpd.identity[m.src])] != f or gpd.compose[(gpd.identity[m.dst], f)] != f:
-                witness = Witness((f,), note="identity is not neutral")
-                break
-    _timed(report, "identity", started, witness, n)
+    def associativity():
+        # over composable triples
+        if report.ok:
+            for f in mors:
+                for g in by_src[gpd.dst(f)]:
+                    gf = gpd.compose[(g, f)]
+                    for h in by_src[gpd.dst(g)]:
+                        if gpd.compose[(h, gf)] != gpd.compose[(gpd.compose[(h, g)], f)]:
+                            yield Witness(
+                                (h, g, f),
+                                left=gpd.compose[(h, gf)],
+                                right=gpd.compose[(gpd.compose[(h, g)], f)],
+                            )
+                        else:
+                            yield None
 
-    # every morphism invertible
-    started = time.perf_counter()
-    witness = None
-    n = 0
-    if report.ok:
-        for f in mors:
-            n += 1
-            i = gpd.inverse.get(f)
-            m = gpd.morphisms[f]
-            if i is None or i not in gpd.morphisms:
-                witness = Witness((f,), note="no inverse recorded")
-                break
-            if gpd.src(i) != m.dst or gpd.dst(i) != m.src:
-                witness = Witness((f,), left=i, note="inverse endpoints wrong")
-                break
-            if gpd.compose[(i, f)] != gpd.identity[m.src] or gpd.compose[(f, i)] != gpd.identity[m.dst]:
-                witness = Witness((f,), left=gpd.compose[(i, f)], right=gpd.compose[(f, i)], note="inverse law fails")
-                break
-    _timed(report, "inverse", started, witness, n)
+    def identity():
+        # identities neutral with correct endpoints
+        for x in gpd.objects_sorted:
+            i = gpd.identity[x]
+            if gpd.src(i) != x or gpd.dst(i) != x:
+                yield Witness((x,), left=i, note="identity endpoints differ from object")
+            else:
+                yield None
+        if report.ok:
+            for f in mors:
+                m = gpd.morphisms[f]
+                if gpd.compose[(f, gpd.identity[m.src])] != f or gpd.compose[(gpd.identity[m.dst], f)] != f:
+                    yield Witness((f,), note="identity is not neutral")
+                else:
+                    yield None
+
+    def inverse():
+        # every morphism invertible
+        if report.ok:
+            for f in mors:
+                i = gpd.inverse.get(f)
+                m = gpd.morphisms[f]
+                if i is None or i not in gpd.morphisms:
+                    yield Witness((f,), note="no inverse recorded")
+                elif gpd.src(i) != m.dst or gpd.dst(i) != m.src:
+                    yield Witness((f,), left=i, note="inverse endpoints wrong")
+                elif gpd.compose[(i, f)] != gpd.identity[m.src] or gpd.compose[(f, i)] != gpd.identity[m.dst]:
+                    yield Witness((f,), left=gpd.compose[(i, f)], right=gpd.compose[(f, i)], note="inverse law fails")
+                else:
+                    yield None
+
+    _first_failure(report, "endpoints", endpoints())
+    _first_failure(report, "associativity", associativity())
+    _first_failure(report, "identity", identity())
+    _first_failure(report, "inverse", inverse())
     return report
 
 
@@ -375,43 +374,36 @@ def validate_functor(fun: GFunctor) -> Report:
 
     report = Report()
 
-    started = time.perf_counter()
-    witness = None
-    n = 0
-    for f in src.morphisms_sorted:
-        n += 1
-        m = src.morphisms[f]
-        ff = fun.mor_map[f]
-        if tgt.src(ff) != fun.obj_map[m.src] or tgt.dst(ff) != fun.obj_map[m.dst]:
-            witness = Witness((f,), left=ff, note="image endpoints differ from mapped endpoints")
-            break
-    _timed(report, "endpoints", started, witness, n)
-
-    started = time.perf_counter()
-    witness = None
-    n = 0
-    for x in src.objects_sorted:
-        n += 1
-        if fun.mor_map[src.identity[x]] != tgt.identity[fun.obj_map[x]]:
-            witness = Witness((x,), left=fun.mor_map[src.identity[x]], right=tgt.identity[fun.obj_map[x]])
-            break
-    _timed(report, "identities", started, witness, n)
-
-    started = time.perf_counter()
-    witness = None
-    n = 0
-    if report.ok:
+    def endpoints():
         for f in src.morphisms_sorted:
-            for g in src.by_src[src.dst(f)]:
-                n += 1
-                lhs = fun.mor_map[src.compose[(g, f)]]
-                rhs = tgt.compose.get((fun.mor_map[g], fun.mor_map[f]))
-                if lhs != rhs:
-                    witness = Witness((g, f), left=lhs, right=rhs)
-                    break
-            if witness:
-                break
-    _timed(report, "composition", started, witness, n)
+            m = src.morphisms[f]
+            ff = fun.mor_map[f]
+            if tgt.src(ff) != fun.obj_map[m.src] or tgt.dst(ff) != fun.obj_map[m.dst]:
+                yield Witness((f,), left=ff, note="image endpoints differ from mapped endpoints")
+            else:
+                yield None
+
+    def identities():
+        for x in src.objects_sorted:
+            if fun.mor_map[src.identity[x]] != tgt.identity[fun.obj_map[x]]:
+                yield Witness((x,), left=fun.mor_map[src.identity[x]], right=tgt.identity[fun.obj_map[x]])
+            else:
+                yield None
+
+    def composition():
+        if report.ok:
+            for f in src.morphisms_sorted:
+                for g in src.by_src[src.dst(f)]:
+                    lhs = fun.mor_map[src.compose[(g, f)]]
+                    rhs = tgt.compose.get((fun.mor_map[g], fun.mor_map[f]))
+                    if lhs != rhs:
+                        yield Witness((g, f), left=lhs, right=rhs)
+                    else:
+                        yield None
+
+    _first_failure(report, "endpoints", endpoints())
+    _first_failure(report, "identities", identities())
+    _first_failure(report, "composition", composition())
     return report
 
 
@@ -443,75 +435,92 @@ class NatFamily:
     def is_strict(self, gpd: FinGroupoid, env: ex.Env) -> bool:
         """True when every component is the identity of its declared source
         object, which is also its declared target: the condition the strict
-        profile relies on.  The bit comes from the endpoint scan of
-        :func:`validate_family`, run here if no scan or constructor set it."""
-        key = ("strict", id(gpd))
-        if key not in self._cache:
-            self._cache[key] = False
+        profile relies on.  A bit holds only for the carrier and the tables
+        (or equal ones) of the environment it was established under.  It
+        comes from the endpoint scan of :func:`validate_family`, run here if
+        no scan or constructor set it under ``env``."""
+        bit = _strict_bit(self, gpd, env)
+        if bit is None:
+            _set_strict(self, gpd, env, False)
             if set(gpd.identity.values()).issuperset(self.components.values()):
                 try:
-                    _scan_endpoints(gpd, self, env)
+                    any(_scan_endpoints(gpd, self, env))
                 except StructureError:
                     pass  # a scan that raises leaves the bit False
-        return self._cache[key]
+            bit = _strict_bit(self, gpd, env)
+        return bit
 
-    def mark_strict(self, gpd: FinGroupoid) -> "NatFamily":
+    def mark_strict(self, gpd: FinGroupoid, env: ex.Env) -> "NatFamily":
         """Record that this family was constructed as identities at the
-        evaluated source objects."""
-        self._cache[("strict", id(gpd))] = True
+        source objects evaluated under the tables of ``env``."""
+        _set_strict(self, gpd, env, True)
         return self
 
 
-def _scan_endpoints(gpd: FinGroupoid, fam: NatFamily, env: ex.Env) -> tuple[int, Witness | None]:
+def _strict_bit(fam: NatFamily, gpd: FinGroupoid, env: ex.Env) -> bool | None:
+    """The strict bit recorded for ``gpd`` under the tables of ``env``, or
+    ``None``.  The tables are matched by value (identical ones at once), so
+    another environment over equal tables shares the bit."""
+    entry = fam._cache.get(("strict", id(gpd)))
+    if entry is not None and entry[1] == env:
+        return entry[2]
+    return None
+
+
+def _set_strict(fam: NatFamily, gpd: FinGroupoid, env: ex.Env, bit: bool) -> None:
+    """Record the bit with the carrier and a copy of ``env``; holding the
+    carrier keeps its id, the key, from being reused while the bit stands."""
+    fam._cache[("strict", id(gpd))] = (gpd, dict(env), bit)
+
+
+def _scan_endpoints(gpd: FinGroupoid, fam: NatFamily, env: ex.Env) -> Iterator[Witness | None]:
     """Compare each component's endpoints with the declared ones over the
-    full index space, in canonical order; returns the instances checked and
-    the first failure.  A scan that ends records the family's strict bit."""
+    full index space, in canonical order: yields ``None`` per component that
+    matches and a witness for the first that does not.  The family's strict
+    bit reads False from the start of the scan (no consumer resumes a scan
+    after a failure) and is set when the scan ends."""
     comps, mors = fam.components, gpd.morphisms
     src_at = ex.compile_obj(fam.src_expr, env)
     dst_at = ex.compile_obj(fam.tgt_expr, env)
-    witness = None
-    n = 0
+    marked = _strict_bit(fam, gpd, env)
+    _set_strict(fam, gpd, env, False)
     for idx in product(gpd.objects_sorted, repeat=fam.arity):
-        n += 1
         mid = comps.get(idx)
         mor = mors.get(mid)
         if mor is None:
-            witness = Witness(idx, note="component missing or unknown")
-            break
+            yield Witness(idx, note="component missing or unknown")
+            return
         try:
             want_src, want_dst = src_at(idx), dst_at(idx)
         except KeyError:
             want_src = ex.eval_obj(fam.src_expr, env, idx)
             want_dst = ex.eval_obj(fam.tgt_expr, env, idx)
         if mor.src != want_src or mor.dst != want_dst:
-            witness = Witness(
+            yield Witness(
                 idx,
                 left=mid,
                 note=f"endpoints {mor.src}->{mor.dst} differ from declared {want_src}->{want_dst}",
             )
-            break
+            return
+        yield None
     # strict once the endpoints are checked: each distinct id is the identity
     # of its own source.  A constructor's mark stands unless the scan fails.
-    key = ("strict", id(gpd))
-    if witness is not None or not fam._cache.get(key):
-        used = set(comps.values())
-        fam._cache[key] = witness is None and used <= set(gpd.identity.values()) and all(
-            (mor := mors.get(mid)) is not None and mor.src == mor.dst and gpd.identity.get(mor.src) == mid
-            for mid in used
-        )
-    return n, witness
+    used = set(comps.values())
+    strict = marked or used <= set(gpd.identity.values()) and all(
+        (mor := mors.get(mid)) is not None and mor.src == mor.dst and gpd.identity.get(mor.src) == mid
+        for mid in used
+    )
+    _set_strict(fam, gpd, env, strict)
 
 
 def validate_family(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, label: str = "family") -> Report:
     """Totality and endpoint correctness of a family over the full index
     space; the scan also records the family's strict bit."""
     report = Report()
-    started = time.perf_counter()
     for idx in fam.components:
         if len(idx) != fam.arity:
             raise ArityMismatch(f"{label}: component keyed by {idx} but arity is {fam.arity}")
-    n, witness = _scan_endpoints(gpd, fam, env)
-    _timed(report, f"{label}-endpoints", started, witness, n)
+    _first_failure(report, f"{label}-endpoints", _scan_endpoints(gpd, fam, env))
     return report
 
 
@@ -534,10 +543,6 @@ def check_naturality(
     random subset of morphism tuples is used instead of the full product.
     """
     codomain = codomain or domain
-    report = Report()
-    started = time.perf_counter()
-    witness = None
-    n = 0
     k = fam.arity
     mors = domain.morphisms_sorted
     if sample is None:
@@ -547,34 +552,37 @@ def check_naturality(
         space = _sample_tuples(mors, k, sample, seed)
         mode = f"sampled(n={sample},seed={seed})"
     ends, comps, pairs = domain.morphisms, fam.components, codomain.composable
-    for fs in space:
-        n += 1
-        xs = tuple([ends[f].src for f in fs])
-        ys = tuple([ends[f].dst for f in fs])
-        # compose_path's fast path, inlined; each miss takes the checked route
-        try:
-            at_y = comps.get(ys)
-            if at_y is None:
-                at_y = fam.at(*ys)
-            image = lhs_action(fs)
-            left = pairs.get((at_y, image))
-            if left is None:
-                left = compose_path(codomain, [at_y, image])
-            image = rhs_action(fs)
-            at_x = comps.get(xs)
-            if at_x is None:
-                at_x = fam.at(*xs)
-            right = pairs.get((image, at_x))
-            if right is None:
-                right = compose_path(codomain, [image, at_x])
-        except StructureError as err:
-            witness = Witness(fs, note=f"square does not typecheck: {err}")
-            break
-        if left != right:
-            witness = Witness(fs, left=left, right=right)
-            break
-    status = Status.FAIL if witness is not None else Status.PASS
-    report.add(CheckResult(label, status, witness, n, mode, time.perf_counter() - started))
+
+    def squares():
+        for fs in space:
+            xs = tuple([ends[f].src for f in fs])
+            ys = tuple([ends[f].dst for f in fs])
+            # compose_path's fast path, inlined; each miss takes the checked route
+            try:
+                at_y = comps.get(ys)
+                if at_y is None:
+                    at_y = fam.at(*ys)
+                image = lhs_action(fs)
+                left = pairs.get((at_y, image))
+                if left is None:
+                    left = compose_path(codomain, [at_y, image])
+                image = rhs_action(fs)
+                at_x = comps.get(xs)
+                if at_x is None:
+                    at_x = fam.at(*xs)
+                right = pairs.get((image, at_x))
+                if right is None:
+                    right = compose_path(codomain, [image, at_x])
+            except StructureError as err:
+                yield Witness(fs, note=f"square does not typecheck: {err}")
+                return
+            if left != right:
+                yield Witness(fs, left=left, right=right)
+            else:
+                yield None
+
+    report = Report()
+    _first_failure(report, label, squares(), mode)
     return report
 
 

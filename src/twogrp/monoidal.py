@@ -9,7 +9,6 @@ two axioms report not-applicable.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -19,7 +18,7 @@ from .errors import MissingFamily, NoInverse, UnitorMismatch
 from .groupoid import (
     FinGroupoid,
     NatFamily,
-    _timed,
+    _first_failure,
     check_naturality,
     validate_family,
     validate_groupoid,
@@ -114,54 +113,40 @@ class WeakInverseCert:
 
 def _check_bifunctor(m: MonStructure, report: Report) -> None:
     gpd = m.carrier
-    started = time.perf_counter()
-    witness = None
-    n = 0
-    for (x, y), z in sorted(m.sum_obj.items()):
-        n += 1
-        if z not in set(gpd.objects):
-            witness = Witness((x, y), note="sum sends pair outside the carrier")
-            break
-        if m.sum_mor.get((gpd.identity[x], gpd.identity[y])) != gpd.identity[z]:
-            witness = Witness((x, y), note="sum of identities is not the identity of the sum")
-            break
-    if witness is None:
+
+    def cases():
+        for (x, y), z in sorted(m.sum_obj.items()):
+            if z not in set(gpd.objects):
+                yield Witness((x, y), note="sum sends pair outside the carrier")
+            elif m.sum_mor.get((gpd.identity[x], gpd.identity[y])) != gpd.identity[z]:
+                yield Witness((x, y), note="sum of identities is not the identity of the sum")
+            else:
+                yield None
         for x, y in product(gpd.objects_sorted, repeat=2):
             if (x, y) not in m.sum_obj:
-                witness = Witness((x, y), note="sum object table not total")
-                break
-    if witness is None:
-        mors = gpd.morphisms_sorted
-        for f in mors:
-            if witness:
-                break
-            for g in mors:
-                if (f, g) not in m.sum_mor:
-                    witness = Witness((f, g), note="sum morphism table not total")
-                    break
-    if witness is None:
+                yield Witness((x, y), note="sum object table not total")
+        for f, g in product(gpd.morphisms_sorted, repeat=2):
+            if (f, g) not in m.sum_mor:
+                yield Witness((f, g), note="sum morphism table not total")
         for (f, g), h in sorted(m.sum_mor.items()):
-            n += 1
             mf, mg = gpd.morphisms[f], gpd.morphisms[g]
             if gpd.src(h) != m.sum_obj[(mf.src, mg.src)] or gpd.dst(h) != m.sum_obj[(mf.dst, mg.dst)]:
-                witness = Witness((f, g), left=h, note="sum morphism has wrong endpoints")
-                break
-    if witness is None:
+                yield Witness((f, g), left=h, note="sum morphism has wrong endpoints")
+            else:
+                yield None
         # functoriality: (g o f) + (g' o f') == (g + g') o (f + f')
         comp = gpd.compose
         pairs = sorted(comp)
         for (g, f) in pairs:
             for (g2, f2) in pairs:
-                n += 1
                 lhs = m.sum_mor[(comp[(g, f)], comp[(g2, f2)])]
                 rhs = comp.get((m.sum_mor[(g, g2)], m.sum_mor[(f, f2)]))
                 if lhs != rhs:
-                    witness = Witness((g, f, g2, f2), left=lhs, right=rhs)
-                    break
-            if witness:
-                break
-    status = Status.FAIL if witness is not None else Status.PASS
-    report.add(CheckResult("bifunctor", status, witness, n, "exhaustive", time.perf_counter() - started))
+                    yield Witness((g, f, g2, f2), left=lhs, right=rhs)
+                else:
+                    yield None
+
+    _first_failure(report, "bifunctor", cases())
 
 
 def _check_families(m: MonStructure, report: Report) -> None:
@@ -327,16 +312,18 @@ def _check_weak_inverses(m, report: Report) -> None:
     """Add the weak-inverses row (a certificate for every object, or the
     first object without one) and record the certificates found under
     ``report.artifacts["weak_inverses"]``."""
-    started = time.perf_counter()
     certs = []
-    witness = None
-    for x in m.carrier.objects_sorted:
-        try:
-            certs.append(find_weak_inverse(m, x))
-        except NoInverse:
-            witness = Witness((x,), note="no weak inverse")
-            break
-    _timed(report, "weak-inverses", started, witness, len(m.carrier.objects))
+
+    def cases():
+        for x in m.carrier.objects_sorted:
+            try:
+                certs.append(find_weak_inverse(m, x))
+            except NoInverse:
+                yield Witness((x,), note="no weak inverse")
+            else:
+                yield None
+
+    _first_failure(report, "weak-inverses", cases())
     report.artifacts["weak_inverses"] = certs
 
 

@@ -398,7 +398,7 @@ def _pair_axiom(
     add = ring.add
     started = time.perf_counter()
     if allow_strict_skip and strict_profile(gpd, fams, [add, ring.mul]):
-        total = len(objs) ** (arity + 1) if sample is None else len(objs) * sample
+        total = len(objs) ** (arity + 1)
         return CheckResult(law, Status.PASS, None, total, "strict-profile", time.perf_counter() - started)
     total = 0
     mode = "exhaustive"
@@ -585,18 +585,24 @@ def validate_two_ring_data(ring: TwoRingData, *, sample: int | None = None, seed
 # ---------------------------------------------------------------------------
 
 
-def quang_to_ac_ring(ring: TwoRingData, *, validate: bool = True) -> TwoRingData:
+def quang_to_ac_ring(
+    ring: TwoRingData, *, validate: bool = True, sample: int | None = None, seed: int = 0
+) -> TwoRingData:
     """Convert to the AC presentation: the additive structure is translated,
     multiplication and distributors stay unchanged, and the absorbers are the
-    canonical zero isomorphisms of the multiplication endofunctors."""
+    canonical zero isomorphisms of the multiplication endofunctors.
+
+    The additive half is translated (and so validated) before the ring suite
+    runs, which then reads the strict bits its scans recorded.  ``sample``
+    and ``seed`` go to both."""
     if ring.presentation != "sm":
         raise PresentationMismatch("ring is already in AC presentation")
+    add_ac = to_ac(ring.add, sample=sample, seed=seed)
     if validate:
-        pre = validate_quang(ring)
+        pre = validate_quang(ring, sample=sample, seed=seed)
         if not pre.ok:
             fails = ", ".join(c.law for c in pre.failures())
             raise PreconditionFailed(f"input fails the 2R suite: {fails}")
-    add_ac = to_ac(ring.add)
     zero = ring.add.unit
     zero_id = ring.carrier.identity[zero]
     m_comps = {}
@@ -611,18 +617,22 @@ def quang_to_ac_ring(ring: TwoRingData, *, validate: bool = True) -> TwoRingData
     )
 
 
-def ac_ring_to_quang(ring: TwoRingData, *, validate: bool = True) -> TwoRingData:
+def ac_ring_to_quang(
+    ring: TwoRingData, *, validate: bool = True, sample: int | None = None, seed: int = 0
+) -> TwoRingData:
     """Convert to the symmetric presentation: the additive structure is
     translated, multiplication and distributors stay unchanged, absorbers are
-    dropped (they are recovered canonically on the way back)."""
+    dropped (they are recovered canonically on the way back).  As in
+    :func:`quang_to_ac_ring`, the translation runs before the ring suite."""
     if ring.presentation != "ac":
         raise PresentationMismatch("ring is already in symmetric presentation")
+    add_sm = to_sm(ring.add, sample=sample, seed=seed)
     if validate:
-        pre = validate_ac_ring(ring)
+        pre = validate_ac_ring(ring, sample=sample, seed=seed)
         if not pre.ok:
             fails = ", ".join(c.law for c in pre.failures())
             raise PreconditionFailed(f"input fails the 2R suite: {fails}")
-    return TwoRingData(ring.carrier, to_sm(ring.add), ring.mul, ring.dist_l, ring.dist_r, None, None)
+    return TwoRingData(ring.carrier, add_sm, ring.mul, ring.dist_l, ring.dist_r, None, None)
 
 
 @dataclass(frozen=True)
@@ -644,12 +654,12 @@ def jp_upgrade(ring: TwoRingData, *, validate: bool = True) -> TwoRingData | NoA
     """
     if ring.presentation != "sm":
         raise PresentationMismatch("upgrade starts from the symmetric presentation")
+    add_ac = to_ac(ring.add)  # first, as in quang_to_ac_ring
     if validate:
         pre = validate_jp(ring)
         if not pre.ok:
             fails = ", ".join(c.law for c in pre.failures())
             raise PreconditionFailed(f"input fails the 2R1' suite: {fails}")
-    add_ac = to_ac(ring.add)
     zero = ring.add.unit
     zid = ring.carrier.identity[zero]
     m_comps = {}
@@ -663,7 +673,7 @@ def jp_upgrade(ring: TwoRingData, *, validate: bool = True) -> TwoRingData | NoA
                 found = enumerate_zero_isos(mult_functor(ring, x), add_ac, add_ac, "AF2")
             except KeyError:
                 # a multiplication or distributor table of an unvalidated
-                # input lacks an entry the squares at x read: no candidate
+                # input lacks an entry the functor at x reads: no candidate
                 found = []
             if not found:
                 return NoAbsorbers(x, side)

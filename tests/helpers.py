@@ -117,6 +117,34 @@ def with_canonical_zero(fun: StructuredFunctor, src: MonStructure, tgt: MonStruc
     return fun.with_zero(canonical_zero_iso(fun, src, tgt))
 
 
+def coboundary_twisted_dual_numbers(m: int = 3, seed: int = 1) -> MonStructure:
+    """The symmetric dual-numbers 2-group twisted by the coboundary of a
+    normalized 2-cochain kappa (kappa(0,y) = kappa(x,0) = 0, the other values
+    drawn by ``random.Random(seed).randrange(m)`` over object pairs in sorted
+    order): a(x,y,z) carries the label kappa(y,z) - kappa(x+y,z) +
+    kappa(x,y+z) - kappa(x,y) and c(x,y) the label kappa(x,y) - kappa(y,x).
+    Valid, and not strict."""
+    from twogrp import build_dual_numbers_2group
+    from twogrp.monoidal import assoc_family, comm_family
+
+    base = build_dual_numbers_2group(m, "sm")
+    objs, add, unit = base.carrier.objects_sorted, base.sum_obj, base.unit
+    rng = random.Random(seed)
+    kappa = {(x, y): 0 if unit in (x, y) else rng.randrange(m) for x, y in product(objs, repeat=2)}
+
+    def label(k, obj):
+        return f"{k % m}|{obj}"
+
+    a = {
+        (x, y, z): label(kappa[y, z] - kappa[add[x, y], z] + kappa[x, add[y, z]] - kappa[x, y],
+                         add[x, add[y, z]])
+        for x, y, z in product(objs, repeat=3)
+    }
+    c = {(x, y): label(kappa[x, y] - kappa[y, x], add[x, y]) for x, y in product(objs, repeat=2)}
+    return MonStructure(base.carrier, add, base.sum_mor, unit, assoc_family(a), comm_family(c),
+                        base.lunit, base.runit)
+
+
 # ---------------------------------------------------------------------------
 # perturbation utilities
 # ---------------------------------------------------------------------------

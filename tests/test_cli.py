@@ -160,7 +160,7 @@ def test_shared_endpoint_block_is_converted_once(capsys, monkeypatch, dual_file)
 
     calls = []
     real = twogrp.cli.to_sm
-    monkeypatch.setattr(twogrp.cli, "to_sm", lambda a: calls.append(a) or real(a))
+    monkeypatch.setattr(twogrp.cli, "to_sm", lambda a, **kw: calls.append(a) or real(a, **kw))
     code, _, _ = run(capsys, "check", str(dual_file), "--suite", "sm-functor")
     assert code == 1
     assert len(calls) == 1
@@ -307,3 +307,44 @@ def test_ac_ring_with_a_missing_sum_pair_exits_1(capsys, tmp_path, ring_ac_data)
     code, out, _ = run(capsys, "check", str(path), "--suite", "acring")
     assert code == 1
     assert out.startswith("check aborted:")
+
+
+def test_convert_samples_the_translation_checks_of_a_non_strict_structure(tmp_path):
+    # 9 objects: an exhaustive AC1 would walk 9^8 = 43M tuples
+    from helpers import coboundary_twisted_dual_numbers
+    from twogrp.document import Block, StructureDocument, serialize_document
+
+    twisted = coboundary_twisted_dual_numbers()
+    sm, ac, back = tmp_path / "sm.json", tmp_path / "ac.json", tmp_path / "back.json"
+    sm.write_text(serialize_document(StructureDocument(twisted.carrier, [Block("sm", "add", twisted)])))
+    assert main(["convert", str(sm), "--to", "ac", "--out", str(ac)]) == 0
+    assert main(["convert", str(ac), "--to", "sm", "--out", str(back)]) == 0
+    assert back.read_bytes() == sm.read_bytes()
+
+
+def _doctored_dual_file(dual_file, tmp_path, family, position):
+    import json
+
+    data = json.loads(dual_file.read_text())
+    add = next(b for b in data["structures"] if b["kind"] == "ac")
+    del add[family][position(len(add[family]))]
+    path = tmp_path / f"no_{family}.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_functor_suite_reports_a_missing_endpoint_entry(capsys, tmp_path, dual_file):
+    # the suite reads its endpoint structures unvalidated: AF1 meets the gap
+    path = _doctored_dual_file(dual_file, tmp_path, "b", lambda n: n // 2)
+    code, out, _ = run(capsys, "check", str(path), "--suite", "ac-functor")
+    assert code == 1
+    assert re.search(r"^AF1\s+fail", out, re.M)
+    gone = "('1+1e', '1+1e', '1+1e', '1+1e')"
+    assert f"witness at (1+1e, 1+1e, 1+1e, 1+1e): route does not evaluate: no entry at {gone}" in out
+
+
+def test_zero_iso_enumeration_rejects_squares_that_read_a_missing_entry(capsys, tmp_path, dual_file):
+    path = _doctored_dual_file(dual_file, tmp_path, "r", lambda n: 2)
+    code, out, _ = run(capsys, "zero-iso", str(path), "--functor", "F", "--mode", "enumerate")
+    assert code == 0
+    assert out == "0 solution(s) [AF2]\n"

@@ -57,6 +57,32 @@ def test_strict_skip_agrees_with_forced_full():
             assert fast[law].status == slow[law].status == Status.PASS
 
 
+def test_strict_bit_does_not_vouch_under_other_sum_tables():
+    # the fixture's families were marked strict under the fixture's sum; with
+    # two non-unit objects swapped in the sum's values they no longer are
+    m = build_dual_numbers_2group(2, "sm")
+    swap = {"0+1e": "1+0e", "1+0e": "0+1e"}
+
+    def swapped(mid):
+        label, obj = mid.split("|")
+        return f"{label}|{swap.get(obj, obj)}"
+
+    twisted = replace(
+        m,
+        sum_obj={k: swap.get(v, v) for k, v in m.sum_obj.items()},
+        sum_mor={k: swapped(v) for k, v in m.sum_mor.items()},
+        _cache={},
+    )
+    fast = validate_sm(twisted, check_data=False)
+    slow = validate_sm(twisted, check_data=False, allow_strict_skip=False)
+    assert not slow.ok
+    assert [c.law for c in fast.checks] == [c.law for c in slow.checks]
+    for f, s in zip(fast.checks, slow.checks):
+        assert (f.status, f.witness) == (s.status, s.witness), f.law
+    # the fixture itself keeps its bits
+    assert validate_sm(m, check_data=False)["SC1"].mode == "strict-profile"
+
+
 def test_flipping_assoc_at_111_breaks_hexagon_not_pentagon():
     # the single flip at (1,1,1) is the nontrivial 3-cocycle on Z/2: the
     # pentagon survives, the hexagon fails at (1,1,1)
