@@ -23,7 +23,8 @@ Everything at desk scale runs exhaustively.  A command converts each
 structure block it needs in the other presentation at most once (a functor
 whose source and target are the same block gets one converted structure for
 both endpoints), and every translation checks with the sample ``--suite ac``
-would use on its carrier.
+would use on its carrier; the ring suite a ring conversion checks as its
+precondition is not sampled.
 """
 
 from __future__ import annotations

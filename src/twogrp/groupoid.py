@@ -482,7 +482,6 @@ def _scan_endpoints(gpd: FinGroupoid, fam: NatFamily, env: ex.Env) -> Iterator[W
     comps, mors = fam.components, gpd.morphisms
     src_at = ex.compile_obj(fam.src_expr, env)
     dst_at = ex.compile_obj(fam.tgt_expr, env)
-    marked = _strict_bit(fam, gpd, env)
     _set_strict(fam, gpd, env, False)
     for idx in product(gpd.objects_sorted, repeat=fam.arity):
         mid = comps.get(idx)
@@ -504,9 +503,9 @@ def _scan_endpoints(gpd: FinGroupoid, fam: NatFamily, env: ex.Env) -> Iterator[W
             return
         yield None
     # strict once the endpoints are checked: each distinct id is the identity
-    # of its own source.  A constructor's mark stands unless the scan fails.
+    # of its own source.
     used = set(comps.values())
-    strict = marked or used <= set(gpd.identity.values()) and all(
+    strict = used <= set(gpd.identity.values()) and all(
         (mor := mors.get(mid)) is not None and mor.src == mor.dst and gpd.identity.get(mor.src) == mid
         for mid in used
     )

@@ -586,7 +586,7 @@ def validate_two_ring_data(ring: TwoRingData, *, sample: int | None = None, seed
 
 
 def quang_to_ac_ring(
-    ring: TwoRingData, *, validate: bool = True, sample: int | None = None, seed: int = 0
+    ring: TwoRingData, *, validate: bool = True, sample: int | None = None
 ) -> TwoRingData:
     """Convert to the AC presentation: the additive structure is translated,
     multiplication and distributors stay unchanged, and the absorbers are the
@@ -594,12 +594,12 @@ def quang_to_ac_ring(
 
     The additive half is translated (and so validated) before the ring suite
     runs, which then reads the strict bits its scans recorded.  ``sample``
-    and ``seed`` go to both."""
+    goes to the translation only; the ring suite runs unsampled."""
     if ring.presentation != "sm":
         raise PresentationMismatch("ring is already in AC presentation")
-    add_ac = to_ac(ring.add, sample=sample, seed=seed)
+    add_ac = to_ac(ring.add, sample=sample)
     if validate:
-        pre = validate_quang(ring, sample=sample, seed=seed)
+        pre = validate_quang(ring)
         if not pre.ok:
             fails = ", ".join(c.law for c in pre.failures())
             raise PreconditionFailed(f"input fails the 2R suite: {fails}")
@@ -618,17 +618,18 @@ def quang_to_ac_ring(
 
 
 def ac_ring_to_quang(
-    ring: TwoRingData, *, validate: bool = True, sample: int | None = None, seed: int = 0
+    ring: TwoRingData, *, validate: bool = True, sample: int | None = None
 ) -> TwoRingData:
     """Convert to the symmetric presentation: the additive structure is
     translated, multiplication and distributors stay unchanged, absorbers are
     dropped (they are recovered canonically on the way back).  As in
-    :func:`quang_to_ac_ring`, the translation runs before the ring suite."""
+    :func:`quang_to_ac_ring`, the translation (given ``sample``) runs before
+    the unsampled ring suite."""
     if ring.presentation != "ac":
         raise PresentationMismatch("ring is already in symmetric presentation")
-    add_sm = to_sm(ring.add, sample=sample, seed=seed)
+    add_sm = to_sm(ring.add, sample=sample)
     if validate:
-        pre = validate_ac_ring(ring, sample=sample, seed=seed)
+        pre = validate_ac_ring(ring)
         if not pre.ok:
             fails = ", ".join(c.law for c in pre.failures())
             raise PreconditionFailed(f"input fails the 2R suite: {fails}")

@@ -145,6 +145,39 @@ def coboundary_twisted_dual_numbers(m: int = 3, seed: int = 1) -> MonStructure:
                         base.lunit, base.runit)
 
 
+def parity_2ring(m: int):
+    """The strict 2-ring on Z/m (m even) whose every object carries the
+    automorphisms {0, 1}: labels add under the sum, and the product sends
+    (k|x, l|y) to (k*y + x*l mod 2)|xy.  All structural families are
+    identities; the carrier is not discrete, so a flipped component breaks
+    axioms without breaking endpoints or naturality."""
+    from twogrp.fixtures import _strict_families
+    from twogrp.rings import TwoRingData, dist_l_family, dist_r_family
+
+    table = ring_zmod(m)
+    objs = table.elements
+    mors = [(f"{k}|{x}", x, x) for x in objs for k in (0, 1)]
+    identity = {x: f"0|{x}" for x in objs}
+    compose = {(f"{k1}|{x}", f"{k2}|{x}"): f"{(k1 + k2) % 2}|{x}" for x in objs for k1 in (0, 1) for k2 in (0, 1)}
+    inverse = {f"{k}|{x}": f"{k}|{x}" for x in objs for k in (0, 1)}
+    gpd = FinGroupoid.build(objs, mors, compose, identity, inverse)
+    add_mor, mul_mor = {}, {}
+    for x, y in product(objs, repeat=2):
+        for k, l in product((0, 1), repeat=2):
+            add_mor[(f"{k}|{x}", f"{l}|{y}")] = f"{(k + l) % 2}|{table.add[(x, y)]}"
+            label = (k * int(y) + int(x) * l) % 2
+            mul_mor[(f"{k}|{x}", f"{l}|{y}")] = f"{label}|{table.mul[(x, y)]}"
+    add_obj, mul_obj = dict(table.add), dict(table.mul)
+    a, c, l, r = _strict_families(gpd, add_obj, add_mor, table.zero, with_comm=True)
+    ax, _, lx, rx = _strict_families(gpd, mul_obj, mul_mor, table.one, with_comm=False)
+    add = MonStructure(gpd, add_obj, add_mor, table.zero, a, c, l, r)
+    mul = MonStructure(gpd, mul_obj, mul_mor, table.one, ax, None, lx, rx)
+    ao, mo = table.add, table.mul
+    d = dist_l_family({(x, y, z): identity[ao[(mo[(x, y)], mo[(x, z)])]] for x, y, z in product(objs, repeat=3)})
+    e = dist_r_family({(x, y, z): identity[ao[(mo[(x, z)], mo[(y, z)])]] for x, y, z in product(objs, repeat=3)})
+    return TwoRingData(gpd, add, mul, d, e, None, None)
+
+
 # ---------------------------------------------------------------------------
 # perturbation utilities
 # ---------------------------------------------------------------------------

@@ -322,6 +322,35 @@ def test_convert_samples_the_translation_checks_of_a_non_strict_structure(tmp_pa
     assert back.read_bytes() == sm.read_bytes()
 
 
+def test_ring_convert_checks_the_ring_suite_unsampled(capsys, tmp_path, monkeypatch):
+    # 18 objects: the CLI samples the translation (18^8 AC1 tuples), but the
+    # 2R suite, whose 2R3-2R5 have 18^4 > 2^16 instances, runs in full
+    from dataclasses import replace
+
+    from helpers import parity_2ring, perturb_family
+    from twogrp import rings
+    from twogrp.document import Block, StructureDocument, serialize_document
+
+    ring = parity_2ring(18)
+    ring = replace(ring, mul=replace(ring.mul, assoc=perturb_family(ring.mul.assoc, ("1", "1", "1"), "1|1")))
+    path = tmp_path / "ring.json"
+    blocks = [Block("sm", "add", ring.add), Block("mul", "mul", ring.mul),
+              Block("tworing", "ring", ring, {"add": "add", "mul": "mul"})]
+    path.write_text(serialize_document(StructureDocument(ring.carrier, blocks)))
+    samples = []
+
+    def spy(*args, **kwargs):
+        samples.append(kwargs.get("sample"))
+        return check_diagram(*args, **kwargs)
+
+    check_diagram = rings.check_diagram
+    monkeypatch.setattr(rings, "check_diagram", spy)
+    code, out, _ = run(capsys, "convert", str(path), "--to", "ac")
+    assert code == 1
+    assert "2R3, 2R4, 2R5" in out
+    assert samples and set(samples) == {None}
+
+
 def _doctored_dual_file(dual_file, tmp_path, family, position):
     import json
 
