@@ -132,7 +132,8 @@ def validate_ac(
     report = Report()
     if check_data:
         _check_bifunctor(a, report)
-        _check_families(a, report)
+        if report.ok:  # the family scans read the sum tables the bifunctor row checks
+            _check_families(a, report)
         if not report.ok:
             return report
 

@@ -18,7 +18,8 @@ malformed input (parse error, dangling reference, unknown fixture).
 Sampling is chosen per suite: when the largest object-tuple space of the
 suite exceeds 2^19 instances, every law of it with more than 2^16 instances
 is sampled (2^16 draws, seed 0), and the report lines say so; naturality
-rows apply the same rule to morphism tuples of the largest family arity.
+rows apply the same rule to morphism tuples of the largest family arity
+(a row whose own space is no larger than the sample runs exhaustively).
 Everything at desk scale runs exhaustively.  A command converts each
 structure block it needs in the other presentation at most once (a functor
 whose source and target are the same block gets one converted structure for

@@ -9,20 +9,39 @@ name their endpoint structures, 2-rings their additive and multiplicative
 halves), so one file answers every cross-reference.
 
 Serialization is canonical: sorted keys, sorted table rows, blocks sorted by
-name, two-space indent, trailing newline.  ``parse`` then ``serialize`` then
-``parse`` reproduces an identical document, and canonical serialization of
-equal graphs is byte-identical.
+name, two-space indent, trailing newline (the text of
+``json.dumps(payload, sort_keys=True, indent=2)``).  ``parse`` then
+``serialize`` then ``parse`` reproduces an identical document, and canonical
+serialization of equal graphs is byte-identical.
+
+Tables are handled in bulk, since a document at m=5 holds millions of ids.
+A table is accepted when three set-valued passes over it (row types, row
+widths, cell types) find only lists of the expected width holding strings;
+only a table that fails them is walked row by row, so the error names its
+first bad row.  Key/value tables are built by mapping item getters over the
+rows, and id checks accept by one set difference before an ordered walk
+names the first undeclared id.  The cyclic garbage collector is paused for
+the duration of a parse (it would otherwise rescan the millions of fresh
+lists and tuples a parse allocates), and its previous state is restored on
+the way out.  The serializer writes the same text as ``json.dumps`` with
+``indent=2`` and sorted keys, without that call's pure-Python encoder: each
+table is emitted as one row template filled from the sorted keys, with every
+distinct id encoded once.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .ac import ACStructure, acomm_family
 from .errors import DocumentError
 from .functors import MonTransformation, StructuredFunctor, fsum_family, tau_family
-from .groupoid import FinGroupoid, GFunctor, NatFamily
+from .groupoid import FinGroupoid, GFunctor
 from .monoidal import MonStructure, assoc_family, comm_family, lunit_family, runit_family
 from .rings import TwoRingData, absorb_l_family, absorb_r_family, dist_l_family, dist_r_family
 
@@ -71,29 +90,26 @@ class StructureDocument:
 def _rows(raw, name: str, width: int) -> list[list[str]]:
     if not isinstance(raw, list):
         raise DocumentError(f"section {name!r} must be an array")
-    out = []
-    for row in raw:
+    if (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {width}
+            and set(map(type, chain.from_iterable(raw))) <= {str}):
+        return raw
+    for row in raw:  # the row-by-row walk names the first bad row
         if not isinstance(row, list) or len(row) != width or not all(isinstance(v, str) for v in row):
             raise DocumentError(f"section {name!r}: expected rows of {width} strings, got {row!r}")
-        out.append(row)
-    return out
+    return raw
 
 
 def _family_table(raw, name: str, arity: int) -> dict:
-    table = {}
-    for row in _rows(raw, name, arity + 1):
-        table[tuple(row[:arity])] = row[arity]
-    return table
-
-
-def _pair_table(raw, name: str) -> dict:
-    return {(g, f): h for g, f, h in _rows(raw, name, 3)}
+    """``{tuple(row[:arity]): row[arity]}`` over the rows of ``raw``."""
+    rows = _rows(raw, name, arity + 1)
+    return dict(zip(map(tuple, map(itemgetter(slice(0, arity)), rows)), map(itemgetter(arity), rows)))
 
 
 def _check_ids(doc_gpd: FinGroupoid, names, kind: str) -> None:
-    for n in names:
-        if n not in doc_gpd.morphisms:
-            raise DocumentError(f"{kind} references undeclared morphism {n!r}")
+    if set(names).difference(doc_gpd.morphisms):
+        for n in names:
+            if n not in doc_gpd.morphisms:
+                raise DocumentError(f"{kind} references undeclared morphism {n!r}")
 
 
 def _parse_groupoid(data: dict) -> FinGroupoid:
@@ -112,6 +128,8 @@ def _parse_groupoid(data: dict) -> FinGroupoid:
     for row in morrows:
         if not isinstance(row, dict) or set(row) != {"id", "src", "dst"}:
             raise DocumentError(f"morphism rows are objects with id/src/dst, got {row!r}")
+        if not all(isinstance(v, str) for v in row.values()):
+            raise DocumentError(f"morphism rows hold string ids, got {row!r}")
         mors.append((row["id"], row["src"], row["dst"]))
     if len({m[0] for m in mors}) != len(mors):
         raise DocumentError("duplicate morphism ids")
@@ -122,9 +140,9 @@ def _parse_groupoid(data: dict) -> FinGroupoid:
     gpd = FinGroupoid.build(
         objects,
         mors,
-        _pair_table(data["compose"], "compose"),
-        {o: m for o, m in _rows(data["identities"], "identities", 2)},
-        {f: i for f, i in _rows(data["inverses"], "inverses", 2)},
+        _family_table(data["compose"], "compose", 2),
+        dict(_rows(data["identities"], "identities", 2)),
+        dict(_rows(data["inverses"], "inverses", 2)),
     )
     known = set(gpd.morphisms)
     for (g, f), h in gpd.compose.items():
@@ -140,10 +158,10 @@ def _parse_groupoid(data: dict) -> FinGroupoid:
 
 
 def _parse_sum_block(gpd: FinGroupoid, raw: dict, kind: str):
-    op_obj = {(x, y): z for x, y, z in _rows(raw["op_obj"], "op_obj", 3)}
-    op_mor = {(f, g): h for f, g, h in _rows(raw["op_mor"], "op_mor", 3)}
+    op_obj = _family_table(raw["op_obj"], "op_obj", 2)
+    op_mor = _family_table(raw["op_mor"], "op_mor", 2)
     unit = raw["unit"]
-    if unit not in set(gpd.objects):
+    if not isinstance(unit, str) or unit not in set(gpd.objects):
         raise DocumentError(f"unit {unit!r} is not a declared object")
     unit_id = gpd.identity.get(unit)
     if unit_id is None:
@@ -177,6 +195,16 @@ def _require(raw: dict, keys: tuple[str, ...], kind: str) -> None:
 def parse_document(text: str) -> StructureDocument:
     """Parse a document, verifying every reference; raises
     :class:`DocumentError` with position info on syntax errors."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(text)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _parse(text: str) -> StructureDocument:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
@@ -213,13 +241,13 @@ def parse_document(text: str) -> StructureDocument:
             for ref in (raw["source"], raw["target"]):
                 if doc.block(ref).kind not in _STRUCT_KINDS:
                     raise DocumentError(f"functor {name!r} endpoint {ref!r} is not a structure block")
-            obj_map = {x: y for x, y in _rows(raw["obj_map"], "obj_map", 2)}
-            mor_map = {f: g for f, g in _rows(raw["mor_map"], "mor_map", 2)}
+            obj_map = dict(_rows(raw["obj_map"], "obj_map", 2))
+            mor_map = dict(_rows(raw["mor_map"], "mor_map", 2))
             _check_ids(gpd, mor_map.values(), "mor_map")
             fsum = fsum_family(_family_table(raw["fsum"], "fsum", 2))
             _check_ids(gpd, fsum.components.values(), "fsum")
             fzero = raw.get("fzero")
-            if fzero is not None and fzero not in gpd.morphisms:
+            if fzero is not None and (not isinstance(fzero, str) or fzero not in gpd.morphisms):
                 raise DocumentError(f"fzero {fzero!r} is not a declared morphism")
             fun = StructuredFunctor(GFunctor(gpd, gpd, obj_map, mor_map), fsum, fzero)
             doc.blocks.append(Block(kind, name, fun, {"source": raw["source"], "target": raw["target"]}))
@@ -263,33 +291,88 @@ def parse_document(text: str) -> StructureDocument:
 # ---------------------------------------------------------------------------
 
 
-def _fam_rows(fam: NatFamily) -> list[list[str]]:
-    return sorted([*idx, mid] for idx, mid in fam.components.items())
+@dataclass(frozen=True)
+class _Table:
+    """A key/value table, emitted as its rows ``[*key, value]`` in sorted
+    order (a string key is a key of one id)."""
+
+    entries: dict
 
 
-def _table_rows(table: dict) -> list[list[str]]:
-    return sorted(
-        ([*key, value] if isinstance(key, tuple) else [key, value])
-        for key, value in table.items()
-    )
+class _Codes(dict):
+    """JSON string literals by value, each encoded once."""
+
+    def __missing__(self, value: str) -> str:
+        code = self[value] = encode_basestring_ascii(value)
+        return code
+
+
+def _emit(value, level: int, out: list[str], codes: _Codes) -> None:
+    """Append the ``json.dumps(value, sort_keys=True, indent=2)`` text of
+    ``value`` nested ``level`` deep to ``out``."""
+    if isinstance(value, str):
+        out.append(codes[value])
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, _Table):
+        _emit_table(value.entries, level, out, codes)
+    elif isinstance(value, (dict, list)):
+        is_dict = isinstance(value, dict)
+        opening, closing = "{}" if is_dict else "[]"
+        items = sorted(value.items()) if is_dict else [(None, item) for item in value]
+        if not items:
+            out.append(opening + closing)
+            return
+        pad = "\n" + "  " * (level + 1)
+        out.append(opening)
+        for pos, (key, item) in enumerate(items):
+            out.append("," + pad if pos else pad)
+            if is_dict:
+                out.append(codes[key] + ": ")
+            _emit(item, level + 1, out, codes)
+        out.append("\n" + "  " * level + closing)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit_table(entries: dict, level: int, out: list[str], codes: _Codes) -> None:
+    keys = sorted(entries)
+    kinds = set(map(type, keys))
+    widths = set(map(len, keys)) if kinds == {tuple} else set()
+    if kinds == {str}:
+        columns = [keys]
+    elif len(widths) == 1:
+        columns = [map(itemgetter(i), keys) for i in range(widths.pop())]
+    else:  # no rows, or mixed key shapes: sort the rows themselves, as lists
+        rows = sorted([*k, v] if isinstance(k, tuple) else [k, v] for k, v in entries.items())
+        _emit(rows, level, out, codes)
+        return
+    columns.append(map(entries.__getitem__, keys))
+    row_pad = "\n" + "  " * (level + 1)
+    cell_pad = row_pad + "  "
+    row = "[" + cell_pad + ("%s," + cell_pad) * (len(columns) - 1) + "%s" + row_pad + "]"
+    cells = zip(*[map(codes.__getitem__, column) for column in columns])
+    out.append("[" + row_pad)
+    out.append(("," + row_pad).join(map(row.__mod__, cells)))
+    out.append("\n" + "  " * level + "]")
 
 
 def _sum_block_payload(kind: str, name: str, s) -> dict:
     payload = {
         "kind": kind,
         "name": name,
-        "op_obj": _table_rows(s.sum_obj),
-        "op_mor": _table_rows(s.sum_mor),
+        "op_obj": _Table(s.sum_obj),
+        "op_mor": _Table(s.sum_mor),
         "unit": s.unit,
-        "l": _fam_rows(s.lunit),
-        "r": _fam_rows(s.runit),
+        "l": _Table(s.lunit.components),
+        "r": _Table(s.runit.components),
     }
     if kind == "ac":
-        payload["b"] = _fam_rows(s.acomm)
+        payload["b"] = _Table(s.acomm.components)
     else:
-        payload["a"] = _fam_rows(s.assoc)
+        payload["a"] = _Table(s.assoc.components)
     if kind == "sm":
-        payload["c"] = _fam_rows(s.comm)
+        payload["c"] = _Table(s.comm.components)
     return payload
 
 
@@ -303,9 +386,9 @@ def _block_payload(doc: StructureDocument, blk: Block) -> dict:
             "name": blk.name,
             "source": blk.refs["source"],
             "target": blk.refs["target"],
-            "obj_map": _table_rows(fun.base.obj_map),
-            "mor_map": _table_rows(fun.base.mor_map),
-            "fsum": _fam_rows(fun.fsum),
+            "obj_map": _Table(fun.base.obj_map),
+            "mor_map": _Table(fun.base.mor_map),
+            "fsum": _Table(fun.fsum.components),
             "fzero": fun.fzero,
         }
     if blk.kind == "transformation":
@@ -315,7 +398,7 @@ def _block_payload(doc: StructureDocument, blk: Block) -> dict:
             "name": blk.name,
             "source": blk.refs["source"],
             "target": blk.refs["target"],
-            "components": _fam_rows(tr.tau),
+            "components": _Table(tr.tau.components),
         }
     ring: TwoRingData = blk.obj
     return {
@@ -323,10 +406,10 @@ def _block_payload(doc: StructureDocument, blk: Block) -> dict:
         "name": blk.name,
         "add": blk.refs["add"],
         "mul": blk.refs["mul"],
-        "d": _fam_rows(ring.dist_l),
-        "e": _fam_rows(ring.dist_r),
-        "m": _fam_rows(ring.absorb_l) if ring.absorb_l is not None else None,
-        "n": _fam_rows(ring.absorb_r) if ring.absorb_r is not None else None,
+        "d": _Table(ring.dist_l.components),
+        "e": _Table(ring.dist_r.components),
+        "m": _Table(ring.absorb_l.components) if ring.absorb_l is not None else None,
+        "n": _Table(ring.absorb_r.components) if ring.absorb_r is not None else None,
     }
 
 
@@ -340,11 +423,14 @@ def serialize_document(doc: StructureDocument) -> str:
             {"id": mid, "src": gpd.morphisms[mid].src, "dst": gpd.morphisms[mid].dst}
             for mid in sorted(gpd.morphisms)
         ],
-        "compose": _table_rows(gpd.compose),
-        "identities": _table_rows(gpd.identity),
-        "inverses": _table_rows(gpd.inverse),
+        "compose": _Table(gpd.compose),
+        "identities": _Table(gpd.identity),
+        "inverses": _Table(gpd.inverse),
         "structures": [
             _block_payload(doc, blk) for blk in sorted(doc.blocks, key=lambda b: b.name)
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    _emit(payload, 0, out, _Codes())
+    out.append("\n")
+    return "".join(out)

@@ -394,7 +394,11 @@ def validate_functor(fun: GFunctor) -> Report:
         if report.ok:
             for f in src.morphisms_sorted:
                 for g in src.by_src[src.dst(f)]:
-                    lhs = fun.mor_map[src.compose[(g, f)]]
+                    gf = src.compose.get((g, f))
+                    if gf is None:
+                        yield Witness((g, f), note="composable pair missing from compose table")
+                        return
+                    lhs = fun.mor_map[gf]
                     rhs = tgt.compose.get((fun.mor_map[g], fun.mor_map[f]))
                     if lhs != rhs:
                         yield Witness((g, f), left=lhs, right=rhs)
@@ -516,9 +520,10 @@ def validate_family(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, label: str = 
     """Totality and endpoint correctness of a family over the full index
     space; the scan also records the family's strict bit."""
     report = Report()
-    for idx in fam.components:
-        if len(idx) != fam.arity:
-            raise ArityMismatch(f"{label}: component keyed by {idx} but arity is {fam.arity}")
+    if set(map(len, fam.components)) - {fam.arity}:
+        for idx in fam.components:  # the ordered walk names the first offender
+            if len(idx) != fam.arity:
+                raise ArityMismatch(f"{label}: component keyed by {idx} but arity is {fam.arity}")
     _first_failure(report, f"{label}-endpoints", _scan_endpoints(gpd, fam, env))
     return report
 
@@ -538,13 +543,14 @@ def check_naturality(
 
     ``lhs_action``/``rhs_action`` map a tuple of test morphisms (drawn from
     ``domain``) to the source-side and target-side images; components live in
-    ``codomain`` (defaults to ``domain``).  With ``sample`` set, a fixed-seed
-    random subset of morphism tuples is used instead of the full product.
+    ``codomain`` (defaults to ``domain``).  With ``sample`` set below the
+    number of morphism tuples, a fixed-seed random subset of them is used
+    instead of the full product.
     """
     codomain = codomain or domain
     k = fam.arity
     mors = domain.morphisms_sorted
-    if sample is None:
+    if sample is None or sample >= len(mors) ** k:
         space: Iterable[tuple[str, ...]] = product(mors, repeat=k)
         mode = "exhaustive"
     else:

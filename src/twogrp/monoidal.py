@@ -230,7 +230,8 @@ def validate_sm(
     report = Report()
     if check_data:
         _check_bifunctor(m, report)
-        _check_families(m, report)
+        if report.ok:  # the family scans read the sum tables the bifunctor row checks
+            _check_families(m, report)
         if not report.ok:
             return report
 

@@ -306,7 +306,9 @@ def test_ac_ring_with_a_missing_sum_pair_exits_1(capsys, tmp_path, ring_ac_data)
     path.write_text(json.dumps(ring_ac_data))
     code, out, _ = run(capsys, "check", str(path), "--suite", "acring")
     assert code == 1
-    assert out.startswith("check aborted:")
+    row = next(line for line in out.splitlines() if line.startswith("add:bifunctor"))
+    assert row.split()[1] == "fail"
+    assert "witness at (2, 0): sum object table not total" in out
 
 
 def test_convert_samples_the_translation_checks_of_a_non_strict_structure(tmp_path):

@@ -1,14 +1,18 @@
 """Document format: canonical serialization, round-trips, reference checks."""
 
+import json
+
 import pytest
 
 from twogrp import (
+    MonTransformation,
     build_dual_numbers_2group,
     build_mult_endofunctor,
     build_strict_2ring,
     build_super_line_2group,
     ring_dual_numbers,
     ring_zmod,
+    to_ac,
 )
 from twogrp.document import (
     Block,
@@ -17,29 +21,31 @@ from twogrp.document import (
     serialize_document,
 )
 from twogrp.errors import DocumentError
+from twogrp.functors import tau_family
 from twogrp.report import Report
 
 
-def super_line_doc() -> StructureDocument:
+def super_line_doc(presentation="sm") -> StructureDocument:
     sl = build_super_line_2group()
-    return StructureDocument(sl.carrier, [Block("sm", "add", sl)])
+    s = sl if presentation == "sm" else to_ac(sl)
+    return StructureDocument(sl.carrier, [Block(presentation, "add", s)])
 
 
-def dual_doc(m=2, mult=None) -> StructureDocument:
-    structure = build_dual_numbers_2group(m)
-    blocks = [Block("ac", "add", structure)]
+def dual_doc(m=2, mult=None, presentation="ac") -> StructureDocument:
+    structure = build_dual_numbers_2group(m, presentation)
+    blocks = [Block(presentation, "add", structure)]
     if mult:
         fun = build_mult_endofunctor(m, *mult, structure)
         blocks.append(Block("functor", "F", fun, {"source": "add", "target": "add"}))
     return StructureDocument(structure.carrier, blocks)
 
 
-def ring_doc() -> StructureDocument:
-    ring = build_strict_2ring(ring_zmod(6))
+def ring_doc(table=None, presentation="sm") -> StructureDocument:
+    ring = build_strict_2ring(table or ring_zmod(6), presentation)
     return StructureDocument(
         ring.carrier,
         [
-            Block("sm", "add", ring.add),
+            Block(presentation, "add", ring.add),
             Block("mul", "mul", ring.mul),
             Block("tworing", "ring", ring, {"add": "add", "mul": "mul"}),
         ],
@@ -114,6 +120,108 @@ def test_duplicate_block_names_rejected():
     doc.blocks.append(Block("ac", "add", doc.blocks[0].obj))
     with pytest.raises(DocumentError):
         parse_document(serialize_document(doc))
+
+
+# -- the serializer against the json module ----------------------------------
+
+
+def json_oracle(text: str) -> str:
+    """Canonical text by definition: ``json.dumps`` with sorted keys and a
+    two-space indent, plus the trailing newline."""
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def transformation_doc() -> StructureDocument:
+    s = build_dual_numbers_2group(2)
+    gpd = s.carrier
+    fun = build_mult_endofunctor(2, 1, 0, s).with_zero(gpd.identity[s.unit])
+    tau = tau_family({(x,): gpd.identity[fun.base.obj_map[x]] for x in gpd.objects})
+    return StructureDocument(gpd, [
+        Block("ac", "add", s),
+        Block("functor", "F", fun, {"source": "add", "target": "add"}),
+        Block("transformation", "T", MonTransformation(fun, fun, tau), {"source": "F", "target": "F"}),
+    ])
+
+
+ORACLE_DOCS = {
+    "super-line sm": super_line_doc,
+    "super-line ac": lambda: super_line_doc("ac"),
+    "dual m=3 ac": lambda: dual_doc(3),
+    "dual m=3 sm": lambda: dual_doc(3, presentation="sm"),
+    "dual m=3 F(1,2) ac": lambda: dual_doc(3, (1, 2)),
+    "dual m=3 F(1,2) sm": lambda: dual_doc(3, (1, 2), "sm"),
+    "transformation": transformation_doc,
+    "z4 sm (m, n null)": lambda: ring_doc(ring_zmod(4)),
+    "z4 ac": lambda: ring_doc(ring_zmod(4), "ac"),
+    "z2e sm": lambda: ring_doc(ring_dual_numbers(2)),
+    "z2e ac": lambda: ring_doc(ring_dual_numbers(2), "ac"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DOCS))
+def test_serializer_writes_the_json_module_text(name):
+    text = serialize_document(ORACLE_DOCS[name]())
+    assert text == json_oracle(text)
+    assert serialize_document(parse_document(text)) == text
+
+
+def test_serializer_writes_empty_and_ragged_tables_as_the_json_module_does():
+    from dataclasses import replace
+
+    sl = build_super_line_2group()
+    ragged = {("1",): "1|0", ("0", "1"): "0|0", ("0",): "0|1"}
+    broken = replace(sl, lunit=replace(sl.lunit, components={}), runit=replace(sl.runit, components=ragged))
+    text = serialize_document(StructureDocument(sl.carrier, [Block("sm", "add", broken)]))
+    assert text == json_oracle(text)
+    assert '"l": []' in text
+
+
+# quote, backslash, a Latin-1 letter, a non-BMP letter and a control character
+ODD = '"\\\u00e9\U0001d53d\x07'
+
+
+def _odd_ids(value, key=None):
+    """Every string of a document's JSON but its format and kinds, with
+    ``ODD`` spliced in after the first character (an injective renaming)."""
+    if isinstance(value, dict):
+        return {k: _odd_ids(v, k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_odd_ids(v) for v in value]
+    if isinstance(value, str) and key not in ("format", "kind"):
+        return value[:1] + ODD + value[1:]
+    return value
+
+
+@pytest.mark.parametrize("name", ["transformation", "z4 sm (m, n null)", "super-line ac"])
+def test_serializer_escapes_ids_as_the_json_module_does(name):
+    data = _odd_ids(json.loads(serialize_document(ORACLE_DOCS[name]())))
+    doc = parse_document(json.dumps(data, ensure_ascii=False))
+    text = serialize_document(doc)
+    assert text == json_oracle(text)
+    assert json.loads(text) == data
+    assert serialize_document(parse_document(text)) == text
+    assert all(ODD in x for x in doc.groupoid.objects)
+
+
+def test_parse_restores_the_collector_state():
+    import gc
+
+    text = serialize_document(super_line_doc())
+    assert gc.isenabled()
+    parse_document(text)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        parse_document(text)
+        assert not gc.isenabled()
+        with pytest.raises(DocumentError):
+            parse_document(text.replace('"0|0"', "7", 1))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    with pytest.raises(DocumentError):
+        parse_document(text.replace('"0|0"', "7", 1))
+    assert gc.isenabled()
 
 
 def test_canonical_output_is_sorted_and_stable():

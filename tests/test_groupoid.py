@@ -273,13 +273,29 @@ def test_sampled_naturality_draws_what_random_choice_draws(n):
     from twogrp import expr as ex
 
     gpd = cyclic_one_object(n)
+    mors = gpd.morphisms_sorted
     for arity in (1, 2, 3, 5):
         fam = NatFamily(arity, {("*",) * arity: "0"}, ex.var(0), ex.var(0))
+        sample = min(n ** arity - 1, 200)
         for seed in (0, 3, SEED):
             seen = []
             lhs = lambda fs: seen.append(fs) or fs[0]
-            rep = check_naturality(fam, lhs, lambda fs: fs[0], domain=gpd, sample=200, seed=seed)
+            rep = check_naturality(fam, lhs, lambda fs: fs[0], domain=gpd, sample=sample, seed=seed)
             assert rep.ok
+            assert rep.checks[0].mode == f"sampled(n={sample},seed={seed})"
             rng = random.Random(seed)
-            mors = gpd.morphisms_sorted
-            assert seen == [tuple(rng.choice(mors) for _ in range(arity)) for _ in range(200)]
+            assert seen == [tuple(rng.choice(mors) for _ in range(arity)) for _ in range(sample)]
+
+
+def test_naturality_sample_covering_the_space_runs_exhaustively():
+    # 27 morphisms: the sample equals the space of l (27) and exceeds those
+    # of a (27^3) and c (27^2), so each row scans its squares in order
+    m = build_dual_numbers_2group(3, "sm")
+    for sample in (27, 27 ** 3, 1 << 16):
+        rows = {row.law: row for row in check_structure_naturality(m, sample=sample).checks}
+        for name, space in (("l", 27), ("r", 27), ("c", 27 ** 2), ("a", 27 ** 3)):
+            row = rows[f"naturality({name})"]
+            if sample >= space:
+                assert (row.instances, row.mode) == (space, "exhaustive"), (sample, name)
+            else:
+                assert (row.instances, row.mode) == (sample, f"sampled(n={sample},seed=0)"), (sample, name)
