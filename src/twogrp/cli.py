@@ -34,9 +34,9 @@ import argparse
 import re
 import sys
 
-from .ac import ACStructure, to_ac, to_sm, validate_ac
+from .ac import to_ac, to_sm, validate_ac
 from .document import Block, StructureDocument, parse_document, serialize_document
-from .errors import DocumentError, StructureError
+from .errors import DocumentError, PreconditionFailed, StructureError
 from .fixtures import (
     build_dual_numbers_2group,
     build_mult_endofunctor,
@@ -54,7 +54,7 @@ from .functors import (
     validate_transformation,
 )
 from .groupoid import validate_groupoid
-from .monoidal import MonStructure, _check_weak_inverses, check_structure_naturality, validate_sm
+from .monoidal import _check_weak_inverses, check_structure_naturality, validate_sm
 from .report import Report
 from .rings import validate_ac_ring, validate_jp, validate_quang, validate_two_ring_data
 
@@ -117,23 +117,27 @@ def _convert_sample(structure) -> int | None:
     return _auto_sample(len(structure.carrier.objects), _SUITE_MAX_ARITY["ac"])
 
 
-def _as_sm(blk: Block) -> MonStructure:
-    if blk.kind == "sm":
-        return blk.obj
-    return to_sm(blk.obj, sample=_convert_sample(blk.obj))
+def _endpoint(blk: Block, kind: str):
+    """The structure of ``blk`` in the ``kind`` presentation.  A translation
+    validates its input; a block already in ``kind`` is validated here with
+    its own suite at the same sample, so no route reads endpoint data that
+    fail it."""
+    s, sample = blk.obj, _convert_sample(blk.obj)
+    if blk.kind != kind:
+        return (to_sm if kind == "sm" else to_ac)(s, sample=sample)
+    validate, suite = (validate_sm, "symmetric") if kind == "sm" else (validate_ac, "AC")
+    pre = validate(s, sample=sample)
+    if not pre.ok:
+        fails = ", ".join(c.law for c in pre.failures())
+        raise PreconditionFailed(f"input fails the {suite} axiom suite: {fails}")
+    return s
 
 
-def _as_ac(blk: Block) -> ACStructure:
-    if blk.kind == "ac":
-        return blk.obj
-    return to_ac(blk.obj, sample=_convert_sample(blk.obj))
-
-
-def _endpoints(src_blk: Block, tgt_blk: Block, as_kind) -> tuple:
-    """Both functor endpoints in one presentation, converting a shared
-    source/target block once."""
-    src = as_kind(src_blk)
-    return src, src if tgt_blk is src_blk else as_kind(tgt_blk)
+def _endpoints(src_blk: Block, tgt_blk: Block, kind: str) -> tuple:
+    """Both functor endpoints in one presentation, converting or validating
+    a shared source/target block once."""
+    src = _endpoint(src_blk, kind)
+    return src, src if tgt_blk is src_blk else _endpoint(tgt_blk, kind)
 
 
 def _structure_reports(doc: StructureDocument, blk: Block, args) -> list[Report]:
@@ -143,7 +147,8 @@ def _structure_reports(doc: StructureDocument, blk: Block, args) -> list[Report]
     nat_sample = _auto_sample(len(doc.groupoid.morphisms), 4 if blk.kind == "ac" else 3)
     reports = [validate_groupoid(doc.groupoid)]
     if args.suite == "2group":
-        s = _as_sm(blk)
+        if blk.kind == "ac":
+            s = to_sm(s, sample=_convert_sample(s))
         if reports[0].ok:
             # validate_2group, with the carrier rows above printed once
             reports.append(validate_sm(s, sample=sample))
@@ -164,10 +169,10 @@ def _functor_reports(doc: StructureDocument, args) -> list[Report]:
     sample = _auto_sample(n, _SUITE_MAX_ARITY[args.suite])
     nat_sample = _auto_sample(len(doc.groupoid.morphisms), 2)
     if args.suite == "sm-functor":
-        src, tgt = _endpoints(src_blk, tgt_blk, _as_sm)
+        src, tgt = _endpoints(src_blk, tgt_blk, "sm")
         rep = validate_sm_functor(blk.obj, src, tgt, sample=sample)
     else:
-        src, tgt = _endpoints(src_blk, tgt_blk, _as_ac)
+        src, tgt = _endpoints(src_blk, tgt_blk, "ac")
         rep = validate_ac_functor(blk.obj, src, tgt, sample=sample)
     nat = check_fsum_naturality(blk.obj, src, tgt, sample=nat_sample)
     return [rep, nat]
@@ -286,7 +291,7 @@ def cmd_zero_iso(args) -> int:
         raise CliFailure("functor endpoints must be sm or ac structures", 1)
     try:
         if args.mode == "canonical":
-            result = canonical_zero_iso(blk.obj, *_endpoints(src_blk, tgt_blk, _as_sm))
+            result = canonical_zero_iso(blk.obj, *_endpoints(src_blk, tgt_blk, "sm"))
             print(f"canonical zero isomorphism: {result}")
             return 0
         mode = "SF3" if src_blk.kind == "sm" else "AF2"

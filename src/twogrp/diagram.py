@@ -27,28 +27,12 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterable, Sequence
-from itertools import product
 
-from .groupoid import FinGroupoid, NatFamily, _sample_tuples, compose_path
+from .groupoid import FinGroupoid, NatFamily, compose_path, index_space
 from .errors import StructureError
 from .report import CheckResult, Status, Witness
 
 LegsFn = Callable[[tuple[str, ...]], tuple[Sequence[str], Sequence[str]]]
-
-
-def index_space(
-    objects: Sequence[str], arity: int, sample: int | None = None, seed: int = 0
-) -> tuple[Iterable[tuple[str, ...]], int, str]:
-    """Index tuples in canonical order, or a fixed-seed sample of them.
-
-    Returns ``(iterable, count, mode)`` where ``count`` is the number of
-    instances the iterable yields.
-    """
-    total = len(objects) ** arity
-    if sample is None or sample >= total:
-        return product(objects, repeat=arity), total, "exhaustive"
-    drawn = _sample_tuples(objects, arity, sample, seed)
-    return drawn, sample, f"sampled(n={sample},seed={seed})"
 
 
 def strict_profile(

@@ -10,15 +10,16 @@ An expression is a nested tuple over four node kinds:
 Symbols are resolved against an environment mapping each symbol to an
 ``(object_table, morphism_table)`` pair, so one family type can describe
 associators, distributors, absorbers and functor monoidality families alike.
-Evaluating an expression at the object level yields the expected endpoint of
-a component; evaluating it at the morphism level yields the functorial action
-used by naturality squares (constants act as their identity morphism).
+At the object level an expression gives the expected endpoint of a
+component; at the morphism level it gives the functorial action used by
+naturality squares (constants act as their identity morphism).
 
-Loops that evaluate one expression at every index tuple compile it first
-(``compile_obj``/``compile_mor``): tables are resolved once and each node
-becomes a closure.  A compiled expression raises a bare ``KeyError`` where
-``eval_obj``/``eval_mor`` raise :class:`MalformedTable`, so callers rerun the
-reference evaluator on a ``KeyError`` to report the table and the key.
+An expression is evaluated only after it is compiled (``compile_obj``/
+``compile_mor``): the tables are resolved once and each node becomes a
+closure of the argument tuple.  A closure raises :class:`MalformedTable`
+naming the innermost lookup that misses (``object table '+' undefined at
+('0', '1')``); a symbol missing from the environment raises ``... undefined
+at '<sym>'`` before any subterm is evaluated.
 """
 
 from __future__ import annotations
@@ -48,50 +49,6 @@ def app(sym: str, inner: Expr) -> Expr:
     return ("ap", sym, inner)
 
 
-def arity(expr: Expr) -> int:
-    """Number of argument slots the expression reads (max index + 1)."""
-    tag = expr[0]
-    if tag == "v":
-        return expr[1] + 1
-    if tag == "k":
-        return 0
-    if tag == "op":
-        return max(arity(expr[2]), arity(expr[3]))
-    return arity(expr[2])
-
-
-def eval_obj(expr: Expr, env: Env, args: Sequence[str]) -> str:
-    tag = expr[0]
-    if tag == "v":
-        return args[expr[1]]
-    if tag == "k":
-        return expr[1]
-    try:
-        if tag == "op":
-            table = env[expr[1]][0]
-            return table[(eval_obj(expr[2], env, args), eval_obj(expr[3], env, args))]
-        table = env[expr[1]][0]
-        return table[eval_obj(expr[2], env, args)]
-    except KeyError as exc:
-        raise MalformedTable(f"object table {expr[1]!r} undefined at {exc}") from exc
-
-
-def eval_mor(expr: Expr, env: Env, args: Sequence[str]) -> str:
-    tag = expr[0]
-    if tag == "v":
-        return args[expr[1]]
-    if tag == "k":
-        return expr[2]
-    try:
-        if tag == "op":
-            table = env[expr[1]][1]
-            return table[(eval_mor(expr[2], env, args), eval_mor(expr[3], env, args))]
-        table = env[expr[1]][1]
-        return table[eval_mor(expr[2], env, args)]
-    except KeyError as exc:
-        raise MalformedTable(f"morphism table {expr[1]!r} undefined at {exc}") from exc
-
-
 def _compile(expr: Expr, env: Env, level: int) -> Callable[[Sequence[str]], str]:
     tag = expr[0]
     if tag == "v":
@@ -99,39 +56,49 @@ def _compile(expr: Expr, env: Env, level: int) -> Callable[[Sequence[str]], str]
     if tag == "k":
         value = expr[1 + level]
         return lambda args: value
-    # an unknown symbol gets an empty table: every lookup misses, as in eval_*
-    table = env[expr[1]][level] if expr[1] in env else {}
+    sym = expr[1]
+    where = f"{('object', 'morphism')[level]} table {sym!r} undefined at"
+    if sym not in env:
+        def unknown(args):
+            raise MalformedTable(f"{where} {sym!r}")
+        return unknown
+    table = env[sym][level]
+    # subterms raise MalformedTable, never KeyError: a KeyError is this lookup
     if tag == "ap":
         inner = _compile(expr[2], env, level)
-        return lambda args: table[inner(args)]
+
+        def apply(args):
+            try:
+                return table[inner(args)]
+            except KeyError as exc:
+                raise MalformedTable(f"{where} {exc}") from exc
+        return apply
     left, right = expr[2], expr[3]
     if left[0] == "v" and right[0] == "v":
         i, j = left[1], right[1]
-        return lambda args: table[args[i], args[j]]
+
+        def pair(args):
+            try:
+                return table[args[i], args[j]]
+            except KeyError as exc:
+                raise MalformedTable(f"{where} {exc}") from exc
+        return pair
     lf, rf = _compile(left, env, level), _compile(right, env, level)
-    return lambda args: table[lf(args), rf(args)]
+
+    def binary(args):
+        try:
+            return table[lf(args), rf(args)]
+        except KeyError as exc:
+            raise MalformedTable(f"{where} {exc}") from exc
+    return binary
 
 
 def compile_obj(expr: Expr, env: Env) -> Callable[[Sequence[str]], str]:
-    """``eval_obj(expr, env, args)`` as a function of ``args``; raises
-    ``KeyError`` where ``eval_obj`` raises :class:`MalformedTable`."""
+    """The object ``expr`` denotes, as a function of the argument objects."""
     return _compile(expr, env, 0)
 
 
 def compile_mor(expr: Expr, env: Env) -> Callable[[Sequence[str]], str]:
-    """``eval_mor(expr, env, args)`` as a function of ``args``; raises
-    ``KeyError`` where ``eval_mor`` raises :class:`MalformedTable`."""
+    """The morphism ``expr`` denotes, as a function of the argument
+    morphisms: the functorial action of the expression."""
     return _compile(expr, env, 1)
-
-
-def mor_action(expr: Expr, env: Env) -> Callable[[Sequence[str]], str]:
-    """Functorial action on morphism tuples described by ``expr``."""
-    fast = compile_mor(expr, env)
-
-    def act(mors: Sequence[str]) -> str:
-        try:
-            return fast(mors)
-        except KeyError:
-            return eval_mor(expr, env, mors)
-
-    return act

@@ -93,11 +93,9 @@ def _same_carrier(a, b) -> bool:
 def check_fsum_naturality(
     fun: StructuredFunctor, src, tgt, *, sample: int | None = None, seed: int = 0
 ) -> Report:
-    env = functor_env(fun, src, tgt)
     return check_naturality(
         fun.fsum,
-        ex.mor_action(fun.fsum.src_expr, env),
-        ex.mor_action(fun.fsum.tgt_expr, env),
+        functor_env(fun, src, tgt),
         domain=src.carrier,
         codomain=tgt.carrier,
         sample=sample,
@@ -341,16 +339,8 @@ def validate_transformation(
         if not report.ok:
             return report
         report.extend(
-            check_naturality(
-                tr.tau,
-                lambda fs: tr.source.base.mor(fs[0]),
-                lambda fs: tr.target.base.mor(fs[0]),
-                domain=src.carrier,
-                codomain=tgt.carrier,
-                sample=sample,
-                seed=seed,
-                label="naturality(tau)",
-            )
+            check_naturality(tr.tau, env, domain=src.carrier, codomain=tgt.carrier,
+                             sample=sample, seed=seed, label="naturality(tau)")
         )
 
     gpd = tgt.carrier

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 import time
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import product, repeat
 
@@ -74,9 +74,6 @@ class FinGroupoid:
 
     def dst(self, mid: str) -> str:
         return self.morphisms[mid].dst
-
-    def id_of(self, obj: str) -> str:
-        return self.identity[obj]
 
     def inv(self, mid: str) -> str:
         try:
@@ -493,11 +490,7 @@ def _scan_endpoints(gpd: FinGroupoid, fam: NatFamily, env: ex.Env) -> Iterator[W
         if mor is None:
             yield Witness(idx, note="component missing or unknown")
             return
-        try:
-            want_src, want_dst = src_at(idx), dst_at(idx)
-        except KeyError:
-            want_src = ex.eval_obj(fam.src_expr, env, idx)
-            want_dst = ex.eval_obj(fam.tgt_expr, env, idx)
+        want_src, want_dst = src_at(idx), dst_at(idx)
         if mor.src != want_src or mor.dst != want_dst:
             yield Witness(
                 idx,
@@ -530,8 +523,7 @@ def validate_family(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, label: str = 
 
 def check_naturality(
     fam: NatFamily,
-    lhs_action: Callable[[Sequence[str]], str],
-    rhs_action: Callable[[Sequence[str]], str],
+    env: ex.Env,
     *,
     domain: FinGroupoid,
     codomain: FinGroupoid | None = None,
@@ -539,23 +531,16 @@ def check_naturality(
     seed: int = 0,
     label: str = "naturality",
 ) -> Report:
-    """Check all naturality squares of ``fam`` against two functorial actions.
-
-    ``lhs_action``/``rhs_action`` map a tuple of test morphisms (drawn from
-    ``domain``) to the source-side and target-side images; components live in
+    """Check all naturality squares of ``fam``: its declared source and
+    target expressions, compiled under ``env``, give the actions on tuples
+    of test morphisms drawn from ``domain``; components live in
     ``codomain`` (defaults to ``domain``).  With ``sample`` set below the
     number of morphism tuples, a fixed-seed random subset of them is used
-    instead of the full product.
-    """
+    instead of the full product."""
     codomain = codomain or domain
-    k = fam.arity
-    mors = domain.morphisms_sorted
-    if sample is None or sample >= len(mors) ** k:
-        space: Iterable[tuple[str, ...]] = product(mors, repeat=k)
-        mode = "exhaustive"
-    else:
-        space = _sample_tuples(mors, k, sample, seed)
-        mode = f"sampled(n={sample},seed={seed})"
+    lhs_action = ex.compile_mor(fam.src_expr, env)
+    rhs_action = ex.compile_mor(fam.tgt_expr, env)
+    space, _, mode = index_space(domain.morphisms_sorted, fam.arity, sample, seed)
     ends, comps, pairs = domain.morphisms, fam.components, codomain.composable
 
     def squares():
@@ -589,6 +574,22 @@ def check_naturality(
     report = Report()
     _first_failure(report, label, squares(), mode)
     return report
+
+
+def index_space(
+    seq: Sequence[str], arity: int, sample: int | None = None, seed: int = 0
+) -> tuple[Iterable[tuple[str, ...]], int, str]:
+    """Index tuples over ``seq`` in canonical order, or a fixed-seed sample
+    of them when ``sample`` is below their number.
+
+    Returns ``(iterable, count, mode)`` where ``count`` is the number of
+    instances the iterable yields.
+    """
+    total = len(seq) ** arity
+    if sample is None or sample >= total:
+        return product(seq, repeat=arity), total, "exhaustive"
+    drawn = _sample_tuples(seq, arity, sample, seed)
+    return drawn, sample, f"sampled(n={sample},seed={seed})"
 
 
 def _sample_tuples(seq: Sequence[str], arity: int, count: int, seed: int) -> list[tuple[str, ...]]:

@@ -114,6 +114,3 @@ class Report:
 
     def lines(self, legs: bool = False) -> list[str]:
         return [c.line(legs=legs) for c in self.checks]
-
-    def summary(self, legs: bool = False) -> str:
-        return "\n".join(self.lines(legs=legs))

@@ -28,7 +28,7 @@ from . import expr as ex
 from .ac import ACStructure, canonical_acomm_at, to_ac, to_sm, validate_ac
 from .diagram import check_diagram, strict_profile
 from .errors import MissingAbsorbers, PreconditionFailed, PresentationMismatch
-from .groupoid import FinGroupoid, GFunctor, NatFamily, validate_family, validate_groupoid
+from .groupoid import FinGroupoid, GFunctor, NatFamily, check_naturality, validate_family, validate_groupoid
 from .monoidal import MonStructure, _check_weak_inverses, validate_sm
 from .functors import (
     StructuredFunctor,
@@ -392,7 +392,13 @@ def _pair_axiom(
     allow_strict_skip,
 ) -> CheckResult:
     """SF1/SF2 of the multiplication endofunctors, aggregated over the fixed
-    object; the witness index is (fixed object, instance tuple)."""
+    object; the witness index is (fixed object, instance tuple).
+
+    Each fixed object is one ``check_diagram`` call on its own endofunctor,
+    scanned up to the first failing object, and a row that holds by the
+    strict profile makes none: a 2R1 row stands for that many engine calls,
+    which is how traced runs account for the engine spans behind it.  One
+    diagram over (fixed object, instance) tuples would break that count."""
     gpd = ring.carrier
     objs = gpd.objects_sorted
     add = ring.add
@@ -691,15 +697,7 @@ def jp_upgrade(ring: TwoRingData, *, validate: bool = True) -> TwoRingData | NoA
     # but verify rather than assume
     env = out.env()
     for fam, side in ((out.absorb_l, "left"), (out.absorb_r, "right")):
-        from .groupoid import check_naturality
-
-        nat = check_naturality(
-            fam,
-            ex.mor_action(fam.src_expr, env),
-            ex.mor_action(fam.tgt_expr, env),
-            domain=ring.carrier,
-            label=f"naturality({side})",
-        )
+        nat = check_naturality(fam, env, domain=ring.carrier, label=f"naturality({side})")
         if not nat.ok:
             wit = nat.failures()[0].witness
             return NoAbsorbers(wit.index[0] if wit else "?", side, "found components are not natural")

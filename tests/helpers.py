@@ -9,6 +9,7 @@ from itertools import product
 from twogrp import (
     FinGroupoid,
     GFunctor,
+    MalformedTable,
     MonStructure,
     StructuredFunctor,
     build_strict_2ring,
@@ -176,6 +177,76 @@ def parity_2ring(m: int):
     d = dist_l_family({(x, y, z): identity[ao[(mo[(x, y)], mo[(x, z)])]] for x, y, z in product(objs, repeat=3)})
     e = dist_r_family({(x, y, z): identity[ao[(mo[(x, z)], mo[(y, z)])]] for x, y, z in product(objs, repeat=3)})
     return TwoRingData(gpd, add, mul, d, e, None, None)
+
+
+def derivation_2ring(m: int, t: int = 1):
+    """The 2-ring that separates the two notions: the dual-numbers carrier
+    over Z/m (objects x0+x1e, Hom(x,x) = Z/m) with its strict sum, the
+    dual-number product on objects, (k|u)*(l|v) = (k*v0 + u0*l)|uv on
+    morphisms, identity a, c, l, r, e and multiplicative a, l, r, and
+    d(x,y,z) carrying the label t*x1*(y0+z0) at x(y+z).  For t != 0 (mod m)
+    it passes the 2R1' suite but not 2R1, and x*- has no zero isomorphism
+    where x1 != 0; t = 0 gives a strict 2-ring."""
+    from twogrp.fixtures import _dual_carrier, _dual_sum_tables, _strict_families
+    from twogrp.rings import TwoRingData, dist_l_family, dist_r_family
+
+    gpd = _dual_carrier(m)
+    add_obj, add_mor = _dual_sum_tables(m, gpd)
+    objs = gpd.objects_sorted
+    parts = {o: tuple(int(v) for v in o[:-1].split("+")) for o in objs}
+    name = {p: o for o, p in parts.items()}
+    mul_obj = {}
+    for x, y in product(objs, repeat=2):
+        (x0, x1), (y0, y1) = parts[x], parts[y]
+        mul_obj[x, y] = name[(x0 * y0) % m, (x0 * y1 + x1 * y0) % m]
+    mul_mor = {}
+    for f, g in product(gpd.morphisms_sorted, repeat=2):
+        (k, u), (l, v) = f.split("|"), g.split("|")
+        mul_mor[f, g] = f"{(int(k) * parts[v][0] + parts[u][0] * int(l)) % m}|{mul_obj[u, v]}"
+    a, c, lu, ru = _strict_families(gpd, add_obj, add_mor, name[0, 0], with_comm=True)
+    ax, _, lx, rx = _strict_families(gpd, mul_obj, mul_mor, name[1, 0], with_comm=False)
+    add = MonStructure(gpd, add_obj, add_mor, name[0, 0], a, c, lu, ru)
+    mul = MonStructure(gpd, mul_obj, mul_mor, name[1, 0], ax, None, lx, rx)
+    d = {}
+    for x, y, z in product(objs, repeat=3):
+        label = t * parts[x][1] * (parts[y][0] + parts[z][0])
+        d[x, y, z] = f"{label % m}|{mul_obj[x, add_obj[y, z]]}"
+    e = {(x, y, z): gpd.identity[add_obj[mul_obj[x, z], mul_obj[y, z]]]
+         for x, y, z in product(objs, repeat=3)}
+    return TwoRingData(gpd, add, mul, dist_l_family(d), dist_r_family(e), None, None)
+
+
+# ---------------------------------------------------------------------------
+# reference evaluators of endpoint expressions
+# ---------------------------------------------------------------------------
+
+
+def eval_obj(expr, env, args):
+    """The object ``expr`` denotes at ``args``, node by node: the oracle the
+    compiled closures of ``twogrp.expr`` are held to, values and error
+    texts alike."""
+    return _eval(expr, env, args, 0)
+
+
+def eval_mor(expr, env, args):
+    """The morphism ``expr`` denotes at the morphism tuple ``args``."""
+    return _eval(expr, env, args, 1)
+
+
+def _eval(expr, env, args, level):
+    tag = expr[0]
+    if tag == "v":
+        return args[expr[1]]
+    if tag == "k":
+        return expr[1 + level]
+    try:
+        table = env[expr[1]][level]
+        if tag == "op":
+            return table[(_eval(expr[2], env, args, level), _eval(expr[3], env, args, level))]
+        return table[_eval(expr[2], env, args, level)]
+    except KeyError as exc:
+        kind = ("object", "morphism")[level]
+        raise MalformedTable(f"{kind} table {expr[1]!r} undefined at {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
@@ -365,13 +366,40 @@ def _doctored_dual_file(dual_file, tmp_path, family, position):
 
 
 def test_functor_suite_reports_a_missing_endpoint_entry(capsys, tmp_path, dual_file):
-    # the suite reads its endpoint structures unvalidated: AF1 meets the gap
+    # the CLI validates an endpoint already in the AC presentation, as a
+    # translation would
     path = _doctored_dual_file(dual_file, tmp_path, "b", lambda n: n // 2)
     code, out, _ = run(capsys, "check", str(path), "--suite", "ac-functor")
-    assert code == 1
-    assert re.search(r"^AF1\s+fail", out, re.M)
+    assert (code, out) == (1, "check aborted: input fails the AC axiom suite: b-endpoints\n")
+
+    # the suite itself reads its endpoint structures unvalidated: AF1 meets the gap
+    from twogrp.document import parse_document
+    from twogrp.functors import validate_ac_functor
+
+    doc = parse_document(path.read_text())
+    add = doc.block("add").obj
+    row = validate_ac_functor(doc.block("F").obj, add, add, check_data=False)["AF1"]
+    assert row.status.value == "fail"
     gone = "('1+1e', '1+1e', '1+1e', '1+1e')"
-    assert f"witness at (1+1e, 1+1e, 1+1e, 1+1e): route does not evaluate: no entry at {gone}" in out
+    assert row.witness.index == ("1+1e",) * 4
+    assert row.witness.note == f"route does not evaluate: no entry at {gone}"
+
+
+def test_sm_functor_suite_rejects_an_sm_endpoint_that_fails_its_suite(capsys, tmp_path):
+    # F(1,0) passes SF1, so only the endpoint check can fail this document
+    ac_path, sm_path = tmp_path / "dn2.json", tmp_path / "dn2_sm.json"
+    assert main(["fixture", "dual-numbers", "--mod", "2", "--mult", "1,0", "--out", str(ac_path)]) == 0
+    assert main(["convert", str(ac_path), "--to", "sm", "--out", str(sm_path)]) == 0
+    code, _, _ = run(capsys, "check", str(sm_path), "--suite", "sm-functor")
+    assert code == 0
+    data = json.loads(sm_path.read_text())
+    add = next(b for b in data["structures"] if b["kind"] == "sm")
+    del add["r"][1]
+    sm_path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "check", str(sm_path), "--suite", "sm")
+    assert code == 1
+    code, out, _ = run(capsys, "check", str(sm_path), "--suite", "sm-functor")
+    assert (code, out) == (1, "check aborted: input fails the symmetric axiom suite: r-endpoints\n")
 
 
 def test_zero_iso_enumeration_rejects_squares_that_read_a_missing_entry(capsys, tmp_path, dual_file):

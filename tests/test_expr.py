@@ -1,5 +1,6 @@
-"""Compiled endpoint expressions against the reference evaluators, over every
-family of every shipped fixture."""
+"""Compiled endpoint expressions against the reference evaluators of
+``helpers``, over every family of every shipped fixture: values, witnesses
+and the texts of the errors they raise."""
 
 from itertools import product, islice
 
@@ -21,9 +22,10 @@ from twogrp import expr as ex
 from twogrp.functors import functor_env
 from twogrp.groupoid import _compose_checked, validate_family
 
-from helpers import perturb_family
+from helpers import eval_mor, eval_obj, perturb_family
 
 MOR_TUPLES = 4000  # morphism tuples compared per family (a prefix of the product)
+DROP_TUPLES = 64  # index tuples compared per environment with one entry dropped
 
 
 def shipped_families():
@@ -64,8 +66,8 @@ def reference_endpoints(gpd, fam, env):
         mid = fam.components.get(idx)
         if mid is None or mid not in gpd.morphisms:
             return ("fail", idx, None, None, "component missing or unknown")
-        want_src = ex.eval_obj(fam.src_expr, env, idx)
-        want_dst = ex.eval_obj(fam.tgt_expr, env, idx)
+        want_src = eval_obj(fam.src_expr, env, idx)
+        want_dst = eval_obj(fam.tgt_expr, env, idx)
         if gpd.src(mid) != want_src or gpd.dst(mid) != want_dst:
             note = f"endpoints {gpd.src(mid)}->{gpd.dst(mid)} differ from declared {want_src}->{want_dst}"
             return ("fail", idx, mid, None, note)
@@ -78,8 +80,8 @@ def reference_naturality(fam, env, domain, codomain):
         xs = tuple(domain.src(f) for f in fs)
         ys = tuple(domain.dst(f) for f in fs)
         try:
-            left = _compose_checked(codomain, [fam.at(*ys), ex.eval_mor(fam.src_expr, env, fs)])
-            right = _compose_checked(codomain, [ex.eval_mor(fam.tgt_expr, env, fs), fam.at(*xs)])
+            left = _compose_checked(codomain, [fam.at(*ys), eval_mor(fam.src_expr, env, fs)])
+            right = _compose_checked(codomain, [eval_mor(fam.tgt_expr, env, fs), fam.at(*xs)])
         except StructureError as err:
             return ("fail", fs, None, None, f"square does not typecheck: {err}")
         if left != right:
@@ -94,18 +96,43 @@ def outcome(row):
     return (row.status.value, w.index, w.left, w.right, w.note)
 
 
+def value_or_error(fn, *args):
+    """What ``fn(*args)`` gives: its value, or the text of the
+    :class:`MalformedTable` it raises."""
+    try:
+        return fn(*args)
+    except MalformedTable as err:
+        return ("raises", str(err))
+
+
 @pytest.mark.parametrize("label,fam,env,domain,codomain", FAMILIES, ids=IDS)
 def test_compiled_expressions_match_reference(label, fam, env, domain, codomain):
     for expr in (fam.src_expr, fam.tgt_expr):
         at_obj = ex.compile_obj(expr, env)
         for idx in product(domain.objects_sorted, repeat=fam.arity):
-            assert at_obj(idx) == ex.eval_obj(expr, env, idx)
+            assert at_obj(idx) == eval_obj(expr, env, idx)
         at_mor = ex.compile_mor(expr, env)
-        act = ex.mor_action(expr, env)
         for fs in islice(product(domain.morphisms_sorted, repeat=fam.arity), MOR_TUPLES):
-            want = ex.eval_mor(expr, env, fs)
-            assert at_mor(fs) == want
-            assert act(fs) == want
+            assert at_mor(fs) == eval_mor(expr, env, fs)
+
+
+@pytest.mark.parametrize("label,fam,env,domain,codomain", FAMILIES, ids=IDS)
+def test_compiled_errors_match_reference_with_any_entry_dropped(label, fam, env, domain, codomain):
+    # every environment that lacks one entry of one table the family reads;
+    # each compiled closure gives the reference's value or its error text
+    levels = ((0, ex.compile_obj, eval_obj, domain.objects_sorted),
+              (1, ex.compile_mor, eval_mor, domain.morphisms_sorted))
+    for sym in sorted(env):
+        for level, compile_, evaluate, ids in levels:
+            args = list(islice(product(ids, repeat=fam.arity), DROP_TUPLES))
+            for key in sorted(env[sym][level]):
+                tables = list(env[sym])
+                tables[level] = {k: v for k, v in tables[level].items() if k != key}
+                broken = {**env, sym: tuple(tables)}
+                for expr in (fam.src_expr, fam.tgt_expr):
+                    fn = compile_(expr, broken)
+                    for a in args:
+                        assert value_or_error(fn, a) == value_or_error(evaluate, expr, broken, a)
 
 
 @pytest.mark.parametrize("label,fam,env,domain,codomain", FAMILIES, ids=IDS)
@@ -123,10 +150,7 @@ def test_flipped_component_reports_reference_witness(label, fam, env, domain, co
 
     if fam.arity > 2 and len(domain.morphisms) > 8:
         return  # the exhaustive naturality product is too large for a unit test
-    rep = check_naturality(
-        flipped, ex.mor_action(flipped.src_expr, env), ex.mor_action(flipped.tgt_expr, env),
-        domain=domain, codomain=codomain,
-    )
+    rep = check_naturality(flipped, env, domain=domain, codomain=codomain)
     assert outcome(rep.checks[0]) == reference_naturality(flipped, env, domain, codomain)
 
 
@@ -140,36 +164,44 @@ def test_missing_env_entry_raises_reference_message(label, fam, env, domain, cod
     first_fs = next(iter(product(domain.morphisms_sorted, repeat=fam.arity)))
 
     # drop the object-table entry the first index needs at the top of src_expr
-    key = (ex.eval_obj(fam.src_expr[2], env, first), ex.eval_obj(fam.src_expr[3], env, first))
+    key = (eval_obj(fam.src_expr[2], env, first), eval_obj(fam.src_expr[3], env, first))
     broken = {**env, sym: ({k: v for k, v in objs.items() if k != key}, mors)}
     with pytest.raises(MalformedTable) as want:
-        ex.eval_obj(fam.src_expr, broken, first)
+        eval_obj(fam.src_expr, broken, first)
     with pytest.raises(MalformedTable) as got:
         validate_family(codomain, fam, broken)
     assert str(got.value) == str(want.value)
     assert not perturb_family(fam, first, fam.components[first]).is_strict(codomain, broken)
 
-    key = (ex.eval_mor(fam.src_expr[2], env, first_fs), ex.eval_mor(fam.src_expr[3], env, first_fs))
+    key = (eval_mor(fam.src_expr[2], env, first_fs), eval_mor(fam.src_expr[3], env, first_fs))
     broken = {**env, sym: (objs, {k: v for k, v in mors.items() if k != key})}
     with pytest.raises(MalformedTable) as want:
-        ex.eval_mor(fam.src_expr, broken, first_fs)
+        eval_mor(fam.src_expr, broken, first_fs)
     with pytest.raises(MalformedTable) as got:
-        ex.mor_action(fam.src_expr, broken)(first_fs)
+        ex.compile_mor(fam.src_expr, broken)(first_fs)
     assert str(got.value) == str(want.value)
-    rep = check_naturality(
-        fam, ex.mor_action(fam.src_expr, broken), ex.mor_action(fam.tgt_expr, env),
-        domain=domain, codomain=codomain,
-    )
+    # the square reads the source side first
+    rep = check_naturality(fam, broken, domain=domain, codomain=codomain)
     assert rep.checks[0].witness.index == first_fs
     assert rep.checks[0].witness.note == f"square does not typecheck: {want.value}"
 
 
-def test_unknown_symbol_falls_back_to_reference_message():
-    expr = ex.op("?", ex.var(0), ex.var(1))
-    with pytest.raises(KeyError):
-        ex.compile_obj(expr, {})(("a", "b"))
-    with pytest.raises(MalformedTable) as want:
-        ex.eval_mor(expr, {}, ("a", "b"))
-    with pytest.raises(MalformedTable) as got:
-        ex.mor_action(expr, {})(("a", "b"))
-    assert str(got.value) == str(want.value)
+def test_unknown_symbol_raises_reference_message_before_its_subterms():
+    args = ("a", "b")
+    cases = (
+        ex.op("?", ex.var(0), ex.var(1)),
+        # the outer symbol is resolved before a subterm that would miss too
+        ex.op("?", ex.app("F", ex.var(0)), ex.var(1)),
+        ex.app("?", ex.app("F", ex.var(0))),
+        # a known outer table, an unknown inner symbol
+        ex.op("+", ex.app("?", ex.var(0)), ex.var(1)),
+    )
+    env = {"F": ({}, {}), "+": ({}, {})}
+    for compile_, evaluate in ((ex.compile_obj, eval_obj), (ex.compile_mor, eval_mor)):
+        for expr in cases:
+            with pytest.raises(MalformedTable) as want:
+                evaluate(expr, env, args)
+            with pytest.raises(MalformedTable) as got:
+                compile_(expr, env)(args)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).endswith("undefined at '?'")

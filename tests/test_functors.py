@@ -188,6 +188,20 @@ def test_linear_label_transformations_pass_t1_and_t2():
         assert rep["T2"].status is Status.PASS
 
 
+def test_transformation_naturality_names_the_partial_morphism_table():
+    from dataclasses import replace
+
+    sl = build_super_line_2group()
+    fun = identity_structured(sl)
+    partial = {f: g for f, g in fun.base.mor_map.items() if f != "0|0"}
+    g = replace(fun, base=replace(fun.base, mor_map=partial, _cache={}))
+    tau = tau_family({(x,): sl.carrier.identity[x] for x in sl.carrier.objects})
+    row = validate_transformation(MonTransformation(fun, g, tau), sl, sl)["naturality(tau)"]
+    assert row.status is Status.FAIL
+    assert row.witness.index == ("0|0",)
+    assert row.witness.note == "square does not typecheck: morphism table 'G' undefined at '0|0'"
+
+
 def test_perturbed_transformation_fails_t1_with_witness():
     sm = dn(3, "sm")
     fun = with_canonical_zero(F(3, 1, 0), sm, sm)

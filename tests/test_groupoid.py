@@ -19,9 +19,8 @@ from twogrp import (
     validate_functor,
     validate_groupoid,
 )
-from twogrp.diagram import index_space
 from twogrp.functors import check_fsum_naturality
-from twogrp.groupoid import _compose_checked
+from twogrp.groupoid import _compose_checked, index_space
 from twogrp.monoidal import check_structure_naturality
 
 from helpers import SEED, cyclic_one_object, discrete, pair_groupoid_z2, perturb_family
@@ -229,10 +228,9 @@ def test_component_flip_breaks_naturality_on_connected_carrier():
 
     gpd = pair_groupoid_z2()
     fam = NatFamily(1, {(o,): gpd.identity[o] for o in gpd.objects}, ex.var(0), ex.var(0))
-    ident_action = lambda fs: fs[0]
-    assert check_naturality(fam, ident_action, ident_action, domain=gpd).ok
+    assert check_naturality(fam, {}, domain=gpd).ok
     flipped = perturb_family(fam, ("b",), "1|bb")
-    rep = check_naturality(flipped, ident_action, ident_action, domain=gpd)
+    rep = check_naturality(flipped, {}, domain=gpd)
     assert not rep.ok
     wit = rep.failures()[0].witness
     assert wit is not None
@@ -244,13 +242,9 @@ def test_component_flip_breaks_naturality_on_connected_carrier():
 def test_check_naturality_sampled_mode_is_deterministic():
     m = build_dual_numbers_2group(3, "sm")
     env = m.env()
-    from twogrp import expr as ex
-
     fam = m.assoc
-    lhs = ex.mor_action(fam.src_expr, env)
-    rhs = ex.mor_action(fam.tgt_expr, env)
-    r1 = check_naturality(fam, lhs, rhs, domain=m.carrier, sample=500, seed=7)
-    r2 = check_naturality(fam, lhs, rhs, domain=m.carrier, sample=500, seed=7)
+    r1 = check_naturality(fam, env, domain=m.carrier, sample=500, seed=7)
+    r2 = check_naturality(fam, env, domain=m.carrier, sample=500, seed=7)
     assert r1.checks[0].instances == r2.checks[0].instances == 500
     assert r1.checks[0].mode == "sampled(n=500,seed=7)"
 
@@ -268,20 +262,28 @@ def test_index_space_draws_what_random_choice_draws(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 25, 36, 64])
-def test_sampled_naturality_draws_what_random_choice_draws(n):
+def test_sampled_naturality_draws_what_random_choice_draws(n, monkeypatch):
     from twogrp import NatFamily
     from twogrp import expr as ex
+    from twogrp import groupoid
 
+    seen = []
+
+    def recording(*args):
+        # the squares the row scans, in the order it scans them
+        drawn, count, mode = index_space(*args)
+        return (seen.append(fs) or fs for fs in drawn), count, mode
+
+    monkeypatch.setattr(groupoid, "index_space", recording)
     gpd = cyclic_one_object(n)
     mors = gpd.morphisms_sorted
     for arity in (1, 2, 3, 5):
         fam = NatFamily(arity, {("*",) * arity: "0"}, ex.var(0), ex.var(0))
         sample = min(n ** arity - 1, 200)
         for seed in (0, 3, SEED):
-            seen = []
-            lhs = lambda fs: seen.append(fs) or fs[0]
-            rep = check_naturality(fam, lhs, lambda fs: fs[0], domain=gpd, sample=sample, seed=seed)
-            assert rep.ok
+            seen.clear()
+            rep = check_naturality(fam, {}, domain=gpd, sample=sample, seed=seed)
+            assert rep.ok and rep.checks[0].instances == sample
             assert rep.checks[0].mode == f"sampled(n={sample},seed={seed})"
             rng = random.Random(seed)
             assert seen == [tuple(rng.choice(mors) for _ in range(arity)) for _ in range(sample)]

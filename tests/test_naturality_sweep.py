@@ -7,7 +7,6 @@ from twogrp import (
     ring_dual_numbers,
     ring_zmod,
 )
-from twogrp import expr as ex
 from twogrp.groupoid import check_naturality
 from twogrp.monoidal import check_structure_naturality
 
@@ -32,11 +31,5 @@ def test_ring_families_are_natural():
     ):
         env = ring.env()
         for name, fam in ring.families().items():
-            rep = check_naturality(
-                fam,
-                ex.mor_action(fam.src_expr, env),
-                ex.mor_action(fam.tgt_expr, env),
-                domain=ring.carrier,
-                label=f"naturality({name})",
-            )
+            rep = check_naturality(fam, env, domain=ring.carrier, label=f"naturality({name})")
             assert rep.ok, name

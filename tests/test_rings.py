@@ -27,7 +27,7 @@ from twogrp.functors import enumerate_zero_isos, tau_family, validate_transforma
 from twogrp.rings import left_mult_functor, right_mult_functor
 from twogrp.report import Status
 
-from helpers import perturb_family
+from helpers import derivation_2ring, perturb_family
 
 
 def z6():
@@ -253,8 +253,9 @@ def test_quang_implies_jp_on_fixtures():
 
 
 def test_randomized_jp_not_quang_search_is_reported_not_asserted():
-    # no recipe for a small separating 2-ring is known; a seeded search over
-    # single-entry distributor flips records whether one ever shows up
+    # single-entry distributor flips of a discrete ring; the separating
+    # example is the derivation 2-ring below.  A seeded search records
+    # whether a flip ever separates, and asserts the hierarchy never inverts
     import random
 
     rng = random.Random(20250811)
@@ -302,3 +303,37 @@ def test_family_missing_a_component_is_not_strict():
         failed = rep.failures()[0]
         assert failed.mode == "exhaustive"
         assert str(gone) in failed.witness.note
+
+
+# ---------------------------------------------------------------------------
+# the separation: a 2R1'-ring that is not a Quang ring
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_derivation_2ring_passes_jp_and_fails_quang_at_2r1(m):
+    ring = derivation_2ring(m)
+    assert validate_two_ring_data(ring).ok
+    assert validate_jp(ring, allow_strict_skip=False).ok
+    quang = validate_quang(ring, allow_strict_skip=False)
+    assert [row.law for row in quang.failures()] == ["2R1/left-assoc"]
+    assert quang["2R1/left-assoc"].witness.index == ("0+1e", "0+0e", "0+0e", "1+0e")
+    assert jp_upgrade(ring) == NoAbsorbers("0+1e", "left")
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_derivation_2ring_has_a_left_absorber_exactly_where_x1_is_zero(m):
+    ring = derivation_2ring(m)
+    add = to_ac(ring.add)
+    for x in ring.carrier.objects_sorted:
+        left = enumerate_zero_isos(left_mult_functor(ring, x), add, add, "AF2")
+        assert (left == []) == (not x.endswith("+0e")), x
+        assert enumerate_zero_isos(right_mult_functor(ring, x), add, add, "AF2"), x
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_derivation_2ring_without_the_derivation_is_a_quang_ring(m):
+    ring = derivation_2ring(m, t=0)
+    assert validate_jp(ring, allow_strict_skip=False).ok
+    assert validate_quang(ring, allow_strict_skip=False).ok
+    assert validate_quang(ac_ring_to_quang(jp_upgrade(ring))).ok
