@@ -21,7 +21,7 @@ from itertools import product
 from . import expr as ex
 from .diagram import check_diagram, strict_profile
 from .errors import PreconditionFailed
-from .groupoid import FinGroupoid, NatFamily, compose_path
+from .groupoid import FinGroupoid, NatFamily, compose_path, identity_family
 from .monoidal import (
     MonStructure,
     SumStructure,
@@ -215,27 +215,6 @@ def canonical_acomm_at(m: MonStructure, x: str, y: str, z: str, t: str) -> str:
     return memo[key]
 
 
-def canonical_acomm_table(m: MonStructure) -> dict[tuple[str, str, str, str], str]:
-    """Materialize the canonical associo-commutator over all object 4-tuples.
-
-    Strict structures (identity a and c on an identity-preserving sum) get a
-    direct identity fill; the border composite is evaluated otherwise.
-    """
-    gpd, so = m.carrier, m.sum_obj
-    objs = gpd.objects_sorted
-    table: dict[tuple[str, str, str, str], str] = {}
-    env = m.env()
-    if strict_profile(gpd, [(m.assoc, env), (m.comm, env)], [m], uses_inverse=True):
-        ident = gpd.identity
-        for idx in product(objs, repeat=4):
-            x, y, z, t = idx
-            table[idx] = ident[so[(so[(x, y)], so[(z, t)])]]
-        return table
-    for idx in product(objs, repeat=4):
-        table[idx] = assoc_commutator_upper(m, *idx)
-    return table
-
-
 def to_ac(
     m: MonStructure,
     *,
@@ -245,24 +224,22 @@ def to_ac(
     """Translate a symmetric structure to its AC presentation.
 
     The input must pass ``validate_sm`` with a commutator present; the b
-    table is materialized from the border composite and the output is
-    re-checked against AC1-AC3 (never assumed).
+    table is the identity family for a strict input and is materialized
+    from the border composite otherwise, and the output is re-checked
+    against AC1-AC3 (never assumed).
     """
     if m.comm is None:
         raise PreconditionFailed("translation needs a commutator")
-    pre = validate_sm(m, sample=sample, seed=seed)
-    if not pre.ok:
-        fails = ", ".join(c.law for c in pre.failures())
-        raise PreconditionFailed(f"input fails the symmetric axiom suite: {fails}")
-    b_fam = acomm_family(canonical_acomm_table(m))
-    env = m.env()
-    if strict_profile(m.carrier, [(m.assoc, env), (m.comm, env)], [m], uses_inverse=True):
-        b_fam.mark_strict(m.carrier, env)
-    out = ACStructure(m.carrier, m.sum_obj, m.sum_mor, m.unit, b_fam, m.lunit, m.runit)
-    post = validate_ac(out, check_data=False, sample=sample, seed=seed)
-    if not post.ok:
-        fails = ", ".join(c.law for c in post.failures())
-        raise PreconditionFailed(f"translated structure fails: {fails}")
+    validate_sm(m, sample=sample, seed=seed).require("input fails the symmetric axiom suite")
+    gpd, env = m.carrier, m.env()
+    if strict_profile(gpd, [(m.assoc, env), (m.comm, env)], [m], uses_inverse=True):
+        b_fam = identity_family(acomm_family, gpd, env)
+    else:
+        b_fam = acomm_family(
+            {idx: assoc_commutator_upper(m, *idx) for idx in product(gpd.objects_sorted, repeat=4)}
+        )
+    out = ACStructure(gpd, m.sum_obj, m.sum_mor, m.unit, b_fam, m.lunit, m.runit)
+    validate_ac(out, check_data=False, sample=sample, seed=seed).require("translated structure fails")
     return out
 
 
@@ -306,30 +283,15 @@ def to_sm(
     commutator are materialized and the output is re-checked against
     SC1-SC4.
     """
-    pre = validate_ac(a, sample=sample, seed=seed)
-    if not pre.ok:
-        fails = ", ".join(c.law for c in pre.failures())
-        raise PreconditionFailed(f"input fails the AC axiom suite: {fails}")
-    gpd = a.carrier
+    validate_ac(a, sample=sample, seed=seed).require("input fails the AC axiom suite")
+    gpd, env = a.carrier, a.env()
     objs = gpd.objects_sorted
-    env = a.env()
-    strict = strict_profile(gpd, [(a.acomm, env), (a.lunit, env), (a.runit, env)], [a], uses_inverse=True)
-    if strict:
-        ident, so = gpd.identity, a.sum_obj
-        a_table = {
-            (x, y, z): ident[so[(x, so[(y, z)])]] for x, y, z in product(objs, repeat=3)
-        }
-        c_table = {(x, y): ident[so[(x, y)]] for x, y in product(objs, repeat=2)}
+    if strict_profile(gpd, [(a.acomm, env), (a.lunit, env), (a.runit, env)], [a], uses_inverse=True):
+        a_fam = identity_family(assoc_family, gpd, env)
+        c_fam = identity_family(comm_family, gpd, env)
     else:
-        a_table = {idx: canonical_assoc(a, *idx) for idx in product(objs, repeat=3)}
-        c_table = {idx: canonical_comm(a, *idx) for idx in product(objs, repeat=2)}
-    a_fam, c_fam = assoc_family(a_table), comm_family(c_table)
-    if strict:
-        a_fam.mark_strict(gpd, env)
-        c_fam.mark_strict(gpd, env)
+        a_fam = assoc_family({idx: canonical_assoc(a, *idx) for idx in product(objs, repeat=3)})
+        c_fam = comm_family({idx: canonical_comm(a, *idx) for idx in product(objs, repeat=2)})
     out = MonStructure(gpd, a.sum_obj, a.sum_mor, a.unit, a_fam, c_fam, a.lunit, a.runit)
-    post = validate_sm(out, check_data=False, sample=sample, seed=seed)
-    if not post.ok:
-        fails = ", ".join(c.law for c in post.failures())
-        raise PreconditionFailed(f"translated structure fails: {fails}")
+    validate_sm(out, check_data=False, sample=sample, seed=seed).require("translated structure fails")
     return out

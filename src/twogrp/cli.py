@@ -36,7 +36,7 @@ import sys
 
 from .ac import to_ac, to_sm, validate_ac
 from .document import Block, StructureDocument, parse_document, serialize_document
-from .errors import DocumentError, PreconditionFailed, StructureError
+from .errors import DocumentError, StructureError
 from .fixtures import (
     build_dual_numbers_2group,
     build_mult_endofunctor,
@@ -126,10 +126,7 @@ def _endpoint(blk: Block, kind: str):
     if blk.kind != kind:
         return (to_sm if kind == "sm" else to_ac)(s, sample=sample)
     validate, suite = (validate_sm, "symmetric") if kind == "sm" else (validate_ac, "AC")
-    pre = validate(s, sample=sample)
-    if not pre.ok:
-        fails = ", ".join(c.law for c in pre.failures())
-        raise PreconditionFailed(f"input fails the {suite} axiom suite: {fails}")
+    validate(s, sample=sample).require(f"input fails the {suite} axiom suite")
     return s
 
 
@@ -159,12 +156,21 @@ def _structure_reports(doc: StructureDocument, blk: Block, args) -> list[Report]
     return reports
 
 
-def _functor_reports(doc: StructureDocument, args) -> list[Report]:
-    blk = _pick(doc, ("functor",), args.functor or args.name)
-    src_blk = doc.block(blk.refs["source"])
-    tgt_blk = doc.block(blk.refs["target"])
+def _functor_endpoint_blocks(doc: StructureDocument, fun_blk: Block) -> tuple[Block, Block]:
+    """The source and target blocks of the functor block ``fun_blk``, which
+    must be sm or ac structures, once the carrier passes its groupoid laws:
+    a suite that reads a carrier failing them would blame the structures."""
+    src_blk = doc.block(fun_blk.refs["source"])
+    tgt_blk = doc.block(fun_blk.refs["target"])
     if src_blk.kind == "mul" or tgt_blk.kind == "mul":
         raise CliFailure("functor endpoints must be sm or ac structures", 1)
+    validate_groupoid(doc.groupoid).require("carrier fails")
+    return src_blk, tgt_blk
+
+
+def _functor_reports(doc: StructureDocument, args) -> list[Report]:
+    blk = _pick(doc, ("functor",), args.functor or args.name)
+    src_blk, tgt_blk = _functor_endpoint_blocks(doc, blk)
     n = len(doc.groupoid.objects)
     sample = _auto_sample(n, _SUITE_MAX_ARITY[args.suite])
     nat_sample = _auto_sample(len(doc.groupoid.morphisms), 2)
@@ -180,9 +186,8 @@ def _functor_reports(doc: StructureDocument, args) -> list[Report]:
 
 def _transformation_reports(doc: StructureDocument, args) -> list[Report]:
     blk = _pick(doc, ("transformation",), args.functor or args.name)
-    fsrc = doc.block(blk.refs["source"])
-    src = doc.block(fsrc.refs["source"]).obj
-    tgt = doc.block(fsrc.refs["target"]).obj
+    src_blk, tgt_blk = _functor_endpoint_blocks(doc, doc.block(blk.refs["source"]))
+    src, tgt = _endpoints(src_blk, tgt_blk, src_blk.kind)
     nat_sample = _auto_sample(len(doc.groupoid.morphisms), 1)
     return [
         validate_transformation(blk.obj, src, tgt, sample=nat_sample)

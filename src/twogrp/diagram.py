@@ -17,9 +17,9 @@ routes is drawn from strict families (identities at their declared
 endpoints) combined by identity-preserving sums and functors, each route
 composes to the identity of the instance's start object, so all instances
 commute.  ``check_diagram`` tests the profile itself.  A family's strict
-bit comes from the scan that validates its endpoints, or is set by the
-constructor that builds it from identities; either holds only for the
-carrier and the tables it was established under.  A route that reads a
+bit comes from the scan that validates its endpoints, or is set by
+``groupoid.identity_family``, the one constructor of strict families;
+either holds only for the carrier and the tables it was established under.  A route that reads a
 missing table entry is a witness, as one that does not compose is.
 """
 

@@ -3,6 +3,8 @@
 Identifier scheme shared by all fixtures: objects are value strings, every
 morphism id is ``"<label>|<object>"`` with label 0 the identity.  All scans
 elsewhere use sorted ids, so fixture output is reproducible byte for byte.
+Every identity family is built by ``groupoid.identity_family`` from the
+family's declared source expression, the one strict constructor.
 
 * ``build_dual_numbers_2group(m)``: the groupoid of truncated dual numbers
   over Z/m (objects x+ye, endomorphism labels Z/m composing by addition)
@@ -23,35 +25,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .ac import ACStructure, acomm_family
 from .errors import InvalidModulus, NotARing
-from .groupoid import FinGroupoid, GFunctor
+from .groupoid import FinGroupoid, GFunctor, identity_family
 from .monoidal import MonStructure, assoc_family, comm_family, lunit_family, runit_family
 from .functors import StructuredFunctor, fsum_family
 from .rings import TwoRingData, absorb_l_family, absorb_r_family, dist_l_family, dist_r_family
 
 
-def _identity_components(gpd: FinGroupoid, arity: int, src_of) -> dict:
-    return {
-        idx: gpd.identity[src_of(idx)]
-        for idx in product(gpd.objects_sorted, repeat=arity)
-    }
-
-
 def _strict_families(gpd: FinGroupoid, sum_obj: dict, sum_mor: dict, unit: str, with_comm: bool):
-    """Identity a, (c,) l, r for the sum given by the two tables, each marked
-    strict under them."""
-    add = lambda x, y: sum_obj[(x, y)]
-    unit_id = gpd.identity[unit]
-    a = assoc_family(_identity_components(gpd, 3, lambda i: add(i[0], add(i[1], i[2]))))
-    l = lunit_family(_identity_components(gpd, 1, lambda i: add(unit, i[0])), unit, unit_id)
-    r = runit_family(_identity_components(gpd, 1, lambda i: add(i[0], unit)), unit, unit_id)
-    c = comm_family(_identity_components(gpd, 2, lambda i: add(i[0], i[1]))) if with_comm else None
-    for fam in (a, l, r, c):
-        if fam is not None:
-            fam.mark_strict(gpd, {"+": (sum_obj, sum_mor)})
+    """Identity a, (c,) l, r for the sum given by the two tables."""
+    env, unit_id = {"+": (sum_obj, sum_mor)}, gpd.identity[unit]
+    a = identity_family(assoc_family, gpd, env)
+    c = identity_family(comm_family, gpd, env) if with_comm else None
+    l = identity_family(lunit_family, gpd, env, unit, unit_id)
+    r = identity_family(runit_family, gpd, env, unit, unit_id)
     return a, c, l, r
 
 
@@ -123,13 +112,10 @@ def build_dual_numbers_2group(m: int, presentation: str = "ac") -> ACStructure |
     gpd = _dual_carrier(m)
     sum_obj, sum_mor = _dual_sum_tables(m, gpd)
     unit = _dual_obj(0, 0)
-    add = lambda x, y: sum_obj[(x, y)]
     a, c, l, r = _strict_families(gpd, sum_obj, sum_mor, unit, with_comm=True)
     if presentation == "sm":
         return MonStructure(gpd, sum_obj, sum_mor, unit, a, c, l, r)
-    b = acomm_family(
-        _identity_components(gpd, 4, lambda i: add(add(i[0], i[1]), add(i[2], i[3])))
-    ).mark_strict(gpd, {"+": (sum_obj, sum_mor)})
+    b = identity_family(acomm_family, gpd, {"+": (sum_obj, sum_mor)})
     return ACStructure(gpd, sum_obj, sum_mor, unit, b, l, r)
 
 
@@ -319,8 +305,6 @@ def build_strict_2ring(ring: RingTable, presentation: str = "sm") -> TwoRingData
             for y in els
         }
 
-    addo = lambda x, y: ring.add[(x, y)]
-    mulo = lambda x, y: ring.mul[(x, y)]
     add_obj, add_mor = dict(ring.add), lift(ring.add)
     a, c, l, r = _strict_families(gpd, add_obj, add_mor, ring.zero, with_comm=True)
     if presentation == "sm":
@@ -328,25 +312,19 @@ def build_strict_2ring(ring: RingTable, presentation: str = "sm") -> TwoRingData
             gpd, add_obj, add_mor, ring.zero, a, c, l, r
         )
     else:
-        b = acomm_family(
-            _identity_components(gpd, 4, lambda i: addo(addo(i[0], i[1]), addo(i[2], i[3])))
-        ).mark_strict(gpd, {"+": (add_obj, add_mor)})
+        b = identity_family(acomm_family, gpd, {"+": (add_obj, add_mor)})
         add_struct = ACStructure(gpd, add_obj, add_mor, ring.zero, b, l, r)
     mul_obj, mul_mor = dict(ring.mul), lift(ring.mul)
     ax, _, lx, rx = _strict_families(gpd, mul_obj, mul_mor, ring.one, with_comm=False)
     mul_struct = MonStructure(gpd, mul_obj, mul_mor, ring.one, ax, None, lx, rx)
 
     ring_env = {"+": (add_obj, add_mor), "*": (mul_obj, mul_mor)}
-    d = dist_l_family(
-        _identity_components(gpd, 3, lambda i: addo(mulo(i[0], i[1]), mulo(i[0], i[2])))
-    ).mark_strict(gpd, ring_env)
-    e = dist_r_family(
-        _identity_components(gpd, 3, lambda i: addo(mulo(i[0], i[2]), mulo(i[1], i[2])))
-    ).mark_strict(gpd, ring_env)
+    d = identity_family(dist_l_family, gpd, ring_env)
+    e = identity_family(dist_r_family, gpd, ring_env)
     if presentation == "sm":
         m_fam = n_fam = None
     else:
         zid = identity[ring.zero]
-        m_fam = absorb_l_family({(x,): zid for x in els}, ring.zero, zid)
-        n_fam = absorb_r_family({(x,): zid for x in els}, ring.zero, zid)
+        m_fam = identity_family(absorb_l_family, gpd, ring_env, ring.zero, zid)
+        n_fam = identity_family(absorb_r_family, gpd, ring_env, ring.zero, zid)
     return TwoRingData(gpd, add_struct, mul_struct, d, e, m_fam, n_fam)

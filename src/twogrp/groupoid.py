@@ -439,7 +439,8 @@ class NatFamily:
         profile relies on.  A bit holds only for the carrier and the tables
         (or equal ones) of the environment it was established under.  It
         comes from the endpoint scan of :func:`validate_family`, run here if
-        no scan or constructor set it under ``env``."""
+        neither a scan nor :func:`identity_family`, the one strict
+        constructor, set it under ``env``."""
         bit = _strict_bit(self, gpd, env)
         if bit is None:
             _set_strict(self, gpd, env, False)
@@ -451,11 +452,21 @@ class NatFamily:
             bit = _strict_bit(self, gpd, env)
         return bit
 
-    def mark_strict(self, gpd: FinGroupoid, env: ex.Env) -> "NatFamily":
-        """Record that this family was constructed as identities at the
-        source objects evaluated under the tables of ``env``."""
-        _set_strict(self, gpd, env, True)
-        return self
+
+def identity_family(make, gpd: FinGroupoid, env: ex.Env, *args) -> NatFamily:
+    """The family ``make(components, *args)`` whose component at every index
+    tuple is the identity of its declared source object evaluated under
+    ``env``, with its strict bit set under ``env``.  The caller vouches that
+    the declared target evaluates to the same object (the tables of ``env``
+    satisfy the law the family witnesses); the tests hold every such family
+    to the endpoint scan."""
+    fam = make({}, *args)
+    src_at, ident = ex.compile_obj(fam.src_expr, env), gpd.identity
+    fam.components = {
+        idx: ident[src_at(idx)] for idx in product(gpd.objects_sorted, repeat=fam.arity)
+    }
+    _set_strict(fam, gpd, env, True)
+    return fam
 
 
 def _strict_bit(fam: NatFamily, gpd: FinGroupoid, env: ex.Env) -> bool | None:

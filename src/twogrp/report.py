@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .errors import PreconditionFailed
+
 
 class Status(str, Enum):
     PASS = "pass"
@@ -88,6 +90,12 @@ class Report:
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if c.status is Status.FAIL]
+
+    def require(self, what: str) -> None:
+        """Raise :class:`PreconditionFailed` as ``"<what>: <failing laws>"``
+        unless every check passed."""
+        if not self.ok:
+            raise PreconditionFailed(f"{what}: {', '.join(c.law for c in self.failures())}")
 
     def add(self, result: CheckResult) -> CheckResult:
         self.checks.append(result)

@@ -27,7 +27,7 @@ from itertools import product
 from . import expr as ex
 from .ac import ACStructure, canonical_acomm_at, to_ac, to_sm, validate_ac
 from .diagram import check_diagram, strict_profile
-from .errors import MissingAbsorbers, PreconditionFailed, PresentationMismatch
+from .errors import MissingAbsorbers, PresentationMismatch
 from .groupoid import FinGroupoid, GFunctor, NatFamily, check_naturality, validate_family, validate_groupoid
 from .monoidal import MonStructure, _check_weak_inverses, validate_sm
 from .functors import (
@@ -608,10 +608,7 @@ def quang_to_ac_ring(
         raise PresentationMismatch("ring is already in AC presentation")
     add_ac = to_ac(ring.add, sample=sample)
     if validate:
-        pre = validate_quang(ring)
-        if not pre.ok:
-            fails = ", ".join(c.law for c in pre.failures())
-            raise PreconditionFailed(f"input fails the 2R suite: {fails}")
+        validate_quang(ring).require("input fails the 2R suite")
     zero = ring.add.unit
     zero_id = ring.carrier.identity[zero]
     m_comps = {}
@@ -638,10 +635,7 @@ def ac_ring_to_quang(
         raise PresentationMismatch("ring is already in symmetric presentation")
     add_sm = to_sm(ring.add, sample=sample)
     if validate:
-        pre = validate_ac_ring(ring)
-        if not pre.ok:
-            fails = ", ".join(c.law for c in pre.failures())
-            raise PreconditionFailed(f"input fails the 2R suite: {fails}")
+        validate_ac_ring(ring).require("input fails the 2R suite")
     return TwoRingData(ring.carrier, add_sm, ring.mul, ring.dist_l, ring.dist_r, None, None)
 
 
@@ -666,10 +660,7 @@ def jp_upgrade(ring: TwoRingData, *, validate: bool = True) -> TwoRingData | NoA
         raise PresentationMismatch("upgrade starts from the symmetric presentation")
     add_ac = to_ac(ring.add)  # first, as in quang_to_ac_ring
     if validate:
-        pre = validate_jp(ring)
-        if not pre.ok:
-            fails = ", ".join(c.law for c in pre.failures())
-            raise PreconditionFailed(f"input fails the 2R1' suite: {fails}")
+        validate_jp(ring).require("input fails the 2R1' suite")
     zero = ring.add.unit
     zid = ring.carrier.identity[zero]
     m_comps = {}

@@ -17,7 +17,7 @@ from twogrp import (
     ring_zmod,
 )
 from twogrp.functors import check_fsum_naturality, fsum_family
-from twogrp.groupoid import validate_functor
+from twogrp.groupoid import identity_family, validate_functor
 from twogrp.monoidal import basic_unitor
 
 SEED = 20250811
@@ -98,10 +98,11 @@ def max_monoid_structure() -> MonStructure:
     sum_mor = {
         (ident[x], ident[y]): ident[sum_obj[(x, y)]] for x in objs for y in objs
     }
-    a = assoc_family({(x, y, z): ident[max(x, y, z)] for x in objs for y in objs for z in objs})
-    c = comm_family({(x, y): ident[max(x, y)] for x in objs for y in objs})
-    l = lunit_family({(x,): ident[x] for x in objs}, "0", ident["0"])
-    r = runit_family({(x,): ident[x] for x in objs}, "0", ident["0"])
+    env = {"+": (sum_obj, sum_mor)}
+    a = identity_family(assoc_family, gpd, env)
+    c = identity_family(comm_family, gpd, env)
+    l = identity_family(lunit_family, gpd, env, "0", ident["0"])
+    r = identity_family(runit_family, gpd, env, "0", ident["0"])
     return MonStructure(gpd, sum_obj, sum_mor, "0", a, c, l, r)
 
 
@@ -173,9 +174,9 @@ def parity_2ring(m: int):
     ax, _, lx, rx = _strict_families(gpd, mul_obj, mul_mor, table.one, with_comm=False)
     add = MonStructure(gpd, add_obj, add_mor, table.zero, a, c, l, r)
     mul = MonStructure(gpd, mul_obj, mul_mor, table.one, ax, None, lx, rx)
-    ao, mo = table.add, table.mul
-    d = dist_l_family({(x, y, z): identity[ao[(mo[(x, y)], mo[(x, z)])]] for x, y, z in product(objs, repeat=3)})
-    e = dist_r_family({(x, y, z): identity[ao[(mo[(x, z)], mo[(y, z)])]] for x, y, z in product(objs, repeat=3)})
+    env = {"+": (add_obj, add_mor), "*": (mul_obj, mul_mor)}
+    d = identity_family(dist_l_family, gpd, env)
+    e = identity_family(dist_r_family, gpd, env)
     return TwoRingData(gpd, add, mul, d, e, None, None)
 
 
@@ -211,9 +212,8 @@ def derivation_2ring(m: int, t: int = 1):
     for x, y, z in product(objs, repeat=3):
         label = t * parts[x][1] * (parts[y][0] + parts[z][0])
         d[x, y, z] = f"{label % m}|{mul_obj[x, add_obj[y, z]]}"
-    e = {(x, y, z): gpd.identity[add_obj[mul_obj[x, z], mul_obj[y, z]]]
-         for x, y, z in product(objs, repeat=3)}
-    return TwoRingData(gpd, add, mul, dist_l_family(d), dist_r_family(e), None, None)
+    e = identity_family(dist_r_family, gpd, {"+": (add_obj, add_mor), "*": (mul_obj, mul_mor)})
+    return TwoRingData(gpd, add, mul, dist_l_family(d), e, None, None)
 
 
 # ---------------------------------------------------------------------------

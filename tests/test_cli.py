@@ -201,15 +201,17 @@ def test_fixture_document_counts(capsys, tmp_path):
     assert len(data["morphisms"]) == 125
 
 
-def test_check_transformation_suite(capsys, tmp_path):
+def _transformation_doc():
+    """dual numbers m=3 (AC), F = multiplication by 1, and the
+    transformation F => F labelled x0 at x0+x1e."""
     from twogrp import MonTransformation, build_dual_numbers_2group, build_mult_endofunctor
-    from twogrp.document import Block, StructureDocument, serialize_document
+    from twogrp.document import Block, StructureDocument
     from twogrp.functors import tau_family
 
     structure = build_dual_numbers_2group(3)
     fun = build_mult_endofunctor(3, 1, 0, structure)
     tau = tau_family({(o,): f"{int(o.split('+')[0]) % 3}|{o}" for o in structure.carrier.objects})
-    doc = StructureDocument(
+    return StructureDocument(
         structure.carrier,
         [
             Block("ac", "add", structure),
@@ -218,6 +220,15 @@ def test_check_transformation_suite(capsys, tmp_path):
                   {"source": "F", "target": "F"}),
         ],
     )
+
+
+def test_check_transformation_suite(capsys, tmp_path):
+    from twogrp import MonTransformation
+    from twogrp.document import Block, serialize_document
+    from twogrp.functors import tau_family
+
+    doc = _transformation_doc()
+    fun, tau = doc.blocks[1].obj, doc.blocks[2].obj.tau
     path = tmp_path / "tr.json"
     path.write_text(serialize_document(doc))
     code, out, _ = run(capsys, "check", str(path), "--suite", "transformation")
@@ -407,3 +418,28 @@ def test_zero_iso_enumeration_rejects_squares_that_read_a_missing_entry(capsys, 
     code, out, _ = run(capsys, "zero-iso", str(path), "--functor", "F", "--mode", "enumerate")
     assert code == 0
     assert out == "0 solution(s) [AF2]\n"
+
+
+def test_transformation_suite_rejects_an_endpoint_that_fails_its_suite(capsys, tmp_path):
+    from twogrp.document import serialize_document
+
+    data = json.loads(serialize_document(_transformation_doc()))
+    del next(b for b in data["structures"] if b["kind"] == "ac")["r"][1]
+    path = tmp_path / "tr.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "check", str(path), "--suite", "transformation")
+    assert (code, out) == (1, "check aborted: input fails the AC axiom suite: r-endpoints\n")
+
+
+@pytest.mark.parametrize("suite", ["ac-functor", "sm-functor", "transformation"])
+def test_functor_suites_name_a_carrier_that_fails_its_laws(capsys, tmp_path, suite):
+    from twogrp.document import serialize_document
+
+    data = json.loads(serialize_document(_transformation_doc()))
+    del data["compose"][1]
+    path = tmp_path / "tr.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "check", str(path), "--suite", "ac")
+    assert code == 1 and re.search(r"^endpoints\s+fail", out, re.M)
+    code, out, _ = run(capsys, "check", str(path), "--suite", suite)
+    assert (code, out) == (1, "check aborted: carrier fails: endpoints\n")

@@ -1,6 +1,8 @@
 """Fixture constructors: shapes, values, ring-law checking, and the
 separating property of the multiplication endofunctors."""
 
+from dataclasses import replace
+
 import pytest
 
 from twogrp import (
@@ -14,6 +16,8 @@ from twogrp import (
     compose_functors,
     ring_dual_numbers,
     ring_zmod,
+    to_ac,
+    to_sm,
     validate_2group,
     validate_ac,
     validate_ac_functor,
@@ -27,6 +31,8 @@ from twogrp.fixtures import check_ring_table
 from twogrp.functors import check_fsum_naturality
 from twogrp.groupoid import validate_functor
 from twogrp.report import Status
+
+from helpers import derivation_2ring, max_monoid_structure, parallel_morphisms, parity_2ring, perturb_family
 
 
 def test_dual_numbers_shape_and_validity():
@@ -59,6 +65,47 @@ def test_dual_numbers_every_family_is_strict():
     env = sm.env()
     for fam in sm.families().values():
         assert fam.is_strict(sm.carrier, env)
+
+
+def _identity_built_families():
+    """(label, family, carrier, environment) for every family built by
+    ``identity_family``: the fixtures', the strict branches of the two
+    translations' and the test helpers'."""
+    out = []
+
+    def add(label, structure, keys):
+        fams, env = structure.families(), structure.env()
+        out.extend((f"{label} {key}", fams[key], structure.carrier, env) for key in keys)
+
+    for m in (2, 3):
+        add(f"dn{m} ac", build_dual_numbers_2group(m), "blr")
+        add(f"dn{m} sm", build_dual_numbers_2group(m, "sm"), "aclr")
+    add("super-line", build_super_line_2group(), "alr")
+    for name, table in (("z4", ring_zmod(4)), ("z3e", ring_dual_numbers(3))):
+        for pres, ring_keys in (("sm", "de"), ("ac", "demn")):
+            ring = build_strict_2ring(table, pres)
+            add(f"{name} {pres} add", ring.add, "blr" if pres == "ac" else "aclr")
+            add(f"{name} {pres} mul", ring.mul, "alr")
+            add(f"{name} {pres}", ring, ring_keys)
+    add("to_ac(dn2 sm)", to_ac(build_dual_numbers_2group(2, "sm")), "b")
+    add("to_ac(z4 add)", to_ac(build_strict_2ring(ring_zmod(4)).add), "b")
+    add("to_sm(dn3 ac)", to_sm(build_dual_numbers_2group(3)), "ac")
+    add("to_sm(z3e ac add)", to_sm(build_strict_2ring(ring_dual_numbers(3), "ac").add), "ac")
+    add("max-monoid", max_monoid_structure(), "aclr")
+    add("parity z4", parity_2ring(4), "de")
+    add("derivation dn2", derivation_2ring(2), "e")
+    return out
+
+
+def test_identity_family_strict_bit_matches_the_endpoint_scan():
+    """The bit ``identity_family`` sets without scanning is the one the
+    endpoint scan finds, and one flipped component clears it."""
+    for label, fam, gpd, env in _identity_built_families():
+        assert replace(fam, _cache={}).is_strict(gpd, env), label  # runs the scan
+        idx = max(fam.components)
+        old = fam.components[idx]
+        new = (parallel_morphisms(gpd, old) or sorted(set(gpd.identity.values()) - {old}))[0]
+        assert not perturb_family(fam, idx, new).is_strict(gpd, env), label
 
 
 def test_invalid_modulus():
