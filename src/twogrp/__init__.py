@@ -77,6 +77,7 @@ from .rings import (
 )
 from .fixtures import (
     RingTable,
+    build_derivation_2ring,
     build_dual_numbers_2group,
     build_mult_endofunctor,
     build_strict_2ring,

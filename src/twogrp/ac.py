@@ -228,9 +228,15 @@ def to_ac(
     from the border composite otherwise, and the output is re-checked
     against AC1-AC3 (never assumed).
     """
+    validate_sm(m, sample=sample, seed=seed).require("input fails the symmetric axiom suite")
+    return _translate_to_ac(m, sample, seed)
+
+
+def _translate_to_ac(m: MonStructure, sample: int | None, seed: int = 0) -> ACStructure:
+    """:func:`to_ac` of an input its caller has validated: the translation
+    and the re-check of its output."""
     if m.comm is None:
         raise PreconditionFailed("translation needs a commutator")
-    validate_sm(m, sample=sample, seed=seed).require("input fails the symmetric axiom suite")
     gpd, env = m.carrier, m.env()
     if strict_profile(gpd, [(m.assoc, env), (m.comm, env)], [m], uses_inverse=True):
         b_fam = identity_family(acomm_family, gpd, env)
@@ -284,6 +290,12 @@ def to_sm(
     SC1-SC4.
     """
     validate_ac(a, sample=sample, seed=seed).require("input fails the AC axiom suite")
+    return _translate_to_sm(a, sample, seed)
+
+
+def _translate_to_sm(a: ACStructure, sample: int | None, seed: int = 0) -> MonStructure:
+    """:func:`to_sm` of an input its caller has validated: the translation
+    and the re-check of its output."""
     gpd, env = a.carrier, a.env()
     objs = gpd.objects_sorted
     if strict_profile(gpd, [(a.acomm, env), (a.lunit, env), (a.runit, env)], [a], uses_inverse=True):

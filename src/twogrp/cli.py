@@ -9,7 +9,12 @@ Subcommands:
   canonically serialized document;
 * ``zero-iso FILE --functor F`` compute the closed-form zero isomorphism or
   enumerate all of them by brute force;
-* ``fixture NAME ...``          emit a fixture document.
+* ``fixture NAME ...``          emit a fixture document (dual-numbers,
+  super-line, strict-2ring or derivation-2ring).
+
+``check`` of a functor or transformation suite, ``convert`` and ``zero-iso``
+first check the carrier's groupoid laws and abort (exit 1) naming the
+failing ones: whatever they go on to read would blame a structure.
 
 Exit codes are a total contract: 0 = all checks pass, 1 = a semantic
 failure (axiom violation, failed precondition, wrong presentation), 2 =
@@ -24,8 +29,10 @@ Everything at desk scale runs exhaustively.  A command converts each
 structure block it needs in the other presentation at most once (a functor
 whose source and target are the same block gets one converted structure for
 both endpoints), and every translation checks with the sample ``--suite ac``
-would use on its carrier; the ring suite a ring conversion checks as its
-precondition is not sampled.
+would use on its carrier.  A ring conversion checks the ring's data rows,
+the additive half's suite among them, at that sample and then the ring
+suite unsampled; the translation of the additive half re-checks only its
+output.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .ac import to_ac, to_sm, validate_ac
 from .document import Block, StructureDocument, parse_document, serialize_document
 from .errors import DocumentError, StructureError
 from .fixtures import (
+    build_derivation_2ring,
     build_dual_numbers_2group,
     build_mult_endofunctor,
     build_strict_2ring,
@@ -245,12 +253,13 @@ def cmd_check(args) -> int:
 def cmd_convert(args) -> int:
     doc = _load(args.file)
     rings = doc.of_kind("tworing")
+    if len(rings) > 1:
+        raise CliFailure("convert expects exactly one tworing block", 2)
+    blk = rings[0] if rings else _pick(doc, ("sm", "ac"), args.name)
     try:
+        validate_groupoid(doc.groupoid).require("carrier fails")
         if rings:
-            if len(rings) != 1:
-                raise CliFailure("convert expects exactly one tworing block", 2)
-            return _convert_ring(doc, rings[0], args)
-        blk = _pick(doc, ("sm", "ac"), args.name)
+            return _convert_ring(doc, blk, args)
         if blk.kind == args.to:
             raise CliFailure(f"structure {blk.name!r} is already in the {args.to!r} presentation", 1)
         convert = to_ac if args.to == "ac" else to_sm
@@ -290,11 +299,8 @@ def _convert_ring(doc: StructureDocument, blk: Block, args) -> int:
 def cmd_zero_iso(args) -> int:
     doc = _load(args.file)
     blk = _pick(doc, ("functor",), args.functor)
-    src_blk = doc.block(blk.refs["source"])
-    tgt_blk = doc.block(blk.refs["target"])
-    if src_blk.kind == "mul" or tgt_blk.kind == "mul":
-        raise CliFailure("functor endpoints must be sm or ac structures", 1)
     try:
+        src_blk, tgt_blk = _functor_endpoint_blocks(doc, blk)
         if args.mode == "canonical":
             result = canonical_zero_iso(blk.obj, *_endpoints(src_blk, tgt_blk, "sm"))
             print(f"canonical zero isomorphism: {result}")
@@ -332,14 +338,16 @@ def cmd_fixture(args) -> int:
         structure = build_super_line_2group()
         gpd = structure.carrier
         blocks.append(Block("sm", "add", structure))
-    elif args.name == "strict-2ring":
+    elif args.name in ("strict-2ring", "derivation-2ring"):
         match = _RING_NAME.match(args.ring or "")
-        if not match:
+        if args.name == "strict-2ring" and not match:
             raise CliFailure(f"unknown ring {args.ring!r}; expected z<m> or z<m>e", 2)
-        m = int(match.group(1))
         try:
-            table = ring_dual_numbers(m) if match.group(2) else ring_zmod(m)
-            ring = build_strict_2ring(table)
+            if args.name == "derivation-2ring":
+                ring = build_derivation_2ring(args.mod)
+            else:
+                m = int(match.group(1))
+                ring = build_strict_2ring(ring_dual_numbers(m) if match.group(2) else ring_zmod(m))
         except StructureError as err:
             raise CliFailure(str(err), 2) from err
         gpd = ring.carrier
@@ -383,8 +391,8 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_zero_iso)
 
     p = sub.add_parser("fixture", help="emit a fixture document")
-    p.add_argument("name", help="dual-numbers | super-line | strict-2ring")
-    p.add_argument("--mod", type=int, default=5, help="modulus for dual-numbers")
+    p.add_argument("name", help="dual-numbers | super-line | strict-2ring | derivation-2ring")
+    p.add_argument("--mod", type=int, default=5, help="modulus for dual-numbers and derivation-2ring")
     p.add_argument("--mult", help="a,b multiplier pair: also emit the multiplication endofunctor")
     p.add_argument("--ring", help="ring for strict-2ring: z<m> or z<m>e")
     p.add_argument("--out", help="output path (default: stdout)")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import expr as ex
-from .ac import ACStructure, canonical_acomm_at, to_ac, to_sm, validate_ac
+from .ac import ACStructure, _translate_to_ac, _translate_to_sm, canonical_acomm_at, validate_ac
 from .diagram import check_diagram, strict_profile
 from .errors import MissingAbsorbers, PresentationMismatch
 from .groupoid import FinGroupoid, GFunctor, NatFamily, check_naturality, validate_family, validate_groupoid
@@ -101,8 +101,8 @@ class TwoRingData:
         return fams
 
 
-def left_mult_functor(ring: TwoRingData, x: str, with_zero: bool = False) -> StructuredFunctor:
-    """(x * -) with monoidality d(x,-,-) (and absorber m_x as zero iso)."""
+def left_mult_functor(ring: TwoRingData, x: str) -> StructuredFunctor:
+    """(x * -) with monoidality d(x,-,-)."""
     gpd = ring.carrier
     mo, mm = ring.mul.sum_obj, ring.mul.sum_mor
     idx = gpd.identity[x]
@@ -113,12 +113,11 @@ def left_mult_functor(ring: TwoRingData, x: str, with_zero: bool = False) -> Str
     )
     comps = {(y, z): ring.dist_l.components[(x, y, z)]
              for y, z in product(gpd.objects, repeat=2)}
-    fzero = ring.absorb_l.components[(x,)] if with_zero and ring.absorb_l is not None else None
-    return StructuredFunctor(base, fsum_family(comps), fzero)
+    return StructuredFunctor(base, fsum_family(comps))
 
 
-def right_mult_functor(ring: TwoRingData, z: str, with_zero: bool = False) -> StructuredFunctor:
-    """(- * z) with monoidality e(-,-,z) (and absorber n_z as zero iso)."""
+def right_mult_functor(ring: TwoRingData, z: str) -> StructuredFunctor:
+    """(- * z) with monoidality e(-,-,z)."""
     gpd = ring.carrier
     mo, mm = ring.mul.sum_obj, ring.mul.sum_mor
     idz = gpd.identity[z]
@@ -129,8 +128,7 @@ def right_mult_functor(ring: TwoRingData, z: str, with_zero: bool = False) -> St
     )
     comps = {(u, v): ring.dist_r.components[(u, v, z)]
              for u, v in product(gpd.objects, repeat=2)}
-    fzero = ring.absorb_r.components[(z,)] if with_zero and ring.absorb_r is not None else None
-    return StructuredFunctor(base, fsum_family(comps), fzero)
+    return StructuredFunctor(base, fsum_family(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +592,16 @@ def validate_two_ring_data(ring: TwoRingData, *, sample: int | None = None, seed
 # ---------------------------------------------------------------------------
 
 
+def _require_ring(ring: TwoRingData, suite, what: str, sample: int | None) -> None:
+    """Raise ``PreconditionFailed("<what>: <failing laws>")`` unless ``ring``
+    passes the rows ``check`` runs before ``suite``
+    (:func:`validate_two_ring_data`, whose structure suites take ``sample``)
+    and then ``suite``, unsampled.  The additive half's own suite is among
+    those rows, so a conversion translates it without checking it again."""
+    validate_two_ring_data(ring, sample=sample).require(what)
+    suite(ring, check_data=False).require(what)
+
+
 def quang_to_ac_ring(
     ring: TwoRingData, *, validate: bool = True, sample: int | None = None
 ) -> TwoRingData:
@@ -601,14 +609,16 @@ def quang_to_ac_ring(
     multiplication and distributors stay unchanged, and the absorbers are the
     canonical zero isomorphisms of the multiplication endofunctors.
 
-    The additive half is translated (and so validated) before the ring suite
-    runs, which then reads the strict bits its scans recorded.  ``sample``
-    goes to the translation only; the ring suite runs unsampled."""
+    With ``validate`` the input must first pass the ring's data rows, the
+    additive half's suite among them, and then the 2R suite; ``sample`` goes
+    to the structure suites among the data rows and to the re-check of the
+    translated half, and the 2R suite runs unsampled.  Without it nothing
+    of the input is checked."""
     if ring.presentation != "sm":
         raise PresentationMismatch("ring is already in AC presentation")
-    add_ac = to_ac(ring.add, sample=sample)
     if validate:
-        validate_quang(ring).require("input fails the 2R suite")
+        _require_ring(ring, validate_quang, "input fails the 2R suite", sample)
+    add_ac = _translate_to_ac(ring.add, sample)
     zero = ring.add.unit
     zero_id = ring.carrier.identity[zero]
     m_comps = {}
@@ -628,14 +638,13 @@ def ac_ring_to_quang(
 ) -> TwoRingData:
     """Convert to the symmetric presentation: the additive structure is
     translated, multiplication and distributors stay unchanged, absorbers are
-    dropped (they are recovered canonically on the way back).  As in
-    :func:`quang_to_ac_ring`, the translation (given ``sample``) runs before
-    the unsampled ring suite."""
+    dropped (they are recovered canonically on the way back).  ``validate``
+    and ``sample`` act as in :func:`quang_to_ac_ring`."""
     if ring.presentation != "ac":
         raise PresentationMismatch("ring is already in symmetric presentation")
-    add_sm = to_sm(ring.add, sample=sample)
     if validate:
-        validate_ac_ring(ring).require("input fails the 2R suite")
+        _require_ring(ring, validate_ac_ring, "input fails the 2R suite", sample)
+    add_sm = _translate_to_sm(ring.add, sample)
     return TwoRingData(ring.carrier, add_sm, ring.mul, ring.dist_l, ring.dist_r, None, None)
 
 
@@ -658,9 +667,9 @@ def jp_upgrade(ring: TwoRingData, *, validate: bool = True) -> TwoRingData | NoA
     """
     if ring.presentation != "sm":
         raise PresentationMismatch("upgrade starts from the symmetric presentation")
-    add_ac = to_ac(ring.add)  # first, as in quang_to_ac_ring
     if validate:
-        validate_jp(ring).require("input fails the 2R1' suite")
+        _require_ring(ring, validate_jp, "input fails the 2R1' suite", None)
+    add_ac = _translate_to_ac(ring.add, None)
     zero = ring.add.unit
     zid = ring.carrier.identity[zero]
     m_comps = {}

@@ -12,13 +12,16 @@ from twogrp import (
     MalformedTable,
     MonStructure,
     StructuredFunctor,
+    build_derivation_2ring,
     build_strict_2ring,
     canonical_zero_iso,
     ring_zmod,
 )
+from twogrp.fixtures import _labelled_2ring, _labelled_carrier, _labelled_op, _strict_monoidal
 from twogrp.functors import check_fsum_naturality, fsum_family
 from twogrp.groupoid import identity_family, validate_functor
 from twogrp.monoidal import basic_unitor
+from twogrp.rings import dist_l_family
 
 SEED = 20250811
 
@@ -38,11 +41,8 @@ def cyclic_one_object(m: int) -> FinGroupoid:
 
 
 def discrete(objects: list[str]) -> FinGroupoid:
-    mors = [(f"0|{x}", x, x) for x in objects]
-    identity = {x: f"0|{x}" for x in objects}
-    compose = {(i, i): i for i in identity.values()}
-    inverse = {i: i for i in identity.values()}
-    return FinGroupoid.build(objects, mors, compose, identity, inverse)
+    """The labelled carrier with trivial automorphism groups: ids ``0|x``."""
+    return _labelled_carrier(objects, 1)
 
 
 def pair_groupoid_z2() -> FinGroupoid:
@@ -68,17 +68,11 @@ def pair_groupoid_z2() -> FinGroupoid:
 
 
 def one_object_2group(m: int) -> MonStructure:
-    """The one-object strict 2-group with endomorphism labels Z/m."""
-    from twogrp.monoidal import assoc_family, comm_family, lunit_family, runit_family
-
-    gpd = cyclic_one_object(m)
+    """The one-object strict 2-group with endomorphism labels Z/m (ids
+    ``k|*``), labels adding under the sum."""
+    gpd = _labelled_carrier(["*"], m)
     sum_obj = {("*", "*"): "*"}
-    sum_mor = {(str(i), str(j)): str((i + j) % m) for i in range(m) for j in range(m)}
-    a = assoc_family({("*", "*", "*"): "0"})
-    c = comm_family({("*", "*"): "0"})
-    l = lunit_family({("*",): "0"}, "*", "0")
-    r = runit_family({("*",): "0"}, "*", "0")
-    return MonStructure(gpd, sum_obj, sum_mor, "*", a, c, l, r)
+    return _strict_monoidal(gpd, sum_obj, _labelled_op(gpd, sum_obj, m), "*", "sm")
 
 
 def strict_cyclic_2group(m: int) -> MonStructure:
@@ -89,21 +83,10 @@ def strict_cyclic_2group(m: int) -> MonStructure:
 def max_monoid_structure() -> MonStructure:
     """Discrete symmetric structure with sum = max on {0,1,2}: valid and
     strict, but objects 1 and 2 have no weak inverse."""
-    from twogrp.monoidal import assoc_family, comm_family, lunit_family, runit_family
-
     objs = ["0", "1", "2"]
     gpd = discrete(objs)
     sum_obj = {(x, y): max(x, y) for x in objs for y in objs}
-    ident = gpd.identity
-    sum_mor = {
-        (ident[x], ident[y]): ident[sum_obj[(x, y)]] for x in objs for y in objs
-    }
-    env = {"+": (sum_obj, sum_mor)}
-    a = identity_family(assoc_family, gpd, env)
-    c = identity_family(comm_family, gpd, env)
-    l = identity_family(lunit_family, gpd, env, "0", ident["0"])
-    r = identity_family(runit_family, gpd, env, "0", ident["0"])
-    return MonStructure(gpd, sum_obj, sum_mor, "0", a, c, l, r)
+    return _strict_monoidal(gpd, sum_obj, _labelled_op(gpd, sum_obj, 1), "0", "sm")
 
 
 def constant_zero_endofunctor(m: MonStructure) -> StructuredFunctor:
@@ -153,67 +136,15 @@ def parity_2ring(m: int):
     (k|x, l|y) to (k*y + x*l mod 2)|xy.  All structural families are
     identities; the carrier is not discrete, so a flipped component breaks
     axioms without breaking endpoints or naturality."""
-    from twogrp.fixtures import _strict_families
-    from twogrp.rings import TwoRingData, dist_l_family, dist_r_family
-
-    table = ring_zmod(m)
-    objs = table.elements
-    mors = [(f"{k}|{x}", x, x) for x in objs for k in (0, 1)]
-    identity = {x: f"0|{x}" for x in objs}
-    compose = {(f"{k1}|{x}", f"{k2}|{x}"): f"{(k1 + k2) % 2}|{x}" for x in objs for k1 in (0, 1) for k2 in (0, 1)}
-    inverse = {f"{k}|{x}": f"{k}|{x}" for x in objs for k in (0, 1)}
-    gpd = FinGroupoid.build(objs, mors, compose, identity, inverse)
-    add_mor, mul_mor = {}, {}
-    for x, y in product(objs, repeat=2):
-        for k, l in product((0, 1), repeat=2):
-            add_mor[(f"{k}|{x}", f"{l}|{y}")] = f"{(k + l) % 2}|{table.add[(x, y)]}"
-            label = (k * int(y) + int(x) * l) % 2
-            mul_mor[(f"{k}|{x}", f"{l}|{y}")] = f"{label}|{table.mul[(x, y)]}"
-    add_obj, mul_obj = dict(table.add), dict(table.mul)
-    a, c, l, r = _strict_families(gpd, add_obj, add_mor, table.zero, with_comm=True)
-    ax, _, lx, rx = _strict_families(gpd, mul_obj, mul_mor, table.one, with_comm=False)
-    add = MonStructure(gpd, add_obj, add_mor, table.zero, a, c, l, r)
-    mul = MonStructure(gpd, mul_obj, mul_mor, table.one, ax, None, lx, rx)
-    env = {"+": (add_obj, add_mor), "*": (mul_obj, mul_mor)}
-    d = identity_family(dist_l_family, gpd, env)
-    e = identity_family(dist_r_family, gpd, env)
-    return TwoRingData(gpd, add, mul, d, e, None, None)
+    return _labelled_2ring(ring_zmod(m), 2, label=lambda k, l, x, y: k * int(y) + int(x) * l)
 
 
-def derivation_2ring(m: int, t: int = 1):
-    """The 2-ring that separates the two notions: the dual-numbers carrier
-    over Z/m (objects x0+x1e, Hom(x,x) = Z/m) with its strict sum, the
-    dual-number product on objects, (k|u)*(l|v) = (k*v0 + u0*l)|uv on
-    morphisms, identity a, c, l, r, e and multiplicative a, l, r, and
-    d(x,y,z) carrying the label t*x1*(y0+z0) at x(y+z).  For t != 0 (mod m)
-    it passes the 2R1' suite but not 2R1, and x*- has no zero isomorphism
-    where x1 != 0; t = 0 gives a strict 2-ring."""
-    from twogrp.fixtures import _dual_carrier, _dual_sum_tables, _strict_families
-    from twogrp.rings import TwoRingData, dist_l_family, dist_r_family
-
-    gpd = _dual_carrier(m)
-    add_obj, add_mor = _dual_sum_tables(m, gpd)
-    objs = gpd.objects_sorted
-    parts = {o: tuple(int(v) for v in o[:-1].split("+")) for o in objs}
-    name = {p: o for o, p in parts.items()}
-    mul_obj = {}
-    for x, y in product(objs, repeat=2):
-        (x0, x1), (y0, y1) = parts[x], parts[y]
-        mul_obj[x, y] = name[(x0 * y0) % m, (x0 * y1 + x1 * y0) % m]
-    mul_mor = {}
-    for f, g in product(gpd.morphisms_sorted, repeat=2):
-        (k, u), (l, v) = f.split("|"), g.split("|")
-        mul_mor[f, g] = f"{(int(k) * parts[v][0] + parts[u][0] * int(l)) % m}|{mul_obj[u, v]}"
-    a, c, lu, ru = _strict_families(gpd, add_obj, add_mor, name[0, 0], with_comm=True)
-    ax, _, lx, rx = _strict_families(gpd, mul_obj, mul_mor, name[1, 0], with_comm=False)
-    add = MonStructure(gpd, add_obj, add_mor, name[0, 0], a, c, lu, ru)
-    mul = MonStructure(gpd, mul_obj, mul_mor, name[1, 0], ax, None, lx, rx)
-    d = {}
-    for x, y, z in product(objs, repeat=3):
-        label = t * parts[x][1] * (parts[y][0] + parts[z][0])
-        d[x, y, z] = f"{label % m}|{mul_obj[x, add_obj[y, z]]}"
-    e = identity_family(dist_r_family, gpd, {"+": (add_obj, add_mor), "*": (mul_obj, mul_mor)})
-    return TwoRingData(gpd, add, mul, dist_l_family(d), e, None, None)
+def strict_derivation_2ring(m: int):
+    """``build_derivation_2ring(m)`` with d the identity: a strict 2-ring,
+    the control showing that the derivation label on d alone separates the
+    two notions."""
+    ring = build_derivation_2ring(m)
+    return replace(ring, dist_l=identity_family(dist_l_family, ring.carrier, ring.env()), _cache={})
 
 
 # ---------------------------------------------------------------------------

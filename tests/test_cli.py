@@ -338,7 +338,8 @@ def test_convert_samples_the_translation_checks_of_a_non_strict_structure(tmp_pa
 
 def test_ring_convert_checks_the_ring_suite_unsampled(capsys, tmp_path, monkeypatch):
     # 18 objects: the CLI samples the translation (18^8 AC1 tuples), but the
-    # 2R suite, whose 2R3-2R5 have 18^4 > 2^16 instances, runs in full
+    # 2R suite, whose 2R2-2R5 have 18^4 > 2^16 instances, runs in full.  One
+    # d label flipped: the data rows pass, the suite rows reading d fail
     from dataclasses import replace
 
     from helpers import parity_2ring, perturb_family
@@ -346,7 +347,8 @@ def test_ring_convert_checks_the_ring_suite_unsampled(capsys, tmp_path, monkeypa
     from twogrp.document import Block, StructureDocument, serialize_document
 
     ring = parity_2ring(18)
-    ring = replace(ring, mul=replace(ring.mul, assoc=perturb_family(ring.mul.assoc, ("1", "1", "1"), "1|1")))
+    assert ring.dist_l.components[("1", "1", "1")] == "0|2"
+    ring = replace(ring, dist_l=perturb_family(ring.dist_l, ("1", "1", "1"), "1|2"))
     path = tmp_path / "ring.json"
     blocks = [Block("sm", "add", ring.add), Block("mul", "mul", ring.mul),
               Block("tworing", "ring", ring, {"add": "add", "mul": "mul"})]
@@ -360,8 +362,7 @@ def test_ring_convert_checks_the_ring_suite_unsampled(capsys, tmp_path, monkeypa
     check_diagram = rings.check_diagram
     monkeypatch.setattr(rings, "check_diagram", spy)
     code, out, _ = run(capsys, "convert", str(path), "--to", "ac")
-    assert code == 1
-    assert "2R3, 2R4, 2R5" in out
+    assert (code, out) == (1, "convert aborted: input fails the 2R suite: 2R1/left-assoc, 2R2, 2R3, 2R4, 2R6/left\n")
     assert samples and set(samples) == {None}
 
 
@@ -443,3 +444,67 @@ def test_functor_suites_name_a_carrier_that_fails_its_laws(capsys, tmp_path, sui
     assert code == 1 and re.search(r"^endpoints\s+fail", out, re.M)
     code, out, _ = run(capsys, "check", str(path), "--suite", suite)
     assert (code, out) == (1, "check aborted: carrier fails: endpoints\n")
+
+
+@pytest.mark.parametrize("mode", ["canonical", "enumerate"])
+def test_zero_iso_names_a_carrier_that_fails_its_laws(capsys, tmp_path, mode):
+    path = tmp_path / "f10.json"
+    assert main(["fixture", "dual-numbers", "--mod", "3", "--mult", "1,0", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    del data["compose"][1]
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "zero-iso", str(path), "--functor", "F", "--mode", mode)
+    assert (code, out) == (1, "zero-iso aborted: carrier fails: endpoints\n")
+
+
+def test_convert_names_a_carrier_that_fails_its_laws(capsys, super_line_file):
+    data = json.loads(super_line_file.read_text())
+    row = next(r for r in data["inverses"] if r[0] == "1|1")
+    row[1] = "0|1"
+    super_line_file.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "check", str(super_line_file), "--suite", "sm")
+    assert code == 1 and re.search(r"^inverse\s+fail", out, re.M)
+    code, out, _ = run(capsys, "convert", str(super_line_file), "--to", "ac")
+    assert (code, out) == (1, "convert aborted: carrier fails: inverse\n")
+
+
+def test_ring_conversions_require_the_data_rows_check_requires(capsys, tmp_path):
+    # the multiplicative right unitor at 1 flipped: only mul:SC2 fails, a
+    # data row that the 2R suites themselves do not read
+    from dataclasses import replace
+
+    from helpers import parity_2ring, perturb_family
+    from twogrp import PreconditionFailed, ac_ring_to_quang, jp_upgrade, quang_to_ac_ring
+    from twogrp.document import Block, StructureDocument, serialize_document
+
+    ring = parity_2ring(2)
+    mul = replace(ring.mul, runit=perturb_family(ring.mul.runit, ("1",), "1|1"), _cache={})
+    bad = replace(ring, mul=mul, _cache={})
+    path = tmp_path / "ring.json"
+    blocks = [Block("sm", "add", bad.add), Block("mul", "mul", mul),
+              Block("tworing", "ring", bad, {"add": "add", "mul": "mul"})]
+    path.write_text(serialize_document(StructureDocument(bad.carrier, blocks)))
+    code, out, _ = run(capsys, "check", str(path), "--suite", "quang", "--witness")
+    assert code == 1 and re.search(r"^mul:SC2\s+fail.*\n  witness at \(1, 1\)", out, re.M)
+    code, out, _ = run(capsys, "convert", str(path), "--to", "ac")
+    assert (code, out) == (1, "convert aborted: input fails the 2R suite: mul:SC2\n")
+    bad_ac = replace(quang_to_ac_ring(ring), mul=mul, _cache={})
+    for convert, message in ((ac_ring_to_quang, "input fails the 2R suite: mul:SC2"),
+                             (jp_upgrade, "input fails the 2R1' suite: mul:SC2")):
+        with pytest.raises(PreconditionFailed, match=re.escape(message)):
+            convert(bad_ac if convert is ac_ring_to_quang else bad)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_derivation_2ring_fixture_separates_the_suites(capsys, tmp_path, m):
+    path = tmp_path / f"der{m}.json"
+    assert main(["fixture", "derivation-2ring", "--mod", str(m), "--out", str(path)]) == 0
+    code, _, _ = run(capsys, "check", str(path), "--suite", "jp")
+    assert code == 0
+    code, out, _ = run(capsys, "check", str(path), "--suite", "quang")
+    assert code == 1
+    failing = [line for line in out.splitlines() if re.match(r"^\S+\s+fail", line)]
+    assert [line.split()[0] for line in failing] == ["2R1/left-assoc"]
+    assert "witness at (0+1e, 0+0e, 0+0e, 1+0e)" in out
+    code, out, _ = run(capsys, "convert", str(path), "--to", "ac")
+    assert (code, out) == (1, "convert aborted: input fails the 2R suite: 2R1/left-assoc\n")

@@ -3,6 +3,8 @@
 Each document is written by ``twogrp fixture`` or by ``twogrp convert`` of a
 fixture document (to the other presentation and back again), in-process;
 ``data/document_digests.txt`` holds one ``sha256  name`` line per document.
+The derivation 2-rings fail the 2R suite a conversion requires, so only
+their fixture documents are pinned.
 """
 
 import hashlib
@@ -22,6 +24,11 @@ FIXTURES = (
     ("z4", ["strict-2ring", "--ring", "z4"], "sm"),
     ("z3e", ["strict-2ring", "--ring", "z3e"], "sm"),
 )
+# (name, fixture command) of the fixtures that do not convert
+UNCONVERTED = (
+    ("der2", ["derivation-2ring", "--mod", "2"]),
+    ("der3", ["derivation-2ring", "--mod", "3"]),
+)
 
 
 def document_digests(tmp_path) -> str:
@@ -38,6 +45,10 @@ def document_digests(tmp_path) -> str:
         assert main(["convert", str(there), "--to", kind, "--out", str(back)]) == 0
         for doc, label in ((path, name), (there, f"{name} --to {other}"), (back, f"{name} --to {other} --to {kind}")):
             lines.append(f"{hashlib.sha256(doc.read_bytes()).hexdigest()}  {label}\n")
+    for name, command in UNCONVERTED:
+        path = tmp_path / f"{name}.json"
+        assert main(["fixture", *command, "--out", str(path)]) == 0
+        lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}\n")
     return "".join(lines)
 
 

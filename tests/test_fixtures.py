@@ -9,6 +9,7 @@ from twogrp import (
     InvalidModulus,
     NotARing,
     RingTable,
+    build_derivation_2ring,
     build_dual_numbers_2group,
     build_mult_endofunctor,
     build_strict_2ring,
@@ -32,7 +33,7 @@ from twogrp.functors import check_fsum_naturality
 from twogrp.groupoid import validate_functor
 from twogrp.report import Status
 
-from helpers import derivation_2ring, max_monoid_structure, parallel_morphisms, parity_2ring, perturb_family
+from helpers import max_monoid_structure, parallel_morphisms, parity_2ring, perturb_family, strict_derivation_2ring
 
 
 def test_dual_numbers_shape_and_validity():
@@ -93,7 +94,11 @@ def _identity_built_families():
     add("to_sm(z3e ac add)", to_sm(build_strict_2ring(ring_dual_numbers(3), "ac").add), "ac")
     add("max-monoid", max_monoid_structure(), "aclr")
     add("parity z4", parity_2ring(4), "de")
-    add("derivation dn2", derivation_2ring(2), "e")
+    derivation = build_derivation_2ring(2)
+    add("derivation dn2 add", derivation.add, "aclr")
+    add("derivation dn2 mul", derivation.mul, "alr")
+    add("derivation dn2", derivation, "e")
+    add("strict derivation dn2", strict_derivation_2ring(2), "de")
     return out
 
 

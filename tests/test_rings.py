@@ -11,6 +11,7 @@ from twogrp import (
     TwoRingData,
     ac_ring_to_quang,
     boxplus,
+    build_derivation_2ring,
     build_strict_2ring,
     jp_upgrade,
     quang_distributivity_diagrams,
@@ -27,7 +28,7 @@ from twogrp.functors import enumerate_zero_isos, tau_family, validate_transforma
 from twogrp.rings import left_mult_functor, right_mult_functor
 from twogrp.report import Status
 
-from helpers import derivation_2ring, perturb_family
+from helpers import perturb_family, strict_derivation_2ring
 
 
 def z6():
@@ -135,6 +136,31 @@ def test_quang_ac_bijection_roundtrip_z6():
     assert all(v in ids for v in ac.absorb_r.components.values())
 
 
+def test_ring_conversions_check_each_structure_once(monkeypatch):
+    # the ring's data rows include the additive half's suite, so the
+    # translation of that half does not check it again; the translated
+    # half is re-checked without its data rows
+    from collections import Counter
+
+    from twogrp import ac, rings
+
+    calls = Counter()
+    for module in (ac, rings):
+        for name in ("validate_sm", "validate_ac"):
+            if hasattr(module, name):
+                def spy(s, *, _real=getattr(module, name), **kw):
+                    calls[id(s), kw.get("check_data", True)] += 1
+                    return _real(s, **kw)
+                monkeypatch.setattr(module, name, spy)
+    ring = z6()
+    ac_ring = quang_to_ac_ring(ring)
+    back = ac_ring_to_quang(ac_ring)
+    assert back == ring
+    # (structure, with its data rows): calls; the two rings share mul
+    assert calls == {(id(ring.add), True): 1, (id(ac_ring.add), False): 1, (id(ac_ring.add), True): 1,
+                     (id(back.add), False): 1, (id(ring.mul), True): 2}
+
+
 def test_quang_ac_bijection_roundtrip_dual_ring():
     ring = z2e()
     ac = quang_to_ac_ring(ring)
@@ -157,18 +183,12 @@ def _distributor_transformation_reports(ring, pairs):
     add = ring.add
     out = []
     for x, y in pairs:
-        lx = left_mult_functor(ring, x, with_zero=True)
-        ly = left_mult_functor(ring, y, with_zero=True)
-        if lx.fzero is None:  # symmetric presentation has no stored absorbers
-            acr = quang_to_ac_ring(ring, validate=False)
-            ring_z = replace(ring, absorb_l=acr.absorb_l, absorb_r=acr.absorb_r, _cache={})
-            lx = left_mult_functor(ring_z, x, with_zero=True)
-            ly = left_mult_functor(ring_z, y, with_zero=True)
-            rx = right_mult_functor(ring_z, x, with_zero=True)
-            ry = right_mult_functor(ring_z, y, with_zero=True)
-        else:
-            rx = right_mult_functor(ring, x, with_zero=True)
-            ry = right_mult_functor(ring, y, with_zero=True)
+        # the absorbers are the zero isos; the symmetric presentation
+        # stores none, so take the canonical ones
+        absorbers = ring if ring.absorb_l is not None else quang_to_ac_ring(ring, validate=False)
+        m, n = absorbers.absorb_l.components, absorbers.absorb_r.components
+        lx, ly = (left_mult_functor(ring, w).with_zero(m[(w,)]) for w in (x, y))
+        rx, ry = (right_mult_functor(ring, w).with_zero(n[(w,)]) for w in (x, y))
         summed = boxplus(lx, ly, add)
         target = left_mult_functor(ring, add.add(x, y))
         tau = tau_family({(z,): ring.dist_r.components[(x, y, z)] for z in ring.carrier.objects})
@@ -312,7 +332,7 @@ def test_family_missing_a_component_is_not_strict():
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_derivation_2ring_passes_jp_and_fails_quang_at_2r1(m):
-    ring = derivation_2ring(m)
+    ring = build_derivation_2ring(m)
     assert validate_two_ring_data(ring).ok
     assert validate_jp(ring, allow_strict_skip=False).ok
     quang = validate_quang(ring, allow_strict_skip=False)
@@ -323,7 +343,7 @@ def test_derivation_2ring_passes_jp_and_fails_quang_at_2r1(m):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_derivation_2ring_has_a_left_absorber_exactly_where_x1_is_zero(m):
-    ring = derivation_2ring(m)
+    ring = build_derivation_2ring(m)
     add = to_ac(ring.add)
     for x in ring.carrier.objects_sorted:
         left = enumerate_zero_isos(left_mult_functor(ring, x), add, add, "AF2")
@@ -333,7 +353,7 @@ def test_derivation_2ring_has_a_left_absorber_exactly_where_x1_is_zero(m):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_derivation_2ring_without_the_derivation_is_a_quang_ring(m):
-    ring = derivation_2ring(m, t=0)
+    ring = strict_derivation_2ring(m)
     assert validate_jp(ring, allow_strict_skip=False).ok
     assert validate_quang(ring, allow_strict_skip=False).ok
     assert validate_quang(ac_ring_to_quang(jp_upgrade(ring))).ok
