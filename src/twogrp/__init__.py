@@ -43,7 +43,6 @@ from .monoidal import (
 )
 from .ac import (
     ACStructure,
-    assoc_commutator_lower,
     assoc_commutator_upper,
     canonical_acomm_at,
     to_ac,
@@ -68,7 +67,6 @@ from .rings import (
     TwoRingData,
     ac_ring_to_quang,
     jp_upgrade,
-    quang_distributivity_diagrams,
     quang_to_ac_ring,
     validate_ac_ring,
     validate_jp,

@@ -3,9 +3,8 @@ four-argument associo-commutator b(x,y,z,t): (x+y)+(z+t) -> (x+z)+(y+t),
 with axioms AC1 (4x4 interchange), AC2 (unital squares) and AC3
 (normalization), plus the two constructive translations:
 
-* ``to_ac``  builds b out of a and c as the border composite of the defining
-  diagram (the upper route; ``assoc_commutator_lower`` evaluates the lower
-  border independently and exists for cross-checking),
+* ``to_ac``  builds b out of a and c as the upper border composite of the
+  defining diagram,
 * ``to_sm``  rebuilds a and c out of b through the unit slots.
 
 Both translations validate their input and always re-check their output
@@ -16,10 +15,10 @@ the input tables exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 from . import expr as ex
-from .diagram import check_diagram, strict_profile
 from .errors import PreconditionFailed
 from .groupoid import FinGroupoid, NatFamily, compose_path, identity_family
 from .monoidal import (
@@ -30,6 +29,7 @@ from .monoidal import (
     validate_sm,
     _check_bifunctor,
     _check_families,
+    _run_laws,
 )
 from .report import Report
 
@@ -60,63 +60,37 @@ class ACStructure(SumStructure):
         return {"b": self.acomm, "l": self.lunit, "r": self.runit}
 
 
-def ac1_legs(a: ACStructure):
-    b, so, sm = a.acomm.components, a.sum_obj, a.sum_mor
-
-    def legs(idx):
-        x, y, z, t, x2, y2, z2, t2 = idx
-        xy, zt = so[(x, y)], so[(z, t)]
-        xy2, zt2 = so[(x2, y2)], so[(z2, t2)]
-        xz, yt = so[(x, z)], so[(y, t)]
-        xz2, yt2 = so[(x2, z2)], so[(y2, t2)]
-        left = [
-            sm[(b[(x, z, x2, z2)], b[(y, t, y2, t2)])],
-            b[(xz, yt, xz2, yt2)],
-            sm[(b[(x, y, z, t)], b[(x2, y2, z2, t2)])],
-        ]
-        right = [
-            b[(so[(x, x2)], so[(y, y2)], so[(z, z2)], so[(t, t2)])],
-            sm[(b[(x, y, x2, y2)], b[(z, t, z2, t2)])],
-            b[(xy, zt, xy2, zt2)],
-        ]
-        return left, right
-
-    return legs
+_X, _Y = ex.var(0), ex.var(1)
+_add = partial(ex.op, "+")
+_b, _l, _r = (partial(ex.fam, s) for s in "blr")
+_0 = ex.constant("0")
 
 
-def ac2_legs(a: ACStructure, which: str):
-    b, l, r = a.acomm.components, a.lunit.components, a.runit.components
-    so, sm, ident, unit = a.sum_obj, a.sum_mor, a.carrier.identity, a.unit
-
-    def legs(idx):
-        x, y = idx
-        xy = so[(x, y)]
-        if which == "right-units":
-            left = [r[(xy,)], sm[(ident[xy], l[(unit,)])], b[(x, unit, y, unit)]]
-            right = [sm[(r[(x,)], r[(y,)])]]
-        elif which == "left-units":
-            left = [l[(xy,)], sm[(r[(unit,)], ident[xy])], b[(unit, x, unit, y)]]
-            right = [sm[(l[(x,)], l[(y,)])]]
-        elif which == "units-right":
-            left = [sm[(r[(x,)], r[(y,)])], b[(x, y, unit, unit)]]
-            right = [r[(xy,)], sm[(ident[xy], l[(unit,)])]]
-        else:  # units-left
-            left = [sm[(l[(x,)], l[(y,)])], b[(unit, unit, x, y)]]
-            right = [l[(xy,)], sm[(r[(unit,)], ident[xy])]]
-        return left, right
-
-    return legs
+def _ac1():
+    x, y, z, t, x2, y2, z2, t2 = map(ex.var, range(8))
+    return ex.Law(
+        "AC1", 8,
+        [_add(_b(x, z, x2, z2), _b(y, t, y2, t2)),
+         _b(_add(x, z), _add(y, t), _add(x2, z2), _add(y2, t2)),
+         _add(_b(x, y, z, t), _b(x2, y2, z2, t2))],
+        [_b(_add(x, x2), _add(y, y2), _add(z, z2), _add(t, t2)),
+         _add(_b(x, y, x2, y2), _b(z, t, z2, t2)),
+         _b(_add(x, y), _add(z, t), _add(x2, y2), _add(z2, t2))],
+    )
 
 
-def ac3_legs(a: ACStructure):
-    b, so, ident, unit = a.acomm.components, a.sum_obj, a.carrier.identity, a.unit
-
-    def legs(idx):
-        x, y = idx
-        src = so[(so[(x, unit)], so[(unit, y)])]
-        return [b[(x, unit, unit, y)]], [ident[src]]
-
-    return legs
+_XY = _add(_X, _Y)
+_RIGHT_UNITS = [_r(_XY), _add(ex.ident(_XY), _l(_0))]  # (x+y)+(0+0) -> x+y
+_LEFT_UNITS = [_l(_XY), _add(_r(_0), ex.ident(_XY))]  # (0+0)+(x+y) -> x+y
+# the AC laws; symbols as bound by ``SumStructure.law_env``
+AC_LAWS = (
+    _ac1(),
+    ex.Law("AC2/right-units", 2, [*_RIGHT_UNITS, _b(_X, _0, _Y, _0)], [_add(_r(_X), _r(_Y))]),
+    ex.Law("AC2/left-units", 2, [*_LEFT_UNITS, _b(_0, _X, _0, _Y)], [_add(_l(_X), _l(_Y))]),
+    ex.Law("AC2/units-right", 2, [_add(_r(_X), _r(_Y)), _b(_X, _Y, _0, _0)], _RIGHT_UNITS),
+    ex.Law("AC2/units-left", 2, [_add(_l(_X), _l(_Y)), _b(_0, _0, _X, _Y)], _LEFT_UNITS),
+    ex.Law("AC3", 2, [_b(_X, _0, _0, _Y)], [ex.ident(_add(_add(_X, _0), _add(_0, _Y)))]),
+)
 
 
 def validate_ac(
@@ -138,19 +112,8 @@ def validate_ac(
             return report
 
     gpd = a.carrier
-    objs = gpd.objects_sorted
-    env = a.env()
-
-    def run(law, arity, legs_fn, fams):
-        strict = ([(f, env) for f in fams], [a]) if allow_strict_skip else None
-        report.add(
-            check_diagram(law, gpd, objs, arity, legs_fn, sample=sample, seed=seed, strict=strict)
-        )
-
-    run("AC1", 8, ac1_legs(a), [a.acomm])
-    for tag in ("right-units", "left-units", "units-right", "units-left"):
-        run(f"AC2/{tag}", 2, ac2_legs(a, tag), [a.acomm, a.lunit, a.runit])
-    run("AC3", 2, ac3_legs(a), [a.acomm])
+    _run_laws(report, AC_LAWS, gpd, gpd.objects_sorted, a.law_env(),
+              sample=sample, seed=seed, strict=allow_strict_skip)
     return report
 
 
@@ -177,42 +140,58 @@ def assoc_commutator_upper(m: MonStructure, x: str, y: str, z: str, t: str) -> s
     )
 
 
-def assoc_commutator_lower(m: MonStructure, x: str, y: str, z: str, t: str) -> str:
-    """The lower border of the same diagram; agrees with the upper border on
-    every tuple whenever the symmetric axioms hold.  Kept as an independent
-    evaluator for cross-checks."""
-    gpd, so, sm = m.carrier, m.sum_obj, m.sum_mor
-    a, c, ident = m.assoc.components, m.comm.components, gpd.identity
-    return compose_path(
-        gpd,
-        [
-            gpd.inv(a[(so[(x, z)], y, t)]),
-            sm[(a[(x, z, y)], ident[t])],
-            sm[(sm[(ident[x], c[(y, z)])], ident[t])],
-            sm[(gpd.inv(a[(x, y, z)]), ident[t])],
-            a[(so[(x, y)], z, t)],
-        ],
-    )
+class _CanonicalAcomm(dict):
+    """The canonical associo-commutator of a symmetric structure, the family
+    the 2-ring laws read as ``b``: each component is computed on its first
+    read (the identity of its source object when the border composite's
+    ingredients are strict, the upper border composite otherwise) and
+    memoized."""
+
+    def __init__(self, m: MonStructure):
+        super().__init__()
+        self.m, self.strict = m, None
+
+    @property
+    def components(self) -> dict:
+        return self
+
+    def is_strict(self, gpd=None, env=None) -> bool:
+        if self.strict is None:
+            self.strict = _strict_border(self.m, (self.m.assoc, self.m.comm))
+        return self.strict
+
+    def __missing__(self, key):
+        m = self.m
+        if self.is_strict():
+            so = m.sum_obj
+            x, y, z, t = key
+            value = m.carrier.identity[so[(so[(x, y)], so[(z, t)])]]
+        else:
+            value = assoc_commutator_upper(m, *key)
+        self[key] = value
+        return value
+
+
+def _strict_border(s, fams) -> bool:
+    """True when ``fams`` are strict, the sum preserves identities and so
+    does inversion: the ingredients of the translations' border composites,
+    which are then identities."""
+    gpd, env = s.carrier, s.env()
+    return (all(f.is_strict(gpd, env) for f in fams) and s.preserves_identities()
+            and gpd.identities_preserved_by_inverse())
+
+
+def _canonical_acomm(m: MonStructure) -> _CanonicalAcomm:
+    if "acomm" not in m._cache:
+        m._cache["acomm"] = _CanonicalAcomm(m)
+    return m._cache["acomm"]
 
 
 def canonical_acomm_at(m: MonStructure, x: str, y: str, z: str, t: str) -> str:
     """Canonical associo-commutator of a symmetric structure at one tuple,
     memoized on the structure (strict structures short-circuit to the
     identity of the evaluated source object)."""
-    memo = m._cache.setdefault("acomm_memo", {})
-    key = (x, y, z, t)
-    if key not in memo:
-        if "acomm_strict" not in m._cache:
-            env = m.env()
-            m._cache["acomm_strict"] = strict_profile(
-                m.carrier, [(m.assoc, env), (m.comm, env)], [m], uses_inverse=True
-            )
-        if m._cache["acomm_strict"]:
-            so = m.sum_obj
-            memo[key] = m.carrier.identity[so[(so[(x, y)], so[(z, t)])]]
-        else:
-            memo[key] = assoc_commutator_upper(m, x, y, z, t)
-    return memo[key]
+    return _canonical_acomm(m)[x, y, z, t]
 
 
 def to_ac(
@@ -238,7 +217,7 @@ def _translate_to_ac(m: MonStructure, sample: int | None, seed: int = 0) -> ACSt
     if m.comm is None:
         raise PreconditionFailed("translation needs a commutator")
     gpd, env = m.carrier, m.env()
-    if strict_profile(gpd, [(m.assoc, env), (m.comm, env)], [m], uses_inverse=True):
+    if _canonical_acomm(m).is_strict():
         b_fam = identity_family(acomm_family, gpd, env)
     else:
         b_fam = acomm_family(
@@ -298,7 +277,7 @@ def _translate_to_sm(a: ACStructure, sample: int | None, seed: int = 0) -> MonSt
     and the re-check of its output."""
     gpd, env = a.carrier, a.env()
     objs = gpd.objects_sorted
-    if strict_profile(gpd, [(a.acomm, env), (a.lunit, env), (a.runit, env)], [a], uses_inverse=True):
+    if _strict_border(a, (a.acomm, a.lunit, a.runit)):
         a_fam = identity_family(assoc_family, gpd, env)
         c_fam = identity_family(comm_family, gpd, env)
     else:

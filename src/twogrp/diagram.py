@@ -12,15 +12,17 @@ recomposed by ``compose_path``, whose checking walk names the id or endpoint
 that breaks the chain.  A sample draws the same tuples ``Random.choice``
 would at the same seed.
 
-A check may also be discharged by a *strict profile*: when every leg of both
-routes is drawn from strict families (identities at their declared
-endpoints) combined by identity-preserving sums and functors, each route
-composes to the identity of the instance's start object, so all instances
-commute.  ``check_diagram`` tests the profile itself.  A family's strict
-bit comes from the scan that validates its endpoints, or is set by
-``groupoid.identity_family``, the one constructor of strict families;
-either holds only for the carrier and the tables it was established under.  A route that reads a
-missing table entry is a witness, as one that does not compose is.
+A check may also be discharged by a *strict profile*, derived from the
+law's terms (``Law.ingredients``): when every family the routes read is
+strict (identities at their declared endpoints), every sum or functor they
+apply to morphisms preserves identities and every constant they use as a
+morphism is an identity, each route composes to the identity of the
+instance's start object, so all instances commute.  ``check_diagram`` tests
+the profile itself.  A family's strict bit comes from the scan that
+validates its endpoints, or is set by ``groupoid.identity_family``, the one
+constructor of strict families; either holds only for the carrier and the
+tables it was established under.  A route that reads a missing table entry
+is a witness, as one that does not compose is.
 """
 
 from __future__ import annotations
@@ -28,34 +30,26 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Iterable, Sequence
 
-from .groupoid import FinGroupoid, NatFamily, compose_path, index_space
+from .expr import Law
+from .groupoid import FinGroupoid, compose_path, index_space
 from .errors import StructureError
 from .report import CheckResult, Status, Witness
 
 LegsFn = Callable[[tuple[str, ...]], tuple[Sequence[str], Sequence[str]]]
 
 
-def strict_profile(
-    gpd: FinGroupoid,
-    families: Sequence[tuple[NatFamily | None, dict]],
-    maps: Sequence = (),
-    uses_inverse: bool = False,
-) -> bool:
-    """True when the given ingredients can only produce identity legs at the
-    objects the diagram expects, so every instance commutes.
-
-    ``families`` pairs each family with the evaluation environment of the
-    structure it belongs to (the endpoint check is what makes the shortcut
-    sound); ``maps`` lists the sum structures and functors that combine or
-    map legs, each of which must preserve identities.
-    """
-    for fam, env in families:
-        if fam is not None and not fam.is_strict(gpd, env):
-            return False
-    for m in maps:
-        if not m.preserves_identities():
-            return False
-    return not uses_inverse or gpd.identities_preserved_by_inverse()
+def strict_profile(law: Law, gpd: FinGroupoid, env: dict) -> bool:
+    """True when the ingredients ``law`` reads, bound in ``env``, can only
+    produce identity legs at the objects the diagram expects, so every
+    instance commutes.  A family counts under the environment it is bound
+    with (the endpoint check is what makes the shortcut sound)."""
+    fams, maps, consts = law.ingredients
+    ident = gpd.identity
+    return (
+        all(env[s][0].is_strict(gpd, env[s][1]) for s in fams)
+        and all(env[s][2]() for s in maps)
+        and all(ident.get(env[s][0]) == env[s][1] for s in consts)
+    )
 
 
 def _scan(
@@ -95,30 +89,29 @@ def _scan(
 
 
 def check_diagram(
-    law: str,
+    law: Law,
     gpd: FinGroupoid,
     objects: Sequence[str],
-    arity: int,
-    legs: LegsFn,
+    env: dict,
     *,
     sample: int | None = None,
     seed: int = 0,
-    strict: tuple | None = None,
+    strict: bool = False,
 ) -> CheckResult:
-    """Check one two-route diagram over the full (or sampled) index space.
+    """Check one law, bound in ``env``, over the full (or sampled) space of
+    its index tuples.
 
-    ``strict`` holds the ``strict_profile`` arguments after ``gpd``; when
-    that profile holds, the loop is skipped and the instance count records
-    the whole space it covers, sampled or not.  ``None`` always runs the
-    loop.
+    With ``strict`` the law's strict profile is tested first; when it holds,
+    the loop is skipped and the instance count records the whole space it
+    covers, sampled or not.
     """
     started = time.perf_counter()
-    if strict is not None and strict_profile(gpd, *strict):
-        total = len(objects) ** arity
-        return CheckResult(law, Status.PASS, None, total, "strict-profile", time.perf_counter() - started)
+    if strict and strict_profile(law, gpd, env):
+        total = len(objects) ** law.arity
+        return CheckResult(law.name, Status.PASS, None, total, "strict-profile", time.perf_counter() - started)
 
-    space, total, mode = index_space(objects, arity, sample, seed)
-    checked, witness = _scan(gpd, legs, space)
+    space, total, mode = index_space(objects, law.arity, sample, seed)
+    checked, witness = _scan(gpd, law.legs(env, gpd.identity), space)
     status = Status.FAIL if witness is not None else Status.PASS
     instances = checked if witness is not None else total
-    return CheckResult(law, status, witness, instances, mode, time.perf_counter() - started)
+    return CheckResult(law.name, status, witness, instances, mode, time.perf_counter() - started)

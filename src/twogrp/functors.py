@@ -16,6 +16,7 @@ oracle: it scans every carrier morphism 0' -> F0 with no shortcuts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import expr as ex
 from .ac import ACStructure, canonical_acomm_at
@@ -36,7 +37,7 @@ from .groupoid import (
     validate_family,
     validate_functor,
 )
-from .monoidal import MonStructure, basic_unitor, find_weak_inverse, validate_2group
+from .monoidal import MonStructure, _run_laws, basic_unitor, find_weak_inverse, validate_2group
 from .report import CheckResult, Report, Status, Witness
 
 _V0, _V1 = ex.var(0), ex.var(1)
@@ -105,102 +106,51 @@ def check_fsum_naturality(
 
 
 # ---------------------------------------------------------------------------
-# axiom legs
+# axiom laws
 # ---------------------------------------------------------------------------
 
-
-def sf1_legs(fun: StructuredFunctor, src: MonStructure, tgt: MonStructure):
-    fs, fo, fm = fun.fsum.components, fun.base.obj_map, fun.base.mor_map
-    so = src.sum_obj
-    a_src, a_tgt = src.assoc.components, tgt.assoc.components
-    smt, identt = tgt.sum_mor, tgt.carrier.identity
-
-    def legs(idx):
-        x, y, z = idx
-        fx, fy, fz = fo[x], fo[y], fo[z]
-        left = [
-            fs[(so[(x, y)], z)],
-            smt[(fs[(x, y)], identt[fz])],
-            a_tgt[(fx, fy, fz)],
-        ]
-        right = [
-            fm[a_src[(x, y, z)]],
-            fs[(x, so[(y, z)])],
-            smt[(identt[fx], fs[(y, z)])],
-        ]
-        return left, right
-
-    return legs
+_X, _Y, _Z, _T = map(ex.var, range(4))
+_fs = partial(ex.fam, "F+")
+_F = partial(ex.app, "F")
+_plus_s = partial(ex.op, "+s")
+_plus_t = partial(ex.op, "+t")
+_F0, _0 = ex.constant("F0"), ex.constant("0s")
 
 
-def sf2_legs(fun: StructuredFunctor, src: MonStructure, tgt: MonStructure):
-    fs, fo, fm = fun.fsum.components, fun.base.obj_map, fun.base.mor_map
-    c_src, c_tgt = src.comm.components, tgt.comm.components
-
-    def legs(idx):
-        x, y = idx
-        left = [fm[c_src[(x, y)]], fs[(x, y)]]
-        right = [fs[(y, x)], c_tgt[(fo[x], fo[y])]]
-        return left, right
-
-    return legs
-
-
-def zero_square_legs(fun: StructuredFunctor, src, tgt, side: str, fzero: str):
-    """The unit squares shared by SF3 and AF2 (``side`` is "right"/"left")."""
-    fs, fo, fm = fun.fsum.components, fun.base.obj_map, fun.base.mor_map
-    smt, identt, unit_s = tgt.sum_mor, tgt.carrier.identity, src.unit
-    rs, ls = src.runit.components, src.lunit.components
-    rt, lt = tgt.runit.components, tgt.lunit.components
-
-    def legs(idx):
-        (x,) = idx
-        fx = fo[x]
-        if side == "right":
-            left = [fm[rs[(x,)]], fs[(x, unit_s)], smt[(identt[fx], fzero)]]
-            right = [rt[(fx,)]]
-        else:
-            left = [fm[ls[(x,)]], fs[(unit_s, x)], smt[(fzero, identt[fx])]]
-            right = [lt[(fx,)]]
-        return left, right
-
-    return legs
+# symbols as bound by ``_law_env``: each endpoint structure's own symbols
+# tagged s (source) or t (target), the functor F, its family F+ and F0
+SF1 = ex.Law(
+    "SF1", 3,
+    [_fs(_plus_s(_X, _Y), _Z), _plus_t(_fs(_X, _Y), ex.ident(_F(_Z))),
+     ex.fam("at", _F(_X), _F(_Y), _F(_Z))],
+    [_F(ex.fam("as", _X, _Y, _Z)), _fs(_X, _plus_s(_Y, _Z)), _plus_t(ex.ident(_F(_X)), _fs(_Y, _Z))],
+)
+SF2 = ex.Law("SF2", 2, [_F(ex.fam("cs", _X, _Y)), _fs(_X, _Y)], [_fs(_Y, _X), ex.fam("ct", _F(_X), _F(_Y))])
+AF1 = ex.Law(
+    "AF1", 4,
+    [_fs(_plus_s(_X, _Z), _plus_s(_Y, _T)), _plus_t(_fs(_X, _Z), _fs(_Y, _T)),
+     ex.fam("bt", _F(_X), _F(_Y), _F(_Z), _F(_T))],
+    [_F(ex.fam("bs", _X, _Y, _Z, _T)), _fs(_plus_s(_X, _Y), _plus_s(_Z, _T)), _plus_t(_fs(_X, _Y), _fs(_Z, _T))],
+)
+# the unit squares, shared by SF3 and AF2
+UNIT_SQUARES = {
+    law: (ex.Law(f"{law}/right", 1, [_F(ex.fam("rs", _X)), _fs(_X, _0), _plus_t(ex.ident(_F(_X)), _F0)],
+                 [ex.fam("rt", _F(_X))]),
+          ex.Law(f"{law}/left", 1, [_F(ex.fam("ls", _X)), _fs(_0, _X), _plus_t(_F0, ex.ident(_F(_X)))],
+                 [ex.fam("lt", _F(_X))]))
+    for law in ("SF3", "AF2")
+}
+T1 = ex.Law("T1", 2, [ex.fam("tau", _plus_s(_X, _Y)), _fs(_X, _Y)],
+            [ex.fam("G+", _X, _Y), _plus_t(ex.fam("tau", _X), ex.fam("tau", _Y))])
 
 
-def af1_legs(fun: StructuredFunctor, src: ACStructure, tgt: ACStructure):
-    fs, fo, fm = fun.fsum.components, fun.base.obj_map, fun.base.mor_map
-    so = src.sum_obj
-    b_src, b_tgt = src.acomm.components, tgt.acomm.components
-    smt = tgt.sum_mor
-
-    def legs(idx):
-        x, y, z, t = idx
-        left = [
-            fs[(so[(x, z)], so[(y, t)])],
-            smt[(fs[(x, z)], fs[(y, t)])],
-            b_tgt[(fo[x], fo[y], fo[z], fo[t])],
-        ]
-        right = [
-            fm[b_src[(x, y, z, t)]],
-            fs[(so[(x, y)], so[(z, t)])],
-            smt[(fs[(x, y)], fs[(z, t)])],
-        ]
-        return left, right
-
-    return legs
-
-
-def t1_legs(tr: MonTransformation, src, tgt):
-    f_sum, g_sum = tr.source.fsum.components, tr.target.fsum.components
-    tau, so, smt = tr.tau.components, src.sum_obj, tgt.sum_mor
-
-    def legs(idx):
-        x, y = idx
-        left = [tau[(so[(x, y)],)], f_sum[(x, y)]]
-        right = [g_sum[(x, y)], smt[(tau[(x,)], tau[(y,)])]]
-        return left, right
-
-    return legs
+def _law_env(fun: StructuredFunctor, src, tgt) -> dict:
+    env = {**src.law_env("s"), **tgt.law_env("t"),
+           "F": (fun.base.obj_map, fun.base.mor_map, fun.base.preserves_identities),
+           "F+": (fun.fsum, functor_env(fun, src, tgt))}
+    if fun.fzero is not None:
+        env["F0"] = (fun.base.obj_map.get(src.unit), fun.fzero)
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +174,11 @@ def _data_rows(fun: StructuredFunctor, src, tgt, report: Report) -> None:
         _first_failure(report, "fzero-endpoints", [case])
 
 
-def _zero_identity(fun: StructuredFunctor, src, tgt) -> bool:
-    return fun.fzero is not None and fun.fzero == tgt.carrier.identity.get(
-        fun.base.obj_map[src.unit]
-    )
-
-
 def _functor_suite(
     fun: StructuredFunctor,
     src,
     tgt,
-    interchange: list,
+    laws: tuple,
     unit_law: str,
     *,
     check_data: bool,
@@ -242,43 +186,23 @@ def _functor_suite(
     seed: int,
     allow_strict_skip: bool,
 ) -> Report:
-    """The body of both functor suites: the data rows, each interchange row
-    ``(law, arity, make_legs, src_family, tgt_family)`` the presentation
-    lists (``make_legs=None``: not applicable), then the unit squares
-    SF3 = AF2 under ``unit_law`` (missing-data without a zero iso)."""
+    """The body of both functor suites: the data rows, the interchange
+    ``laws`` of the presentation (not applicable where an endpoint lacks a
+    family they read), then the unit squares SF3 = AF2 under ``unit_law``
+    (missing-data without a zero iso)."""
     report = Report()
     if check_data:
         _data_rows(fun, src, tgt, report)
         if not report.ok:
             return report
 
-    gpd = tgt.carrier
-    objs = src.carrier.objects_sorted
-    fenv, senv, tenv = functor_env(fun, src, tgt), src.env(), tgt.env()
-
-    def strict(*fams):
-        return ([(fun.fsum, fenv), *fams], [tgt, fun.base]) if allow_strict_skip else None
-
-    for law, arity, make_legs, src_fam, tgt_fam in interchange:
-        if make_legs is None:
-            report.add(CheckResult(law, Status.NOT_APPLICABLE, None, 0, "skipped"))
-            continue
-        profile = strict((src_fam, senv), (tgt_fam, tenv))
-        report.add(
-            check_diagram(law, gpd, objs, arity, make_legs(fun, src, tgt),
-                          sample=sample, seed=seed, strict=profile)
-        )
+    gpd, objs, env = tgt.carrier, src.carrier.objects_sorted, _law_env(fun, src, tgt)
+    opts = dict(sample=sample, seed=seed, strict=allow_strict_skip)
+    _run_laws(report, laws, gpd, objs, env, **opts)
     if fun.fzero is None:
         report.add(CheckResult(unit_law, Status.MISSING_DATA, None, 0, "skipped (no zero iso)"))
         return report
-    unitors = (src.lunit, senv), (src.runit, senv), (tgt.lunit, tenv), (tgt.runit, tenv)
-    units = strict(*unitors) if allow_strict_skip and _zero_identity(fun, src, tgt) else None
-    for side in ("right", "left"):
-        report.add(
-            check_diagram(f"{unit_law}/{side}", gpd, objs, 1,
-                          zero_square_legs(fun, src, tgt, side, fun.fzero),
-                          sample=sample, seed=seed, strict=units)
-        )
+    _run_laws(report, UNIT_SQUARES[unit_law], gpd, objs, env, **opts)
     return report
 
 
@@ -295,10 +219,7 @@ def validate_sm_functor(
     """SF1 (associativity square), SF2 (symmetry square, not-applicable when
     either endpoint lacks a commutator) and the two SF3 unit squares
     (missing-data when the functor has no zero isomorphism)."""
-    symmetric = src.comm is not None and tgt.comm is not None
-    interchange = [("SF1", 3, sf1_legs, src.assoc, tgt.assoc),
-                   ("SF2", 2, sf2_legs if symmetric else None, src.comm, tgt.comm)]
-    return _functor_suite(fun, src, tgt, interchange, "SF3", check_data=check_data,
+    return _functor_suite(fun, src, tgt, (SF1, SF2), "SF3", check_data=check_data,
                           sample=sample, seed=seed, allow_strict_skip=allow_strict_skip)
 
 
@@ -314,8 +235,7 @@ def validate_ac_functor(
 ) -> Report:
     """AF1 (interchange square over object 4-tuples) and the two AF2 unit
     squares (the same squares as SF3; missing-data without a zero iso)."""
-    interchange = [("AF1", 4, af1_legs, src.acomm, tgt.acomm)]
-    return _functor_suite(fun, src, tgt, interchange, "AF2", check_data=check_data,
+    return _functor_suite(fun, src, tgt, (AF1,), "AF2", check_data=check_data,
                           sample=sample, seed=seed, allow_strict_skip=allow_strict_skip)
 
 
@@ -344,10 +264,9 @@ def validate_transformation(
         )
 
     gpd = tgt.carrier
-    report.add(
-        check_diagram("T1", gpd, src.carrier.objects_sorted, 2, t1_legs(tr, src, tgt),
-                      sample=sample, seed=seed)
-    )
+    env = {**src.law_env("s"), **tgt.law_env("t"), "tau": (tr.tau, None),
+           "F+": (tr.source.fsum, None), "G+": (tr.target.fsum, None)}
+    report.add(check_diagram(T1, gpd, src.carrier.objects_sorted, env, sample=sample, seed=seed))
     if tr.source.fzero is None or tr.target.fzero is None:
         report.add(CheckResult("T2", Status.MISSING_DATA, None, 0, "skipped (no zero iso)"))
         return report
@@ -444,8 +363,9 @@ def boxplus(f: StructuredFunctor, g: StructuredFunctor, target: MonStructure) ->
 def zero_iso_ok(fun: StructuredFunctor, src, tgt, candidate: str) -> bool:
     """Do both unit squares (SF3 = AF2) hold with this zero isomorphism?"""
     gpd = tgt.carrier
-    for side in ("right", "left"):
-        legs = zero_square_legs(fun, src, tgt, side, candidate)
+    env = {**_law_env(fun, src, tgt), "F0": (None, candidate)}
+    for square in UNIT_SQUARES["SF3"]:
+        legs = square.legs(env, gpd.identity)
         for x in src.carrier.objects_sorted:
             try:
                 left, right = legs((x,))
@@ -479,15 +399,9 @@ def canonical_zero_iso(fun: StructuredFunctor, src: MonStructure, tgt: MonStruct
     choice; tests re-verify that).  Refuses when SF1 fails: the formula is
     only guaranteed under SF1.
     """
-    sf1_strict = strict_profile(
-        tgt.carrier,
-        [(fun.fsum, functor_env(fun, src, tgt)), (src.assoc, src.env()), (tgt.assoc, tgt.env())],
-        [tgt, fun.base],
-    )
-    if not sf1_strict:
-        sf1 = check_diagram(
-            "SF1", tgt.carrier, src.carrier.objects_sorted, 3, sf1_legs(fun, src, tgt)
-        )
+    env = _law_env(fun, src, tgt)
+    if not strict_profile(SF1, tgt.carrier, env):
+        sf1 = check_diagram(SF1, tgt.carrier, src.carrier.objects_sorted, env)
         if sf1.status is Status.FAIL:
             raise PreconditionFailed(f"SF1 fails: witness {sf1.witness.describe()}")
 

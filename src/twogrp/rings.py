@@ -4,8 +4,7 @@ suites that differ only in how the distributivity coherence is stated:
 
 * ``validate_quang``    -- 2R1 requires the pairs (x*-, d_x) and (-*z, e_z)
   to satisfy SF1+SF2 as endomorphisms of the additive symmetric 2-group
-  (equivalently: the four classical distributivity diagrams, kept as an
-  independent cross-check in ``quang_distributivity_diagrams``);
+  (equivalently: the four classical distributivity diagrams);
 * ``validate_jp``       -- 2R1' requires the same pairs to satisfy AF1
   against the canonical associo-commutator (two diagrams over 5-tuples);
   strictly weaker than 2R1;
@@ -22,21 +21,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 from . import expr as ex
-from .ac import ACStructure, _translate_to_ac, _translate_to_sm, canonical_acomm_at, validate_ac
+from .ac import ACStructure, _canonical_acomm, _translate_to_ac, _translate_to_sm, validate_ac
 from .diagram import check_diagram, strict_profile
 from .errors import MissingAbsorbers, PresentationMismatch
 from .groupoid import FinGroupoid, GFunctor, NatFamily, check_naturality, validate_family, validate_groupoid
 from .monoidal import MonStructure, _check_weak_inverses, validate_sm
 from .functors import (
+    SF1,
+    SF2,
     StructuredFunctor,
+    _law_env as _functor_law_env,
     canonical_zero_iso,
     enumerate_zero_isos,
     fsum_family,
-    sf1_legs,
-    sf2_legs,
 )
 from .report import CheckResult, Report, Status, Witness
 
@@ -132,182 +133,73 @@ def right_mult_functor(ring: TwoRingData, z: str) -> StructuredFunctor:
 
 
 # ---------------------------------------------------------------------------
-# axiom legs shared by the three suites
+# axiom laws; symbols as bound by ``_law_env``
 # ---------------------------------------------------------------------------
 
-
-def _r2_legs(ring: TwoRingData, b_at):
-    d, e = ring.dist_l.components, ring.dist_r.components
-    ao, am = ring.add.sum_obj, ring.add.sum_mor
-    mo = ring.mul.sum_obj
-
-    def legs(idx):
-        x, y, z, t = idx
-        left = [e[(x, y, ao[(z, t)])], am[(d[(x, z, t)], d[(y, z, t)])]]
-        right = [
-            d[(ao[(x, y)], z, t)],
-            am[(e[(x, y, z)], e[(x, y, t)])],
-            b_at(mo[(x, z)], mo[(x, t)], mo[(y, z)], mo[(y, t)]),
-        ]
-        return left, right
-
-    return legs
-
-
-def _r3_legs(ring: TwoRingData):
-    d = ring.dist_l.components
-    ax = ring.mul.assoc.components
-    ao, am = ring.add.sum_obj, ring.add.sum_mor
-    mo, mm, ident = ring.mul.sum_obj, ring.mul.sum_mor, ring.carrier.identity
-
-    def legs(idx):
-        x, y, z, t = idx
-        left = [d[(mo[(x, y)], z, t)], am[(ax[(x, y, z)], ax[(x, y, t)])]]
-        right = [
-            ax[(x, y, ao[(z, t)])],
-            mm[(ident[x], d[(y, z, t)])],
-            d[(x, mo[(y, z)], mo[(y, t)])],
-        ]
-        return left, right
-
-    return legs
-
-
-def _r4_legs(ring: TwoRingData):
-    d, e = ring.dist_l.components, ring.dist_r.components
-    ax = ring.mul.assoc.components
-    ao, am = ring.add.sum_obj, ring.add.sum_mor
-    mo, mm, ident = ring.mul.sum_obj, ring.mul.sum_mor, ring.carrier.identity
-
-    def legs(idx):
-        x, y, z, t = idx
-        left = [
-            mm[(d[(x, z, t)], ident[y])],
-            e[(mo[(x, z)], mo[(x, t)], y)],
-            am[(ax[(x, z, y)], ax[(x, t, y)])],
-        ]
-        right = [
-            ax[(x, ao[(z, t)], y)],
-            mm[(ident[x], e[(z, t, y)])],
-            d[(x, mo[(z, y)], mo[(t, y)])],
-        ]
-        return left, right
-
-    return legs
+_X, _Y, _Z, _T, _U = map(ex.var, range(5))
+_add = partial(ex.op, "+")
+_mul = partial(ex.op, "*")
+_d, _e, _b, _m, _n, _l, _r = (partial(ex.fam, s) for s in "debmnlr")
+_ax, _lx, _rx = (partial(ex.fam, s) for s in ("a*", "l*", "r*"))
+_id, _0, _1 = ex.ident, ex.constant("0"), ex.constant("1")
+COMMON_LAWS = (
+    ex.Law("2R2", 4, [_e(_X, _Y, _add(_Z, _T)), _add(_d(_X, _Z, _T), _d(_Y, _Z, _T))],
+           [_d(_add(_X, _Y), _Z, _T), _add(_e(_X, _Y, _Z), _e(_X, _Y, _T)),
+            _b(_mul(_X, _Z), _mul(_X, _T), _mul(_Y, _Z), _mul(_Y, _T))]),
+    ex.Law("2R3", 4, [_d(_mul(_X, _Y), _Z, _T), _add(_ax(_X, _Y, _Z), _ax(_X, _Y, _T))],
+           [_ax(_X, _Y, _add(_Z, _T)), _mul(_id(_X), _d(_Y, _Z, _T)), _d(_X, _mul(_Y, _Z), _mul(_Y, _T))]),
+    ex.Law("2R4", 4, [_mul(_d(_X, _Z, _T), _id(_Y)), _e(_mul(_X, _Z), _mul(_X, _T), _Y),
+                      _add(_ax(_X, _Z, _Y), _ax(_X, _T, _Y))],
+           [_ax(_X, _add(_Z, _T), _Y), _mul(_id(_X), _e(_Z, _T, _Y)), _d(_X, _mul(_Z, _Y), _mul(_T, _Y))]),
+    # over the tuples (t, z, y, x)
+    ex.Law("2R5", 4, [_mul(_e(_X, _Y, _Z), _id(_T)), _e(_mul(_X, _Z), _mul(_Y, _Z), _T),
+                      _add(_ax(_X, _Z, _T), _ax(_Y, _Z, _T))],
+           [_ax(_add(_X, _Y), _Z, _T), _e(_X, _Y, _mul(_Z, _T))]),
+    ex.Law("2R6/left", 2, [_lx(_add(_X, _Y)), _d(_1, _X, _Y)], [_add(_lx(_X), _lx(_Y))]),
+    ex.Law("2R6/right", 2, [_rx(_add(_X, _Y)), _e(_X, _Y, _1)], [_add(_rx(_X), _rx(_Y))]),
+)
+# 2R1' (through the canonical b) and 2R1'' (through the given b): the same
+# two interchange diagrams over 5-tuples
+_INTERCHANGE = {
+    "d": ([_mul(_id(_X), _b(_Y, _Z, _T, _U)), _d(_X, _add(_Y, _Z), _add(_T, _U)),
+           _add(_d(_X, _Y, _Z), _d(_X, _T, _U))],
+          [_d(_X, _add(_Y, _T), _add(_Z, _U)), _add(_d(_X, _Y, _T), _d(_X, _Z, _U)),
+           _b(_mul(_X, _Y), _mul(_X, _Z), _mul(_X, _T), _mul(_X, _U))]),
+    "e": ([_mul(_b(_X, _Y, _Z, _T), _id(_U)), _e(_add(_X, _Y), _add(_Z, _T), _U),
+           _add(_e(_X, _Y, _U), _e(_Z, _T, _U))],
+          [_e(_add(_X, _Z), _add(_Y, _T), _U), _add(_e(_X, _Z, _U), _e(_Y, _T, _U)),
+           _b(_mul(_X, _U), _mul(_Y, _U), _mul(_Z, _U), _mul(_T, _U))]),
+}
+JP_LAWS = tuple(ex.Law(f"2R1-prime/{form}", 5, *legs) for form, legs in _INTERCHANGE.items())
+_XY = _mul(_X, _Y)
+AC_RING_LAWS = (
+    *(ex.Law(f"2R1-dprime/{form}", 5, *legs) for form, legs in _INTERCHANGE.items()),
+    ex.Law("2R1-dprime/m-left", 2, [_l(_XY)],
+           [_mul(_id(_X), _l(_Y)), _d(_X, _0, _Y), _add(_m(_X), _id(_XY))]),
+    ex.Law("2R1-dprime/m-right", 2, [_r(_XY)],
+           [_mul(_id(_X), _r(_Y)), _d(_X, _Y, _0), _add(_id(_XY), _m(_X))]),
+    ex.Law("2R1-dprime/n-left", 2, [_l(_XY)],
+           [_mul(_l(_X), _id(_Y)), _e(_0, _X, _Y), _add(_n(_Y), _id(_XY))]),
+    ex.Law("2R1-dprime/n-right", 2, [_r(_XY)],
+           [_mul(_r(_X), _id(_Y)), _e(_X, _0, _Y), _add(_id(_XY), _n(_Y))]),
+)
 
 
-def _r5_legs(ring: TwoRingData):
-    e = ring.dist_r.components
-    ax = ring.mul.assoc.components
-    ao, am = ring.add.sum_obj, ring.add.sum_mor
-    mo, mm, ident = ring.mul.sum_obj, ring.mul.sum_mor, ring.carrier.identity
-
-    def legs(idx):
-        t, z, y, x = idx
-        left = [
-            mm[(e[(t, z, y)], ident[x])],
-            e[(mo[(t, y)], mo[(z, y)], x)],
-            am[(ax[(t, y, x)], ax[(z, y, x)])],
-        ]
-        right = [ax[(ao[(t, z)], y, x)], e[(t, z, mo[(y, x)])]]
-        return left, right
-
-    return legs
-
-
-def _r6_legs(ring: TwoRingData, side: str):
-    d, e = ring.dist_l.components, ring.dist_r.components
-    ao, am = ring.add.sum_obj, ring.add.sum_mor
-    one = ring.mul.unit
-    lx, rx = ring.mul.lunit.components, ring.mul.runit.components
-
-    def legs(idx):
-        x, y = idx
-        if side == "left":
-            left = [lx[(ao[(x, y)],)], d[(one, x, y)]]
-            right = [am[(lx[(x,)], lx[(y,)])]]
-        else:
-            left = [rx[(ao[(x, y)],)], e[(x, y, one)]]
-            right = [am[(rx[(x,)], rx[(y,)])]]
-        return left, right
-
-    return legs
-
-
-def _r1_prime_legs(ring: TwoRingData, b_at, form: str):
-    d, e = ring.dist_l.components, ring.dist_r.components
-    ao, am = ring.add.sum_obj, ring.add.sum_mor
-    mo, mm, ident = ring.mul.sum_obj, ring.mul.sum_mor, ring.carrier.identity
-
-    def legs(idx):
-        x, y, z, t, u = idx
-        if form == "d":
-            left = [
-                mm[(ident[x], b_at(y, z, t, u))],
-                d[(x, ao[(y, z)], ao[(t, u)])],
-                am[(d[(x, y, z)], d[(x, t, u)])],
-            ]
-            right = [
-                d[(x, ao[(y, t)], ao[(z, u)])],
-                am[(d[(x, y, t)], d[(x, z, u)])],
-                b_at(mo[(x, y)], mo[(x, z)], mo[(x, t)], mo[(x, u)]),
-            ]
-        else:
-            left = [
-                mm[(b_at(x, y, z, t), ident[u])],
-                e[(ao[(x, y)], ao[(z, t)], u)],
-                am[(e[(x, y, u)], e[(z, t, u)])],
-            ]
-            right = [
-                e[(ao[(x, z)], ao[(y, t)], u)],
-                am[(e[(x, z, u)], e[(y, t, u)])],
-                b_at(mo[(x, u)], mo[(y, u)], mo[(z, u)], mo[(t, u)]),
-            ]
-        return left, right
-
-    return legs
-
-
-def _absorber_legs(ring: TwoRingData, which: str):
-    d, e = ring.dist_l.components, ring.dist_r.components
-    am = ring.add.sum_mor
-    mo, mm, ident = ring.mul.sum_obj, ring.mul.sum_mor, ring.carrier.identity
-    ladd, radd = ring.add.lunit.components, ring.add.runit.components
-    zero = ring.add.unit
-    m = ring.absorb_l.components if ring.absorb_l is not None else None
-    n = ring.absorb_r.components if ring.absorb_r is not None else None
-
-    def legs(idx):
-        x, y = idx
-        xy = mo[(x, y)]
-        if which == "m-left":
-            left = [ladd[(xy,)]]
-            right = [mm[(ident[x], ladd[(y,)])], d[(x, zero, y)], am[(m[(x,)], ident[xy])]]
-        elif which == "m-right":
-            left = [radd[(xy,)]]
-            right = [mm[(ident[x], radd[(y,)])], d[(x, y, zero)], am[(ident[xy], m[(x,)])]]
-        elif which == "n-left":
-            left = [ladd[(xy,)]]
-            right = [mm[(ladd[(x,)], ident[y])], e[(zero, x, y)], am[(n[(y,)], ident[xy])]]
-        else:  # n-right
-            left = [radd[(xy,)]]
-            right = [mm[(radd[(x,)], ident[y])], e[(x, zero, y)], am[(ident[xy], n[(y,)])]]
-        return left, right
-
-    return legs
+def _law_env(ring: TwoRingData) -> dict:
+    """The additive half's symbols, the multiplicative half's as ``*``,
+    ``1``, ``a*``, ``l*``, ``r*``, the ring's families and, for the symmetric
+    presentation, the canonical associo-commutator as ``b``."""
+    renv = ring.env()
+    env = {**ring.add.law_env(), **ring.mul.law_env("*", plus="*", zero="1")}
+    env.update((name, (fam, renv)) for name, fam in ring.families().items())
+    if ring.presentation == "sm":
+        env["b"] = (_canonical_acomm(ring.add), None)
+    return env
 
 
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
-
-
-def _b_strict(ring: TwoRingData) -> list[tuple[NatFamily, dict]]:
-    """Family/env pairs whose strictness makes the relevant b identity."""
-    env = ring.add.env()
-    if ring.presentation == "ac":
-        return [(ring.add.acomm, env)]
-    return [(ring.add.assoc, env), (ring.add.comm, env)]
 
 
 def _suite_runner(
@@ -321,9 +213,8 @@ def _suite_runner(
     allow_strict_skip: bool,
 ):
     """The preamble the three suites share: the presentation check, the data
-    rows, then ``run(law, arity, legs, fams, uses_inverse=False)``, which
-    checks one diagram in the engine and adds the row to ``report``.
-    Returns ``None`` when a data row fails."""
+    rows, then ``run(law)``, which checks one law in the engine and adds the
+    row to ``report``.  Returns ``None`` when a data row fails."""
     if ring.presentation != presentation:
         form = "AC" if ring.presentation == "ac" else "symmetric"
         raise PresentationMismatch(f"additive structure is in {form} form; convert first")
@@ -334,28 +225,12 @@ def _suite_runner(
             return None
     gpd = ring.carrier
     objs = gpd.objects_sorted
-    maps = [ring.add, ring.mul]
+    env = _law_env(ring)
 
-    def run(law, arity, legs_fn, fams, uses_inverse=False):
-        strict = (fams, maps, uses_inverse) if allow_strict_skip else None
-        report.add(
-            check_diagram(law, gpd, objs, arity, legs_fn, sample=sample, seed=seed, strict=strict)
-        )
+    def run(law):
+        report.add(check_diagram(law, gpd, objs, env, sample=sample, seed=seed, strict=allow_strict_skip))
 
     return run
-
-
-def _common_rows(ring: TwoRingData, b_at, run) -> None:
-    renv = ring.env()
-    menv = ring.mul.env()
-    binv = ring.presentation == "sm"
-    d_l, d_r = (ring.dist_l, renv), (ring.dist_r, renv)
-    run("2R2", 4, _r2_legs(ring, b_at), [d_l, d_r] + _b_strict(ring), uses_inverse=binv)
-    run("2R3", 4, _r3_legs(ring), [d_l, (ring.mul.assoc, menv)])
-    run("2R4", 4, _r4_legs(ring), [d_l, d_r, (ring.mul.assoc, menv)])
-    run("2R5", 4, _r5_legs(ring), [d_r, (ring.mul.assoc, menv)])
-    run("2R6/left", 2, _r6_legs(ring, "left"), [d_l, (ring.mul.lunit, menv)])
-    run("2R6/right", 2, _r6_legs(ring, "right"), [d_r, (ring.mul.runit, menv)])
 
 
 def _needs_absorbers(ring: TwoRingData) -> bool:
@@ -378,48 +253,52 @@ def _check_ring_families(ring: TwoRingData, report: Report, absorbers: bool) -> 
 
 
 def _pair_axiom(
-    law: str,
+    name: str,
     ring: TwoRingData,
     side: str,
-    legs_builder,
-    arity: int,
-    fams: list,
+    law: ex.Law,
     *,
     sample,
     seed,
     allow_strict_skip,
 ) -> CheckResult:
-    """SF1/SF2 of the multiplication endofunctors, aggregated over the fixed
-    object; the witness index is (fixed object, instance tuple).
+    """The functor law ``law`` (SF1 or SF2) of the multiplication
+    endofunctors, aggregated over the fixed object; the witness index is
+    (fixed object, instance tuple).
 
-    Each fixed object is one ``check_diagram`` call on its own endofunctor,
-    scanned up to the first failing object, and a row that holds by the
-    strict profile makes none: a 2R1 row stands for that many engine calls,
-    which is how traced runs account for the engine spans behind it.  One
-    diagram over (fixed object, instance) tuples would break that count."""
+    The strict profile is the law's, with the ring's distributor standing
+    for every monoidality family and the product for every functor: strict
+    d (or e) and an identity-preserving product make each endofunctor's pair
+    strict.  Each fixed object is one ``check_diagram`` call on its own
+    endofunctor, scanned up to the first failing object, and a row that holds
+    by the strict profile makes none: a 2R1 row stands for that many engine
+    calls, which is how traced runs account for the engine spans behind it.
+    One diagram over (fixed object, instance) tuples would break that count."""
     gpd = ring.carrier
     objs = gpd.objects_sorted
     add = ring.add
     started = time.perf_counter()
-    if allow_strict_skip and strict_profile(gpd, fams, [add, ring.mul]):
-        total = len(objs) ** (arity + 1)
-        return CheckResult(law, Status.PASS, None, total, "strict-profile", time.perf_counter() - started)
+    dist = ring.dist_l if side == "left" else ring.dist_r
+    profile = {**add.law_env("s"), **add.law_env("t"), "F": (None, None, ring.mul.preserves_identities),
+               "F+": (dist, ring.env())}
+    if allow_strict_skip and strict_profile(law, gpd, profile):
+        total = len(objs) ** (law.arity + 1)
+        return CheckResult(name, Status.PASS, None, total, "strict-profile", time.perf_counter() - started)
     total = 0
     mode = "exhaustive"
     for x in objs:
         fun = left_mult_functor(ring, x) if side == "left" else right_mult_functor(ring, x)
-        res = check_diagram(law, gpd, objs, arity, legs_builder(fun, add, add),
-                            sample=sample, seed=seed)
+        res = check_diagram(law, gpd, objs, _functor_law_env(fun, add, add), sample=sample, seed=seed)
         total += res.instances
         mode = res.mode
         if res.status is Status.FAIL:
             wit = res.witness
             return CheckResult(
-                law, Status.FAIL,
+                name, Status.FAIL,
                 Witness((x,) + wit.index, wit.left, wit.right, wit.left_path, wit.right_path, wit.note),
                 total, mode, time.perf_counter() - started,
             )
-    return CheckResult(law, Status.PASS, None, total, mode, time.perf_counter() - started)
+    return CheckResult(name, Status.PASS, None, total, mode, time.perf_counter() - started)
 
 
 def validate_quang(
@@ -443,66 +322,12 @@ def validate_quang(
     if run is None:
         return report
 
-    add = ring.add
-    renv, aenv = ring.env(), add.env()
-    for side, dist in (("left", ring.dist_l), ("right", ring.dist_r)):
-        for law, legs, arity, fam in (("assoc", sf1_legs, 3, add.assoc), ("comm", sf2_legs, 2, add.comm)):
-            report.add(_pair_axiom(f"2R1/{side}-{law}", ring, side, legs, arity, [(dist, renv), (fam, aenv)],
+    for side in ("left", "right"):
+        for tag, law in (("assoc", SF1), ("comm", SF2)):
+            report.add(_pair_axiom(f"2R1/{side}-{tag}", ring, side, law,
                                    sample=sample, seed=seed, allow_strict_skip=allow_strict_skip))
-
-    b_at = lambda p, q, r, s: canonical_acomm_at(add, p, q, r, s)
-    _common_rows(ring, b_at, run)
-    return report
-
-
-def quang_distributivity_diagrams(
-    ring: TwoRingData, *, sample: int | None = None, seed: int = 0
-) -> Report:
-    """The four classical distributivity coherence diagrams, evaluated
-    directly.  Independent cross-check for the endofunctor formulation of
-    2R1: both must agree law by law on every input."""
-    if ring.presentation != "sm":
-        raise PresentationMismatch("additive structure is in AC form; convert first")
-    gpd = ring.carrier
-    objs = gpd.objects_sorted
-    d, e = ring.dist_l.components, ring.dist_r.components
-    a, c = ring.add.assoc.components, ring.add.comm.components
-    ao, am = ring.add.sum_obj, ring.add.sum_mor
-    mo, mm, ident = ring.mul.sum_obj, ring.mul.sum_mor, ring.carrier.identity
-
-    def d_assoc(idx):
-        x, y, z, t = idx
-        left = [d[(x, ao[(y, z)], t)], am[(d[(x, y, z)], ident[mo[(x, t)]])],
-                a[(mo[(x, y)], mo[(x, z)], mo[(x, t)])]]
-        right = [mm[(ident[x], a[(y, z, t)])], d[(x, y, ao[(z, t)])],
-                 am[(ident[mo[(x, y)]], d[(x, z, t)])]]
-        return left, right
-
-    def e_assoc(idx):
-        x, y, z, t = idx
-        left = [e[(ao[(x, y)], z, t)], am[(e[(x, y, t)], ident[mo[(z, t)]])],
-                a[(mo[(x, t)], mo[(y, t)], mo[(z, t)])]]
-        right = [mm[(a[(x, y, z)], ident[t])], e[(x, ao[(y, z)], t)],
-                 am[(ident[mo[(x, t)]], e[(y, z, t)])]]
-        return left, right
-
-    def d_comm(idx):
-        x, y, z = idx
-        left = [mm[(ident[x], c[(y, z)])], d[(x, y, z)]]
-        right = [d[(x, z, y)], c[(mo[(x, y)], mo[(x, z)])]]
-        return left, right
-
-    def e_comm(idx):
-        y, z, x = idx
-        left = [mm[(c[(y, z)], ident[x])], e[(y, z, x)]]
-        right = [e[(z, y, x)], c[(mo[(y, x)], mo[(z, x)])]]
-        return left, right
-
-    report = Report()
-    report.add(check_diagram("d-assoc", gpd, objs, 4, d_assoc, sample=sample, seed=seed))
-    report.add(check_diagram("e-assoc", gpd, objs, 4, e_assoc, sample=sample, seed=seed))
-    report.add(check_diagram("d-comm", gpd, objs, 3, d_comm, sample=sample, seed=seed))
-    report.add(check_diagram("e-comm", gpd, objs, 3, e_comm, sample=sample, seed=seed))
+    for law in COMMON_LAWS:
+        run(law)
     return report
 
 
@@ -522,15 +347,8 @@ def validate_jp(
                         allow_strict_skip=allow_strict_skip)
     if run is None:
         return report
-    add = ring.add
-    b_at = lambda p, q, r, s: canonical_acomm_at(add, p, q, r, s)
-
-    renv, aenv = ring.env(), add.env()
-    for form in ("d", "e"):
-        fams = [(ring.dist_l if form == "d" else ring.dist_r, renv),
-                (add.assoc, aenv), (add.comm, aenv)]
-        run(f"2R1-prime/{form}", 5, _r1_prime_legs(ring, b_at, form), fams, uses_inverse=True)
-    _common_rows(ring, b_at, run)
+    for law in JP_LAWS + COMMON_LAWS:
+        run(law)
     return report
 
 
@@ -550,20 +368,8 @@ def validate_ac_ring(
                         allow_strict_skip=allow_strict_skip)
     if run is None:
         return report
-    add = ring.add
-    b = add.acomm.components
-    b_at = lambda p, q, r, s: b[(p, q, r, s)]
-
-    renv, aenv = ring.env(), add.env()
-    for form in ("d", "e"):
-        fams = [(ring.dist_l if form == "d" else ring.dist_r, renv), (add.acomm, aenv)]
-        run(f"2R1-dprime/{form}", 5, _r1_prime_legs(ring, b_at, form), fams)
-    for which, fam in (("m-left", ring.absorb_l), ("m-right", ring.absorb_l),
-                       ("n-left", ring.absorb_r), ("n-right", ring.absorb_r)):
-        d_or_e = ring.dist_l if which.startswith("m") else ring.dist_r
-        fams = [(fam, renv), (d_or_e, renv), (add.lunit, aenv), (add.runit, aenv)]
-        run(f"2R1-dprime/{which}", 2, _absorber_legs(ring, which), fams)
-    _common_rows(ring, b_at, run)
+    for law in AC_RING_LAWS + COMMON_LAWS:
+        run(law)
     return report
 
 

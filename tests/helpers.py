@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from functools import partial
 from itertools import product
 
 from twogrp import (
@@ -11,17 +12,22 @@ from twogrp import (
     GFunctor,
     MalformedTable,
     MonStructure,
+    PresentationMismatch,
+    Report,
     StructuredFunctor,
     build_derivation_2ring,
     build_strict_2ring,
     canonical_zero_iso,
+    compose_path,
     ring_zmod,
 )
+from twogrp import expr as ex
+from twogrp.diagram import check_diagram
 from twogrp.fixtures import _labelled_2ring, _labelled_carrier, _labelled_op, _strict_monoidal
 from twogrp.functors import check_fsum_naturality, fsum_family
 from twogrp.groupoid import identity_family, validate_functor
 from twogrp.monoidal import basic_unitor
-from twogrp.rings import dist_l_family
+from twogrp.rings import _law_env as ring_law_env, dist_l_family
 
 SEED = 20250811
 
@@ -148,7 +154,7 @@ def strict_derivation_2ring(m: int):
 
 
 # ---------------------------------------------------------------------------
-# reference evaluators of endpoint expressions
+# reference evaluators of endpoint expressions and laws
 # ---------------------------------------------------------------------------
 
 
@@ -164,20 +170,98 @@ def eval_mor(expr, env, args):
     return _eval(expr, env, args, 1)
 
 
-def _eval(expr, env, args, level):
+def law_legs(law, env, identity):
+    """The routes of ``law`` at an index tuple, interpreted node by node: the
+    oracle ``Law.legs`` is held to, leg lists and missing entries alike."""
+    def legs(idx):
+        return ([_eval(t, env, idx, 1, identity) for t in law.left],
+                [_eval(t, env, idx, 1, identity) for t in law.right])
+    return legs
+
+
+def _eval(expr, env, args, level, identity=None):
+    """With ``identity`` (the carrier's identity table) the terms are a
+    law's, whose lookups raise the bare ``KeyError`` of the missing entry."""
     tag = expr[0]
     if tag == "v":
         return args[expr[1]]
     if tag == "k":
         return expr[1 + level]
+    if tag == "c":
+        return env[expr[1]][level]
+    if tag == "id":
+        return identity[_eval(expr[1], env, args, 0, identity)]
+    if tag == "fam":
+        key = tuple(_eval(e, env, args, 0, identity) for e in expr[2:])
+        return env[expr[1]][0].components[key]
     try:
         table = env[expr[1]][level]
         if tag == "op":
-            return table[(_eval(expr[2], env, args, level), _eval(expr[3], env, args, level))]
-        return table[_eval(expr[2], env, args, level)]
+            return table[(_eval(expr[2], env, args, level, identity),
+                          _eval(expr[3], env, args, level, identity))]
+        return table[_eval(expr[2], env, args, level, identity)]
     except KeyError as exc:
+        if identity is not None:
+            raise
         kind = ("object", "morphism")[level]
         raise MalformedTable(f"{kind} table {expr[1]!r} undefined at {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# independent evaluators of the distributivity and border diagrams
+# ---------------------------------------------------------------------------
+
+
+def _classical_laws():
+    x, y, z, t = map(ex.var, range(4))
+    a, c, d, e = (partial(ex.fam, s) for s in "acde")
+    add, mul = partial(ex.op, "+"), partial(ex.op, "*")
+    idn = ex.ident
+    return (
+        ex.Law("d-assoc", 4,
+               [d(x, add(y, z), t), add(d(x, y, z), idn(mul(x, t))), a(mul(x, y), mul(x, z), mul(x, t))],
+               [mul(idn(x), a(y, z, t)), d(x, y, add(z, t)), add(idn(mul(x, y)), d(x, z, t))]),
+        ex.Law("e-assoc", 4,
+               [e(add(x, y), z, t), add(e(x, y, t), idn(mul(z, t))), a(mul(x, t), mul(y, t), mul(z, t))],
+               [mul(a(x, y, z), idn(t)), e(x, add(y, z), t), add(idn(mul(x, t)), e(y, z, t))]),
+        ex.Law("d-comm", 3, [mul(idn(x), c(y, z)), d(x, y, z)], [d(x, z, y), c(mul(x, y), mul(x, z))]),
+        # over the tuples (y, z, x)
+        ex.Law("e-comm", 3, [mul(c(x, y), idn(z)), e(x, y, z)], [e(y, x, z), c(mul(x, z), mul(y, z))]),
+    )
+
+
+CLASSICAL_LAWS = _classical_laws()
+
+
+def quang_distributivity_diagrams(ring, *, sample=None, seed=0) -> Report:
+    """The four classical distributivity coherence diagrams, run through the
+    engine: the independent evaluator of 2R1, whose SF1/SF2 rows of the
+    multiplication endofunctors must agree with them law by law."""
+    if ring.presentation != "sm":
+        raise PresentationMismatch("additive structure is in AC form; convert first")
+    gpd, env = ring.carrier, ring_law_env(ring)
+    report = Report()
+    for law in CLASSICAL_LAWS:
+        report.add(check_diagram(law, gpd, gpd.objects_sorted, env, sample=sample, seed=seed))
+    return report
+
+
+def assoc_commutator_lower(m, x, y, z, t):
+    """The lower border of the diagram defining b; agrees with
+    ``assoc_commutator_upper`` on every tuple whenever the symmetric axioms
+    hold."""
+    gpd, so, sm = m.carrier, m.sum_obj, m.sum_mor
+    a, c, ident = m.assoc.components, m.comm.components, gpd.identity
+    return compose_path(
+        gpd,
+        [
+            gpd.inv(a[(so[(x, z)], y, t)]),
+            sm[(a[(x, z, y)], ident[t])],
+            sm[(sm[(ident[x], c[(y, z)])], ident[t])],
+            sm[(gpd.inv(a[(x, y, z)]), ident[t])],
+            a[(so[(x, y)], z, t)],
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from itertools import product
 
 from twogrp import (
     PreconditionFailed,
-    assoc_commutator_lower,
     assoc_commutator_upper,
     build_dual_numbers_2group,
     build_strict_2ring,
@@ -19,7 +18,7 @@ from twogrp import (
 )
 from twogrp.report import Status
 
-from helpers import perturb_family
+from helpers import assoc_commutator_lower, perturb_family
 
 
 def test_dual_numbers_ac_passes():

@@ -10,7 +10,7 @@ from itertools import product
 
 import twogrp as tg
 from twogrp.cli import main as cli_main
-from twogrp.functors import sf1_legs, tau_family
+from twogrp.functors import SF1, _law_env as functor_law_env, tau_family
 from twogrp.diagram import check_diagram
 from twogrp.groupoid import compose_path
 from twogrp.monoidal import basic_unitor
@@ -18,6 +18,7 @@ from twogrp.report import Status
 
 from helpers import (
     SEED,
+    assoc_commutator_lower,
     all_structured_endofunctors,
     cyclic_one_object,
     one_object_2group,
@@ -98,7 +99,7 @@ def test_criterion_2_roundtrip_isomorphism():
             # both border paths of the defining diagram on every 4-tuple
             objs = m.carrier.objects_sorted
             for idx in product(objs, repeat=4):
-                assert tg.assoc_commutator_upper(m, *idx) == tg.assoc_commutator_lower(m, *idx)
+                assert tg.assoc_commutator_upper(m, *idx) == assoc_commutator_lower(m, *idx)
 
         # the m=5 twin round-trips exactly as well (borders spot-sampled)
         dual5 = tg.build_dual_numbers_2group(5, "sm")
@@ -107,7 +108,7 @@ def test_criterion_2_roundtrip_isomorphism():
         objs = dual5.carrier.objects_sorted
         for _ in range(20000):
             idx = tuple(rng.choice(objs) for _ in range(4))
-            assert tg.assoc_commutator_upper(dual5, *idx) == tg.assoc_commutator_lower(dual5, *idx)
+            assert tg.assoc_commutator_upper(dual5, *idx) == assoc_commutator_lower(dual5, *idx)
 
 
 def _zero_iso_via_formula(fun, src, tgt, cert):
@@ -131,7 +132,7 @@ def _zero_iso_via_formula(fun, src, tgt, cert):
 def _sf1_passes(fun, m):
     return (
         check_diagram(
-            "SF1", m.carrier, m.carrier.objects_sorted, 3, sf1_legs(fun, m, m)
+            SF1, m.carrier, m.carrier.objects_sorted, functor_law_env(fun, m, m)
         ).status
         is Status.PASS
     )
@@ -283,6 +284,13 @@ def test_criterion_5_two_ring_hierarchy():
             assert all(v in ids for v in upgraded.absorb_l.components.values())
             assert all(v in ids for v in upgraded.absorb_r.components.values())
             assert tg.validate_quang(tg.ac_ring_to_quang(upgraded)).ok
+
+        # the hierarchy is strict: the derivation ring passes 2R1' forced full
+        # and fails Quang's suite only at 2R1/left-assoc
+        separating = tg.build_derivation_2ring(3)
+        assert tg.validate_jp(separating, allow_strict_skip=False).ok
+        quang = tg.validate_quang(separating, allow_strict_skip=False)
+        assert [row.law for row in quang.failures()] == ["2R1/left-assoc"]
 
 
 def _expect_failure_with_witness(report):

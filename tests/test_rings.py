@@ -7,6 +7,7 @@ from twogrp import (
     MissingAbsorbers,
     MonTransformation,
     NoAbsorbers,
+    PreconditionFailed,
     PresentationMismatch,
     TwoRingData,
     ac_ring_to_quang,
@@ -14,7 +15,6 @@ from twogrp import (
     build_derivation_2ring,
     build_strict_2ring,
     jp_upgrade,
-    quang_distributivity_diagrams,
     quang_to_ac_ring,
     ring_dual_numbers,
     ring_zmod,
@@ -24,11 +24,18 @@ from twogrp import (
     validate_two_ring_data,
 )
 from twogrp.ac import to_ac
-from twogrp.functors import enumerate_zero_isos, tau_family, validate_transformation
+from twogrp.functors import (
+    derive_sm_axioms_from_ac,
+    enumerate_zero_isos,
+    tau_family,
+    validate_ac_functor,
+    validate_sm_functor,
+    validate_transformation,
+)
 from twogrp.rings import left_mult_functor, right_mult_functor
 from twogrp.report import Status
 
-from helpers import perturb_family, strict_derivation_2ring
+from helpers import perturb_family, quang_distributivity_diagrams, strict_derivation_2ring
 
 
 def z6():
@@ -59,6 +66,10 @@ def test_forced_full_agrees_with_strict_profile_on_z6():
     assert slowq["2R1/left-assoc"].instances == 6 ** 4
 
 
+CLASSICAL_PAIRS = {"d-assoc": "2R1/left-assoc", "d-comm": "2R1/left-comm",
+                   "e-assoc": "2R1/right-assoc", "e-comm": "2R1/right-comm"}
+
+
 def test_classical_diagram_evaluator_agrees_with_endofunctor_form():
     # the four displayed distributivity diagrams are the SF1/SF2 conditions
     # of the multiplication endofunctors; both evaluators must agree
@@ -69,6 +80,17 @@ def test_classical_diagram_evaluator_agrees_with_endofunctor_form():
     cross = quang_distributivity_diagrams(bad)
     suite = validate_quang(bad, check_data=False)
     assert not cross.ok and not suite.ok
+    # on the separating ring each diagram fails exactly with its 2R1 row, at
+    # the same first index
+    for m in (2, 3):
+        ring = build_derivation_2ring(m)
+        cross = quang_distributivity_diagrams(ring)
+        suite = validate_quang(ring, allow_strict_skip=False)
+        assert [row.law for row in suite.failures()] == ["2R1/left-assoc"]
+        for law, row in CLASSICAL_PAIRS.items():
+            assert cross[law].status is suite[row].status, (m, law)
+            if suite[row].status is Status.FAIL:
+                assert cross[law].witness.index == suite[row].witness.index
 
 
 def test_quang_rejects_ac_presentation():
@@ -349,6 +371,28 @@ def test_derivation_2ring_has_a_left_absorber_exactly_where_x1_is_zero(m):
         left = enumerate_zero_isos(left_mult_functor(ring, x), add, add, "AF2")
         assert (left == []) == (not x.endswith("+0e")), x
         assert enumerate_zero_isos(right_mult_functor(ring, x), add, add, "AF2"), x
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_derivation_2ring_sm_axioms_hold_exactly_where_the_zero_iso_exists(m):
+    # the paper's mechanism row by row: every x*- satisfies AF1; where x1 = 0
+    # it has an AF2 zero isomorphism and the symmetric axioms follow, and at
+    # every other x it has none and SF1 fails
+    ring = build_derivation_2ring(m)
+    add = to_ac(ring.add)
+    for x in ring.carrier.objects_sorted:
+        fun = left_mult_functor(ring, x)
+        assert validate_ac_functor(fun, add, add).ok, x
+        zeros = enumerate_zero_isos(fun, add, add, "AF2")
+        if x.endswith("+0e"):
+            assert zeros, x
+            assert derive_sm_axioms_from_ac(fun.with_zero(zeros[0]), add, add).ok, x
+        else:
+            assert zeros == [], x
+            with pytest.raises(PreconditionFailed):
+                derive_sm_axioms_from_ac(fun, add, add)
+            sf = validate_sm_functor(fun, ring.add, ring.add)
+            assert [row.law for row in sf.failures()] == ["SF1"], x
 
 
 @pytest.mark.parametrize("m", [2, 3])
