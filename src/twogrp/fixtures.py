@@ -243,7 +243,7 @@ def build_super_line_2group() -> MonStructure:
     gpd = _labelled_carrier(ring.elements, 2)
     s = _strict_monoidal(gpd, ring.add, _labelled_op(gpd, ring.add, 2), ring.zero, "sm")
     c = {(x, y): f"{int(x) * int(y)}|{ring.add[x, y]}" for x, y in product(ring.elements, repeat=2)}
-    return replace(s, comm=comm_family(c), _cache={})
+    return replace(s, comm=comm_family(c))
 
 
 def build_strict_2ring(ring: RingTable, presentation: str = "sm") -> TwoRingData:
@@ -275,4 +275,4 @@ def build_derivation_2ring(m: int) -> TwoRingData:
         (x, y, z): f"{parts[x][1] * (parts[y][0] + parts[z][0]) % m}|{ring.mul[x, ring.add[y, z]]}"
         for x, y, z in product(ring.elements, repeat=3)
     }
-    return replace(strict, dist_l=dist_l_family(d), _cache={})
+    return replace(strict, dist_l=dist_l_family(d))

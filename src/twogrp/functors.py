@@ -30,6 +30,7 @@ from .errors import (
 from .groupoid import (
     GFunctor,
     NatFamily,
+    _Memo,
     _first_failure,
     check_naturality,
     compose_gfunctors,
@@ -58,7 +59,7 @@ def tau_family(components: dict) -> NatFamily:
 
 
 @dataclass
-class StructuredFunctor:
+class StructuredFunctor(_Memo):
     """Base functor + monoidality family + optional zero isomorphism."""
 
     base: GFunctor
@@ -360,13 +361,14 @@ def boxplus(f: StructuredFunctor, g: StructuredFunctor, target: MonStructure) ->
 # ---------------------------------------------------------------------------
 
 
-def zero_iso_ok(fun: StructuredFunctor, src, tgt, candidate: str) -> bool:
-    """Do both unit squares (SF3 = AF2) hold with this zero isomorphism?"""
-    gpd = tgt.carrier
-    env = {**_law_env(fun, src, tgt), "F0": (None, candidate)}
+def _unit_squares_hold(env: dict, gpd, objects, candidate: str) -> bool:
+    """Do both unit squares (SF3 = AF2) hold in ``gpd`` at every object with
+    ``candidate`` bound as the zero isomorphism in the functor's law
+    environment ``env``?"""
+    env = {**env, "F0": (None, candidate)}
     for square in UNIT_SQUARES["SF3"]:
         legs = square.legs(env, gpd.identity)
-        for x in src.carrier.objects_sorted:
+        for x in objects:
             try:
                 left, right = legs((x,))
                 if compose_path(gpd, left) != compose_path(gpd, right):
@@ -384,11 +386,8 @@ def enumerate_zero_isos(fun: StructuredFunctor, src, tgt, mode: str = "SF3") -> 
     if mode not in ("SF3", "AF2"):
         raise ValueError(f"unknown mode {mode!r}")
     f0 = fun.base.obj_map[src.unit]
-    return [
-        cand
-        for cand in tgt.carrier.hom(tgt.unit, f0)
-        if zero_iso_ok(fun, src, tgt, cand)
-    ]
+    env, gpd, objs = _law_env(fun, src, tgt), tgt.carrier, src.carrier.objects_sorted
+    return [cand for cand in gpd.hom(tgt.unit, f0) if _unit_squares_hold(env, gpd, objs, cand)]
 
 
 def canonical_zero_iso(fun: StructuredFunctor, src: MonStructure, tgt: MonStructure) -> str:
@@ -423,7 +422,7 @@ def canonical_zero_iso(fun: StructuredFunctor, src: MonStructure, tgt: MonStruct
             cert.eta,
         ],
     )
-    if not zero_iso_ok(fun, src, tgt, result):
+    if not _unit_squares_hold(env, gpd, src.carrier.objects_sorted, result):
         raise PreconditionFailed(
             "derived zero isomorphism violates the unit squares; input structures are inconsistent"
         )

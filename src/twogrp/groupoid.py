@@ -38,8 +38,17 @@ class Morphism:
     dst: str
 
 
+class _Memo:
+    """Base of the dataclasses that memoize on ``_cache``: every instance,
+    a ``dataclasses.replace`` copy included, starts with an empty memo, since
+    a copy may change the tables the memo was computed from."""
+
+    def __post_init__(self) -> None:
+        self._cache = {}
+
+
 @dataclass
-class FinGroupoid:
+class FinGroupoid(_Memo):
     """A finite groupoid: objects, morphisms, and composition/identity/inverse
     tables.  ``compose[(g, f)]`` is ``g∘f``, defined iff ``dst(f) == src(g)``.
 
@@ -306,7 +315,7 @@ def validate_groupoid(gpd: FinGroupoid) -> Report:
 
 
 @dataclass
-class GFunctor:
+class GFunctor(_Memo):
     """A functor between finite groupoids, as explicit object/morphism maps."""
 
     source: FinGroupoid
@@ -414,7 +423,7 @@ def validate_functor(fun: GFunctor) -> Report:
 
 
 @dataclass
-class NatFamily:
+class NatFamily(_Memo):
     """An object-indexed assignment of morphisms with declared endpoint
     expressions (one :class:`NatFamily` type houses associators, commutators,
     unitors, associo-commutators, distributors and absorbers alike)."""
@@ -596,11 +605,18 @@ def index_space(
     Returns ``(iterable, count, mode)`` where ``count`` is the number of
     instances the iterable yields.
     """
-    total = len(seq) ** arity
+    count, mode = _space_size(len(seq) ** arity, sample, seed)
+    if mode == "exhaustive":
+        return product(seq, repeat=arity), count, mode
+    return _sample_tuples(seq, arity, sample, seed), count, mode
+
+
+def _space_size(total: int, sample: int | None = None, seed: int = 0) -> tuple[int, str]:
+    """``(count, mode)`` of :func:`index_space` over a space of ``total``
+    tuples."""
     if sample is None or sample >= total:
-        return product(seq, repeat=arity), total, "exhaustive"
-    drawn = _sample_tuples(seq, arity, sample, seed)
-    return drawn, sample, f"sampled(n={sample},seed={seed})"
+        return total, "exhaustive"
+    return sample, f"sampled(n={sample},seed={seed})"
 
 
 def _sample_tuples(seq: Sequence[str], arity: int, count: int, seed: int) -> list[tuple[str, ...]]:

@@ -19,6 +19,7 @@ from .errors import MissingFamily, NoInverse, UnitorMismatch
 from .groupoid import (
     FinGroupoid,
     NatFamily,
+    _Memo,
     _first_failure,
     check_naturality,
     validate_family,
@@ -69,7 +70,7 @@ SM_LAWS = (
 )
 
 
-class SumStructure:
+class SumStructure(_Memo):
     """Method mixin shared by the monoidal and AC structure types (both carry
     ``carrier``, ``sum_obj``, ``sum_mor``, ``unit`` and a ``_cache``)."""
 

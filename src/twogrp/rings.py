@@ -28,7 +28,15 @@ from . import expr as ex
 from .ac import ACStructure, _canonical_acomm, _translate_to_ac, _translate_to_sm, validate_ac
 from .diagram import check_diagram, strict_profile
 from .errors import MissingAbsorbers, PresentationMismatch
-from .groupoid import FinGroupoid, GFunctor, NatFamily, check_naturality, validate_family, validate_groupoid
+from .groupoid import (
+    FinGroupoid,
+    GFunctor,
+    NatFamily,
+    _Memo,
+    check_naturality,
+    validate_family,
+    validate_groupoid,
+)
 from .monoidal import MonStructure, _check_weak_inverses, validate_sm
 from .functors import (
     SF1,
@@ -71,7 +79,7 @@ def absorb_r_family(components: dict, zero: str, zero_id: str) -> NatFamily:
 
 
 @dataclass
-class TwoRingData:
+class TwoRingData(_Memo):
     """One groupoid + additive structure (symmetric or AC presentation) +
     multiplicative monoidal structure + distributors (+ absorbers in the AC
     presentation)."""

@@ -16,18 +16,42 @@ from twogrp import (
     Report,
     StructuredFunctor,
     build_derivation_2ring,
+    build_dual_numbers_2group,
+    build_mult_endofunctor,
     build_strict_2ring,
+    build_super_line_2group,
     canonical_zero_iso,
     compose_path,
+    ring_dual_numbers,
     ring_zmod,
+    to_ac,
 )
 from twogrp import expr as ex
+from twogrp.ac import AC_LAWS
 from twogrp.diagram import check_diagram
 from twogrp.fixtures import _labelled_2ring, _labelled_carrier, _labelled_op, _strict_monoidal
-from twogrp.functors import check_fsum_naturality, fsum_family
-from twogrp.groupoid import identity_family, validate_functor
-from twogrp.monoidal import basic_unitor
-from twogrp.rings import _law_env as ring_law_env, dist_l_family
+from twogrp.functors import (
+    AF1,
+    SF1,
+    SF2,
+    T1,
+    UNIT_SQUARES,
+    _law_env as functor_law_env,
+    check_fsum_naturality,
+    fsum_family,
+    tau_family,
+)
+from twogrp.groupoid import NatFamily, identity_family, validate_functor
+from twogrp.monoidal import SM_LAWS, basic_unitor
+from twogrp.rings import (
+    AC_RING_LAWS,
+    COMMON_LAWS,
+    JP_LAWS,
+    _law_env as ring_law_env,
+    dist_l_family,
+    left_mult_functor,
+    right_mult_functor,
+)
 
 SEED = 20250811
 
@@ -115,7 +139,6 @@ def coboundary_twisted_dual_numbers(m: int = 3, seed: int = 1) -> MonStructure:
     order): a(x,y,z) carries the label kappa(y,z) - kappa(x+y,z) +
     kappa(x,y+z) - kappa(x,y) and c(x,y) the label kappa(x,y) - kappa(y,x).
     Valid, and not strict."""
-    from twogrp import build_dual_numbers_2group
     from twogrp.monoidal import assoc_family, comm_family
 
     base = build_dual_numbers_2group(m, "sm")
@@ -294,6 +317,102 @@ def random_flip(gpd: FinGroupoid, fam, rng: random.Random):
         others = [i for i in gpd.identity.values() if i != old]
         new = rng.choice(others)
     return perturb_family(fam, idx, new), idx
+
+
+# ---------------------------------------------------------------------------
+# law bindings: every fixture the declared laws are evaluated on
+# ---------------------------------------------------------------------------
+
+
+def law_bindings():
+    """(label, carrier, index objects, environment, laws) for every fixture
+    the laws are compared on: the super line, the twisted dual numbers and
+    the dual numbers m=2,3 in both presentations, multiplication functors
+    on them, z4/z3e in both presentations and the derivation ring m=2."""
+    out = []
+
+    def structure(label, s):
+        out.append((label, s.carrier, s.carrier.objects_sorted, s.law_env(),
+                    AC_LAWS if hasattr(s, "acomm") else SM_LAWS))
+
+    def functor(label, fun, src, tgt, laws):
+        out.append((label, tgt.carrier, src.carrier.objects_sorted, functor_law_env(fun, src, tgt), laws))
+
+    def ring(label, r):
+        env, gpd = ring_law_env(r), r.carrier
+        if r.presentation == "sm":
+            out.append((label, gpd, gpd.objects_sorted, env, COMMON_LAWS + JP_LAWS + CLASSICAL_LAWS))
+            x = gpd.objects_sorted[-1]
+            for side, fun in (("x*-", left_mult_functor(r, x)), ("-*x", right_mult_functor(r, x))):
+                functor(f"{label} {side}", fun, r.add, r.add, (SF1, SF2))
+        else:
+            out.append((label, gpd, gpd.objects_sorted, env, COMMON_LAWS + AC_RING_LAWS))
+
+    sl = build_super_line_2group()
+    structure("super-line", sl)
+    structure("super-line-ac", to_ac(sl))
+    twisted = coboundary_twisted_dual_numbers(3)
+    structure("twisted3", twisted)
+    structure("twisted3-ac", to_ac(twisted, sample=4096))  # AC1 has 9^8 tuples
+    for m in (2, 3):
+        ac, sm = build_dual_numbers_2group(m), build_dual_numbers_2group(m, "sm")
+        structure(f"dual{m}-ac", ac)
+        structure(f"dual{m}-sm", sm)
+        for a, b in ((1, 0), (1, 1)):
+            fun = build_mult_endofunctor(m, a, b, ac)
+            fun = fun.with_zero(ac.carrier.hom(ac.unit, fun.base.obj_map[ac.unit])[0])
+            functor(f"dual{m} F({a},{b}) sm", fun, sm, sm, (SF1, SF2, *UNIT_SQUARES["SF3"]))
+            functor(f"dual{m} F({a},{b}) ac", fun, ac, ac, (AF1, *UNIT_SQUARES["AF2"]))
+            if m == 3:
+                functor(f"twisted3 F({a},{b})", replace(fun, _cache={}), twisted, twisted,
+                        (SF1, SF2, *UNIT_SQUARES["SF3"]))
+        tau = tau_family({(x,): sm.carrier.identity[fun.base.obj_map[x]] for x in sm.carrier.objects})
+        env = {**functor_law_env(fun, sm, sm), "tau": (tau, None), "G+": (fun.fsum, None)}
+        out.append((f"dual{m} T1", sm.carrier, sm.carrier.objects_sorted, env, (T1,)))
+    for label, table in (("z4", ring_zmod(4)), ("z3e", ring_dual_numbers(3))):
+        for pres in ("sm", "ac"):
+            ring(f"{label}-{pres}", build_strict_2ring(table, pres))
+    ring("derivation2", build_derivation_2ring(2))
+    return out
+
+
+def flipped_binding(binding, rng):
+    """The binding with one component of one of its families replaced."""
+    label, gpd, objs, env, laws = binding
+    syms = sorted(s for s, b in env.items() if isinstance(b[0], NatFamily))
+    sym = rng.choice(syms)
+    fam, idx = random_flip(gpd, env[sym][0], rng)
+    return (f"{label} {sym}{idx}->{fam.components[idx]}", gpd, objs, {**env, sym: (fam, env[sym][1])}, laws)
+
+
+def flipped_bindings(bindings, flips):
+    """``flips`` seeded single-component flips of each binding."""
+    rng = random.Random(SEED)
+    return [flipped_binding(b, rng) for b in bindings for _ in range(flips)]
+
+
+def tables(env):
+    """(symbol, slot) -> dict for every table ``env`` binds: an operation's
+    object (0) and morphism (1) tables and a family's components ("fam")."""
+    out = {}
+    for sym, b in env.items():
+        if isinstance(b[0], NatFamily):
+            out[sym, "fam"] = b[0].components
+        elif isinstance(b[0], dict) and isinstance(b[1], dict):
+            out[sym, 0], out[sym, 1] = b[0], b[1]
+    return out
+
+
+def with_table(env, identity, key, table):
+    """``(env, identity)`` with the table at ``key`` replaced."""
+    sym, slot = key
+    if sym is None:
+        return env, table
+    b = env[sym]
+    if slot == "fam":
+        return {**env, sym: (replace(b[0], components=table, _cache={}), b[1])}, identity
+    return {**env, sym: tuple(table if i == slot else t for i, t in enumerate(b))}, identity
+
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from twogrp import (
     PreconditionFailed,
     assoc_commutator_upper,
     build_dual_numbers_2group,
+    canonical_acomm_at,
     build_strict_2ring,
     build_super_line_2group,
     ring_zmod,
@@ -18,7 +19,7 @@ from twogrp import (
 )
 from twogrp.report import Status
 
-from helpers import assoc_commutator_lower, perturb_family
+from helpers import assoc_commutator_lower, coboundary_twisted_dual_numbers, perturb_family
 
 
 def test_dual_numbers_ac_passes():
@@ -162,3 +163,17 @@ def test_sampled_ac1_witness_is_pinned():
     assert (w.left, w.right) == ("1|1", "0|1")
     assert w.left_path == ("1|1", "0|1", "0|1")
     assert w.right_path == ("0|1", "0|1", "0|1")
+
+
+def test_a_replaced_structure_does_not_read_the_originals_memo():
+    # dataclasses.replace without _cache={} used to share the memo, so the
+    # copy read the canonical b (and id_pres) computed for the original
+    m = build_dual_numbers_2group(3, "sm")
+    tw = coboundary_twisted_dual_numbers(3)
+    idx = ("0+0e", "0+1e", "0+2e", "0+1e")
+    assert canonical_acomm_at(m, *idx) == "0|0+1e"
+    assert m.preserves_identities()
+    twisted = replace(m, assoc=tw.assoc, comm=tw.comm)
+    assert twisted._cache == {} and twisted.carrier._cache is m.carrier._cache
+    assert canonical_acomm_at(twisted, *idx) == assoc_commutator_upper(tw, *idx) == "1|0+1e"
+    assert replace(m, _cache={})._cache == {}

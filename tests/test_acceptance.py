@@ -11,7 +11,7 @@ from itertools import product
 import twogrp as tg
 from twogrp.cli import main as cli_main
 from twogrp.functors import SF1, _law_env as functor_law_env, tau_family
-from twogrp.diagram import check_diagram
+from twogrp.diagram import _load_kernel, check_diagram
 from twogrp.groupoid import compose_path
 from twogrp.monoidal import basic_unitor
 from twogrp.report import Status
@@ -291,6 +291,14 @@ def test_criterion_5_two_ring_hierarchy():
         assert tg.validate_jp(separating, allow_strict_skip=False).ok
         quang = tg.validate_quang(separating, allow_strict_skip=False)
         assert [row.law for row in quang.failures()] == ["2R1/left-assoc"]
+
+        # and at m=5 forced full, where 2R1' spans 2 x 25^5 instances: in
+        # budget through the numpy kernel, so run where numpy imports
+        if _load_kernel() is not None:
+            jp25 = tg.validate_jp(tg.build_derivation_2ring(5), allow_strict_skip=False)
+            assert all(row.status is Status.PASS for row in jp25.checks), jp25.lines()
+            assert jp25["2R1-prime/d"].instances == jp25["2R1-prime/e"].instances == 25 ** 5
+            assert {row.mode for row in jp25.checks} == {"exhaustive"}
 
 
 def _expect_failure_with_witness(report):

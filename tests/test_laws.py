@@ -9,110 +9,26 @@ same ``route does not evaluate`` witness with any single entry the routes
 read dropped from its table."""
 
 import random
-from dataclasses import replace
 from itertools import product
 
 import pytest
 
-from twogrp import (
-    build_derivation_2ring,
-    build_dual_numbers_2group,
-    build_mult_endofunctor,
-    build_strict_2ring,
-    build_super_line_2group,
-    ring_dual_numbers,
-    ring_zmod,
-    to_ac,
-)
 from twogrp.ac import AC_LAWS
 from twogrp.diagram import _scan
-from twogrp.functors import AF1, SF1, SF2, T1, UNIT_SQUARES, _law_env as functor_law_env, tau_family
-from twogrp.groupoid import NatFamily, index_space
+from twogrp.functors import AF1, SF1, SF2, T1, UNIT_SQUARES
+from twogrp.groupoid import index_space
 from twogrp.monoidal import SM_LAWS
-from twogrp.rings import (
-    AC_RING_LAWS,
-    COMMON_LAWS,
-    JP_LAWS,
-    _law_env as ring_law_env,
-    left_mult_functor,
-    right_mult_functor,
-)
+from twogrp.rings import AC_RING_LAWS, COMMON_LAWS, JP_LAWS
 
-from helpers import CLASSICAL_LAWS, SEED, coboundary_twisted_dual_numbers, law_legs, random_flip
+from helpers import SEED, flipped_bindings, law_bindings, law_legs, tables, with_table
 
 TUPLES = 300  # index tuples compared per law and binding (all of a smaller space)
 DROPS = 40  # entries dropped per table the routes read
 FLIPS = 2  # seeded single-component flips per binding
 
 
-def bindings():
-    """(label, carrier, index objects, environment, laws) for every fixture
-    the laws are compared on."""
-    out = []
-
-    def structure(label, s):
-        out.append((label, s.carrier, s.carrier.objects_sorted, s.law_env(),
-                    AC_LAWS if hasattr(s, "acomm") else SM_LAWS))
-
-    def functor(label, fun, src, tgt, laws):
-        out.append((label, tgt.carrier, src.carrier.objects_sorted, functor_law_env(fun, src, tgt), laws))
-
-    def ring(label, r):
-        env, gpd = ring_law_env(r), r.carrier
-        if r.presentation == "sm":
-            out.append((label, gpd, gpd.objects_sorted, env, COMMON_LAWS + JP_LAWS + CLASSICAL_LAWS))
-            x = gpd.objects_sorted[-1]
-            for side, fun in (("x*-", left_mult_functor(r, x)), ("-*x", right_mult_functor(r, x))):
-                functor(f"{label} {side}", fun, r.add, r.add, (SF1, SF2))
-        else:
-            out.append((label, gpd, gpd.objects_sorted, env, COMMON_LAWS + AC_RING_LAWS))
-
-    sl = build_super_line_2group()
-    structure("super-line", sl)
-    structure("super-line-ac", to_ac(sl))
-    twisted = coboundary_twisted_dual_numbers(3)
-    structure("twisted3", twisted)
-    structure("twisted3-ac", to_ac(twisted, sample=4096))  # AC1 has 9^8 tuples
-    for m in (2, 3):
-        ac, sm = build_dual_numbers_2group(m), build_dual_numbers_2group(m, "sm")
-        structure(f"dual{m}-ac", ac)
-        structure(f"dual{m}-sm", sm)
-        for a, b in ((1, 0), (1, 1)):
-            fun = build_mult_endofunctor(m, a, b, ac)
-            fun = fun.with_zero(ac.carrier.hom(ac.unit, fun.base.obj_map[ac.unit])[0])
-            functor(f"dual{m} F({a},{b}) sm", fun, sm, sm, (SF1, SF2, *UNIT_SQUARES["SF3"]))
-            functor(f"dual{m} F({a},{b}) ac", fun, ac, ac, (AF1, *UNIT_SQUARES["AF2"]))
-            if m == 3:
-                functor(f"twisted3 F({a},{b})", replace(fun, _cache={}), twisted, twisted,
-                        (SF1, SF2, *UNIT_SQUARES["SF3"]))
-        tau = tau_family({(x,): sm.carrier.identity[fun.base.obj_map[x]] for x in sm.carrier.objects})
-        env = {**functor_law_env(fun, sm, sm), "tau": (tau, None), "G+": (fun.fsum, None)}
-        out.append((f"dual{m} T1", sm.carrier, sm.carrier.objects_sorted, env, (T1,)))
-    for label, table in (("z4", ring_zmod(4)), ("z3e", ring_dual_numbers(3))):
-        for pres in ("sm", "ac"):
-            ring(f"{label}-{pres}", build_strict_2ring(table, pres))
-    ring("derivation2", build_derivation_2ring(2))
-    return out
-
-
-BINDINGS = bindings()
-
-
-def flipped(binding, rng):
-    """The binding with one component of one of its families replaced."""
-    label, gpd, objs, env, laws = binding
-    syms = sorted(s for s, b in env.items() if isinstance(b[0], NatFamily))
-    sym = rng.choice(syms)
-    fam, idx = random_flip(gpd, env[sym][0], rng)
-    return (f"{label} {sym}{idx}->{fam.components[idx]}", gpd, objs, {**env, sym: (fam, env[sym][1])}, laws)
-
-
-def flipped_bindings():
-    rng = random.Random(SEED)
-    return [flipped(b, rng) for b in BINDINGS for _ in range(FLIPS)]
-
-
-ALL = BINDINGS + flipped_bindings()
+BINDINGS = law_bindings()
+ALL = BINDINGS + flipped_bindings(BINDINGS, FLIPS)
 
 
 def index_tuples(objs, arity):
@@ -152,29 +68,6 @@ class Recorder(dict):
     def __getitem__(self, key):
         self.first_read.setdefault(key, self.where[0])
         return super().__getitem__(key)
-
-
-def tables(env):
-    """(symbol, slot) -> dict for every table ``env`` binds: an operation's
-    object (0) and morphism (1) tables and a family's components ("fam")."""
-    out = {}
-    for sym, b in env.items():
-        if isinstance(b[0], NatFamily):
-            out[sym, "fam"] = b[0].components
-        elif isinstance(b[0], dict) and isinstance(b[1], dict):
-            out[sym, 0], out[sym, 1] = b[0], b[1]
-    return out
-
-
-def with_table(env, identity, key, table):
-    """``(env, identity)`` with the table at ``key`` replaced."""
-    sym, slot = key
-    if sym is None:
-        return env, table
-    b = env[sym]
-    if slot == "fam":
-        return {**env, sym: (replace(b[0], components=table, _cache={}), b[1])}, identity
-    return {**env, sym: tuple(table if i == slot else t for i, t in enumerate(b))}, identity
 
 
 @pytest.mark.parametrize("binding", BINDINGS, ids=[b[0] for b in BINDINGS])
