@@ -23,8 +23,9 @@ A family with a recorded strict bit is computed, not read: its component
 at declared objects is the identity of its declared source object.  The
 canonical associo-commutator of the symmetric presentation is computed from
 its structure's tables, by the identity of ``(x+y)+(z+t)`` when its
-ingredients are strict and by the upper border composite otherwise; its
-string memo is never filled.
+ingredients are strict and otherwise by compiling the declared upper
+border route (``ac.ACOMM_UPPER``) like a law's, its inversion an ``ap``
+gather over the carrier's inverse table; its string memo is never filled.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import random
 
 import numpy as np
 
-from .ac import _CanonicalAcomm
+from .ac import ACOMM_UPPER, _CanonicalAcomm, _route_env
 from .groupoid import NatFamily, _strict_bit
 
 BLOCK = 1 << 14  # instances evaluated at once
@@ -167,9 +168,9 @@ class _Program:
         if tag == "c":
             return self._const(level, env[term[1]][level])
         if tag == "id" and level:
-            return self._gather(self._table(self.gpd.identity, (0,), 1, False), self._term(term[1], 0, args))
+            return self._gather(self._table(self.gpd.identity, (0,), 1, False), self._term(term[1], 0, args, env))
         if tag == "fam" and level:
-            return self._family(env[term[1]], [self._term(a, 0, args) for a in term[2:]])
+            return self._family(env[term[1]], [self._term(a, 0, args, env) for a in term[2:]])
         if tag in ("op", "ap"):
             sub = [self._term(a, level, args, env) for a in term[2:]]
             table = self._table(env[term[1]][level], (level,) * len(sub), level, tag == "op")
@@ -193,26 +194,16 @@ class _Program:
 
     def _canonical_acomm(self, fam: _CanonicalAcomm, x: int, y: int, z: int, t: int) -> int:
         """``ac._CanonicalAcomm`` at (x, y, z, t), read from its structure's
-        tables as ``__missing__`` reads them."""
+        tables as ``__missing__`` reads them: the declared border route,
+        compiled like a law's, when its ingredients are not strict."""
         m = fam.m
         gpd = m.carrier
         so = self._table(m.sum_obj, (0, 0), 0)
         ident = self._table(gpd.identity, (0,), 1, False)
         if fam.is_strict():
             return self._gather(ident, self._gather(so, self._gather(so, x, y), self._gather(so, z, t)))
-        sm = self._table(m.sum_mor, (1, 1), 1)
-        a = self._table(m.assoc.components, (0, 0, 0), 1)
-        c = self._table(m.comm.components, (0, 0), 1)
-        inv = self._table(gpd.inverse, (1,), 1, False)
-        g = self._gather
-        ix = g(ident, x)
-        return self._route(gpd, [
-            g(a, x, z, g(so, y, t)),
-            g(sm, ix, g(inv, g(a, z, y, t))),
-            g(sm, ix, g(sm, g(c, y, z), g(ident, t))),
-            g(sm, ix, g(a, y, z, t)),
-            g(inv, g(a, x, y, g(so, z, t))),
-        ])
+        args, env = [x, y, z, t], _route_env(m)
+        return self._route(gpd, [self._term(leg, 1, args, env) for leg in ACOMM_UPPER.left])
 
     # -- evaluation ----------------------------------------------------------
 

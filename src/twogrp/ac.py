@@ -7,6 +7,10 @@ with axioms AC1 (4x4 interchange), AC2 (unital squares) and AC3
   defining diagram,
 * ``to_sm``  rebuilds a and c out of b through the unit slots.
 
+Each composite is the declared route of a law, compiled like every law;
+inversion is an ``ap`` over the carrier's inverse table (a miss raises
+``FinGroupoid.inv``'s error).  The canonical b and the kernel read b's too.
+
 Both translations validate their input and always re-check their output
 (a converted structure is never assumed valid); round-tripping reproduces
 the input tables exactly.
@@ -19,7 +23,7 @@ from functools import partial
 from itertools import product
 
 from . import expr as ex
-from .errors import PreconditionFailed
+from .errors import MalformedTable, PreconditionFailed
 from .groupoid import FinGroupoid, NatFamily, compose_path, identity_family
 from .monoidal import (
     MonStructure,
@@ -60,7 +64,7 @@ class ACStructure(SumStructure):
         return {"b": self.acomm, "l": self.lunit, "r": self.runit}
 
 
-_X, _Y = ex.var(0), ex.var(1)
+_X, _Y, _Z, _T = map(ex.var, range(4))
 _add = partial(ex.op, "+")
 _b, _l, _r = (partial(ex.fam, s) for s in "blr")
 _0 = ex.constant("0")
@@ -122,22 +126,53 @@ def validate_ac(
 # ---------------------------------------------------------------------------
 
 
+# the translations' border composites: each the first route of a law with
+# no second route, over the symbols of ``SumStructure.law_env`` and the
+# carrier's inverse table as ``inv``
+_inv = partial(ex.app, "inv")
+_a, _c = partial(ex.fam, "a"), partial(ex.fam, "c")
+# b(x,y,z,t) from a and c: the upper border of its defining diagram
+ACOMM_UPPER = ex.Law("b", 4, [
+    _a(_X, _Z, _add(_Y, _T)), _add(ex.ident(_X), _inv(_a(_Z, _Y, _T))),
+    _add(ex.ident(_X), _add(_c(_Y, _Z), ex.ident(_T))), _add(ex.ident(_X), _a(_Y, _Z, _T)),
+    _inv(_a(_X, _Y, _add(_Z, _T))),
+], [])
+# a(x,y,z) and c(x,y) from b and the unitors, through the unit slots
+ASSOC_FROM_B = ex.Law("a", 3, [_add(ex.ident(_XY), _l(_Z)), _b(_X, _0, _Y, _Z),
+                               _add(_inv(_r(_X)), ex.ident(_add(_Y, _Z)))], [])
+COMM_FROM_B = ex.Law("c", 2, [_add(_l(_Y), _r(_X)), _b(_0, _X, _Y, _0), _add(_inv(_l(_X)), _inv(_r(_Y)))], [])
+
+
+class _Inverses(dict):
+    """The carrier's inverse table; a miss raises ``FinGroupoid.inv``'s error."""
+
+    def __missing__(self, mid):
+        raise MalformedTable(f"no inverse recorded for morphism {mid!r}")
+
+
+def _route_env(s) -> dict:
+    """The symbols of the border composites bound to ``s`` (memoized)."""
+    if "route_env" not in s._cache:
+        s._cache["route_env"] = {**s.law_env(), "inv": (None, _Inverses(s.carrier.inverse))}
+    return s._cache["route_env"]
+
+
+def _composite(law: ex.Law, s):
+    """``law``'s route bound to ``s``, composed in its carrier: a function
+    of the index tuple (memoized)."""
+    route = s._cache.get(law)
+    if route is None:
+        gpd = s.carrier
+        legs = law.legs(_route_env(s), gpd.identity)
+        route = s._cache[law] = lambda idx: compose_path(gpd, legs(idx)[0])
+    return route
+
+
 def assoc_commutator_upper(m: MonStructure, x: str, y: str, z: str, t: str) -> str:
     """b(x,y,z,t) as the upper border composite:
     a(x,z,y+t) o (id + a(z,y,t)^-1) o (id + (c(y,z) + id)) o (id + a(y,z,t)) o a(x,y,z+t)^-1.
     """
-    gpd, so, sm = m.carrier, m.sum_obj, m.sum_mor
-    a, c, ident = m.assoc.components, m.comm.components, gpd.identity
-    return compose_path(
-        gpd,
-        [
-            a[(x, z, so[(y, t)])],
-            sm[(ident[x], gpd.inv(a[(z, y, t)]))],
-            sm[(ident[x], sm[(c[(y, z)], ident[t])])],
-            sm[(ident[x], a[(y, z, t)])],
-            gpd.inv(a[(x, y, so[(z, t)])]),
-        ],
-    )
+    return _composite(ACOMM_UPPER, m)((x, y, z, t))
 
 
 class _CanonicalAcomm(dict):
@@ -167,7 +202,7 @@ class _CanonicalAcomm(dict):
             x, y, z, t = key
             value = m.carrier.identity[so[(so[(x, y)], so[(z, t)])]]
         else:
-            value = assoc_commutator_upper(m, *key)
+            value = _composite(ACOMM_UPPER, m)(key)
         self[key] = value
         return value
 
@@ -220,40 +255,11 @@ def _translate_to_ac(m: MonStructure, sample: int | None, seed: int = 0) -> ACSt
     if _canonical_acomm(m).is_strict():
         b_fam = identity_family(acomm_family, gpd, env)
     else:
-        b_fam = acomm_family(
-            {idx: assoc_commutator_upper(m, *idx) for idx in product(gpd.objects_sorted, repeat=4)}
-        )
+        upper = _composite(ACOMM_UPPER, m)
+        b_fam = acomm_family({idx: upper(idx) for idx in product(gpd.objects_sorted, repeat=4)})
     out = ACStructure(gpd, m.sum_obj, m.sum_mor, m.unit, b_fam, m.lunit, m.runit)
     validate_ac(out, check_data=False, sample=sample, seed=seed).require("translated structure fails")
     return out
-
-
-def canonical_assoc(a: ACStructure, x: str, y: str, z: str) -> str:
-    """a(x,y,z) := (id + l(z)) o b(x,0,y,z) o (r(x)^-1 + id)."""
-    gpd, so, sm = a.carrier, a.sum_obj, a.sum_mor
-    ident, unit = gpd.identity, a.unit
-    return compose_path(
-        gpd,
-        [
-            sm[(ident[so[(x, y)]], a.lunit.components[(z,)])],
-            a.acomm.components[(x, unit, y, z)],
-            sm[(gpd.inv(a.runit.components[(x,)]), ident[so[(y, z)]])],
-        ],
-    )
-
-
-def canonical_comm(a: ACStructure, x: str, y: str) -> str:
-    """c(x,y) := (l(y) + r(x)) o b(0,x,y,0) o (l(x)^-1 + r(y)^-1)."""
-    gpd, sm = a.carrier, a.sum_mor
-    l, r, unit = a.lunit.components, a.runit.components, a.unit
-    return compose_path(
-        gpd,
-        [
-            sm[(l[(y,)], r[(x,)])],
-            a.acomm.components[(unit, x, y, unit)],
-            sm[(gpd.inv(l[(x,)]), gpd.inv(r[(y,)]))],
-        ],
-    )
 
 
 def to_sm(
@@ -281,8 +287,9 @@ def _translate_to_sm(a: ACStructure, sample: int | None, seed: int = 0) -> MonSt
         a_fam = identity_family(assoc_family, gpd, env)
         c_fam = identity_family(comm_family, gpd, env)
     else:
-        a_fam = assoc_family({idx: canonical_assoc(a, *idx) for idx in product(objs, repeat=3)})
-        c_fam = comm_family({idx: canonical_comm(a, *idx) for idx in product(objs, repeat=2)})
+        assoc, comm = _composite(ASSOC_FROM_B, a), _composite(COMM_FROM_B, a)
+        a_fam = assoc_family({idx: assoc(idx) for idx in product(objs, repeat=3)})
+        c_fam = comm_family({idx: comm(idx) for idx in product(objs, repeat=2)})
     out = MonStructure(gpd, a.sum_obj, a.sum_mor, a.unit, a_fam, c_fam, a.lunit, a.runit)
     validate_sm(out, check_data=False, sample=sample, seed=seed).require("translated structure fails")
     return out

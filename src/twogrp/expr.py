@@ -41,7 +41,9 @@ and the environment its endpoints are typed in) and a ``c`` symbol to
 the engine reports as a route that does not evaluate.  ``Law.ingredients``
 lists what the strict profile tests: the families the routes read, the maps
 they apply to morphisms and the constants they use as morphisms (a map
-applied only to objects needs nothing).
+applied only to objects needs nothing).  A law may have one route only: the
+border composites of ``ac`` are such routes, their inversion an ``ap`` over
+the carrier's inverse table.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from twogrp import (
 )
 from twogrp import expr as ex
 from twogrp.ac import AC_LAWS
-from twogrp.diagram import check_diagram
+from twogrp.diagram import check_diagram, strict_profile
 from twogrp.fixtures import _labelled_2ring, _labelled_carrier, _labelled_op, _strict_monoidal
 from twogrp.functors import (
     AF1,
@@ -43,12 +43,15 @@ from twogrp.functors import (
 )
 from twogrp.groupoid import NatFamily, identity_family, validate_functor
 from twogrp.monoidal import SM_LAWS, basic_unitor
+from twogrp.report import Status
 from twogrp.rings import (
     AC_RING_LAWS,
     COMMON_LAWS,
     JP_LAWS,
+    QUANG_LAWS,
     _law_env as ring_law_env,
     dist_l_family,
+    dist_r_family,
     left_mult_functor,
     right_mult_functor,
 )
@@ -132,19 +135,24 @@ def with_canonical_zero(fun: StructuredFunctor, src: MonStructure, tgt: MonStruc
     return fun.with_zero(canonical_zero_iso(fun, src, tgt))
 
 
+def _kappa(objs, unit, m: int, seed: int) -> dict:
+    """The normalized 2-cochain of the twisted fixtures: kappa(0,y) =
+    kappa(x,0) = 0, the other values drawn by ``random.Random(seed).randrange(m)``
+    over object pairs in sorted order."""
+    rng = random.Random(seed)
+    return {(x, y): 0 if unit in (x, y) else rng.randrange(m) for x, y in product(objs, repeat=2)}
+
+
 def coboundary_twisted_dual_numbers(m: int = 3, seed: int = 1) -> MonStructure:
     """The symmetric dual-numbers 2-group twisted by the coboundary of a
-    normalized 2-cochain kappa (kappa(0,y) = kappa(x,0) = 0, the other values
-    drawn by ``random.Random(seed).randrange(m)`` over object pairs in sorted
-    order): a(x,y,z) carries the label kappa(y,z) - kappa(x+y,z) +
-    kappa(x,y+z) - kappa(x,y) and c(x,y) the label kappa(x,y) - kappa(y,x).
-    Valid, and not strict."""
+    normalized 2-cochain kappa (``_kappa``): a(x,y,z) carries the label
+    kappa(y,z) - kappa(x+y,z) + kappa(x,y+z) - kappa(x,y) and c(x,y) the
+    label kappa(x,y) - kappa(y,x).  Valid, and not strict."""
     from twogrp.monoidal import assoc_family, comm_family
 
     base = build_dual_numbers_2group(m, "sm")
     objs, add, unit = base.carrier.objects_sorted, base.sum_obj, base.unit
-    rng = random.Random(seed)
-    kappa = {(x, y): 0 if unit in (x, y) else rng.randrange(m) for x, y in product(objs, repeat=2)}
+    kappa = _kappa(objs, unit, m, seed)
 
     def label(k, obj):
         return f"{k % m}|{obj}"
@@ -174,6 +182,30 @@ def strict_derivation_2ring(m: int):
     two notions."""
     ring = build_derivation_2ring(m)
     return replace(ring, dist_l=identity_family(dist_l_family, ring.carrier, ring.env()), _cache={})
+
+
+def kappa_twisted_2ring(m: int, separating: bool, sign: int = 1):
+    """``strict_derivation_2ring(m)`` with the additive half
+    ``coboundary_twisted_dual_numbers(m)`` (on the ring's carrier) and the
+    distributors twisted by the same kappa: d(x,y,z) carries the label
+    sign*(kappa(xy,xz) - x0*kappa(y,z)), plus x1*(y0+z0) when
+    ``separating``, and e(x,y,z) the label sign*(kappa(xz,yz) - z0*kappa(x,y)),
+    labels mod m.  With sign 1 the ring is coherent (a, c, d and e all
+    non-identity), and the separating one passes JP but not Quang."""
+    ring = strict_derivation_2ring(m)
+    add = replace(coboundary_twisted_dual_numbers(m), carrier=ring.carrier)
+    objs, plus, times = ring.carrier.objects_sorted, add.sum_obj, ring.mul.sum_obj
+    kappa = _kappa(objs, add.unit, m, 1)
+    parts = {o: tuple(int(v) for v in o[:-1].split("+")) for o in objs}
+    d, e = {}, {}
+    for x, y, z in product(objs, repeat=3):
+        k = sign * (kappa[times[x, y], times[x, z]] - parts[x][0] * kappa[y, z])
+        if separating:
+            k += parts[x][1] * (parts[y][0] + parts[z][0])
+        d[x, y, z] = f"{k % m}|{times[x, plus[y, z]]}"
+        k = sign * (kappa[times[x, z], times[y, z]] - parts[z][0] * kappa[x, y])
+        e[x, y, z] = f"{k % m}|{times[plus[x, y], z]}"
+    return replace(ring, add=add, dist_l=dist_l_family(d), dist_r=dist_r_family(e))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +301,34 @@ def quang_distributivity_diagrams(ring, *, sample=None, seed=0) -> Report:
     return report
 
 
+def quang_rows_by_functors(ring, *, sample=None, seed=0, strict=True) -> dict:
+    """The four 2R1 rows as (status, instances, mode, witness), from SF1/SF2
+    of the multiplication endofunctors x*- and -*x built at each fixed
+    object and aggregated over the objects as the suite aggregates them,
+    with the strict profile the functor laws derive: the functor-form
+    oracle of ``rings.QUANG_LAWS``."""
+    gpd, add = ring.carrier, ring.add
+    objs = gpd.objects_sorted
+    rows = {}
+    for side, make, dist in (("left", left_mult_functor, ring.dist_l), ("right", right_mult_functor, ring.dist_r)):
+        profile = {**add.law_env("s"), **add.law_env("t"), "F": (None, None, ring.mul.preserves_identities),
+                   "F+": (dist, ring.env())}
+        for tag, law in (("assoc", SF1), ("comm", SF2)):
+            name = f"2R1/{side}-{tag}"
+            if strict and strict_profile(law, gpd, profile):
+                rows[name] = (Status.PASS, len(objs) ** (law.arity + 1), "strict-profile", None)
+                continue
+            total, mode, witness = 0, "exhaustive", None
+            for x in objs:
+                res = check_diagram(law, gpd, objs, functor_law_env(make(ring, x), add, add), sample=sample, seed=seed)
+                total, mode = total + res.instances, res.mode
+                if res.witness is not None:
+                    witness = replace(res.witness, index=(x,) + res.witness.index)
+                    break
+            rows[name] = (Status.FAIL if witness else Status.PASS, total, mode, witness)
+    return rows
+
+
 def assoc_commutator_lower(m, x, y, z, t):
     """The lower border of the diagram defining b; agrees with
     ``assoc_commutator_upper`` on every tuple whenever the symmetric axioms
@@ -328,7 +388,8 @@ def law_bindings():
     """(label, carrier, index objects, environment, laws) for every fixture
     the laws are compared on: the super line, the twisted dual numbers and
     the dual numbers m=2,3 in both presentations, multiplication functors
-    on them, z4/z3e in both presentations and the derivation ring m=2."""
+    on them and the rings of ``law_rings`` (a symmetric one with its last
+    object bound as the fixed object of the 2R1 laws)."""
     out = []
 
     def structure(label, s):
@@ -341,8 +402,10 @@ def law_bindings():
     def ring(label, r):
         env, gpd = ring_law_env(r), r.carrier
         if r.presentation == "sm":
-            out.append((label, gpd, gpd.objects_sorted, env, COMMON_LAWS + JP_LAWS + CLASSICAL_LAWS))
+            # the 2R1 laws at one fixed object, and SF1/SF2 of its functors
             x = gpd.objects_sorted[-1]
+            env = {**env, "x": (x, gpd.identity[x])}
+            out.append((label, gpd, gpd.objects_sorted, env, COMMON_LAWS + JP_LAWS + CLASSICAL_LAWS + QUANG_LAWS))
             for side, fun in (("x*-", left_mult_functor(r, x)), ("-*x", right_mult_functor(r, x))):
                 functor(f"{label} {side}", fun, r.add, r.add, (SF1, SF2))
         else:
@@ -369,10 +432,19 @@ def law_bindings():
         tau = tau_family({(x,): sm.carrier.identity[fun.base.obj_map[x]] for x in sm.carrier.objects})
         env = {**functor_law_env(fun, sm, sm), "tau": (tau, None), "G+": (fun.fsum, None)}
         out.append((f"dual{m} T1", sm.carrier, sm.carrier.objects_sorted, env, (T1,)))
-    for label, table in (("z4", ring_zmod(4)), ("z3e", ring_dual_numbers(3))):
-        for pres in ("sm", "ac"):
-            ring(f"{label}-{pres}", build_strict_2ring(table, pres))
-    ring("derivation2", build_derivation_2ring(2))
+    for label, r in law_rings():
+        ring(label, r)
+    return out
+
+
+def law_rings():
+    """(label, ring) for the 2-rings of ``law_bindings``: z4/z3e in both
+    presentations, the derivation ring m=2 and the kappa-twisted rings m=2,
+    coherent and separating."""
+    out = [(f"{label}-{pres}", build_strict_2ring(table, pres))
+           for label, table in (("z4", ring_zmod(4)), ("z3e", ring_dual_numbers(3))) for pres in ("sm", "ac")]
+    out.append(("derivation2", build_derivation_2ring(2)))
+    out += [(f"kappa2{'-separating' * sep}", kappa_twisted_2ring(2, sep)) for sep in (False, True)]
     return out
 
 

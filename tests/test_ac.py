@@ -5,6 +5,7 @@ from dataclasses import replace
 from itertools import product
 
 from twogrp import (
+    MalformedTable,
     PreconditionFailed,
     assoc_commutator_upper,
     build_dual_numbers_2group,
@@ -177,3 +178,13 @@ def test_a_replaced_structure_does_not_read_the_originals_memo():
     assert twisted._cache == {} and twisted.carrier._cache is m.carrier._cache
     assert canonical_acomm_at(twisted, *idx) == assoc_commutator_upper(tw, *idx) == "1|0+1e"
     assert replace(m, _cache={})._cache == {}
+
+
+def test_a_missing_inverse_the_border_reads_raises_the_inverse_error():
+    # the border composite's inversion is an ap over the inverse table; a
+    # miss raises FinGroupoid.inv's text, not a KeyError
+    m = coboundary_twisted_dual_numbers(3)
+    gpd = replace(m.carrier, inverse={k: v for k, v in m.carrier.inverse.items() if k != "1|0+0e"})
+    with pytest.raises(MalformedTable) as err:
+        to_ac(replace(m, carrier=gpd))
+    assert str(err.value) == "no inverse recorded for morphism '1|0+0e'"

@@ -21,7 +21,7 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from twogrp import build_dual_numbers_2group, canonical_acomm_at, diagram  # noqa: E402
+from twogrp import build_dual_numbers_2group, canonical_acomm_at, diagram, validate_jp, validate_quang  # noqa: E402
 from twogrp import expr as ex  # noqa: E402
 from twogrp._kernel import sample_positions  # noqa: E402
 from twogrp.ac import _canonical_acomm  # noqa: E402
@@ -31,6 +31,7 @@ from helpers import (  # noqa: E402
     SEED,
     coboundary_twisted_dual_numbers,
     flipped_bindings,
+    kappa_twisted_2ring,
     law_bindings,
     tables,
     with_table,
@@ -147,6 +148,26 @@ def test_canonical_acomm_arrays_equal_the_memoized_composites(label, monkeypatch
     res = diagram.check_diagram(law, m.carrier, objs, env)
     assert (res.witness.index, res.witness.right) == (idx, other)
     assert res.instances == sorted(table).index(idx) + 1
+
+
+@pytest.mark.parametrize("separating", [False, True], ids=["coherent", "separating"])
+def test_kernel_rows_equal_the_reference_rows_on_the_kappa_twisted_rings(separating, monkeypatch):
+    # the first rings whose 2R laws read a non-strict canonical b in the
+    # kernel: JP and Quang forced full and sampled, every loop in the kernel
+    # against every loop in the reference
+    ring = kappa_twisted_2ring(3, separating)
+    monkeypatch.setattr(diagram, "REFERENCE_HEAD", 0)
+
+    def rows(kernel):
+        monkeypatch.setattr(diagram, "KERNEL_FLOOR", 0 if kernel else float("inf"))
+        return [(c.law, c.status, c.instances, c.mode, c.witness)
+                for sample in (None, SAMPLE) for suite in (validate_jp, validate_quang)
+                for c in suite(ring, sample=sample, seed=SEED, allow_strict_skip=False).checks]
+
+    kernel = rows(True)
+    assert len(_canonical_acomm(ring.add)) == 0  # the kernel computed b, never read the memo
+    assert kernel == rows(False)
+    assert any(row[1].value == "fail" for row in kernel) is separating
 
 
 def child(code: str) -> str:

@@ -18,7 +18,7 @@ from twogrp.diagram import _scan
 from twogrp.functors import AF1, SF1, SF2, T1, UNIT_SQUARES
 from twogrp.groupoid import index_space
 from twogrp.monoidal import SM_LAWS
-from twogrp.rings import AC_RING_LAWS, COMMON_LAWS, JP_LAWS
+from twogrp.rings import AC_RING_LAWS, COMMON_LAWS, JP_LAWS, QUANG_LAWS
 
 from helpers import SEED, flipped_bindings, law_bindings, law_legs, tables, with_table
 
@@ -116,7 +116,7 @@ INGREDIENTS = {
     "AC2/units-right": ("b l r", "+", ""),
     "AC2/units-left": ("b l r", "+", ""),
     "AC3": ("b", "", ""),  # narrower: + (applied to objects only)
-    # the 2R1 rows bind these to the ring: F+ to d or e, F to *, +s/+t to +
+    # the 2R1 rows were these with F+ bound to d or e, F to *, +s/+t to +
     "SF1": ("F+ as at", "+t F", ""),
     "SF2": ("F+ cs ct", "F", ""),  # narrower: +t (2R1/*-comm: +)
     "AF1": ("F+ bs bt", "+t F", ""),
@@ -127,6 +127,11 @@ INGREDIENTS = {
     "T1": ("F+ G+ tau", "+t", ""),  # the suite tests no profile for T1
     # b: the given family (AC), or the canonical one, which declares a, c,
     # + and inverses (symmetric)
+    # the fixed object x is a constant read only as an object
+    "2R1/left-assoc": ("a d", "* +", ""),
+    "2R1/left-comm": ("c d", "*", ""),  # narrower: +
+    "2R1/right-assoc": ("a e", "* +", ""),
+    "2R1/right-comm": ("c e", "*", ""),  # narrower: +
     "2R2": ("b d e", "+", ""),  # narrower: * (applied to objects only)
     "2R3": ("a* d", "* +", ""),
     "2R4": ("a* d e", "* +", ""),
@@ -144,7 +149,7 @@ INGREDIENTS = {
 }
 
 DECLARED = (*SM_LAWS, *AC_LAWS, SF1, SF2, AF1, *UNIT_SQUARES["SF3"], *UNIT_SQUARES["AF2"], T1,
-            *COMMON_LAWS, *JP_LAWS, *AC_RING_LAWS)
+            *QUANG_LAWS, *COMMON_LAWS, *JP_LAWS, *AC_RING_LAWS)
 
 
 def test_every_law_derives_its_pinned_strict_ingredients():

@@ -1,7 +1,9 @@
 """2-ring suites, the Quang/JP/AC hierarchy and the conversions."""
 
-import pytest
+import random
 from dataclasses import replace
+
+import pytest
 
 from twogrp import (
     MissingAbsorbers,
@@ -32,10 +34,21 @@ from twogrp.functors import (
     validate_sm_functor,
     validate_transformation,
 )
+from twogrp.ac import _canonical_acomm
 from twogrp.rings import left_mult_functor, right_mult_functor
 from twogrp.report import Status
 
-from helpers import perturb_family, quang_distributivity_diagrams, strict_derivation_2ring
+from helpers import (
+    SEED,
+    coboundary_twisted_dual_numbers,
+    kappa_twisted_2ring,
+    law_rings,
+    perturb_family,
+    quang_distributivity_diagrams,
+    quang_rows_by_functors,
+    random_flip,
+    strict_derivation_2ring,
+)
 
 
 def z6():
@@ -91,6 +104,59 @@ def test_classical_diagram_evaluator_agrees_with_endofunctor_form():
             assert cross[law].status is suite[row].status, (m, law)
             if suite[row].status is Status.FAIL:
                 assert cross[law].witness.index == suite[row].witness.index
+
+
+def flipped_rings(rings, flips):
+    """``flips`` seeded single-component flips of d or e of each ring."""
+    rng = random.Random(SEED)
+    out = []
+    for label, ring in rings:
+        for _ in range(flips):
+            side = rng.choice(("dist_l", "dist_r"))
+            fam, idx = random_flip(ring.carrier, getattr(ring, side), rng)
+            out.append((f"{label} {side}{idx}->{fam.components[idx]}", replace(ring, **{side: fam})))
+    return out
+
+
+SYMMETRIC_RINGS = [(label, ring) for label, ring in law_rings() if ring.presentation == "sm"]
+QUANG_INPUTS = SYMMETRIC_RINGS + flipped_rings(SYMMETRIC_RINGS, 3)
+QUANG_MODES = [(strict, sample) for strict in (True, False) for sample in (None, 50)]
+
+
+@pytest.mark.parametrize("label, ring", QUANG_INPUTS, ids=[label for label, _ in QUANG_INPUTS])
+def test_2r1_rows_equal_the_functor_form(label, ring):
+    # each 2R1 ring law, bound per fixed object, against SF1/SF2 of the
+    # multiplication endofunctors built at that object: same status,
+    # instances, mode and witness (legs included), strict and forced,
+    # exhaustive and sampled
+    for strict, sample in QUANG_MODES:
+        rep = validate_quang(ring, check_data=False, sample=sample, seed=SEED, allow_strict_skip=strict)
+        oracle = quang_rows_by_functors(ring, sample=sample, seed=SEED, strict=strict)
+        for name, want in oracle.items():
+            row = rep[name]
+            assert (row.status, row.instances, row.mode, row.witness) == want, (strict, sample, name)
+
+
+def test_the_2r1_comparison_meets_failures_strict_rows_and_samples():
+    modes, statuses = set(), set()
+    for _, ring in QUANG_INPUTS:
+        for strict, sample in QUANG_MODES:
+            for status, _, mode, _ in quang_rows_by_functors(ring, sample=sample, seed=SEED, strict=strict).values():
+                modes.add(mode.split("(")[0])
+                statuses.add(status)
+    assert modes == {"strict-profile", "exhaustive", "sampled"}
+    assert statuses == {Status.PASS, Status.FAIL}
+
+
+def test_2r1_rows_report_a_missing_distributor_entry_as_a_witness():
+    # the laws read d at each instance, so without the data rows a missing
+    # component is a route that does not evaluate, as in every other row
+    ring = build_derivation_2ring(2)
+    key = ("1+1e", "0+0e", "0+0e")
+    dist = replace(ring.dist_l, components={k: f for k, f in ring.dist_l.components.items() if k != key})
+    row = validate_quang(replace(ring, dist_l=dist), check_data=False, allow_strict_skip=False)["2R1/left-comm"]
+    assert (row.status, row.instances, row.witness.index) == (Status.FAIL, 49, key)
+    assert row.witness.note == f"route does not evaluate: no entry at {key}"
 
 
 def test_quang_rejects_ac_presentation():
@@ -401,3 +467,34 @@ def test_derivation_2ring_without_the_derivation_is_a_quang_ring(m):
     assert validate_jp(ring, allow_strict_skip=False).ok
     assert validate_quang(ring, allow_strict_skip=False).ok
     assert validate_quang(ac_ring_to_quang(jp_upgrade(ring))).ok
+
+
+def test_kappa_twisted_rings_separate_the_notions_with_non_identity_a_c_d_e():
+    # the derivation ring transported along the kappa coboundary: a, c, d
+    # and e all carry non-zero labels, and the canonical b is not strict
+    for separating in (False, True):
+        ring = kappa_twisted_2ring(3, separating)
+        for fam in (ring.add.assoc, ring.add.comm, ring.dist_l, ring.dist_r):
+            assert any(not f.startswith("0|") for f in fam.components.values())
+        assert not _canonical_acomm(ring.add).is_strict()
+        assert validate_two_ring_data(ring).ok
+        assert validate_jp(ring, allow_strict_skip=False).ok
+        quang = validate_quang(ring, allow_strict_skip=False)
+        assert [row.law for row in quang.failures()] == (["2R1/left-assoc"] if separating else [])
+    # the twist of the other sign is not coherent with the additive half
+    opposite = kappa_twisted_2ring(3, False, sign=-1)
+    jp = validate_jp(opposite, allow_strict_skip=False)
+    assert [row.law for row in jp.failures()] == ["2R1-prime/d", "2R1-prime/e", "2R2"]
+
+
+def test_a_missing_inverse_is_a_route_that_does_not_evaluate():
+    # the canonical b of a kappa-twisted ring reads the carrier's inverses;
+    # without check_data a missing one is a witness, in the reference head
+    # (2R1'/d, 2R2) and past it (2R1'/e)
+    gpd = coboundary_twisted_dual_numbers(3).carrier
+    gpd = replace(gpd, inverse={k: v for k, v in gpd.inverse.items() if k != "1|0+0e"})
+    ring = kappa_twisted_2ring(3, False)
+    ring = replace(ring, carrier=gpd, add=replace(ring.add, carrier=gpd), mul=replace(ring.mul, carrier=gpd))
+    note = "route does not evaluate: no inverse recorded for morphism '1|0+0e'"
+    rows = [(row.law, row.instances, row.witness.note) for row in validate_jp(ring, check_data=False).failures()]
+    assert rows == [("2R1-prime/d", 117, note), ("2R1-prime/e", 1045, note), ("2R2", 1007, note)]
