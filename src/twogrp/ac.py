@@ -23,6 +23,7 @@ from functools import partial
 from itertools import product
 
 from . import expr as ex
+from .diagram import strict_profile
 from .errors import MalformedTable, PreconditionFailed
 from .groupoid import FinGroupoid, NatFamily, compose_path, identity_family
 from .monoidal import (
@@ -151,9 +152,12 @@ class _Inverses(dict):
 
 
 def _route_env(s) -> dict:
-    """The symbols of the border composites bound to ``s`` (memoized)."""
+    """The symbols of the border composites bound to ``s`` (memoized);
+    inversion preserves identities when the inverse table fixes them."""
     if "route_env" not in s._cache:
-        s._cache["route_env"] = {**s.law_env(), "inv": (None, _Inverses(s.carrier.inverse))}
+        gpd = s.carrier
+        s._cache["route_env"] = {**s.law_env(), "inv": (None, _Inverses(gpd.inverse),
+                                                         gpd.identities_preserved_by_inverse)}
     return s._cache["route_env"]
 
 
@@ -192,7 +196,7 @@ class _CanonicalAcomm(dict):
 
     def is_strict(self, gpd=None, env=None) -> bool:
         if self.strict is None:
-            self.strict = _strict_border(self.m, (self.m.assoc, self.m.comm))
+            self.strict = strict_profile(ACOMM_UPPER, self.m.carrier, _route_env(self.m))
         return self.strict
 
     def __missing__(self, key):
@@ -205,15 +209,6 @@ class _CanonicalAcomm(dict):
             value = _composite(ACOMM_UPPER, m)(key)
         self[key] = value
         return value
-
-
-def _strict_border(s, fams) -> bool:
-    """True when ``fams`` are strict, the sum preserves identities and so
-    does inversion: the ingredients of the translations' border composites,
-    which are then identities."""
-    gpd, env = s.carrier, s.env()
-    return (all(f.is_strict(gpd, env) for f in fams) and s.preserves_identities()
-            and gpd.identities_preserved_by_inverse())
 
 
 def _canonical_acomm(m: MonStructure) -> _CanonicalAcomm:
@@ -283,7 +278,7 @@ def _translate_to_sm(a: ACStructure, sample: int | None, seed: int = 0) -> MonSt
     and the re-check of its output."""
     gpd, env = a.carrier, a.env()
     objs = gpd.objects_sorted
-    if _strict_border(a, (a.acomm, a.lunit, a.runit)):
+    if all(strict_profile(law, gpd, _route_env(a)) for law in (ASSOC_FROM_B, COMM_FROM_B)):
         a_fam = identity_family(assoc_family, gpd, env)
         c_fam = identity_family(comm_family, gpd, env)
     else:

@@ -21,20 +21,22 @@ At the object level an expression gives the expected endpoint of a
 component; at the morphism level it gives the functorial action used by
 naturality squares (constants act as their identity morphism).
 
-An expression is evaluated only after it is compiled (``compile_obj``/
-``compile_mor``): the tables are resolved once and each node becomes a
-closure of the argument tuple.  A closure raises :class:`MalformedTable`
-naming the innermost lookup that misses (``object table '+' undefined at
-('0', '1')``); a symbol missing from the environment raises ``... undefined
-at '<sym>'`` before any subterm is evaluated.
+One emitter writes every term as Python source, one subscript per node,
+generated once per process: ``compile_obj``/``compile_mor`` give one
+function of the argument tuple per expression and level (endpoint
+expressions use ``v``, ``k``, ``op`` and ``ap``), ``Law.legs`` one per law;
+a compile or a binding is one factory call with the tables.  An endpoint
+function whose lookup misses hands its arguments to a node-by-node
+evaluator, which raises :class:`MalformedTable` naming the innermost
+lookup that misses (``object table '+' undefined at ('0', '1')``) or a
+symbol the environment lacks (``... undefined at '<sym>'``) before any of
+its subterms.
 
 A coherence law is a :class:`Law`: a name, an arity and two routes, each a
 list of morphism terms over object variables in application order (the
-last leg applies first).  ``Law.legs`` binds a law to an environment and
-returns the function the diagram engine scans.  The law's source is
-generated once per process as one flat function of the index tuple, so a
-binding is one factory call with the tables.  In a law's environment an
-``op``/``ap`` symbol is bound to ``(object_table, morphism_table,
+last leg applies first), bound by ``Law.legs`` to an environment into the
+function the diagram engine scans.  In a law's environment an ``op``/``ap``
+symbol is bound to ``(object_table, morphism_table,
 preserves_identities)``, a ``fam`` symbol to ``(family, env)`` (the family
 and the environment its endpoints are typed in) and a ``c`` symbol to
 ``(object, morphism)``.  A lookup that misses raises the bare ``KeyError``
@@ -49,7 +51,7 @@ the carrier's inverse table.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from operator import itemgetter
+from functools import cache, partial
 
 from .errors import MalformedTable
 
@@ -73,50 +75,6 @@ def app(sym: str, inner: Expr) -> Expr:
     return ("ap", sym, inner)
 
 
-def _compile(expr: Expr, env: Env, level: int) -> Callable[[Sequence[str]], str]:
-    tag = expr[0]
-    if tag == "v":
-        return itemgetter(expr[1])
-    if tag == "k":
-        value = expr[1 + level]
-        return lambda args: value
-    sym = expr[1]
-    where = f"{('object', 'morphism')[level]} table {sym!r} undefined at"
-    if sym not in env:
-        def unknown(args):
-            raise MalformedTable(f"{where} {sym!r}")
-        return unknown
-    table = env[sym][level]
-    # subterms raise MalformedTable, never KeyError: a KeyError is this lookup
-    if tag == "ap":
-        inner = _compile(expr[2], env, level)
-
-        def apply(args):
-            try:
-                return table[inner(args)]
-            except KeyError as exc:
-                raise MalformedTable(f"{where} {exc}") from exc
-        return apply
-    left, right = expr[2], expr[3]
-    if left[0] == "v" and right[0] == "v":
-        i, j = left[1], right[1]
-
-        def pair(args):
-            try:
-                return table[args[i], args[j]]
-            except KeyError as exc:
-                raise MalformedTable(f"{where} {exc}") from exc
-        return pair
-    lf, rf = _compile(left, env, level), _compile(right, env, level)
-
-    def binary(args):
-        try:
-            return table[lf(args), rf(args)]
-        except KeyError as exc:
-            raise MalformedTable(f"{where} {exc}") from exc
-    return binary
-
-
 def compile_obj(expr: Expr, env: Env) -> Callable[[Sequence[str]], str]:
     """The object ``expr`` denotes, as a function of the argument objects."""
     return _compile(expr, env, 0)
@@ -126,6 +84,43 @@ def compile_mor(expr: Expr, env: Env) -> Callable[[Sequence[str]], str]:
     """The morphism ``expr`` denotes, as a function of the argument
     morphisms: the functorial action of the expression."""
     return _compile(expr, env, 1)
+
+
+def _compile(expr: Expr, env: Env, level: int) -> Callable[[Sequence[str]], str]:
+    make, params = _expr_code(expr, level)
+    # a symbol ``env`` lacks is bound to an empty table: the evaluator names it
+    return make(partial(_evaluate, expr, env, level),
+                *[sym if slot == "k" else env[sym][slot] if sym in env else {} for sym, slot in params])
+
+
+@cache
+def _expr_code(expr: Expr, level: int):
+    """``expr``'s factory at ``level``; its function hands the arguments of
+    a lookup that misses to the evaluator, its first parameter."""
+    params: dict[tuple, str] = {}
+    body = _emit(expr, level, params, None)
+    handled = f"try:\n            return {body}\n        except KeyError:\n            return explain(args)"
+    return _factory(f"<expr {expr!r}>", ["explain", *params.values()], "at(args)", handled), list(params)
+
+
+def _evaluate(expr: Expr, env: Env, level: int, args: Sequence[str]) -> str:
+    """``expr`` at ``args``, node by node: a lookup that misses raises the
+    :class:`MalformedTable` of the innermost, an unknown symbol before its
+    subterms are evaluated."""
+    tag = expr[0]
+    if tag == "v":
+        return args[expr[1]]
+    if tag == "k":
+        return expr[1 + level]
+    sym = expr[1]
+    where = f"{('object', 'morphism')[level]} table {sym!r} undefined at"
+    if sym not in env:
+        raise MalformedTable(f"{where} {sym!r}")
+    key = tuple(_evaluate(sub, env, level, args) for sub in expr[2:])
+    try:
+        return env[sym][level][key if tag == "op" else key[0]]
+    except KeyError as exc:
+        raise MalformedTable(f"{where} {exc}") from exc
 
 
 def constant(sym: str) -> Expr:
@@ -183,31 +178,40 @@ def _compile_law(law: Law):
     parameters is bound to: the generated function evaluates each route
     left to right, depth first, one subscript per node."""
     params: dict[tuple, str] = {}
-
-    def param(sym, slot):
-        return params.setdefault((sym, slot), f"p{len(params)}")
-
-    def emit(term, level):
-        tag = term[0]
-        if tag == "v" and not level:
-            return f"v{term[1]}"
-        if tag == "c":
-            return param(term[1], level)
-        if tag == "id" and level:
-            return f"{param('', 'id')}[{emit(term[1], 0)}]"
-        if tag == "fam" and level:
-            return f"{param(term[1], 'fam')}[{''.join(emit(a, 0) + ', ' for a in term[2:])}]"
-        if tag in ("op", "ap"):
-            return f"{param(term[1], level)}[{', '.join(emit(a, level) for a in term[2:])}]"
-        raise ValueError(f"law {law.name}: no {('object', 'morphism')[level]} node {term!r}")
-
-    routes = [", ".join(emit(t, 1) for t in route) for route in (law.left, law.right)]
+    routes = [", ".join(_emit(t, 1, params, law.name) for t in route) for route in (law.left, law.right)]
     names = "".join(f"v{i}, " for i in range(law.arity))
-    source = (f"def make({', '.join(params.values())}):\n"
-              f"    def legs(idx):\n"
-              f"        {names} = idx\n"
-              f"        return [{routes[0]}], [{routes[1]}]\n"
-              f"    return legs\n")
+    return _factory(f"<law {law.name}>", params.values(), "legs(idx)",
+                    f"{names} = idx\n        return [{routes[0]}], [{routes[1]}]"), list(params)
+
+
+def _emit(term: Expr, level: int, params: dict, law: str | None) -> str:
+    """Source computing ``term`` at ``level``, each table a parameter named
+    in ``params``.  An endpoint expression (``law`` ``None``) reads its
+    arguments at ``level``; a law's variables are objects."""
+    tag = term[0]
+    param = lambda sym, slot: params.setdefault((sym, slot), f"p{len(params)}")
+    if tag in ("op", "ap"):
+        return f"{param(term[1], level)}[{', '.join(_emit(a, level, params, law) for a in term[2:])}]"
+    if law is None:
+        if tag == "v":
+            return f"args[{term[1]}]"
+        if tag == "k":
+            return param(term[1 + level], "k")
+    elif tag == "v" and not level:
+        return f"v{term[1]}"
+    elif tag == "c":
+        return param(term[1], level)
+    elif tag == "id" and level:
+        return f"{param('', 'id')}[{_emit(term[1], 0, params, law)}]"
+    elif tag == "fam" and level:
+        return f"{param(term[1], 'fam')}[{''.join(_emit(a, 0, params, law) + ', ' for a in term[2:])}]"
+    where = "expression" if law is None else f"law {law}"
+    raise ValueError(f"{where}: no {('object', 'morphism')[level]} node {term!r}")
+
+
+def _factory(label: str, params, head: str, body: str):
+    """``make(*params)``, which defines ``def <head>: <body>`` and returns it."""
+    source = f"def make({', '.join(params)}):\n    def {head}:\n        {body}\n    return {head.split('(')[0]}\n"
     namespace: dict = {}
-    exec(compile(source, f"<law {law.name}>", "exec"), namespace)
-    return namespace["make"], list(params)
+    exec(compile(source, label, "exec"), namespace)
+    return namespace["make"]

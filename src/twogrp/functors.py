@@ -20,7 +20,7 @@ from functools import partial
 
 from . import expr as ex
 from .ac import ACStructure, canonical_acomm_at
-from .diagram import check_diagram, strict_profile
+from .diagram import _scan, check_diagram, strict_profile
 from .errors import (
     MissingZeroIso,
     PreconditionFailed,
@@ -366,16 +366,8 @@ def _unit_squares_hold(env: dict, gpd, objects, candidate: str) -> bool:
     ``candidate`` bound as the zero isomorphism in the functor's law
     environment ``env``?"""
     env = {**env, "F0": (None, candidate)}
-    for square in UNIT_SQUARES["SF3"]:
-        legs = square.legs(env, gpd.identity)
-        for x in objects:
-            try:
-                left, right = legs((x,))
-                if compose_path(gpd, left) != compose_path(gpd, right):
-                    return False
-            except (StructureError, KeyError):
-                return False
-    return True
+    return all(_scan(gpd, square.legs(env, gpd.identity), [(x,) for x in objects])[1] is None
+               for square in UNIT_SQUARES["SF3"])
 
 
 def enumerate_zero_isos(fun: StructuredFunctor, src, tgt, mode: str = "SF3") -> list[str]:
@@ -385,7 +377,7 @@ def enumerate_zero_isos(fun: StructuredFunctor, src, tgt, mode: str = "SF3") -> 
     squares themselves coincide."""
     if mode not in ("SF3", "AF2"):
         raise ValueError(f"unknown mode {mode!r}")
-    f0 = fun.base.obj_map[src.unit]
+    f0 = fun.base.obj(src.unit)
     env, gpd, objs = _law_env(fun, src, tgt), tgt.carrier, src.carrier.objects_sorted
     return [cand for cand in gpd.hom(tgt.unit, f0) if _unit_squares_hold(env, gpd, objs, cand)]
 

@@ -138,10 +138,13 @@ class WeakInverseCert:
 
 def _check_bifunctor(m: MonStructure, report: Report) -> None:
     gpd = m.carrier
+    objects = set(gpd.objects)
 
     def cases():
         for (x, y), z in sorted(m.sum_obj.items()):
-            if z not in set(gpd.objects):
+            if x not in objects or y not in objects:
+                yield Witness((x, y), note="sum object table keyed outside the carrier")
+            elif z not in objects:
                 yield Witness((x, y), note="sum sends pair outside the carrier")
             elif m.sum_mor.get((gpd.identity[x], gpd.identity[y])) != gpd.identity[z]:
                 yield Witness((x, y), note="sum of identities is not the identity of the sum")
@@ -154,8 +157,10 @@ def _check_bifunctor(m: MonStructure, report: Report) -> None:
             if (f, g) not in m.sum_mor:
                 yield Witness((f, g), note="sum morphism table not total")
         for (f, g), h in sorted(m.sum_mor.items()):
-            mf, mg = gpd.morphisms[f], gpd.morphisms[g]
-            if gpd.src(h) != m.sum_obj[(mf.src, mg.src)] or gpd.dst(h) != m.sum_obj[(mf.dst, mg.dst)]:
+            mf, mg = gpd.morphisms.get(f), gpd.morphisms.get(g)
+            if mf is None or mg is None:
+                yield Witness((f, g), note="sum morphism table keyed outside the carrier")
+            elif gpd.src(h) != m.sum_obj[(mf.src, mg.src)] or gpd.dst(h) != m.sum_obj[(mf.dst, mg.dst)]:
                 yield Witness((f, g), left=h, note="sum morphism has wrong endpoints")
             else:
                 yield None

@@ -421,8 +421,11 @@ def quang_to_ac_ring(
     With ``validate`` the input must first pass the ring's data rows, the
     additive half's suite among them, and then the 2R suite; ``sample`` goes
     to the structure suites among the data rows and to the re-check of the
-    translated half, and the 2R suite runs unsampled.  Without it nothing
-    of the input is checked."""
+    translated half, and the 2R suite runs unsampled.  Without it the input
+    is not validated, but the translation still checks what it builds on:
+    the translated half is re-checked against AC1-AC3, and each absorber,
+    a canonical zero isomorphism, requires SF1 of x*- (or -*x) and the unit
+    squares (on the derivation 2-ring it raises ``PreconditionFailed``)."""
     if ring.presentation != "sm":
         raise PresentationMismatch("ring is already in AC presentation")
     if validate:

@@ -188,3 +188,29 @@ def test_a_missing_inverse_the_border_reads_raises_the_inverse_error():
     with pytest.raises(MalformedTable) as err:
         to_ac(replace(m, carrier=gpd))
     assert str(err.value) == "no inverse recorded for morphism '1|0+0e'"
+
+
+def test_a_strict_structure_whose_inverse_moves_an_identity_is_not_strict():
+    # the border composites invert legs through the carrier's inverse table:
+    # their strict profiles need it to fix every identity, as they need the
+    # families strict and the sum to preserve identities
+    from twogrp.ac import ACOMM_UPPER, ASSOC_FROM_B, COMM_FROM_B, _canonical_acomm, _route_env
+    from twogrp.diagram import strict_profile
+
+    sm, ac = build_dual_numbers_2group(2, "sm"), build_dual_numbers_2group(2)
+    gpd = sm.carrier
+    unit_id = gpd.identity["0+0e"]
+    moved = replace(gpd, inverse={**gpd.inverse, unit_id: "1|0+0e"})
+    assert _canonical_acomm(sm).is_strict()
+    assert all(strict_profile(law, gpd, _route_env(ac)) for law in (ASSOC_FROM_B, COMM_FROM_B))
+
+    sm2, ac2 = replace(sm, carrier=moved), replace(ac, carrier=moved)
+    for s in (sm2, ac2):
+        assert s.preserves_identities()
+        assert all(f.is_strict(moved, s.env()) for f in s.families().values())
+    assert not _canonical_acomm(sm2).is_strict()
+    for law in (ACOMM_UPPER, ASSOC_FROM_B, COMM_FROM_B):
+        assert not strict_profile(law, moved, _route_env(sm2 if law is ACOMM_UPPER else ac2))
+    # so b is read from the border composite, which is not the identity there
+    idx = ("0+1e", "0+0e", "0+0e", "0+0e")
+    assert canonical_acomm_at(sm2, *idx) == assoc_commutator_upper(sm2, *idx) != gpd.identity["0+1e"]

@@ -508,3 +508,68 @@ def test_derivation_2ring_fixture_separates_the_suites(capsys, tmp_path, m):
     assert "witness at (0+1e, 0+0e, 0+0e, 1+0e)" in out
     code, out, _ = run(capsys, "convert", str(path), "--to", "ac")
     assert (code, out) == (1, "convert aborted: input fails the 2R suite: 2R1/left-assoc\n")
+
+
+def _damaged(path, block, table, edit):
+    """A copy of the document at ``path`` whose ``table`` of the block named
+    ``block`` went through ``edit``."""
+    data = json.loads(path.read_text())
+    edit(next(b for b in data["structures"] if b["name"] == block)[table])
+    out = path.with_name(f"damaged_{path.name}")
+    out.write_text(json.dumps(data))
+    return out
+
+
+@pytest.fixture
+def dn2_file(tmp_path):
+    path = tmp_path / "dn2.json"
+    assert main(["fixture", "dual-numbers", "--mod", "2", "--mult", "1,1", "--out", str(path)]) == 0
+    return path
+
+
+def _key_outside(rows):
+    assert rows[5] == ["0+1e", "0+1e", "0+0e"]
+    rows[5][1] = "undeclared"
+
+
+@pytest.mark.parametrize("suite", ["ac", "2group", "ac-functor", "sm-functor"])
+def test_a_sum_row_keyed_outside_the_carrier_is_a_bifunctor_witness(capsys, dn2_file, suite):
+    path = _damaged(dn2_file, "add", "op_obj", _key_outside)
+    code, out, _ = run(capsys, "check", str(path), "--suite", suite, "--witness")
+    if suite == "ac":
+        assert code == 1
+        assert re.search(r"^bifunctor\s+fail.*\n  witness at \(0\+1e, undeclared\): "
+                         r"sum object table keyed outside the carrier$", out, re.M)
+    else:
+        assert (code, out) == (1, "check aborted: input fails the AC axiom suite: bifunctor\n")
+
+
+def test_a_sum_morphism_row_keyed_outside_the_carrier_is_a_bifunctor_witness(capsys, dn2_file):
+    # an extra row: the table stays total, so only the key check can see it
+    path = _damaged(dn2_file, "add", "op_mor", lambda rows: rows.append(["0|0+0e", "undeclared", "0|0+0e"]))
+    code, out, _ = run(capsys, "check", str(path), "--suite", "ac", "--witness")
+    assert code == 1
+    assert re.search(r"^bifunctor\s+fail.*\n  witness at \(0\|0\+0e, undeclared\): "
+                     r"sum morphism table keyed outside the carrier$", out, re.M)
+
+
+def test_conversions_of_a_table_keyed_outside_the_carrier_abort(capsys, tmp_path, dn2_file):
+    path = _damaged(dn2_file, "add", "op_obj", _key_outside)
+    code, out, _ = run(capsys, "convert", str(path), "--to", "sm", "--out", str(tmp_path / "sm.json"))
+    assert (code, out) == (1, "convert aborted: input fails the AC axiom suite: bifunctor\n")
+    code, out, _ = run(capsys, "zero-iso", str(path), "--functor", "F", "--mode", "canonical")
+    assert (code, out) == (1, "zero-iso aborted: input fails the AC axiom suite: bifunctor\n")
+
+    z4 = tmp_path / "z4.json"
+    assert main(["fixture", "strict-2ring", "--ring", "z4", "--out", str(z4)]) == 0
+    path = _damaged(z4, "mul", "op_obj", lambda rows: rows[8].__setitem__(1, "undeclared"))
+    code, out, _ = run(capsys, "convert", str(path), "--to", "ac", "--out", str(tmp_path / "ac.json"))
+    assert (code, out) == (1, "convert aborted: input fails the 2R suite: mul:bifunctor\n")
+
+
+def test_zero_iso_enumeration_names_an_object_map_without_the_source_unit(capsys, dn2_file):
+    path = _damaged(dn2_file, "F", "obj_map", lambda rows: rows.remove(["0+0e", "0+0e"]))
+    code, out, _ = run(capsys, "zero-iso", str(path), "--functor", "F", "--mode", "enumerate")
+    assert (code, out) == (1, "zero-iso aborted: object map undefined at '0+0e'\n")
+    code, out, _ = run(capsys, "check", str(path), "--suite", "ac-functor")
+    assert (code, out) == (1, "check aborted: object map undefined at '0+0e'\n")

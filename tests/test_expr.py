@@ -205,3 +205,31 @@ def test_unknown_symbol_raises_reference_message_before_its_subterms():
                 compile_(expr, env)(args)
             assert str(got.value) == str(want.value)
             assert str(got.value).endswith("undefined at '?'")
+
+
+def test_one_expression_compiled_under_two_environments_reads_each_ones_tables():
+    # the generated source is cached by the expression; the tables are bound
+    # per compile, so neither environment sees the other's
+    expr = ex.op("+", ex.app("F", ex.var(0)), ex.const("u", "id_u"))
+    first = {"+": ({("a", "u"): "a+u"}, {("f", "id_u"): "f+id_u"}), "F": ({"x": "a"}, {"h": "f"})}
+    second = {"+": ({("b", "u"): "b+u"}, {("g", "id_u"): "g+id_u"}), "F": ({"x": "b"}, {"h": "g"})}
+    at_first, at_second = ex.compile_obj(expr, first), ex.compile_obj(expr, second)
+    mor_first, mor_second = ex.compile_mor(expr, first), ex.compile_mor(expr, second)
+    for _ in range(2):  # and again, in the other order
+        assert (at_first(("x",)), at_second(("x",))) == ("a+u", "b+u")
+        assert (mor_first(("h",)), mor_second(("h",))) == ("f+id_u", "g+id_u")
+        at_second, at_first = ex.compile_obj(expr, second), ex.compile_obj(expr, first)
+        mor_second, mor_first = ex.compile_mor(expr, second), ex.compile_mor(expr, first)
+    for env in (first, second):
+        assert at_first(("x",)) == eval_obj(expr, first, ("x",))
+        assert value_or_error(ex.compile_obj(expr, env), ("y",)) == value_or_error(eval_obj, expr, env, ("y",))
+
+
+def test_a_symbol_missing_from_one_environment_leaves_no_stale_binding():
+    expr = ex.op("+", ex.app("G", ex.var(0)), ex.var(1))
+    lacking = {"+": ({("a", "b"): "c"}, {})}
+    having = {**lacking, "G": ({"x": "a"}, {})}
+    for env, want in ((lacking, ("raises", "object table 'G' undefined at 'G'")), (having, "c"),
+                      (lacking, ("raises", "object table 'G' undefined at 'G'"))):
+        got = value_or_error(ex.compile_obj(expr, env), ("x", "b"))
+        assert got == want == value_or_error(eval_obj, expr, env, ("x", "b"))
