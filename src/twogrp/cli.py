@@ -8,7 +8,7 @@ Subcommands:
   structure block, or of the whole 2-ring when one is present) and write the
   canonically serialized document;
 * ``zero-iso FILE --functor F`` compute the closed-form zero isomorphism or
-  enumerate all of them by brute force;
+  enumerate all of them by brute force, either mode on validated endpoints;
 * ``fixture NAME ...``          emit a fixture document (dual-numbers,
   super-line, strict-2ring or derivation-2ring).
 
@@ -23,8 +23,10 @@ malformed input (parse error, dangling reference, unknown fixture).
 Sampling is chosen per suite: when the largest object-tuple space of the
 suite exceeds 2^19 instances, every law of it with more than 2^16 instances
 is sampled (2^16 draws, seed 0), and the report lines say so; naturality
-rows apply the same rule to morphism tuples of the largest family arity
-(a row whose own space is no larger than the sample runs exhaustively).
+rows apply the same rule to morphism tuples of the largest arity among the
+families they check, those of the structure as checked (after any
+translation); a row whose own space is no larger than the sample runs
+exhaustively.
 Everything at desk scale runs exhaustively.  A command converts each
 structure block it needs in the other presentation at most once (a functor
 whose source and target are the same block gets one converted structure for
@@ -84,6 +86,11 @@ class CliFailure(Exception):
 
 def _auto_sample(count: int, arity: int) -> int | None:
     return AUTO_SAMPLE if count ** arity > AUTO_LIMIT else None
+
+
+def _nat_sample(doc: StructureDocument, families) -> int | None:
+    """The suite rule over morphism tuples of the largest arity of ``families``."""
+    return _auto_sample(len(doc.groupoid.morphisms), max(fam.arity for fam in families))
 
 
 def _load(path: str) -> StructureDocument:
@@ -149,7 +156,6 @@ def _structure_reports(doc: StructureDocument, blk: Block, args) -> list[Report]
     s = blk.obj
     n = len(doc.groupoid.objects)
     sample = _auto_sample(n, _SUITE_MAX_ARITY[args.suite])
-    nat_sample = _auto_sample(len(doc.groupoid.morphisms), 4 if blk.kind == "ac" else 3)
     reports = [validate_groupoid(doc.groupoid)]
     if args.suite == "2group":
         if blk.kind == "ac":
@@ -160,7 +166,7 @@ def _structure_reports(doc: StructureDocument, blk: Block, args) -> list[Report]
             _check_weak_inverses(s, reports[-1])
     else:
         reports.append((validate_ac if blk.kind == "ac" else validate_sm)(s, sample=sample))
-    reports.append(check_structure_naturality(s, sample=nat_sample))
+    reports.append(check_structure_naturality(s, sample=_nat_sample(doc, s.families().values())))
     return reports
 
 
@@ -181,14 +187,13 @@ def _functor_reports(doc: StructureDocument, args) -> list[Report]:
     src_blk, tgt_blk = _functor_endpoint_blocks(doc, blk)
     n = len(doc.groupoid.objects)
     sample = _auto_sample(n, _SUITE_MAX_ARITY[args.suite])
-    nat_sample = _auto_sample(len(doc.groupoid.morphisms), 2)
     if args.suite == "sm-functor":
         src, tgt = _endpoints(src_blk, tgt_blk, "sm")
         rep = validate_sm_functor(blk.obj, src, tgt, sample=sample)
     else:
         src, tgt = _endpoints(src_blk, tgt_blk, "ac")
         rep = validate_ac_functor(blk.obj, src, tgt, sample=sample)
-    nat = check_fsum_naturality(blk.obj, src, tgt, sample=nat_sample)
+    nat = check_fsum_naturality(blk.obj, src, tgt, sample=_nat_sample(doc, [blk.obj.fsum]))
     return [rep, nat]
 
 
@@ -196,10 +201,7 @@ def _transformation_reports(doc: StructureDocument, args) -> list[Report]:
     blk = _pick(doc, ("transformation",), args.functor or args.name)
     src_blk, tgt_blk = _functor_endpoint_blocks(doc, doc.block(blk.refs["source"]))
     src, tgt = _endpoints(src_blk, tgt_blk, src_blk.kind)
-    nat_sample = _auto_sample(len(doc.groupoid.morphisms), 1)
-    return [
-        validate_transformation(blk.obj, src, tgt, sample=nat_sample)
-    ]
+    return [validate_transformation(blk.obj, src, tgt, sample=_nat_sample(doc, [blk.obj.tau]))]
 
 
 def _ring_reports(doc: StructureDocument, args) -> list[Report]:
@@ -212,13 +214,12 @@ def _ring_reports(doc: StructureDocument, args) -> list[Report]:
         )
     n = len(doc.groupoid.objects)
     sample = _auto_sample(n, _SUITE_MAX_ARITY[args.suite])
-    nat_sample = _auto_sample(len(doc.groupoid.morphisms), 3)
     reports = [validate_two_ring_data(ring, sample=sample)]
     if reports[0].ok:
         # validate_two_ring_data has just checked the family endpoints
         validator = {"quang": validate_quang, "jp": validate_jp, "acring": validate_ac_ring}[args.suite]
         reports.append(validator(ring, check_data=False, sample=sample))
-        reports.append(check_structure_naturality(ring, sample=nat_sample))
+        reports.append(check_structure_naturality(ring, sample=_nat_sample(doc, ring.families().values())))
     return reports
 
 
@@ -306,7 +307,7 @@ def cmd_zero_iso(args) -> int:
             print(f"canonical zero isomorphism: {result}")
             return 0
         mode = "SF3" if src_blk.kind == "sm" else "AF2"
-        sols = enumerate_zero_isos(blk.obj, src_blk.obj, tgt_blk.obj, mode)
+        sols = enumerate_zero_isos(blk.obj, *_endpoints(src_blk, tgt_blk, src_blk.kind), mode)
         print(f"{len(sols)} solution(s) [{mode}]" + (": " + ", ".join(sols) if sols else ""))
         return 0
     except StructureError as err:

@@ -179,7 +179,7 @@ def _compile_law(law: Law):
     left to right, depth first, one subscript per node."""
     params: dict[tuple, str] = {}
     routes = [", ".join(_emit(t, 1, params, law.name) for t in route) for route in (law.left, law.right)]
-    names = "".join(f"v{i}, " for i in range(law.arity))
+    names = "".join(f"v{i}, " for i in range(law.arity)) or "_"  # a law of arity 0 has no variable
     return _factory(f"<law {law.name}>", params.values(), "legs(idx)",
                     f"{names} = idx\n        return [{routes[0]}], [{routes[1]}]"), list(params)
 

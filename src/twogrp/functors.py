@@ -5,21 +5,26 @@ A structured functor is a base functor plus a monoidality family
 F_+(x,y): Fx +' Fy -> F(x+y) and an optional zero isomorphism F_0: 0' -> F0.
 One suite body checks the triple against the symmetric axioms (SF1-SF3) or
 the AC axioms (AF1-AF2), by the presentation of its endpoints; SF3 and AF2
-are the same squares, and the engine tests each row's strict profile.
+are the same squares.  Each law is declared once, by a builder over a
+functor's terms, which ``rings`` instantiates at x*- and -*x.
 
 The zero isomorphism into a 2-group target is special: under SF1 it exists
-uniquely and is produced in closed form by ``canonical_zero_iso``; under AF1
-alone it may not exist at all.  ``enumerate_zero_isos`` is the brute-force
-oracle: it scans every carrier morphism 0' -> F0 with no shortcuts.
+uniquely, and ``canonical_zero_iso`` composes it along the route
+``ZERO_ISO``; under AF1 alone it may not exist at all.
+``enumerate_zero_isos`` is the brute-force oracle: it scans every carrier
+morphism 0' -> F0 with no shortcuts.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
+from typing import NamedTuple
 
 from . import expr as ex
-from .ac import ACStructure, canonical_acomm_at
+from .ac import ACStructure, _route_env, canonical_acomm_at
 from .diagram import _scan, check_diagram, strict_profile
 from .errors import (
     MissingZeroIso,
@@ -110,39 +115,71 @@ def check_fsum_naturality(
 # axiom laws
 # ---------------------------------------------------------------------------
 
-_X, _Y, _Z, _T = map(ex.var, range(4))
-_fs = partial(ex.fam, "F+")
-_F = partial(ex.app, "F")
-_plus_s = partial(ex.op, "+s")
-_plus_t = partial(ex.op, "+t")
-_F0, _0 = ex.constant("F0"), ex.constant("0s")
 
+class _Terms(NamedTuple):
+    """A functor as terms: ``fo`` on objects, ``fm`` on morphisms, its
+    monoidality ``fs`` and zero ``f0``, between structures whose symbols carry
+    the tags ``s`` (source) and ``t`` (target) as ``law_env(tag)`` tags them.
+    The builders below declare each functor law once over such terms: SF1,
+    SF2 and AF1 here, 2R1, 2R1' and 2R1'' in ``rings`` at x*- and -*x."""
+
+    fo: Callable
+    fm: Callable
+    fs: Callable
+    f0: ex.Expr | None = None
+    s: str = "s"
+    t: str = "t"
+
+
+def _sf_routes(f: _Terms, x, y, z) -> tuple:
+    """The routes of SF1 over (x, y, z) and of SF2 over (x, y)."""
+    fo, fs, plus_s, plus_t = f.fo, f.fs, partial(ex.op, "+" + f.s), partial(ex.op, "+" + f.t)
+    return (
+        ([fs(plus_s(x, y), z), plus_t(fs(x, y), ex.ident(fo(z))), ex.fam("a" + f.t, fo(x), fo(y), fo(z))],
+         [f.fm(ex.fam("a" + f.s, x, y, z)), fs(x, plus_s(y, z)), plus_t(ex.ident(fo(x)), fs(y, z))]),
+        ([f.fm(ex.fam("c" + f.s, x, y)), fs(x, y)], [fs(y, x), ex.fam("c" + f.t, fo(x), fo(y))]),
+    )
+
+
+def _af1_routes(f: _Terms, x, y, z, w) -> tuple:
+    """The routes of AF1 over (x, y, z, w)."""
+    fo, fs, plus_s, plus_t = f.fo, f.fs, partial(ex.op, "+" + f.s), partial(ex.op, "+" + f.t)
+    return ([fs(plus_s(x, z), plus_s(y, w)), plus_t(fs(x, z), fs(y, w)), ex.fam("b" + f.t, fo(x), fo(y), fo(z), fo(w))],
+            [f.fm(ex.fam("b" + f.s, x, y, z, w)), fs(plus_s(x, y), plus_s(z, w)), plus_t(fs(x, y), fs(z, w))])
+
+
+def _unit_square_routes(f: _Terms, x) -> dict:
+    """The routes of the right and left unit squares (SF3 = AF2) at x."""
+    zero, plus_t, fx = ex.constant("0" + f.s), partial(ex.op, "+" + f.t), f.fo(x)
+    return {"right": ([f.fm(ex.fam("r" + f.s, x)), f.fs(x, zero), plus_t(ex.ident(fx), f.f0)], [ex.fam("r" + f.t, fx)]),
+            "left": ([f.fm(ex.fam("l" + f.s, x)), f.fs(zero, x), plus_t(f.f0, ex.ident(fx))], [ex.fam("l" + f.t, fx)])}
+
+
+def _zero_iso_route(f: _Terms) -> list:
+    """The closed-form zero isomorphism into a 2-group, l'(F0) o (eta^-1 + id)
+    o a'(bar, F0, F0) o (id + F_+(0,0)^-1) o (id + F(unitor^-1)) o eta, where
+    eta: 0' -> bar + F0 and ``inv`` is the target carrier's inverse table."""
+    zero, plus_t, inv = ex.constant("0" + f.s), partial(ex.op, "+" + f.t), partial(ex.app, "inv")
+    f0, bar, eta = f.fo(zero), ex.constant("bar"), ex.constant("eta")
+    return [ex.fam("l" + f.t, f0), plus_t(inv(eta), ex.ident(f0)), ex.fam("a" + f.t, bar, f0, f0),
+            plus_t(ex.ident(bar), inv(f.fs(zero, zero))), plus_t(ex.ident(bar), f.fm(inv(ex.constant("unitor")))), eta]
+
+
+_X, _Y, _Z, _T = map(ex.var, range(4))
+_FUNCTOR = _Terms(partial(ex.app, "F"), partial(ex.app, "F"), partial(ex.fam, "F+"), ex.constant("F0"))
 
 # symbols as bound by ``_law_env``: each endpoint structure's own symbols
 # tagged s (source) or t (target), the functor F, its family F+ and F0
-SF1 = ex.Law(
-    "SF1", 3,
-    [_fs(_plus_s(_X, _Y), _Z), _plus_t(_fs(_X, _Y), ex.ident(_F(_Z))),
-     ex.fam("at", _F(_X), _F(_Y), _F(_Z))],
-    [_F(ex.fam("as", _X, _Y, _Z)), _fs(_X, _plus_s(_Y, _Z)), _plus_t(ex.ident(_F(_X)), _fs(_Y, _Z))],
-)
-SF2 = ex.Law("SF2", 2, [_F(ex.fam("cs", _X, _Y)), _fs(_X, _Y)], [_fs(_Y, _X), ex.fam("ct", _F(_X), _F(_Y))])
-AF1 = ex.Law(
-    "AF1", 4,
-    [_fs(_plus_s(_X, _Z), _plus_s(_Y, _T)), _plus_t(_fs(_X, _Z), _fs(_Y, _T)),
-     ex.fam("bt", _F(_X), _F(_Y), _F(_Z), _F(_T))],
-    [_F(ex.fam("bs", _X, _Y, _Z, _T)), _fs(_plus_s(_X, _Y), _plus_s(_Z, _T)), _plus_t(_fs(_X, _Y), _fs(_Z, _T))],
-)
+SF1, SF2 = (ex.Law(name, arity, *routes)
+            for name, arity, routes in zip(("SF1", "SF2"), (3, 2), _sf_routes(_FUNCTOR, _X, _Y, _Z)))
+AF1 = ex.Law("AF1", 4, *_af1_routes(_FUNCTOR, _X, _Y, _Z, _T))
 # the unit squares, shared by SF3 and AF2
-UNIT_SQUARES = {
-    law: (ex.Law(f"{law}/right", 1, [_F(ex.fam("rs", _X)), _fs(_X, _0), _plus_t(ex.ident(_F(_X)), _F0)],
-                 [ex.fam("rt", _F(_X))]),
-          ex.Law(f"{law}/left", 1, [_F(ex.fam("ls", _X)), _fs(_0, _X), _plus_t(_F0, ex.ident(_F(_X)))],
-                 [ex.fam("lt", _F(_X))]))
-    for law in ("SF3", "AF2")
-}
-T1 = ex.Law("T1", 2, [ex.fam("tau", _plus_s(_X, _Y)), _fs(_X, _Y)],
-            [ex.fam("G+", _X, _Y), _plus_t(ex.fam("tau", _X), ex.fam("tau", _Y))])
+UNIT_SQUARES = {law: tuple(ex.Law(f"{law}/{side}", 1, *routes)
+                           for side, routes in _unit_square_routes(_FUNCTOR, _X).items())
+                for law in ("SF3", "AF2")}
+ZERO_ISO = ex.Law("zero-iso", 0, _zero_iso_route(_FUNCTOR), [])
+T1 = ex.Law("T1", 2, [ex.fam("tau", ex.op("+s", _X, _Y)), _FUNCTOR.fs(_X, _Y)],
+            [ex.fam("G+", _X, _Y), ex.op("+t", ex.fam("tau", _X), ex.fam("tau", _Y))])
 
 
 def _law_env(fun: StructuredFunctor, src, tgt) -> dict:
@@ -361,13 +398,37 @@ def boxplus(f: StructuredFunctor, g: StructuredFunctor, target: MonStructure) ->
 # ---------------------------------------------------------------------------
 
 
-def _unit_squares_hold(env: dict, gpd, objects, candidate: str) -> bool:
-    """Do both unit squares (SF3 = AF2) hold in ``gpd`` at every object with
-    ``candidate`` bound as the zero isomorphism in the functor's law
-    environment ``env``?"""
+def _require_sf1(sf1: ex.Law, gpd, objects, env: dict) -> None:
+    """Raise ``PreconditionFailed`` unless ``sf1``, bound in ``env``, holds
+    by its strict profile or at every tuple of ``objects``."""
+    if not strict_profile(sf1, gpd, env):
+        _, witness = _scan(gpd, sf1.legs(env, gpd.identity), product(objects, repeat=sf1.arity))
+        if witness is not None:
+            raise PreconditionFailed(f"SF1 fails: witness {witness.describe()}")
+
+
+def _unit_squares_hold(squares, env: dict, gpd, objects, candidate: str) -> bool:
+    """Do both unit ``squares`` (SF3 = AF2) hold in ``gpd`` at every object
+    with ``candidate`` bound as the zero isomorphism ``F0`` in ``env``?"""
     env = {**env, "F0": (None, candidate)}
     return all(_scan(gpd, square.legs(env, gpd.identity), [(x,) for x in objects])[1] is None
-               for square in UNIT_SQUARES["SF3"])
+               for square in squares)
+
+
+def _closed_form_zero_iso(route: ex.Law, squares, env: dict, src, tgt, f0: str) -> str:
+    """``route`` (``ZERO_ISO`` at some functor's terms) in ``env``, at the first
+    weak-inverse certificate of ``f0`` in the 2-group ``tgt`` and the basic
+    unitor of ``src``; refused unless it satisfies the unit ``squares``."""
+    gpd = tgt.carrier
+    cert = find_weak_inverse(tgt, f0)
+    env = {**env, "bar": (cert.inverse, None), "eta": (None, cert.eta), "unitor": (None, basic_unitor(src)),
+           "inv": _route_env(tgt)["inv"]}
+    result = compose_path(gpd, route.legs(env, gpd.identity)(())[0])
+    if not _unit_squares_hold(squares, env, gpd, src.carrier.objects_sorted, result):
+        raise PreconditionFailed(
+            "derived zero isomorphism violates the unit squares; input structures are inconsistent"
+        )
+    return result
 
 
 def enumerate_zero_isos(fun: StructuredFunctor, src, tgt, mode: str = "SF3") -> list[str]:
@@ -379,46 +440,18 @@ def enumerate_zero_isos(fun: StructuredFunctor, src, tgt, mode: str = "SF3") -> 
         raise ValueError(f"unknown mode {mode!r}")
     f0 = fun.base.obj(src.unit)
     env, gpd, objs = _law_env(fun, src, tgt), tgt.carrier, src.carrier.objects_sorted
-    return [cand for cand in gpd.hom(tgt.unit, f0) if _unit_squares_hold(env, gpd, objs, cand)]
+    return [cand for cand in gpd.hom(tgt.unit, f0) if _unit_squares_hold(UNIT_SQUARES[mode], env, gpd, objs, cand)]
 
 
 def canonical_zero_iso(fun: StructuredFunctor, src: MonStructure, tgt: MonStructure) -> str:
     """The unique zero isomorphism of a pair (F, F_+) satisfying SF1 into a
-    2-group, via the closed-form composite
-    l'(F0) o (eta^-1 + id) o a' o (id + F_+(0,0)^-1) o (id + F(d^-1)) o eta
-    for the first weak-inverse certificate (the result does not depend on the
-    choice; tests re-verify that).  Refuses when SF1 fails: the formula is
-    only guaranteed under SF1.
+    2-group: the ``ZERO_ISO`` route at the first weak-inverse certificate
+    (the result does not depend on the choice; tests re-verify that).
+    Refuses when SF1 fails: the formula is only guaranteed under SF1.
     """
     env = _law_env(fun, src, tgt)
-    if not strict_profile(SF1, tgt.carrier, env):
-        sf1 = check_diagram(SF1, tgt.carrier, src.carrier.objects_sorted, env)
-        if sf1.status is Status.FAIL:
-            raise PreconditionFailed(f"SF1 fails: witness {sf1.witness.describe()}")
-
-    gpd = tgt.carrier
-    f0 = fun.base.obj_map[src.unit]
-    cert = find_weak_inverse(tgt, f0)
-    d = basic_unitor(src)
-    inv_bar = cert.inverse
-    ident = gpd.identity
-    sm = tgt.sum_mor
-    result = compose_path(
-        gpd,
-        [
-            tgt.lunit.components[(f0,)],
-            sm[(gpd.inv(cert.eta), ident[f0])],
-            tgt.assoc.components[(inv_bar, f0, f0)],
-            sm[(ident[inv_bar], gpd.inv(fun.fsum.components[(src.unit, src.unit)]))],
-            sm[(ident[inv_bar], fun.base.mor_map[gpd.inv(d)])],
-            cert.eta,
-        ],
-    )
-    if not _unit_squares_hold(env, gpd, src.carrier.objects_sorted, result):
-        raise PreconditionFailed(
-            "derived zero isomorphism violates the unit squares; input structures are inconsistent"
-        )
-    return result
+    _require_sf1(SF1, tgt.carrier, src.carrier.objects_sorted, env)
+    return _closed_form_zero_iso(ZERO_ISO, UNIT_SQUARES["SF3"], env, src, tgt, fun.base.obj_map[src.unit])
 
 
 def derive_sm_axioms_from_ac(

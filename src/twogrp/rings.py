@@ -1,22 +1,22 @@
 """2-rings: one groupoid carrying an additive 2-group, a multiplicative
 monoidal structure and distributor families, checked against three axiom
-suites that differ only in how the distributivity coherence is stated:
+suites that differ only in how the distributivity coherence is stated.
+Each is a functor law of ``functors`` instantiated at the multiplication
+endofunctors x*- (monoidality d(x,-,-)) and -*x (e(-,-,x)):
 
-* ``validate_quang``    -- 2R1 requires the pairs (x*-, d_x) and (-*z, e_z)
-  to satisfy SF1+SF2 as endomorphisms of the additive symmetric 2-group
-  (equivalently: the four classical distributivity diagrams), four ring
-  laws over the fixed object, a constant bound once per object;
-* ``validate_jp``       -- 2R1' requires the same pairs to satisfy AF1
-  against the canonical associo-commutator (two diagrams over 5-tuples);
-  strictly weaker than 2R1;
-* ``validate_ac_ring``  -- the additive half in AC presentation, 2R1''
-  = the two AF1 diagrams for the given b plus four absorber unit squares
-  for the families m_x: 0 -> x0 and n_x: 0 -> 0x.
+* ``validate_quang``    -- 2R1 = SF1+SF2 of x*- and -*x (equivalently: the
+  four classical distributivity diagrams), four ring laws over the fixed
+  object x, a constant bound once per object;
+* ``validate_jp``       -- 2R1' = AF1 of X*- and -*U against the canonical
+  associo-commutator (two diagrams over 5-tuples); strictly weaker than 2R1;
+* ``validate_ac_ring``  -- the additive half in AC presentation, 2R1'' = the
+  two AF1 diagrams for the given b plus the AF2 unit squares of X*- and -*Y
+  with zeros m_X: 0 -> X0 and n_Y: 0 -> 0Y, the absorbers.
 
 ``quang_to_ac_ring``/``ac_ring_to_quang`` realize the bijection between the
-first and third forms (absorbers arise as canonical zero isomorphisms);
-``jp_upgrade`` recovers absorbers for a 2R1'-ring by brute-force search.
-Every axiom is an ``expr.Law`` over ``_law_env``; the symmetric ``b`` is
+first and third forms: m_x and n_x are the ``functors.ZERO_ISO`` route at
+x*- and -*x; ``jp_upgrade`` searches them by the unit squares.  Every axiom
+is an ``expr.Law`` over ``_law_env``; the symmetric ``b`` is
 ``ac.ACOMM_UPPER``'s route, its inversion an ``ap`` over the inverse table.
 """
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import product
 
 from . import expr as ex
 from .ac import ACStructure, _canonical_acomm, _translate_to_ac, _translate_to_sm, validate_ac
@@ -33,7 +32,6 @@ from .diagram import check_diagram, strict_profile
 from .errors import MissingAbsorbers, PresentationMismatch
 from .groupoid import (
     FinGroupoid,
-    GFunctor,
     NatFamily,
     _Memo,
     check_naturality,
@@ -41,7 +39,16 @@ from .groupoid import (
     validate_groupoid,
 )
 from .monoidal import MonStructure, _check_weak_inverses, validate_sm
-from .functors import StructuredFunctor, canonical_zero_iso, enumerate_zero_isos, fsum_family
+from .functors import (
+    _af1_routes,
+    _closed_form_zero_iso,
+    _require_sf1,
+    _sf_routes,
+    _Terms,
+    _unit_square_routes,
+    _unit_squares_hold,
+    _zero_iso_route,
+)
 from .report import CheckResult, Report, Status
 
 _V0, _V1, _V2 = ex.var(0), ex.var(1), ex.var(2)
@@ -105,36 +112,6 @@ class TwoRingData(_Memo):
         return fams
 
 
-def left_mult_functor(ring: TwoRingData, x: str) -> StructuredFunctor:
-    """(x * -) with monoidality d(x,-,-)."""
-    gpd = ring.carrier
-    mo, mm = ring.mul.sum_obj, ring.mul.sum_mor
-    idx = gpd.identity[x]
-    base = GFunctor(
-        gpd, gpd,
-        {y: mo[(x, y)] for y in gpd.objects},
-        {f: mm[(idx, f)] for f in gpd.morphisms},
-    )
-    comps = {(y, z): ring.dist_l.components[(x, y, z)]
-             for y, z in product(gpd.objects, repeat=2)}
-    return StructuredFunctor(base, fsum_family(comps))
-
-
-def right_mult_functor(ring: TwoRingData, z: str) -> StructuredFunctor:
-    """(- * z) with monoidality e(-,-,z)."""
-    gpd = ring.carrier
-    mo, mm = ring.mul.sum_obj, ring.mul.sum_mor
-    idz = gpd.identity[z]
-    base = GFunctor(
-        gpd, gpd,
-        {y: mo[(y, z)] for y in gpd.objects},
-        {f: mm[(f, idz)] for f in gpd.morphisms},
-    )
-    comps = {(u, v): ring.dist_r.components[(u, v, z)]
-             for u, v in product(gpd.objects, repeat=2)}
-    return StructuredFunctor(base, fsum_family(comps))
-
-
 # ---------------------------------------------------------------------------
 # axiom laws; symbols as bound by ``_law_env``
 # ---------------------------------------------------------------------------
@@ -142,30 +119,27 @@ def right_mult_functor(ring: TwoRingData, z: str) -> StructuredFunctor:
 _X, _Y, _Z, _T, _U = map(ex.var, range(5))
 _add = partial(ex.op, "+")
 _mul = partial(ex.op, "*")
-_a, _c, _d, _e, _b, _m, _n, _l, _r = (partial(ex.fam, s) for s in "acdebmnlr")
+_d, _e, _b, _m, _n = (partial(ex.fam, s) for s in "debmn")
 _ax, _lx, _rx = (partial(ex.fam, s) for s in ("a*", "l*", "r*"))
-_id, _0, _1 = ex.ident, ex.constant("0"), ex.constant("1")
+_id, _1 = ex.ident, ex.constant("1")
 
 
-def _quang_laws(side: str, fo, fm, fs) -> tuple[ex.Law, ex.Law]:
-    """SF1 and SF2 of the endofunctor ``fo`` on objects, ``fm`` on morphisms,
-    with monoidality ``fs``."""
-    return (
-        ex.Law(f"2R1/{side}-assoc", 3,
-               [fs(_add(_X, _Y), _Z), _add(fs(_X, _Y), _id(fo(_Z))), _a(fo(_X), fo(_Y), fo(_Z))],
-               [fm(_a(_X, _Y, _Z)), fs(_X, _add(_Y, _Z)), _add(_id(fo(_X)), fs(_Y, _Z))]),
-        ex.Law(f"2R1/{side}-comm", 2, [fm(_c(_X, _Y)), fs(_X, _Y)], [fs(_Y, _X), _c(fo(_X), fo(_Y))]),
-    )
+def _left(w, f0=None) -> _Terms:
+    """w*- with monoidality d(w,-,-), an endofunctor of the additive half."""
+    return _Terms(partial(_mul, w), partial(_mul, _id(w)), partial(_d, w), f0, "", "")
 
 
-# 2R1 (Quang): x*- with monoidality d(x,-,-) and -*x with e(-,-,x), the
-# fixed object x a constant that ``_pair_axiom`` binds per object
+def _right(w, f0=None) -> _Terms:
+    """-*w with monoidality e(-,-,w)."""
+    return _Terms(lambda u: _mul(u, w), lambda f: _mul(f, _id(w)), lambda u, v: _e(u, v, w), f0, "", "")
+
+
+# 2R1 (Quang): SF1 and SF2 of x*- and -*x, the fixed object x a constant
+# that ``_pair_axiom`` binds per object
 _FIXED = ex.constant("x")
-QUANG_LAWS = (
-    *_quang_laws("left", partial(_mul, _FIXED), partial(_mul, _id(_FIXED)), partial(_d, _FIXED)),
-    *_quang_laws("right", lambda u: _mul(u, _FIXED), lambda f: _mul(f, _id(_FIXED)),
-                 lambda u, v: _e(u, v, _FIXED)),
-)
+QUANG_LAWS = tuple(ex.Law(f"2R1/{side}-{form}", arity, *routes)
+                   for side, fun in (("left", _left(_FIXED)), ("right", _right(_FIXED)))
+                   for form, arity, routes in zip(("assoc", "comm"), (3, 2), _sf_routes(fun, _X, _Y, _Z)))
 COMMON_LAWS = (
     ex.Law("2R2", 4, [_e(_X, _Y, _add(_Z, _T)), _add(_d(_X, _Z, _T), _d(_Y, _Z, _T))],
            [_d(_add(_X, _Y), _Z, _T), _add(_e(_X, _Y, _Z), _e(_X, _Y, _T)),
@@ -182,31 +156,27 @@ COMMON_LAWS = (
     ex.Law("2R6/left", 2, [_lx(_add(_X, _Y)), _d(_1, _X, _Y)], [_add(_lx(_X), _lx(_Y))]),
     ex.Law("2R6/right", 2, [_rx(_add(_X, _Y)), _e(_X, _Y, _1)], [_add(_rx(_X), _rx(_Y))]),
 )
-# 2R1' (through the canonical b) and 2R1'' (through the given b): the same
-# two interchange diagrams over 5-tuples
-_INTERCHANGE = {
-    "d": ([_mul(_id(_X), _b(_Y, _Z, _T, _U)), _d(_X, _add(_Y, _Z), _add(_T, _U)),
-           _add(_d(_X, _Y, _Z), _d(_X, _T, _U))],
-          [_d(_X, _add(_Y, _T), _add(_Z, _U)), _add(_d(_X, _Y, _T), _d(_X, _Z, _U)),
-           _b(_mul(_X, _Y), _mul(_X, _Z), _mul(_X, _T), _mul(_X, _U))]),
-    "e": ([_mul(_b(_X, _Y, _Z, _T), _id(_U)), _e(_add(_X, _Y), _add(_Z, _T), _U),
-           _add(_e(_X, _Y, _U), _e(_Z, _T, _U))],
-          [_e(_add(_X, _Z), _add(_Y, _T), _U), _add(_e(_X, _Z, _U), _e(_Y, _T, _U)),
-           _b(_mul(_X, _U), _mul(_Y, _U), _mul(_Z, _U), _mul(_T, _U))]),
-}
+# 2R1' (through the canonical b) and 2R1'' (through the given b): AF1 of
+# X*- over (Y, Z, T, U) and of -*U over (X, Y, Z, T), routes exchanged
+_INTERCHANGE = {"d": _af1_routes(_left(_X), _Y, _Z, _T, _U)[::-1],
+                "e": _af1_routes(_right(_U), _X, _Y, _Z, _T)[::-1]}
 JP_LAWS = tuple(ex.Law(f"2R1-prime/{form}", 5, *legs) for form, legs in _INTERCHANGE.items())
-_XY = _mul(_X, _Y)
+# 2R1'' adds the unit squares of X*- with zero m(X) and of -*Y with zero
+# n(Y), routes exchanged
 AC_RING_LAWS = (
     *(ex.Law(f"2R1-dprime/{form}", 5, *legs) for form, legs in _INTERCHANGE.items()),
-    ex.Law("2R1-dprime/m-left", 2, [_l(_XY)],
-           [_mul(_id(_X), _l(_Y)), _d(_X, _0, _Y), _add(_m(_X), _id(_XY))]),
-    ex.Law("2R1-dprime/m-right", 2, [_r(_XY)],
-           [_mul(_id(_X), _r(_Y)), _d(_X, _Y, _0), _add(_id(_XY), _m(_X))]),
-    ex.Law("2R1-dprime/n-left", 2, [_l(_XY)],
-           [_mul(_l(_X), _id(_Y)), _e(_0, _X, _Y), _add(_n(_Y), _id(_XY))]),
-    ex.Law("2R1-dprime/n-right", 2, [_r(_XY)],
-           [_mul(_r(_X), _id(_Y)), _e(_X, _0, _Y), _add(_id(_XY), _n(_Y))]),
+    *(ex.Law(f"2R1-dprime/{zero}-{side}", 2, *_unit_square_routes(fun, var)[side][::-1])
+      for zero, fun, var in (("m", _left(_X, _m(_X)), _Y), ("n", _right(_Y, _n(_Y)), _X))
+      for side in ("left", "right")),
 )
+# m_x and n_x as zero isomorphisms of x*- and -*x at the fixed object x: the
+# SF1 their closed form needs, its route, the unit squares, the key of x*0
+_ABSORBERS = {
+    side: (sf1, ex.Law("zero-iso", 0, _zero_iso_route(fun), []),
+           tuple(ex.Law(f"AF2/{s}", 1, *routes) for s, routes in _unit_square_routes(fun, _X).items()), key)
+    for side, fun, sf1, key in (("left", _left(_FIXED, ex.constant("F0")), QUANG_LAWS[0], lambda x, z: (x, z)),
+                                ("right", _right(_FIXED, ex.constant("F0")), QUANG_LAWS[2], lambda x, z: (z, x)))
+}
 
 
 def _law_env(ring: TwoRingData) -> dict:
@@ -431,18 +401,15 @@ def quang_to_ac_ring(
     if validate:
         _require_ring(ring, validate_quang, "input fails the 2R suite", sample)
     add_ac = _translate_to_ac(ring.add, sample)
-    zero = ring.add.unit
-    zero_id = ring.carrier.identity[zero]
-    m_comps = {}
-    n_comps = {}
-    for x in ring.carrier.objects_sorted:
-        m_comps[(x,)] = canonical_zero_iso(left_mult_functor(ring, x), ring.add, ring.add)
-        n_comps[(x,)] = canonical_zero_iso(right_mult_functor(ring, x), ring.add, ring.add)
-    return TwoRingData(
-        ring.carrier, add_ac, ring.mul, ring.dist_l, ring.dist_r,
-        absorb_l_family(m_comps, zero, zero_id),
-        absorb_r_family(n_comps, zero, zero_id),
-    )
+    gpd, env, add, mo = ring.carrier, _law_env(ring), ring.add, ring.mul.sum_obj
+    objs = gpd.objects_sorted
+    comps = {"left": {}, "right": {}}
+    for x in objs:
+        env_x = {**env, "x": (x, gpd.identity[x])}
+        for side, (sf1, route, squares, key) in _ABSORBERS.items():
+            _require_sf1(sf1, gpd, objs, env_x)
+            comps[side][(x,)] = _closed_form_zero_iso(route, squares, env_x, add, add, mo[key(x, add.unit)])
+    return _with_absorbers(ring, add_ac, comps)
 
 
 def ac_ring_to_quang(
@@ -458,6 +425,15 @@ def ac_ring_to_quang(
         _require_ring(ring, validate_ac_ring, "input fails the 2R suite", sample)
     add_sm = _translate_to_sm(ring.add, sample)
     return TwoRingData(ring.carrier, add_sm, ring.mul, ring.dist_l, ring.dist_r, None, None)
+
+
+def _with_absorbers(ring: TwoRingData, add_ac: ACStructure, comps: dict) -> TwoRingData:
+    """``ring`` over the AC half ``add_ac``, with the ``left`` and ``right``
+    components of ``comps`` as the absorbers m and n."""
+    zero = add_ac.unit
+    zid = ring.carrier.identity[zero]
+    return TwoRingData(ring.carrier, add_ac, ring.mul, ring.dist_l, ring.dist_r,
+                       absorb_l_family(comps["left"], zero, zid), absorb_r_family(comps["right"], zero, zid))
 
 
 @dataclass(frozen=True)
@@ -482,29 +458,18 @@ def jp_upgrade(ring: TwoRingData, *, validate: bool = True) -> TwoRingData | NoA
     if validate:
         _require_ring(ring, validate_jp, "input fails the 2R1' suite", None)
     add_ac = _translate_to_ac(ring.add, None)
-    zero = ring.add.unit
-    zid = ring.carrier.identity[zero]
-    m_comps = {}
-    n_comps = {}
-    # m_x is a zero iso of (x*-) and n_x one of (-*x): the m/n absorber
-    # squares are the AF2 unit squares of the multiplication endofunctors
-    for x in ring.carrier.objects_sorted:
-        for side, mult_functor, comps in (("left", left_mult_functor, m_comps),
-                                          ("right", right_mult_functor, n_comps)):
-            try:
-                found = enumerate_zero_isos(mult_functor(ring, x), add_ac, add_ac, "AF2")
-            except KeyError:
-                # a multiplication or distributor table of an unvalidated
-                # input lacks an entry the functor at x reads: no candidate
-                found = []
-            if not found:
+    gpd, env, zero = ring.carrier, _law_env(ring), ring.add.unit
+    objs = gpd.objects_sorted
+    comps = {"left": {}, "right": {}}
+    for x in objs:
+        env_x = {**env, "x": (x, gpd.identity[x])}
+        for side, (_, _, squares, key) in _ABSORBERS.items():
+            homs = gpd.hom(zero, ring.mul.sum_obj.get(key(x, zero)))
+            found = next((m for m in homs if _unit_squares_hold(squares, env_x, gpd, objs, m)), None)
+            if found is None:
                 return NoAbsorbers(x, side)
-            comps[(x,)] = found[0]
-    out = TwoRingData(
-        ring.carrier, add_ac, ring.mul, ring.dist_l, ring.dist_r,
-        absorb_l_family(m_comps, zero, zid),
-        absorb_r_family(n_comps, zero, zid),
-    )
+            comps[side][(x,)] = found
+    out = _with_absorbers(ring, add_ac, comps)
     # the squares pin each component; naturality must then come for free,
     # but verify rather than assume
     env = out.env()

@@ -25,6 +25,7 @@ from twogrp import (
     ring_dual_numbers,
     ring_zmod,
     to_ac,
+    validate_ac_functor,
 )
 from twogrp import expr as ex
 from twogrp.ac import AC_LAWS
@@ -52,8 +53,6 @@ from twogrp.rings import (
     _law_env as ring_law_env,
     dist_l_family,
     dist_r_family,
-    left_mult_functor,
-    right_mult_functor,
 )
 
 SEED = 20250811
@@ -301,6 +300,26 @@ def quang_distributivity_diagrams(ring, *, sample=None, seed=0) -> Report:
     return report
 
 
+def left_mult_functor(ring, x: str) -> StructuredFunctor:
+    """(x * -) with monoidality d(x,-,-)."""
+    gpd = ring.carrier
+    mo, mm = ring.mul.sum_obj, ring.mul.sum_mor
+    idx = gpd.identity[x]
+    base = GFunctor(gpd, gpd, {y: mo[(x, y)] for y in gpd.objects}, {f: mm[(idx, f)] for f in gpd.morphisms})
+    comps = {(y, z): ring.dist_l.components[(x, y, z)] for y, z in product(gpd.objects, repeat=2)}
+    return StructuredFunctor(base, fsum_family(comps))
+
+
+def right_mult_functor(ring, z: str) -> StructuredFunctor:
+    """(- * z) with monoidality e(-,-,z)."""
+    gpd = ring.carrier
+    mo, mm = ring.mul.sum_obj, ring.mul.sum_mor
+    idz = gpd.identity[z]
+    base = GFunctor(gpd, gpd, {y: mo[(y, z)] for y in gpd.objects}, {f: mm[(f, idz)] for f in gpd.morphisms})
+    comps = {(u, v): ring.dist_r.components[(u, v, z)] for u, v in product(gpd.objects, repeat=2)}
+    return StructuredFunctor(base, fsum_family(comps))
+
+
 def quang_rows_by_functors(ring, *, sample=None, seed=0, strict=True) -> dict:
     """The four 2R1 rows as (status, instances, mode, witness), from SF1/SF2
     of the multiplication endofunctors x*- and -*x built at each fixed
@@ -326,6 +345,41 @@ def quang_rows_by_functors(ring, *, sample=None, seed=0, strict=True) -> dict:
                     witness = replace(res.witness, index=(x,) + res.witness.index)
                     break
             rows[name] = (Status.FAIL if witness else Status.PASS, total, mode, witness)
+    return rows
+
+
+def interchange_rows_by_functors(ring, add) -> dict:
+    """The 2R1' (symmetric ring) or 2R1'' (AC ring) rows as (status,
+    instances, index, witness), from AF1 and the AF2 unit squares of x*- and
+    -*x built at each object, checked forced full by ``validate_ac_functor``
+    over ``add``, the additive half in AC presentation: the functor-form
+    oracle of ``rings.JP_LAWS`` and ``rings.AC_RING_LAWS``.  A row's index
+    puts the fixed object first (x*-) or last (-*x), so its first failing
+    tuple is the least over the fixed objects; the witness is the functor
+    row's, whose routes the ring row states exchanged."""
+    objs = ring.carrier.objects_sorted
+    n = len(objs)
+    prefix = "2R1-prime" if ring.presentation == "sm" else "2R1-dprime"
+    forms = [("d", "AF1", 5, True), ("e", "AF1", 5, False)]
+    if ring.presentation == "ac":
+        forms += [(f"{zero}-{side}", f"AF2/{side}", 2, zero == "m") for zero in "mn" for side in ("left", "right")]
+    reports = {}
+    for first in (True, False):
+        make, zeros = (left_mult_functor, ring.absorb_l) if first else (right_mult_functor, ring.absorb_r)
+        for w in objs:
+            fun = make(ring, w) if zeros is None else make(ring, w).with_zero(zeros.components[(w,)])
+            reports[first, w] = validate_ac_functor(fun, add, add, check_data=False, allow_strict_skip=False)
+    rows = {}
+    for form, law, arity, first in forms:
+        fails = sorted((tuple(objs.index(o) for o in ((w,) + row.witness.index if first else row.witness.index + (w,))),
+                        row.witness)
+                       for w in objs for row in [reports[first, w][law]] if row.status is Status.FAIL)
+        if not fails:
+            rows[f"{prefix}/{form}"] = (Status.PASS, n ** arity, None, None)
+            continue
+        rank, witness = fails[0]
+        rows[f"{prefix}/{form}"] = (Status.FAIL, sum(r * n ** (arity - 1 - i) for i, r in enumerate(rank)) + 1,
+                                    tuple(objs[r] for r in rank), witness)
     return rows
 
 

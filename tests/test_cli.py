@@ -414,11 +414,22 @@ def test_sm_functor_suite_rejects_an_sm_endpoint_that_fails_its_suite(capsys, tm
     assert (code, out) == (1, "check aborted: input fails the symmetric axiom suite: r-endpoints\n")
 
 
-def test_zero_iso_enumeration_rejects_squares_that_read_a_missing_entry(capsys, tmp_path, dual_file):
-    path = _doctored_dual_file(dual_file, tmp_path, "r", lambda n: 2)
+def test_zero_iso_enumeration_rejects_squares_that_read_a_missing_entry(capsys, tmp_path):
+    # no endpoint check reads the functor's own tables: a monoidality entry
+    # at (x, 0) the right unit square reads rejects the one zero iso F(1,0)
+    # has, and the enumeration reports none
+    good = tmp_path / "f10.json"
+    assert main(["fixture", "dual-numbers", "--mod", "3", "--mult", "1,0", "--out", str(good)]) == 0
+    path = _damaged(good, "F", "fsum", lambda rows: rows.remove(["1+0e", "0+0e", "0|1+0e"]))
     code, out, _ = run(capsys, "zero-iso", str(path), "--functor", "F", "--mode", "enumerate")
-    assert code == 0
-    assert out == "0 solution(s) [AF2]\n"
+    assert (code, out) == (0, "0 solution(s) [AF2]\n")
+
+
+@pytest.mark.parametrize("mode", ["canonical", "enumerate"])
+def test_zero_iso_modes_reject_an_endpoint_that_fails_its_suite(capsys, tmp_path, dual_file, mode):
+    path = _doctored_dual_file(dual_file, tmp_path, "r", lambda n: 2)
+    code, out, _ = run(capsys, "zero-iso", str(path), "--functor", "F", "--mode", mode)
+    assert (code, out) == (1, "zero-iso aborted: input fails the AC axiom suite: r-endpoints\n")
 
 
 def test_transformation_suite_rejects_an_endpoint_that_fails_its_suite(capsys, tmp_path):
@@ -567,9 +578,33 @@ def test_conversions_of_a_table_keyed_outside_the_carrier_abort(capsys, tmp_path
     assert (code, out) == (1, "convert aborted: input fails the 2R suite: mul:bifunctor\n")
 
 
+def test_zero_iso_enumeration_validates_its_endpoints(capsys, dn2_file):
+    # as the canonical mode does: a damaged endpoint is exit 1, not an
+    # enumeration over tables that fail their suite
+    path = _damaged(dn2_file, "add", "op_obj", _key_outside)
+    code, out, _ = run(capsys, "zero-iso", str(path), "--functor", "F", "--mode", "enumerate")
+    assert (code, out) == (1, "zero-iso aborted: input fails the AC axiom suite: bifunctor\n")
+
+
 def test_zero_iso_enumeration_names_an_object_map_without_the_source_unit(capsys, dn2_file):
     path = _damaged(dn2_file, "F", "obj_map", lambda rows: rows.remove(["0+0e", "0+0e"]))
     code, out, _ = run(capsys, "zero-iso", str(path), "--functor", "F", "--mode", "enumerate")
     assert (code, out) == (1, "zero-iso aborted: object map undefined at '0+0e'\n")
     code, out, _ = run(capsys, "check", str(path), "--suite", "ac-functor")
     assert (code, out) == (1, "check aborted: object map undefined at '0+0e'\n")
+
+
+def test_2group_naturality_rows_do_not_depend_on_the_stored_presentation(capsys, tmp_path):
+    # the 2group suite checks the symmetric structure either way, so its
+    # naturality rows are sized by that structure's families: at m=4 the
+    # 64^3 tuples of naturality(a) run exhaustively from both documents
+    ac, sm = tmp_path / "dn4.json", tmp_path / "dn4_sm.json"
+    assert main(["fixture", "dual-numbers", "--mod", "4", "--out", str(ac)]) == 0
+    assert main(["convert", str(ac), "--to", "sm", "--out", str(sm)]) == 0
+    rows = []
+    for path in (ac, sm):
+        code, out, _ = run(capsys, "check", str(path), "--suite", "2group")
+        assert code == 0
+        rows.append([line.split(" time=")[0] for line in out.splitlines() if line.startswith("naturality(")])
+    assert rows[0] == rows[1]
+    assert rows[0][0].split() == ["naturality(a)", "pass", "instances=262144", "mode=exhaustive"]

@@ -136,6 +136,23 @@ def test_canonical_zero_iso_refuses_without_sf1():
         canonical_zero_iso(F(5, 1, 2), sm, sm)
 
 
+def test_the_zero_iso_route_binds_no_symbol_of_the_laws_beside_it():
+    # the route's own constants (and the inverse table) are bound on top of a
+    # functor's law environment, or of a ring's at x*- and -*x: none may
+    # rebind a symbol the other laws read there (a unitor named d would
+    # silently replace the distributor)
+    from twogrp import build_strict_2ring, ring_zmod
+    from twogrp.functors import ZERO_ISO, _law_env
+    from twogrp.rings import _ABSORBERS, _law_env as ring_law_env
+
+    own = {"bar", "eta", "unitor", "inv"}
+    sm = dn(3, "sm")
+    assert ZERO_ISO.symbols - _law_env(F(3, 1, 0), sm, sm).keys() == own
+    ring_env = ring_law_env(build_strict_2ring(ring_zmod(4)))
+    for _, route, _, _ in _ABSORBERS.values():
+        assert route.symbols - ring_env.keys() == own | {"x"}
+
+
 def test_canonical_zero_iso_choice_independent():
     # recompute the closed-form composite for every weak-inverse certificate
     sm = dn(5, "sm")

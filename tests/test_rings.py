@@ -1,5 +1,6 @@
 """2-ring suites, the Quang/JP/AC hierarchy and the conversions."""
 
+import functools
 import random
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from twogrp import (
 )
 from twogrp.ac import to_ac
 from twogrp.functors import (
+    canonical_zero_iso,
     derive_sm_axioms_from_ac,
     enumerate_zero_isos,
     tau_family,
@@ -35,18 +37,20 @@ from twogrp.functors import (
     validate_transformation,
 )
 from twogrp.ac import _canonical_acomm
-from twogrp.rings import left_mult_functor, right_mult_functor
 from twogrp.report import Status
 
 from helpers import (
     SEED,
     coboundary_twisted_dual_numbers,
+    interchange_rows_by_functors,
     kappa_twisted_2ring,
     law_rings,
+    left_mult_functor,
     perturb_family,
     quang_distributivity_diagrams,
     quang_rows_by_functors,
     random_flip,
+    right_mult_functor,
     strict_derivation_2ring,
 )
 
@@ -107,12 +111,13 @@ def test_classical_diagram_evaluator_agrees_with_endofunctor_form():
 
 
 def flipped_rings(rings, flips):
-    """``flips`` seeded single-component flips of d or e of each ring."""
+    """``flips`` seeded single-component flips of d or e (or, in the AC
+    presentation, m or n) of each ring."""
     rng = random.Random(SEED)
     out = []
     for label, ring in rings:
         for _ in range(flips):
-            side = rng.choice(("dist_l", "dist_r"))
+            side = rng.choice(("dist_l", "dist_r") + ("absorb_l", "absorb_r") * (ring.presentation == "ac"))
             fam, idx = random_flip(ring.carrier, getattr(ring, side), rng)
             out.append((f"{label} {side}{idx}->{fam.components[idx]}", replace(ring, **{side: fam})))
     return out
@@ -146,6 +151,49 @@ def test_the_2r1_comparison_meets_failures_strict_rows_and_samples():
                 statuses.add(status)
     assert modes == {"strict-profile", "exhaustive", "sampled"}
     assert statuses == {Status.PASS, Status.FAIL}
+
+
+INTERCHANGE_RINGS = law_rings() + [("kappa2-ac", quang_to_ac_ring(kappa_twisted_2ring(2, False)))]
+INTERCHANGE_INPUTS = INTERCHANGE_RINGS + flipped_rings(INTERCHANGE_RINGS, 3)
+
+
+@functools.cache
+def interchange_oracle(i):
+    """The functor-form rows of input ``i``, the additive half its suite
+    reads in AC presentation."""
+    ring = INTERCHANGE_INPUTS[i][1]
+    add = to_ac(ring.add, sample=4096) if ring.presentation == "sm" else ring.add
+    return interchange_rows_by_functors(ring, add)
+
+
+@pytest.mark.parametrize("i", range(len(INTERCHANGE_INPUTS)), ids=[label for label, _ in INTERCHANGE_INPUTS])
+def test_2r1_prime_rows_are_af1_and_af2_of_the_multiplication_functors(i):
+    # the paper's mechanism row by row: each 2R1' (2R1'') interchange row is
+    # AF1 of x*- or -*x, and each 2R1'' absorber row an AF2 unit square of
+    # the same functor with zero m_x or n_x, checked by the functor suite at
+    # every fixed object: same status, instances and first failing (x,
+    # tuple), the left and right routes exchanged
+    ring = INTERCHANGE_INPUTS[i][1]
+    suite = validate_jp if ring.presentation == "sm" else validate_ac_ring
+    rep = suite(ring, check_data=False, allow_strict_skip=False)
+    for name, (status, instances, index, witness) in interchange_oracle(i).items():
+        row = rep[name]
+        assert (row.status, row.instances, row.mode) == (status, instances, "exhaustive"), name
+        if witness is None:
+            assert row.witness is None, name
+            continue
+        got = row.witness
+        assert got.index == index, name
+        assert (got.left, got.right, got.left_path, got.right_path) == \
+            (witness.right, witness.left, witness.right_path, witness.left_path), name
+        assert bool(got.note) == bool(witness.note), name
+
+
+def test_the_interchange_comparison_meets_every_row_failing():
+    failing = {name for i in range(len(INTERCHANGE_INPUTS))
+               for name, row in interchange_oracle(i).items() if row[0] is Status.FAIL}
+    assert failing == {f"2R1-prime/{form}" for form in "de"} | \
+        {f"2R1-dprime/{form}" for form in ("d", "e", "m-left", "m-right", "n-left", "n-right")}
 
 
 def test_2r1_rows_report_a_missing_distributor_entry_as_a_witness():
@@ -467,6 +515,68 @@ def test_derivation_2ring_without_the_derivation_is_a_quang_ring(m):
     assert validate_jp(ring, allow_strict_skip=False).ok
     assert validate_quang(ring, allow_strict_skip=False).ok
     assert validate_quang(ac_ring_to_quang(jp_upgrade(ring))).ok
+
+
+ZERO_ISO_RINGS = [(label, ring) for label, ring in law_rings() if ring.presentation == "sm"] + [
+    ("kappa3", kappa_twisted_2ring(3, False)), ("strict-derivation2", strict_derivation_2ring(2))]
+
+
+@pytest.mark.parametrize("label, ring", ZERO_ISO_RINGS, ids=[label for label, _ in ZERO_ISO_RINGS])
+def test_conversion_absorbers_are_the_canonical_zero_isos_of_the_multiplication_functors(label, ring):
+    # one declared route: m_x and n_x are canonical_zero_iso of x*- and -*x,
+    # or the conversion refuses with the text the first refusal has
+    add = ring.add
+    try:
+        out = quang_to_ac_ring(ring, validate=False)
+    except PreconditionFailed as err:
+        with pytest.raises(PreconditionFailed) as want:
+            for x in ring.carrier.objects_sorted:
+                canonical_zero_iso(left_mult_functor(ring, x), add, add)
+                canonical_zero_iso(right_mult_functor(ring, x), add, add)
+        assert str(err) == str(want.value)
+        return
+    for x in ring.carrier.objects_sorted:
+        assert out.absorb_l.components[(x,)] == canonical_zero_iso(left_mult_functor(ring, x), add, add), x
+        assert out.absorb_r.components[(x,)] == canonical_zero_iso(right_mult_functor(ring, x), add, add), x
+
+
+def _without(ring, table, key):
+    """``ring`` with the entry at ``key`` dropped from d (``dist_l``) or from
+    the product's object table (``mul``)."""
+    if table == "dist_l":
+        fam = ring.dist_l
+        return replace(ring, dist_l=replace(fam, components={k: f for k, f in fam.components.items() if k != key},
+                                            _cache={}), _cache={})
+    mul_obj = {k: v for k, v in ring.mul.sum_obj.items() if k != key}
+    return replace(ring, mul=replace(ring.mul, sum_obj=mul_obj, _cache={}), _cache={})
+
+
+def test_unvalidated_conversion_names_the_sf1_witness():
+    # pinned texts: the derivation ring fails SF1 of 0*-, and a missing d or
+    # product entry is an SF1 witness, a route that does not evaluate
+    cases = [
+        (build_derivation_2ring(2), "SF1 fails: witness at (0+0e, 0+0e, 1+0e): left=1|0+1e right=0|0+1e"),
+        (_without(build_derivation_2ring(2), "dist_l", ("0+0e", "0+0e", "1+1e")),
+         "SF1 fails: witness at (0+0e, 0+0e, 1+1e): route does not evaluate: no entry at ('0+0e', '0+0e', '1+1e')"),
+        (_without(kappa_twisted_2ring(2, False), "mul", ("0+0e", "1+0e")),
+         "SF1 fails: witness at (0+0e, 0+0e, 1+0e): route does not evaluate: no entry at ('0+0e', '1+0e')"),
+    ]
+    for ring, text in cases:
+        with pytest.raises(PreconditionFailed) as err:
+            quang_to_ac_ring(ring, validate=False)
+        assert str(err.value) == text
+
+
+def test_unvalidated_upgrade_reads_only_the_unit_squares():
+    # d(1,2,3) is read by no unit square of 1*-, so the search finds the
+    # identity absorbers; validation is what reports the gap
+    ring = _without(build_strict_2ring(ring_zmod(4)), "dist_l", ("1", "2", "3"))
+    upgraded = jp_upgrade(ring, validate=False)
+    assert isinstance(upgraded, TwoRingData)
+    ids = set(ring.carrier.identity.values())
+    assert set(upgraded.absorb_l.components.values()) | set(upgraded.absorb_r.components.values()) <= ids
+    with pytest.raises(PreconditionFailed, match="^input fails the 2R1' suite: d-endpoints$"):
+        jp_upgrade(ring)
 
 
 def test_kappa_twisted_rings_separate_the_notions_with_non_identity_a_c_d_e():
