@@ -43,7 +43,7 @@ import argparse
 import re
 import sys
 
-from .ac import to_ac, to_sm, validate_ac
+from .ac import AC_LAWS, to_ac, to_sm, validate_ac
 from .document import Block, StructureDocument, parse_document, serialize_document
 from .errors import DocumentError, StructureError
 from .fixtures import (
@@ -56,6 +56,11 @@ from .fixtures import (
     ring_zmod,
 )
 from .functors import (
+    AF1,
+    SF1,
+    SF2,
+    T1,
+    UNIT_SQUARES,
     canonical_zero_iso,
     check_fsum_naturality,
     enumerate_zero_isos,
@@ -64,17 +69,24 @@ from .functors import (
     validate_transformation,
 )
 from .groupoid import validate_groupoid
-from .monoidal import _check_weak_inverses, check_structure_naturality, validate_sm
+from .monoidal import SM_LAWS, _check_weak_inverses, check_structure_naturality, validate_sm
 from .report import Report
-from .rings import validate_ac_ring, validate_jp, validate_quang, validate_two_ring_data
+from .rings import RING_SUITES, validate_ac_ring, validate_jp, validate_quang, validate_two_ring_data
 
 SUITES = ("sm", "ac", "2group", "sm-functor", "ac-functor", "transformation", "quang", "jp", "acring")
 AUTO_LIMIT = 1 << 19
 AUTO_SAMPLE = 1 << 16
 
+_SUITE_LAWS = {
+    "sm": SM_LAWS, "ac": AC_LAWS, "2group": SM_LAWS, "sm-functor": (SF1, SF2, *UNIT_SQUARES["SF3"]),
+    "ac-functor": (AF1, *UNIT_SQUARES["AF2"]), "transformation": (T1,),
+    **{suite: laws for suite, (_, laws) in RING_SUITES.items()},
+}
+# the largest index space of each suite's laws, as a power of the object
+# count: a law that reads a 2-ring's fixed object x ranges over objects^(arity+1)
 _SUITE_MAX_ARITY = {
-    "sm": 4, "ac": 8, "2group": 4, "sm-functor": 3, "ac-functor": 4,
-    "transformation": 2, "quang": 4, "jp": 5, "acring": 5,
+    suite: max(law.arity + 1 if "x" in law.symbols else law.arity for law in laws)
+    for suite, laws in _SUITE_LAWS.items()
 }
 
 
@@ -207,7 +219,7 @@ def _transformation_reports(doc: StructureDocument, args) -> list[Report]:
 def _ring_reports(doc: StructureDocument, args) -> list[Report]:
     blk = _pick(doc, ("tworing",), args.name)
     ring = blk.obj
-    want = "ac" if args.suite == "acring" else "sm"
+    want = RING_SUITES[args.suite][0]
     if ring.presentation != want:
         raise CliFailure(
             f"2-ring is in the {ring.presentation!r} presentation; run `convert --to {want}` first", 1

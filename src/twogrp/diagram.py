@@ -84,7 +84,7 @@ def _scan(
         try:
             left_legs, right_legs = legs(idx)
             try:
-                # compose_path's fast path, inlined: one lookup per step
+                # one lookup per step; a miss takes compose_path, the checking walk
                 left = left_legs[-1]
                 if left not in mors:
                     raise KeyError(left)

@@ -5,11 +5,13 @@ Everything downstream reduces to this module: a structure is a groupoid plus
 tables, an axiom is an equality of two ``compose_path`` results, and a failed
 axiom is reported with the exact instance it fails at.
 
-Composition walks a chain with one lookup per step in the carrier's table of
-composable pairs (``FinGroupoid.composable``: the ``compose`` entries whose
-two ids are known morphisms that meet end to start).  Any miss reruns the
-checking walk, which tests every id and endpoint and raises the precise
-error, so a chain that does not compose fails exactly as it always did.
+``compose_path`` is the checking walk: it tests every id and endpoint and
+raises the precise error.  The two hot loops (``diagram._scan`` and
+``check_naturality``) compose inline with one lookup per step in the
+carrier's table of composable pairs (``FinGroupoid.composable``: the
+``compose`` entries whose two ids are known morphisms that meet end to
+start) and rerun ``compose_path`` on any miss, so a chain that does not
+compose fails with the same precise error.
 
 Morphism equality is identifier equality.  Canonical order (sorted ids)
 drives every scan, so witnesses and search results are reproducible.  Every
@@ -157,23 +159,9 @@ def compose_path(gpd: FinGroupoid, chain: Sequence[str]) -> str:
 
     ``compose_path(G, [h, g, f])`` is ``h∘g∘f`` (``f`` applies first), so a
     displayed composite transcribes literally.  A singleton chain returns its
-    element; an empty chain is rejected.
+    element; an empty chain is rejected.  Every id, then every endpoint, is
+    tested step by step, so the error names exactly what does not compose.
     """
-    try:
-        acc = chain[-1]
-        if acc in gpd.morphisms:
-            pairs = gpd.composable
-            for g in chain[-2::-1]:
-                acc = pairs[g, acc]
-            return acc
-    except (IndexError, KeyError):
-        pass
-    return _compose_checked(gpd, chain)
-
-
-def _compose_checked(gpd: FinGroupoid, chain: Sequence[str]) -> str:
-    """The reference walk: test every id, then every endpoint, step by step.
-    Raises the error that names exactly what does not compose."""
     if not chain:
         raise ValueError("cannot compose an empty chain")
     for mid in chain:
@@ -567,7 +555,7 @@ def check_naturality(
         for fs in space:
             xs = tuple([ends[f].src for f in fs])
             ys = tuple([ends[f].dst for f in fs])
-            # compose_path's fast path, inlined; each miss takes the checked route
+            # one lookup per step; each miss takes compose_path, the checking walk
             try:
                 at_y = comps.get(ys)
                 if at_y is None:

@@ -1,8 +1,9 @@
 """2-rings: one groupoid carrying an additive 2-group, a multiplicative
 monoidal structure and distributor families, checked against three axiom
-suites that differ only in how the distributivity coherence is stated.
-Each is a functor law of ``functors`` instantiated at the multiplication
-endofunctors x*- (monoidality d(x,-,-)) and -*x (e(-,-,x)):
+suites over the same data (``RING_SUITES``, run by one suite body) that
+differ only in their axioms.  Each states the distributivity coherence as a
+functor law of ``functors`` at the multiplication endofunctors x*-
+(monoidality d(x,-,-)) and -*x (e(-,-,x)):
 
 * ``validate_quang``    -- 2R1 = SF1+SF2 of x*- and -*x (equivalently: the
   four classical distributivity diagrams), four ring laws over the fixed
@@ -14,10 +15,11 @@ endofunctors x*- (monoidality d(x,-,-)) and -*x (e(-,-,x)):
   with zeros m_X: 0 -> X0 and n_Y: 0 -> 0Y, the absorbers.
 
 ``quang_to_ac_ring``/``ac_ring_to_quang`` realize the bijection between the
-first and third forms: m_x and n_x are the ``functors.ZERO_ISO`` route at
-x*- and -*x; ``jp_upgrade`` searches them by the unit squares.  Every axiom
-is an ``expr.Law`` over ``_law_env``; the symmetric ``b`` is
-``ac.ACOMM_UPPER``'s route, its inversion an ``ap`` over the inverse table.
+first and third forms, and ``jp_upgrade`` upgrades the second: one absorber
+loop takes m_x and n_x as the ``functors.ZERO_ISO`` route at x*- and -*x or
+searches them by the unit squares.  Every axiom is an ``expr.Law`` over
+``_law_env``; the symmetric ``b`` is ``ac.ACOMM_UPPER``'s route, its
+inversion an ``ap`` over the inverse table.
 """
 
 from __future__ import annotations
@@ -169,6 +171,13 @@ AC_RING_LAWS = (
       for zero, fun, var in (("m", _left(_X, _m(_X)), _Y), ("n", _right(_Y, _n(_Y)), _X))
       for side in ("left", "right")),
 )
+# the three suites over the same data: the presentation each reads and its
+# laws in row order
+RING_SUITES = {
+    "quang": ("sm", QUANG_LAWS + COMMON_LAWS),
+    "jp": ("sm", JP_LAWS + COMMON_LAWS),
+    "acring": ("ac", AC_RING_LAWS + COMMON_LAWS),
+}
 # m_x and n_x as zero isomorphisms of x*- and -*x at the fixed object x: the
 # SF1 their closed form needs, its route, the unit squares, the key of x*0
 _ABSORBERS = {
@@ -194,41 +203,6 @@ def _law_env(ring: TwoRingData) -> dict:
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
-
-
-def _suite_runner(
-    ring: TwoRingData,
-    presentation: str,
-    report: Report,
-    *,
-    check_data: bool,
-    sample: int | None,
-    seed: int,
-    allow_strict_skip: bool,
-):
-    """The preamble the three suites share: the presentation check, the data
-    rows, then ``run(law)``, which checks one law in the engine (a 2R1 law
-    ``per_object``) and adds the row to ``report``.  Returns ``None`` when a
-    data row fails."""
-    if ring.presentation != presentation:
-        form = "AC" if ring.presentation == "ac" else "symmetric"
-        raise PresentationMismatch(f"additive structure is in {form} form; convert first")
-    absorbers = _needs_absorbers(ring)
-    if check_data:
-        _check_ring_families(ring, report, absorbers=absorbers)
-        if not report.ok:
-            return None
-    gpd = ring.carrier
-    objs = gpd.objects_sorted
-    env = _law_env(ring)
-
-    def run(law, per_object=False):
-        if per_object:
-            report.add(_pair_axiom(law, gpd, env, sample=sample, seed=seed, allow_strict_skip=allow_strict_skip))
-        else:
-            report.add(check_diagram(law, gpd, objs, env, sample=sample, seed=seed, strict=allow_strict_skip))
-
-    return run
 
 
 def _needs_absorbers(ring: TwoRingData) -> bool:
@@ -277,6 +251,33 @@ def _pair_axiom(law: ex.Law, gpd: FinGroupoid, env: dict, *, sample, seed, allow
     return CheckResult(law.name, Status.PASS, None, total, mode, time.perf_counter() - started)
 
 
+def _ring_suite(
+    ring: TwoRingData, name: str, *, check_data: bool, sample: int | None, seed: int, allow_strict_skip: bool
+) -> Report:
+    """The suite ``RING_SUITES[name]``: the presentation check, the data rows
+    and then one row per law, in order.  A law that reads the fixed object
+    ``x`` (a 2R1 law) runs through :func:`_pair_axiom`, every other law is
+    one engine call."""
+    presentation, laws = RING_SUITES[name]
+    if ring.presentation != presentation:
+        form = "AC" if ring.presentation == "ac" else "symmetric"
+        raise PresentationMismatch(f"additive structure is in {form} form; convert first")
+    absorbers = _needs_absorbers(ring)
+    report = Report()
+    if check_data:
+        _check_ring_families(ring, report, absorbers=absorbers)
+        if not report.ok:
+            return report
+    gpd, env = ring.carrier, _law_env(ring)
+    for law in laws:
+        if "x" in law.symbols:
+            report.add(_pair_axiom(law, gpd, env, sample=sample, seed=seed, allow_strict_skip=allow_strict_skip))
+        else:
+            report.add(check_diagram(law, gpd, gpd.objects_sorted, env, sample=sample, seed=seed,
+                                     strict=allow_strict_skip))
+    return report
+
+
 def validate_quang(
     ring: TwoRingData,
     *,
@@ -292,16 +293,8 @@ def validate_quang(
     the additive 2-group (``QUANG_LAWS``); 2R2 routes through the canonical
     associo-commutator of the additive structure.
     """
-    report = Report()
-    run = _suite_runner(ring, "sm", report, check_data=check_data, sample=sample, seed=seed,
-                        allow_strict_skip=allow_strict_skip)
-    if run is None:
-        return report
-    for law in QUANG_LAWS:
-        run(law, per_object=True)
-    for law in COMMON_LAWS:
-        run(law)
-    return report
+    return _ring_suite(ring, "quang", check_data=check_data, sample=sample, seed=seed,
+                       allow_strict_skip=allow_strict_skip)
 
 
 def validate_jp(
@@ -315,14 +308,8 @@ def validate_jp(
     """Axiom suite 2R1' + 2R2-2R6 for the symmetric presentation.  2R1'
     quantifies two diagrams over object 5-tuples, routed through the
     canonical associo-commutator."""
-    report = Report()
-    run = _suite_runner(ring, "sm", report, check_data=check_data, sample=sample, seed=seed,
-                        allow_strict_skip=allow_strict_skip)
-    if run is None:
-        return report
-    for law in JP_LAWS + COMMON_LAWS:
-        run(law)
-    return report
+    return _ring_suite(ring, "jp", check_data=check_data, sample=sample, seed=seed,
+                       allow_strict_skip=allow_strict_skip)
 
 
 def validate_ac_ring(
@@ -336,14 +323,8 @@ def validate_ac_ring(
     """Axiom suite 2R1'' + 2R2-2R6 for the AC presentation: the two
     interchange diagrams for the given b plus the four absorber unit
     squares."""
-    report = Report()
-    run = _suite_runner(ring, "ac", report, check_data=check_data, sample=sample, seed=seed,
-                        allow_strict_skip=allow_strict_skip)
-    if run is None:
-        return report
-    for law in AC_RING_LAWS + COMMON_LAWS:
-        run(law)
-    return report
+    return _ring_suite(ring, "acring", check_data=check_data, sample=sample, seed=seed,
+                       allow_strict_skip=allow_strict_skip)
 
 
 def validate_two_ring_data(ring: TwoRingData, *, sample: int | None = None, seed: int = 0) -> Report:
@@ -400,16 +381,7 @@ def quang_to_ac_ring(
         raise PresentationMismatch("ring is already in AC presentation")
     if validate:
         _require_ring(ring, validate_quang, "input fails the 2R suite", sample)
-    add_ac = _translate_to_ac(ring.add, sample)
-    gpd, env, add, mo = ring.carrier, _law_env(ring), ring.add, ring.mul.sum_obj
-    objs = gpd.objects_sorted
-    comps = {"left": {}, "right": {}}
-    for x in objs:
-        env_x = {**env, "x": (x, gpd.identity[x])}
-        for side, (sf1, route, squares, key) in _ABSORBERS.items():
-            _require_sf1(sf1, gpd, objs, env_x)
-            comps[side][(x,)] = _closed_form_zero_iso(route, squares, env_x, add, add, mo[key(x, add.unit)])
-    return _with_absorbers(ring, add_ac, comps)
+    return _with_absorbers(ring, sample, _closed_form)
 
 
 def ac_ring_to_quang(
@@ -427,15 +399,6 @@ def ac_ring_to_quang(
     return TwoRingData(ring.carrier, add_sm, ring.mul, ring.dist_l, ring.dist_r, None, None)
 
 
-def _with_absorbers(ring: TwoRingData, add_ac: ACStructure, comps: dict) -> TwoRingData:
-    """``ring`` over the AC half ``add_ac``, with the ``left`` and ``right``
-    components of ``comps`` as the absorbers m and n."""
-    zero = add_ac.unit
-    zid = ring.carrier.identity[zero]
-    return TwoRingData(ring.carrier, add_ac, ring.mul, ring.dist_l, ring.dist_r,
-                       absorb_l_family(comps["left"], zero, zid), absorb_r_family(comps["right"], zero, zid))
-
-
 @dataclass(frozen=True)
 class NoAbsorbers:
     """Search outcome: no absorbing isomorphism exists at ``obj``."""
@@ -445,37 +408,68 @@ class NoAbsorbers:
     note: str = ""
 
 
+def _with_absorbers(ring: TwoRingData, sample: int | None, pick) -> TwoRingData | NoAbsorbers:
+    """``ring`` over its additive half translated to the AC form (re-checked
+    with ``sample``), with absorbers m and n whose components at each object
+    x are ``pick(ring, env, x, _ABSORBERS[side])``, ``env`` binding x; or
+    :class:`NoAbsorbers` at the first object and side where ``pick`` finds
+    none."""
+    add_ac = _translate_to_ac(ring.add, sample)
+    gpd, env = ring.carrier, _law_env(ring)
+    comps = {"left": {}, "right": {}}
+    for x in gpd.objects_sorted:
+        env_x = {**env, "x": (x, gpd.identity[x])}
+        for side, absorber in _ABSORBERS.items():
+            found = pick(ring, env_x, x, absorber)
+            if found is None:
+                return NoAbsorbers(x, side)
+            comps[side][(x,)] = found
+    zero = add_ac.unit
+    zid = gpd.identity[zero]
+    return TwoRingData(gpd, add_ac, ring.mul, ring.dist_l, ring.dist_r,
+                       absorb_l_family(comps["left"], zero, zid), absorb_r_family(comps["right"], zero, zid))
+
+
+def _closed_form(ring: TwoRingData, env: dict, x: str, absorber) -> str:
+    """m_x (or n_x) as the zero-iso route at x*- (or -*x), which needs SF1
+    there and must pass the unit squares; raises ``PreconditionFailed``."""
+    sf1, route, squares, key = absorber
+    gpd, add = ring.carrier, ring.add
+    _require_sf1(sf1, gpd, gpd.objects_sorted, env)
+    return _closed_form_zero_iso(route, squares, env, add, add, ring.mul.sum_obj[key(x, add.unit)])
+
+
+def _searched(ring: TwoRingData, env: dict, x: str, absorber) -> str | None:
+    """The first morphism 0 -> x*0 (or 0*x) that passes the unit squares of
+    x*- (or -*x), or ``None``."""
+    _, _, squares, key = absorber
+    gpd, zero = ring.carrier, ring.add.unit
+    homs = gpd.hom(zero, ring.mul.sum_obj.get(key(x, zero)))
+    return next((m for m in homs if _unit_squares_hold(squares, env, gpd, gpd.objects_sorted, m)), None)
+
+
 def jp_upgrade(ring: TwoRingData, *, validate: bool = True) -> TwoRingData | NoAbsorbers:
     """Brute-force search for absorbing isomorphism families turning a ring
     passing the 2R1' suite into an AC (hence symmetric-presentation) ring.
 
     Returns the AC-presentation ring on success, or :class:`NoAbsorbers`
     with the first blocking object.  The found families are checked for
-    naturality before being accepted.
+    naturality before being accepted; a square that fails blocks at the
+    source object of its morphism.
     """
     if ring.presentation != "sm":
         raise PresentationMismatch("upgrade starts from the symmetric presentation")
     if validate:
         _require_ring(ring, validate_jp, "input fails the 2R1' suite", None)
-    add_ac = _translate_to_ac(ring.add, None)
-    gpd, env, zero = ring.carrier, _law_env(ring), ring.add.unit
-    objs = gpd.objects_sorted
-    comps = {"left": {}, "right": {}}
-    for x in objs:
-        env_x = {**env, "x": (x, gpd.identity[x])}
-        for side, (_, _, squares, key) in _ABSORBERS.items():
-            homs = gpd.hom(zero, ring.mul.sum_obj.get(key(x, zero)))
-            found = next((m for m in homs if _unit_squares_hold(squares, env_x, gpd, objs, m)), None)
-            if found is None:
-                return NoAbsorbers(x, side)
-            comps[side][(x,)] = found
-    out = _with_absorbers(ring, add_ac, comps)
+    out = _with_absorbers(ring, None, _searched)
+    if isinstance(out, NoAbsorbers):
+        return out
     # the squares pin each component; naturality must then come for free,
     # but verify rather than assume
     env = out.env()
     for fam, side in ((out.absorb_l, "left"), (out.absorb_r, "right")):
         nat = check_naturality(fam, env, domain=ring.carrier, label=f"naturality({side})")
         if not nat.ok:
-            wit = nat.failures()[0].witness
-            return NoAbsorbers(wit.index[0] if wit else "?", side, "found components are not natural")
+            mor = nat.failures()[0].witness.index[0]
+            return NoAbsorbers(ring.carrier.src(mor), side, "found components are not natural")
     return out

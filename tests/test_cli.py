@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from twogrp import cli
 from twogrp.cli import main
 
 
@@ -69,6 +70,16 @@ def test_witness_flag_prints_composite_chains(capsys, dual_file):
     code, out, _ = run(capsys, "check", str(dual_file), "--suite", "sm-functor", "--witness")
     assert code == 1
     assert "left  =" in out and "right =" in out and " o " in out
+
+
+def test_suite_sample_arities_come_from_the_declared_laws():
+    # the largest law arity of each suite; a 2R1 law reads the fixed object
+    # x as well, so quang's 3-ary assoc rows range over objects^4
+    assert cli._SUITE_MAX_ARITY == {
+        "sm": 4, "ac": 8, "2group": 4, "sm-functor": 3, "ac-functor": 4,
+        "transformation": 2, "quang": 4, "jp": 5, "acring": 5,
+    }
+    assert tuple(cli._SUITE_MAX_ARITY) == cli.SUITES
 
 
 def test_malformed_document_exits_2(capsys, tmp_path):

@@ -20,7 +20,7 @@ from twogrp import (
 )
 from twogrp import expr as ex
 from twogrp.functors import functor_env
-from twogrp.groupoid import _compose_checked, validate_family
+from twogrp.groupoid import compose_path, validate_family
 
 from helpers import eval_mor, eval_obj, perturb_family
 
@@ -80,8 +80,8 @@ def reference_naturality(fam, env, domain, codomain):
         xs = tuple(domain.src(f) for f in fs)
         ys = tuple(domain.dst(f) for f in fs)
         try:
-            left = _compose_checked(codomain, [fam.at(*ys), eval_mor(fam.src_expr, env, fs)])
-            right = _compose_checked(codomain, [eval_mor(fam.tgt_expr, env, fs), fam.at(*xs)])
+            left = compose_path(codomain, [fam.at(*ys), eval_mor(fam.src_expr, env, fs)])
+            right = compose_path(codomain, [eval_mor(fam.tgt_expr, env, fs), fam.at(*xs)])
         except StructureError as err:
             return ("fail", fs, None, None, f"square does not typecheck: {err}")
         if left != right:

@@ -20,7 +20,7 @@ from twogrp import (
     validate_groupoid,
 )
 from twogrp.functors import check_fsum_naturality
-from twogrp.groupoid import _compose_checked, index_space
+from twogrp.groupoid import index_space
 from twogrp.monoidal import check_structure_naturality
 
 from helpers import SEED, cyclic_one_object, discrete, pair_groupoid_z2, perturb_family
@@ -111,6 +111,18 @@ def _outcome(fn, gpd, chain):
         return (type(err).__name__, str(err), getattr(err, "position", None))
 
 
+def _table_walk(gpd, chain):
+    """The walk ``diagram._scan`` and ``check_naturality`` inline: one lookup
+    per step in ``gpd.composable``; a miss raises ``KeyError``/``IndexError``
+    and hands the chain to ``compose_path``."""
+    acc = chain[-1]
+    if acc not in gpd.morphisms:
+        raise KeyError(acc)
+    for g in chain[-2::-1]:
+        acc = gpd.composable[g, acc]
+    return acc
+
+
 def test_compose_path_fast_path_matches_checking_walk():
     rng = random.Random(SEED)
     for gpd in (cyclic_one_object(4), pair_groupoid_z2(), build_super_line_2group().carrier):
@@ -121,8 +133,7 @@ def test_compose_path_fast_path_matches_checking_walk():
                 chain = [rng.choice(mors)]
                 while len(chain) < length:
                     chain.insert(0, rng.choice(gpd.by_src[gpd.dst(chain[0])]))
-                assert _outcome(compose_path, gpd, chain) == _outcome(_compose_checked, gpd, chain)
-                assert _outcome(compose_path, gpd, chain)[0] == "ok"
+                assert _outcome(compose_path, gpd, chain) == ("ok", _table_walk(gpd, chain))
 
 
 def test_compose_path_failures_match_checking_walk():
@@ -136,22 +147,23 @@ def test_compose_path_failures_match_checking_walk():
     # so a bare compose[(g, f)] lookup would wrongly succeed
     stray = discrete(["a", "b"])
     stray.compose[("0|a", "0|b")] = "0|a"
+    unknown = ("MalformedTable", "unknown morphism id '9' in chain", None)
     cases = [
-        (cyc, [], "ValueError"),
-        (cyc, ["9"], "MalformedTable"),
-        (cyc, ["1", "9"], "MalformedTable"),
-        (cyc, ["9", "1", "2"], "MalformedTable"),
-        (pair, ["0|ab", "1|ab"], "EndpointMismatch"),
-        (pair, ["0|aa", "0|ba", "1|ab", "0|ab"], "EndpointMismatch"),
-        (no_composite, ["1", "0", "1"], "MalformedTable"),
-        (stray, ["0|a", "0|b"], "EndpointMismatch"),
+        (cyc, [], ("ValueError", "cannot compose an empty chain", None)),
+        (cyc, ["9"], unknown),
+        (cyc, ["1", "9"], unknown),
+        (cyc, ["9", "1", "2"], unknown),
+        (pair, ["0|ab", "1|ab"],
+         ("EndpointMismatch", "chain breaks at position 0: dst('1|ab')='b' but src('0|ab')='a'", 0)),
+        (pair, ["0|aa", "0|ba", "1|ab", "0|ab"],
+         ("EndpointMismatch", "chain breaks at position 2: dst('0|ab')='b' but src('1|ab')='a'", 2)),
+        (no_composite, ["1", "0", "1"], ("MalformedTable", "composite '1' o '1' missing from table", None)),
+        (stray, ["0|a", "0|b"],
+         ("EndpointMismatch", "chain breaks at position 0: dst('0|b')='b' but src('0|a')='a'", 0)),
     ]
-    for gpd, chain, kind in cases:
-        got = _outcome(compose_path, gpd, chain)
-        assert got == _outcome(_compose_checked, gpd, chain)
-        assert got[0] == kind, (chain, got)
-    assert _outcome(compose_path, pair, ["0|aa", "0|ba", "1|ab", "0|ab"])[2] == 2
-    assert _outcome(compose_path, stray, ["0|a", "0|b"])[2] == 0
+    for gpd, chain, want in cases:
+        assert _outcome(compose_path, gpd, chain) == want, chain
+        assert _outcome(_table_walk, gpd, chain)[0] in ("KeyError", "IndexError"), chain
 
 
 def test_composable_table_keeps_only_composable_pairs():

@@ -38,6 +38,7 @@ from twogrp.functors import (
 )
 from twogrp.ac import _canonical_acomm
 from twogrp.report import Status
+from twogrp.rings import QUANG_LAWS, RING_SUITES
 
 from helpers import (
     SEED,
@@ -227,6 +228,30 @@ def test_ac_ring_requires_absorbers():
         validate_ac_ring(stripped)
     with pytest.raises(PresentationMismatch):
         validate_ac_ring(z6())
+
+
+SUITE_VALIDATORS = {"quang": validate_quang, "jp": validate_jp, "acring": validate_ac_ring}
+
+
+@pytest.mark.parametrize("label, ring", INTERCHANGE_RINGS, ids=[label for label, _ in INTERCHANGE_RINGS])
+def test_each_suite_reports_its_declared_laws_in_order(label, ring):
+    # one suite body over three law sets: the data rows, then one row per
+    # law of the suite's RING_SUITES entry; the other presentation is refused
+    data = ["d-endpoints", "e-endpoints"] + (["m-endpoints", "n-endpoints"] if ring.presentation == "ac" else [])
+    for name, validate in SUITE_VALIDATORS.items():
+        presentation, laws = RING_SUITES[name]
+        if ring.presentation != presentation:
+            with pytest.raises(PresentationMismatch):
+                validate(ring)
+            continue
+        assert [row.law for row in validate(ring).checks] == data + [law.name for law in laws], name
+
+
+def test_exactly_the_quang_laws_read_the_fixed_object():
+    # the suite body sends a law to the per-object driver because it reads x
+    laws = {law.name: law for _, suite in RING_SUITES.values() for law in suite}
+    assert sorted(name for name, law in laws.items() if "x" in law.symbols) == sorted(law.name for law in QUANG_LAWS)
+    assert [law.name for law in QUANG_LAWS] == ["2R1/left-assoc", "2R1/left-comm", "2R1/right-assoc", "2R1/right-comm"]
 
 
 def test_perturbed_distributor_fails_quang_with_witness():
@@ -542,13 +567,13 @@ def test_conversion_absorbers_are_the_canonical_zero_isos_of_the_multiplication_
 
 def _without(ring, table, key):
     """``ring`` with the entry at ``key`` dropped from d (``dist_l``) or from
-    the product's object table (``mul``)."""
+    the product's object or morphism table (``sum_obj``, ``sum_mor``)."""
     if table == "dist_l":
         fam = ring.dist_l
         return replace(ring, dist_l=replace(fam, components={k: f for k, f in fam.components.items() if k != key},
                                             _cache={}), _cache={})
-    mul_obj = {k: v for k, v in ring.mul.sum_obj.items() if k != key}
-    return replace(ring, mul=replace(ring.mul, sum_obj=mul_obj, _cache={}), _cache={})
+    kept = {k: v for k, v in getattr(ring.mul, table).items() if k != key}
+    return replace(ring, mul=replace(ring.mul, **{table: kept}, _cache={}), _cache={})
 
 
 def test_unvalidated_conversion_names_the_sf1_witness():
@@ -558,7 +583,7 @@ def test_unvalidated_conversion_names_the_sf1_witness():
         (build_derivation_2ring(2), "SF1 fails: witness at (0+0e, 0+0e, 1+0e): left=1|0+1e right=0|0+1e"),
         (_without(build_derivation_2ring(2), "dist_l", ("0+0e", "0+0e", "1+1e")),
          "SF1 fails: witness at (0+0e, 0+0e, 1+1e): route does not evaluate: no entry at ('0+0e', '0+0e', '1+1e')"),
-        (_without(kappa_twisted_2ring(2, False), "mul", ("0+0e", "1+0e")),
+        (_without(kappa_twisted_2ring(2, False), "sum_obj", ("0+0e", "1+0e")),
          "SF1 fails: witness at (0+0e, 0+0e, 1+0e): route does not evaluate: no entry at ('0+0e', '1+0e')"),
     ]
     for ring, text in cases:
@@ -577,6 +602,14 @@ def test_unvalidated_upgrade_reads_only_the_unit_squares():
     assert set(upgraded.absorb_l.components.values()) | set(upgraded.absorb_r.components.values()) <= ids
     with pytest.raises(PreconditionFailed, match="^input fails the 2R1' suite: d-endpoints$"):
         jp_upgrade(ring)
+
+
+def test_unnatural_absorbers_block_at_the_source_object_of_the_failing_square():
+    # without the product of 1|0+1e and 0|0+0e the unit squares still pick
+    # m and n, but the naturality square of m at 1|0+1e: 0+1e -> 0+1e does
+    # not evaluate; the search names that morphism's source object
+    ring = _without(kappa_twisted_2ring(2, False), "sum_mor", ("1|0+1e", "0|0+0e"))
+    assert jp_upgrade(ring, validate=False) == NoAbsorbers("0+1e", "left", "found components are not natural")
 
 
 def test_kappa_twisted_rings_separate_the_notions_with_non_identity_a_c_d_e():
