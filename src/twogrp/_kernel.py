@@ -1,19 +1,18 @@
 """The numpy block kernel of the diagram engine.
 
-``first_failure`` decides, for every index tuple of a law's (full or
-sampled) space, what the reference loop ``diagram._scan`` decides there:
-the instance holds when every lookup of both routes hits, each route's
-first leg is a morphism of the carrier, each composition step is a
-composable pair and the two composites are equal.  It returns the position
-of the first instance that does not hold, in the order the reference scans;
-the engine then reruns the reference on that one tuple for the witness.
+``failures`` decides, for every index tuple of a law's (full or sampled)
+space, what the reference loop ``diagram._scan`` decides there (every
+lookup of both routes hits, each route's first leg is a carrier morphism,
+each step a composable pair, and the composites agree) and yields the
+tuples that fail, in the reference's order; the engine rescans the first
+in the reference for the witness.
 
-Values are dense integer codes: objects (level 0) and morphisms (level 1)
-each get one code space, the carrier's declared ids first in sorted order,
-then every other value the tables read or return.  Every table becomes an
-int array with one extra slot per axis that holds -1, so the code -1 (a
-missing entry) reads -1 and propagates to the composite.  The law's terms
-are compiled to one instruction per distinct gather; variables are
+Values are dense integer codes, one code space per level (objects 0,
+morphisms 1): the carrier's ids in sorted order, then every other value the
+tables read or return; a law's variables take the codes of the level they
+range over.  Every table becomes an int array with one extra slot per axis
+that holds -1, so a missing entry reads -1 and propagates to the composite.
+The terms compile to one instruction per distinct gather; variables are
 broadcast axes, so a subterm is computed only over the variables it
 mentions.  An exhaustive space runs in blocks over its leading coordinates,
 and a subterm free of them is computed once.  A sample runs in blocks of
@@ -24,8 +23,8 @@ at declared objects is the identity of its declared source object.  The
 canonical associo-commutator of the symmetric presentation is computed from
 its structure's tables, by the identity of ``(x+y)+(z+t)`` when its
 ingredients are strict and otherwise by compiling the declared upper
-border route (``ac.ACOMM_UPPER``) like a law's, its inversion an ``ap``
-gather over the carrier's inverse table; its string memo is never filled.
+border route (``ac.ACOMM_UPPER``) like a law's; its string memo is never
+filled.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ class _Program:
     into code columns first, so the code spaces are complete when the
     arrays (sized by them) are built."""
 
-    def __init__(self, law, gpd, objects, env):
+    def __init__(self, law, gpd, values, env):
         self.codes = ({}, {})
         self.columns: dict = {}  # table key -> (table, key levels, value level, key columns, values)
         self.arrays: dict = {}
@@ -79,7 +78,7 @@ class _Program:
         self.gpd = gpd
         for level, ids in ((0, gpd.objects_sorted), (1, gpd.morphisms_sorted)):
             self._code_all(level, ids)
-        self.objects = self._code_all(0, objects)
+        self.values = self._code_all(law.var_level, values)
         self.vars = [self._instr("var", i, (), frozenset((i,))) for i in range(law.arity)]
         self.routes = [self._route(gpd, [self._term(t, 1, self.vars) for t in route])
                        for route in (law.left, law.right)]
@@ -167,6 +166,10 @@ class _Program:
             return self._const(level, term[1 + level])
         if tag == "c":
             return self._const(level, env[term[1]][level])
+        if tag in ("src", "dst") and not level:
+            ends = self._table({f: getattr(m, tag) for f, m in env["ends"].items()}, (1,), 0, False,
+                               (tag, id(env["ends"])))
+            return self._gather(ends, self._term(term[1], 1, args, env))
         if tag == "id" and level:
             return self._gather(self._table(self.gpd.identity, (0,), 1, False), self._term(term[1], 0, args, env))
         if tag == "fam" and level:
@@ -251,9 +254,9 @@ class _Program:
             if fixed is None:
                 fixed = [v if k else None for v, k in zip(values, keep)]
 
-    def first_exhaustive(self) -> int | None:
-        n, arity = len(self.objects), len(self.vars)
-        codes = np.array(self.objects, np.intp)
+    def exhaustive(self):
+        n, arity = len(self.values), len(self.vars)
+        codes = np.array(self.values, np.intp)
         lead = 0
         while lead < arity - 1 and n ** (arity - lead) > BLOCK:
             lead += 1
@@ -266,34 +269,26 @@ class _Program:
                 yield [np.full((1,) * ndim, codes[p], np.intp) for p in prefix] + trailing
 
         for block, bad in enumerate(self._blocks(bound_blocks(), frozenset(range(lead)))):
-            bad = np.broadcast_to(bad, shape)
-            first = int(np.argmax(bad))
-            if bad.flat[first]:
-                return block * n ** ndim + first
-        return None
+            for first in np.flatnonzero(np.broadcast_to(bad, shape)):
+                yield block * n ** ndim + int(first)
 
-    def first_sampled(self, positions: np.ndarray) -> int | None:
-        codes = np.array(self.objects, np.intp)
+    def sampled(self, positions: np.ndarray):
+        codes = np.array(self.values, np.intp)
         count, arity = positions.shape
         starts = range(0, count, BLOCK)
         blocks = ([codes[positions[s:s + BLOCK, i]] for i in range(arity)] for s in starts)
         for start, bad in zip(starts, self._blocks(blocks, frozenset(range(arity)))):
-            bad = np.broadcast_to(bad, (min(BLOCK, count - start),))
-            first = int(np.argmax(bad))
-            if bad[first]:
-                return start + first
-        return None
+            for first in np.flatnonzero(np.broadcast_to(bad, (min(BLOCK, count - start),))):
+                yield start + int(first)
 
 
-def first_failure(law, gpd, objects, env, sample: int | None, seed: int):
-    """``(position, index tuple)`` of the first instance of ``law`` that
-    does not hold, over the full space (``sample`` ``None``) or the sample of
-    that size, or ``None`` when every instance holds."""
-    program = _Program(law, gpd, objects, env)
-    n, arity = len(objects), law.arity
+def failures(law, gpd, values, env, sample: int | None, seed: int):
+    """``(position, index tuple)`` of each instance of ``law`` that does not
+    hold, in order, over the full space of tuples of ``values`` (``sample``
+    ``None``) or the sample of that size."""
+    program = _Program(law, gpd, values, env)
+    n, arity = len(values), law.arity
     if sample is None:
-        pos = program.first_exhaustive()
-        return None if pos is None else (pos, tuple(objects[p] for p in np.unravel_index(pos, (n,) * arity)))
+        return ((pos, tuple(values[p] for p in np.unravel_index(pos, (n,) * arity))) for pos in program.exhaustive())
     positions = sample_positions(n, arity, sample, seed)
-    pos = program.first_sampled(positions)
-    return None if pos is None else (pos, tuple(objects[p] for p in positions[pos]))
+    return ((pos, tuple(values[p] for p in positions[pos])) for pos in program.sampled(positions))

@@ -1,38 +1,36 @@
 """Generic two-route diagram checking.
 
 Every coherence axiom in this package is an equality of two composite
-morphisms, quantified over a finite tuple space.  This module runs that loop:
-exhaustively by default or over a fixed-seed random sample on request, in
-one serial pass; the witness is always the first failure in canonical
-index order.
+morphisms, quantified over a finite tuple space.  This module runs that loop
+(``_check``), exhaustively or over a fixed-seed sample that draws the tuples
+``Random.choice`` would; the witness is the first failure in canonical
+order.  A route that reads a missing table entry, or does not compose, is a
+witness too.
 
 The reference loop (``_scan``) composes each leg with one lookup per step
-in the carrier's table of composable pairs (``FinGroupoid.composable``).
-An instance with a miss is recomposed by ``compose_path``, whose checking
-walk names the id or endpoint that breaks the chain.  A sample draws the
-same tuples ``Random.choice`` would at the same seed.
+in ``FinGroupoid.composable``; an instance with a miss is recomposed by
+``compose_path``, whose checking walk names the id or endpoint that breaks.
+A loop of at least ``KERNEL_FLOOR`` instances runs its first
+``REFERENCE_HEAD`` in the reference loop and, when they hold, the whole
+space in the numpy block kernel (``_kernel``, imported on the first loop
+that gets that far): the tables become integer arrays, each route term one
+gather over a block of instances.  The reference rescans the kernel's first
+failing tuple for the witness, so rows are the reference's.  Without numpy
+(``pip install .[fast]`` adds it) every loop runs the reference.
 
-A loop of at least ``KERNEL_FLOOR`` instances (exhaustive or sampled) runs
-its first ``REFERENCE_HEAD`` instances in the reference loop and, when they
-hold, the whole space in the numpy block kernel (``_kernel``): the law's
-tables become integer arrays and each route term one gather over a block of
-instances.  numpy is imported there, on the first loop that gets that far.
-A sample there draws the same tuples from the same stream.  The kernel
-finds the first failing instance, and the reference loop rescans that one
-tuple for the witness, so rows and witnesses are the reference's.  Without
-numpy (``pip install .[fast]`` adds it) every loop runs the reference.
+A family's naturality squares (a law over morphisms) run through ``_check``
+and its endpoints through ``_scan`` (in the kernel they would encode a table
+as large as their space).  The row's one-index body writes the witness where
+the law fails; where it finds nothing (the carrier's tables, not the
+family, break the law there) the scan goes on.
 
-A check may also be discharged by a *strict profile*, derived from the
-law's terms (``Law.ingredients``): when every family the routes read is
-strict (identities at their declared endpoints), every sum or functor they
-apply to morphisms preserves identities and every constant they use as a
-morphism is an identity, each route composes to the identity of the
-instance's start object, so all instances commute.  ``check_diagram`` tests
-the profile itself.  A family's strict bit comes from the scan that
-validates its endpoints, or is set by ``groupoid.identity_family``, the one
-constructor of strict families; either holds only for the carrier and the
-tables it was established under.  A route that reads a missing table entry
-is a witness, as one that does not compose is.
+``check_diagram`` may discharge a law by its *strict profile*, derived from
+its terms (``Law.ingredients``): when every family the routes read is strict
+(identities at their declared endpoints), every sum or functor they apply to
+morphisms preserves identities and every constant they use as a morphism is
+an identity, each route composes to the identity of the instance's start
+object.  A strict bit holds only for the carrier and tables it was set under
+(by a family's endpoint row or ``groupoid.identity_family``).
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ KERNEL_FLOOR = 1 << 15
 # neither imports numpy nor encodes a table
 REFERENCE_HEAD = 1 << 10
 
-LegsFn = Callable[[tuple[str, ...]], tuple[Sequence[str], Sequence[str]]]
+LegsFn = Callable[[tuple[str, ...]], tuple[tuple[str, ...], tuple[str, ...]]]  # the two routes, as tuples of legs
 
 
 def strict_profile(law: Law, gpd: FinGroupoid, env: dict) -> bool:
@@ -74,51 +72,57 @@ def strict_profile(law: Law, gpd: FinGroupoid, env: dict) -> bool:
 
 
 def _scan(
-    gpd: FinGroupoid, legs: LegsFn, idxs: Iterable[tuple[str, ...]]
+    gpd: FinGroupoid, legs: LegsFn, idxs: Iterable[tuple[str, ...]], witness_at=None
 ) -> tuple[int, Witness | None]:
+    """The reference loop: the instances scanned and the first witness, written
+    by ``witness_at`` when given (the scan goes on where it gives ``None``)."""
     pairs = gpd.composable
     mors = gpd.morphisms
     checked = 0
-    for idx in idxs:
-        checked += 1
+    for checked, idx in enumerate(idxs, 1):
         try:
             left_legs, right_legs = legs(idx)
             try:
-                # one lookup per step; a miss takes compose_path, the checking walk
-                left = left_legs[-1]
-                if left not in mors:
-                    raise KeyError(left)
-                for g in left_legs[-2::-1]:
-                    left = pairs[g, left]
-                right = right_legs[-1]
-                if right not in mors:
-                    raise KeyError(right)
-                for g in right_legs[-2::-1]:
-                    right = pairs[g, right]
+                # one lookup per step (a two-leg route is the key of its step); a
+                # step hits only after known morphisms, so a lone leg is tested; a
+                # miss takes compose_path, the checking walk
+                if len(left_legs) == 2:
+                    left = pairs[left_legs]
+                else:
+                    n = len(left_legs) - 1
+                    left = left_legs[n]
+                    if not n and left not in mors:
+                        raise KeyError(left)
+                    while n:
+                        n -= 1
+                        left = pairs[left_legs[n], left]
+                if len(right_legs) == 2:
+                    right = pairs[right_legs]
+                else:
+                    n = len(right_legs) - 1
+                    right = right_legs[n]
+                    if not n and right not in mors:
+                        raise KeyError(right)
+                    while n:
+                        n -= 1
+                        right = pairs[right_legs[n], right]
             except (IndexError, KeyError):
                 left = compose_path(gpd, left_legs)
                 right = compose_path(gpd, right_legs)
+            if left == right:
+                continue
+            witness = Witness(tuple(idx), left, right, tuple(left_legs), tuple(right_legs))
         except StructureError as err:
-            return checked, Witness(tuple(idx), note=f"route does not evaluate: {err}")
+            witness = Witness(tuple(idx), note=f"route does not evaluate: {err}")
         except KeyError as err:  # a leg builder read a missing table entry
-            return checked, Witness(tuple(idx), note=f"route does not evaluate: no entry at {err}")
-        if left != right:
-            return checked, Witness(
-                tuple(idx), left, right, tuple(left_legs), tuple(right_legs)
-            )
+            witness = Witness(tuple(idx), note=f"route does not evaluate: no entry at {err}")
+        if witness_at is None or (witness := witness_at(witness.index)) is not None:
+            return checked, witness
     return checked, None
 
 
-def check_diagram(
-    law: Law,
-    gpd: FinGroupoid,
-    objects: Sequence[str],
-    env: dict,
-    *,
-    sample: int | None = None,
-    seed: int = 0,
-    strict: bool = False,
-) -> CheckResult:
+def check_diagram(law: Law, gpd: FinGroupoid, objects: Sequence[str], env: dict, *,
+                  sample: int | None = None, seed: int = 0, strict: bool = False) -> CheckResult:
     """Check one law, bound in ``env``, over the full (or sampled) space of
     its index tuples.
 
@@ -129,46 +133,55 @@ def check_diagram(
     when numpy imports.
     """
     started = time.perf_counter()
-    total = len(objects) ** law.arity
     if strict and strict_profile(law, gpd, env):
+        total = len(objects) ** law.arity
         return CheckResult(law.name, Status.PASS, None, total, "strict-profile", time.perf_counter() - started)
+    return _check(law.name, law, gpd, objects, env, sample, seed)
 
+
+def _check(name: str, law: Law, gpd: FinGroupoid, values: Sequence[str], env: dict,
+           sample: int | None = None, seed: int = 0, witness_at=None) -> CheckResult:
+    """The engine core: the row ``name`` of ``law`` over every tuple of
+    ``values`` (objects or morphisms, as its variables range) or a sample,
+    composed in ``gpd``."""
+    started = time.perf_counter()
+    total = len(values) ** law.arity
     count, mode = _space_size(total, sample, seed)
+    legs = law.legs(env, gpd.identity)
     if count < KERNEL_FLOOR:
-        space, _, _ = index_space(objects, law.arity, sample, seed)
-        checked, witness = _scan(gpd, law.legs(env, gpd.identity), space)
+        checked, witness = _scan(gpd, legs, index_space(values, law.arity, sample, seed)[0], witness_at)
     else:
-        checked, witness = _long_scan(law, gpd, objects, env, sample if count < total else None, seed)
-    status = Status.FAIL if witness is not None else Status.PASS
-    instances = checked if witness is not None else count
-    return CheckResult(law.name, status, witness, instances, mode, time.perf_counter() - started)
+        checked, witness = _long_scan(law, gpd, values, env, legs, sample if count < total else None, seed,
+                                      witness_at)
+    if witness is None:
+        return CheckResult(name, Status.PASS, None, count, mode, time.perf_counter() - started)
+    return CheckResult(name, Status.FAIL, witness, checked, mode, time.perf_counter() - started)
 
 
-def _long_scan(law: Law, gpd: FinGroupoid, objects: Sequence[str], env: dict,
-               sample: int | None, seed: int) -> tuple[int, Witness | None]:
+def _long_scan(law: Law, gpd: FinGroupoid, values: Sequence[str], env: dict, legs: LegsFn,
+               sample: int | None, seed: int, witness_at) -> tuple[int, Witness | None]:
     """``_scan`` over the full space (``sample`` ``None``) or the sample:
     the reference loop over the first ``REFERENCE_HEAD`` instances, then the
     kernel over the space, whose first failing tuple the reference rescans
     for the witness (or, without numpy, the reference over the rest)."""
-    legs = law.legs(env, gpd.identity)
     if sample is None:
-        space = product(objects, repeat=law.arity)
+        space = product(values, repeat=law.arity)
         head = islice(space, REFERENCE_HEAD)
     else:
-        head = _sample_tuples(objects, law.arity, min(sample, REFERENCE_HEAD), seed)
-    checked, witness = _scan(gpd, legs, head)
+        head = _sample_tuples(values, law.arity, min(sample, REFERENCE_HEAD), seed)
+    checked, witness = _scan(gpd, legs, head, witness_at)
     if witness is not None:
         return checked, witness
     kernel = _load_kernel()
     if kernel is None:
-        rest = space if sample is None else _sample_tuples(objects, law.arity, sample, seed)[checked:]
-        more, witness = _scan(gpd, legs, rest)
+        rest = space if sample is None else _sample_tuples(values, law.arity, sample, seed)[checked:]
+        more, witness = _scan(gpd, legs, rest, witness_at)
         return checked + more, witness
-    found = kernel.first_failure(law, gpd, objects, env, sample, seed)
+    found = next(kernel.failures(law, gpd, values, env, sample, seed), None)
     if found is None:
-        return (len(objects) ** law.arity if sample is None else sample), None
+        return (len(values) ** law.arity if sample is None else sample), None
     position, idx = found
-    _, witness = _scan(gpd, legs, [idx])
+    _, witness = _scan(gpd, legs, [idx], witness_at)
     if witness is None:
         raise RuntimeError(f"{law.name}: the kernel fails the instance at {idx}, the reference loop does not")
     return position + 1, witness

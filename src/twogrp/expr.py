@@ -3,7 +3,7 @@ coherence laws.
 
 An expression is a nested tuple over these node kinds:
 
-* ``("v", i)``            -- the i-th argument object,
+* ``("v", i)``            -- the i-th argument,
 * ``("k", obj, idmor)``   -- a fixed object with its identity morphism,
 * ``("c", sym)``          -- a named constant: the environment binds ``sym``
   to an ``(object, morphism)`` pair (a unit with its identity, a zero
@@ -12,20 +12,20 @@ An expression is a nested tuple over these node kinds:
 * ``("ap", sym, e)``      -- a named unary map (a functor) applied to a subterm,
 * ``("fam", sym, e...)``  -- the component of a named family at the objects
   the subterms denote (a morphism),
-* ``("id", e)``           -- the identity of the object ``e`` denotes.
+* ``("id", e)``           -- the identity of the object ``e`` denotes,
+* ``("src", e)``/``("dst", e)`` -- the source/target of the morphism ``e``.
 
 Symbols are resolved against an environment mapping each symbol to an
-``(object_table, morphism_table)`` pair, so one family type can describe
-associators, distributors, absorbers and functor monoidality families alike.
-At the object level an expression gives the expected endpoint of a
-component; at the morphism level it gives the functorial action used by
-naturality squares (constants act as their identity morphism).
+``(object_table, morphism_table)`` pair.  At the object level an expression
+gives the expected endpoint of a component; at the morphism level, the
+functorial action used by naturality squares (a constant acts as its
+identity).
 
 One emitter writes every term as Python source, one subscript per node,
 generated once per process: ``compile_obj``/``compile_mor`` give one
-function of the argument tuple per expression and level (endpoint
-expressions use ``v``, ``k``, ``op`` and ``ap``), ``Law.legs`` one per law;
-a compile or a binding is one factory call with the tables.  An endpoint
+function of the argument tuple per endpoint expression (``v``, ``k``,
+``op``, ``ap``) and level, ``Law.legs`` one per law; a compile or a binding
+is one factory call with the tables.  An endpoint
 function whose lookup misses hands its arguments to a node-by-node
 evaluator, which raises :class:`MalformedTable` naming the innermost
 lookup that misses (``object table '+' undefined at ('0', '1')``) or a
@@ -33,19 +33,21 @@ symbol the environment lacks (``... undefined at '<sym>'``) before any of
 its subterms.
 
 A coherence law is a :class:`Law`: a name, an arity and two routes, each a
-list of morphism terms over object variables in application order (the
-last leg applies first), bound by ``Law.legs`` to an environment into the
-function the diagram engine scans.  In a law's environment an ``op``/``ap``
-symbol is bound to ``(object_table, morphism_table,
-preserves_identities)``, a ``fam`` symbol to ``(family, env)`` (the family
-and the environment its endpoints are typed in) and a ``c`` symbol to
-``(object, morphism)``.  A lookup that misses raises the bare ``KeyError``
-the engine reports as a route that does not evaluate.  ``Law.ingredients``
-lists what the strict profile tests: the families the routes read, the maps
-they apply to morphisms and the constants they use as morphisms (a map
-applied only to objects needs nothing).  A law may have one route only: the
-border composites of ``ac`` are such routes, their inversion an ``ap`` over
-the carrier's inverse table.
+list of morphism terms in application order (the last leg applies first),
+bound by ``Law.legs`` to an environment into the function the diagram
+engine scans.  Its variables are objects, or morphisms when its terms read
+them at the morphism level (``Law.var_level``, as in a naturality square).
+In a law's environment an ``op``/``ap`` symbol is bound to ``(object_table,
+morphism_table, preserves_identities)``, a ``fam`` symbol to ``(family,
+env)`` (the environment its endpoints are typed in), a ``c`` symbol to
+``(object, morphism)`` and ``ends``, which ``src``/``dst`` read, to the
+``morphisms`` table of the variables' groupoid.  A lookup that misses raises
+the bare ``KeyError`` the engine reports as a route that does not evaluate.
+``Law.ingredients`` lists what the strict profile tests: the families the
+routes read, the maps they apply to morphisms and the constants they use as
+morphisms (a map applied only to objects needs nothing).  A law may have
+one route only: the border composites of ``ac`` are such routes, their
+inversion an ``ap`` over the carrier's inverse table.
 """
 
 from __future__ import annotations
@@ -137,31 +139,36 @@ def ident(obj: Expr) -> Expr:
 
 class Law:
     """Two routes of morphism terms that must compose to the same morphism
-    at every tuple of ``arity`` objects."""
+    at every tuple of ``arity`` objects (or morphisms: ``var_level``)."""
 
-    __slots__ = ("name", "arity", "left", "right", "symbols", "ingredients", "_code")
+    __slots__ = ("name", "arity", "left", "right", "symbols", "ingredients", "var_level", "_code")
 
     def __init__(self, name: str, arity: int, left: Sequence[Expr], right: Sequence[Expr]):
         self.name, self.arity, self.left, self.right = name, arity, tuple(left), tuple(right)
         self._code = None
-        symbols, fams, maps, consts = {}, {}, {}, {}
+        symbols, fams, maps, consts, levels = {}, {}, {}, {}, {0}
         read_as_morphism = {"fam": fams, "op": maps, "ap": maps, "c": consts}
 
         def walk(term, level):
             tag = term[0]
-            if tag in read_as_morphism:
+            if tag == "v":
+                levels.add(level)
+            elif tag in ("src", "dst"):
+                symbols["ends"] = None
+            elif tag in read_as_morphism:
                 symbols[term[1]] = None
                 if level:
                     read_as_morphism[tag][term[1]] = None
-            # a family's and an identity's arguments are objects
-            subterms = term[1:] if tag == "id" else term[2:] if tag in ("op", "ap", "fam") else ()
+            # a family's and an identity's arguments are objects, an end's a morphism
+            subterms = term[1:] if tag in ("id", "src", "dst") else term[2:] if tag in ("op", "ap", "fam") else ()
             for sub in subterms:
-                walk(sub, level if tag in ("op", "ap") else 0)
+                walk(sub, level if tag in ("op", "ap") else int(tag in ("src", "dst")))
 
         for term in self.left + self.right:
             walk(term, 1)
         self.symbols = frozenset(symbols)
         self.ingredients = (tuple(fams), tuple(maps), tuple(consts))
+        self.var_level = max(levels)  # 1: the variables range over morphisms
 
     def legs(self, env: dict, identity: dict) -> Callable[[tuple[str, ...]], tuple[list, list]]:
         """The routes at an index tuple, with the symbols bound in ``env``
@@ -169,43 +176,51 @@ class Law:
         if self._code is None:
             self._code = _compile_law(self)
         make, params = self._code
-        return make(*[identity if slot == "id" else env[sym][0].components if slot == "fam"
-                      else env[sym][slot] for sym, slot in params])
+        return make(*[identity if slot == "id" else sym if slot == "k" else env[sym] if slot == "ends"
+                      else env[sym][0].components if slot == "fam" else env[sym][slot] for sym, slot in params])
 
 
 def _compile_law(law: Law):
     """The factory of ``law``'s legs and the ``(symbol, slot)`` each of its
-    parameters is bound to: the generated function evaluates each route
-    left to right, depth first, one subscript per node."""
+    parameters is bound to: the generated function evaluates each route, a
+    tuple of legs, left to right, depth first, one subscript per node; a leg
+    that recurs is computed where it is first read and reused."""
     params: dict[tuple, str] = {}
-    routes = [", ".join(_emit(t, 1, params, law.name) for t in route) for route in (law.left, law.right)]
+    legs, shared = law.left + law.right, {}
+    emit = lambda t: shared.get(t) or (_emit(t, 1, params, law) if legs.count(t) < 2 else
+                                       f"({shared.setdefault(t, f'l{len(shared)}')} := {_emit(t, 1, params, law)})")
+    routes = ["".join(emit(t) + ", " for t in route) for route in (law.left, law.right)]
     names = "".join(f"v{i}, " for i in range(law.arity)) or "_"  # a law of arity 0 has no variable
     return _factory(f"<law {law.name}>", params.values(), "legs(idx)",
-                    f"{names} = idx\n        return [{routes[0]}], [{routes[1]}]"), list(params)
+                    f"{names} = idx\n        return ({routes[0]}), ({routes[1]})"), list(params)
 
 
-def _emit(term: Expr, level: int, params: dict, law: str | None) -> str:
+def _emit(term: Expr, level: int, params: dict, law: Law | None) -> str:
     """Source computing ``term`` at ``level``, each table a parameter named
     in ``params``.  An endpoint expression (``law`` ``None``) reads its
-    arguments at ``level``; a law's variables are objects."""
+    arguments at ``level``; a law's variables at ``law.var_level``."""
     tag = term[0]
     param = lambda sym, slot: params.setdefault((sym, slot), f"p{len(params)}")
     if tag in ("op", "ap"):
         return f"{param(term[1], level)}[{', '.join(_emit(a, level, params, law) for a in term[2:])}]"
+    if tag == "k":
+        return param(term[1 + level], "k")
     if law is None:
         if tag == "v":
             return f"args[{term[1]}]"
-        if tag == "k":
-            return param(term[1 + level], "k")
-    elif tag == "v" and not level:
+    elif tag == "v" and level == law.var_level:
         return f"v{term[1]}"
+    elif tag in ("src", "dst") and not level:
+        return f"{param('ends', 'ends')}[{_emit(term[1], 1, params, law)}].{tag}"
     elif tag == "c":
         return param(term[1], level)
     elif tag == "id" and level:
         return f"{param('', 'id')}[{_emit(term[1], 0, params, law)}]"
     elif tag == "fam" and level:
-        return f"{param(term[1], 'fam')}[{''.join(_emit(a, 0, params, law) + ', ' for a in term[2:])}]"
-    where = "expression" if law is None else f"law {law}"
+        args = "idx" if term[2:] == tuple(map(var, range(law.arity))) and not law.var_level else \
+            "".join(_emit(a, 0, params, law) + ", " for a in term[2:])  # a component at the index tuple itself
+        return f"{param(term[1], 'fam')}[{args}]"
+    where = "expression" if law is None else f"law {law.name}"
     raise ValueError(f"{where}: no {('object', 'morphism')[level]} node {term!r}")
 
 

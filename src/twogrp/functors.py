@@ -100,15 +100,8 @@ def _same_carrier(a, b) -> bool:
 def check_fsum_naturality(
     fun: StructuredFunctor, src, tgt, *, sample: int | None = None, seed: int = 0
 ) -> Report:
-    return check_naturality(
-        fun.fsum,
-        functor_env(fun, src, tgt),
-        domain=src.carrier,
-        codomain=tgt.carrier,
-        sample=sample,
-        seed=seed,
-        label="naturality(fsum)",
-    )
+    return check_naturality(fun.fsum, functor_env(fun, src, tgt), domain=src.carrier, codomain=tgt.carrier,
+                            sample=sample, seed=seed, label="naturality(fsum)")
 
 
 # ---------------------------------------------------------------------------

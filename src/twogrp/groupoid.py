@@ -6,26 +6,24 @@ tables, an axiom is an equality of two ``compose_path`` results, and a failed
 axiom is reported with the exact instance it fails at.
 
 ``compose_path`` is the checking walk: it tests every id and endpoint and
-raises the precise error.  The two hot loops (``diagram._scan`` and
-``check_naturality``) compose inline with one lookup per step in the
-carrier's table of composable pairs (``FinGroupoid.composable``: the
-``compose`` entries whose two ids are known morphisms that meet end to
-start) and rerun ``compose_path`` on any miss, so a chain that does not
-compose fails with the same precise error.
+raises the precise error.  ``diagram._scan`` alone composes with one lookup
+per step in ``FinGroupoid.composable`` and reruns ``compose_path`` on a miss.
 
 Morphism equality is identifier equality.  Canonical order (sorted ids)
-drives every scan, so witnesses and search results are reproducible.  Every
-data row (the laws of a carrier or a functor, the bifunctor, family
-endpoints, naturality squares, weak inverses, T2) is one generator of
-per-instance outcomes consumed by ``_first_failure``.
+drives every scan, so witnesses and search results are reproducible.  A
+family's endpoint row and naturality squares are declared laws
+(``_family_laws``) the diagram engine runs; every other data row is a
+generator of per-instance outcomes consumed by ``_first_failure``.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product, repeat
 
 from . import expr as ex
@@ -191,7 +189,7 @@ def _first_failure(
     """Add the timed row for ``law``.  ``cases`` yields ``None`` for each
     instance that holds and a :class:`Witness` for the first that fails; the
     scan stops there, so the instance count covers the cases examined up to
-    and including the failing one.  Every data row is built here."""
+    and including the failing one."""
     started = time.perf_counter()
     n = 0
     witness = None
@@ -223,9 +221,10 @@ def validate_groupoid(gpd: FinGroupoid) -> Report:
     for x in gpd.objects:
         if x not in gpd.identity or gpd.identity[x] not in gpd.morphisms:
             raise MalformedTable(f"identity table missing or unknown at object {x!r}")
-    for f, i in gpd.inverse.items():
-        if f not in gpd.morphisms or i not in gpd.morphisms:
-            raise MalformedTable(f"inverse table references unknown morphism")
+    for f, i in sorted(gpd.inverse.items()):
+        for mid in (f, i):
+            if mid not in gpd.morphisms:
+                raise MalformedTable(f"inverse table references unknown morphism {mid!r}")
 
     report = Report()
     mors = gpd.morphisms_sorted
@@ -355,10 +354,11 @@ def validate_functor(fun: GFunctor) -> Report:
     reported with the offending object, morphism or pair.
     """
     src, tgt = fun.source, fun.target
+    targets = set(tgt.objects)
     for x in src.objects:
         if x not in fun.obj_map:
             raise DomainMismatch(f"object map undefined at {x!r}")
-        if fun.obj_map[x] not in set(tgt.objects):
+        if fun.obj_map[x] not in targets:
             raise DomainMismatch(f"object map sends {x!r} outside the target")
     for f in src.morphisms:
         if f not in fun.mor_map:
@@ -432,20 +432,16 @@ class NatFamily(_Memo):
 
     def is_strict(self, gpd: FinGroupoid, env: ex.Env) -> bool:
         """True when every component is the identity of its declared source
-        object, which is also its declared target: the condition the strict
-        profile relies on.  A bit holds only for the carrier and the tables
-        (or equal ones) of the environment it was established under.  It
-        comes from the endpoint scan of :func:`validate_family`, run here if
-        neither a scan nor :func:`identity_family`, the one strict
-        constructor, set it under ``env``."""
+        object, which is also its declared target: the strict profile's
+        condition.  The bit holds for the carrier and the tables (or equal
+        ones) it was set under, by the endpoint row (run here if needed) or
+        by :func:`identity_family`, the one strict constructor."""
         bit = _strict_bit(self, gpd, env)
         if bit is None:
             _set_strict(self, gpd, env, False)
             if set(gpd.identity.values()).issuperset(self.components.values()):
-                try:
-                    any(_scan_endpoints(gpd, self, env))
-                except StructureError:
-                    pass  # a scan that raises leaves the bit False
+                with suppress(StructureError):  # a row that raises leaves the bit False
+                    _endpoint_row(gpd, self, env, "endpoints")
             bit = _strict_bit(self, gpd, env)
         return bit
 
@@ -456,7 +452,7 @@ def identity_family(make, gpd: FinGroupoid, env: ex.Env, *args) -> NatFamily:
     ``env``, with its strict bit set under ``env``.  The caller vouches that
     the declared target evaluates to the same object (the tables of ``env``
     satisfy the law the family witnesses); the tests hold every such family
-    to the endpoint scan."""
+    to the endpoint row."""
     fam = make({}, *args)
     src_at, ident = ex.compile_obj(fam.src_expr, env), gpd.identity
     fam.components = {
@@ -482,106 +478,92 @@ def _set_strict(fam: NatFamily, gpd: FinGroupoid, env: ex.Env, bit: bool) -> Non
     fam._cache[("strict", id(gpd))] = (gpd, dict(env), bit)
 
 
-def _scan_endpoints(gpd: FinGroupoid, fam: NatFamily, env: ex.Env) -> Iterator[Witness | None]:
-    """Compare each component's endpoints with the declared ones over the
-    full index space, in canonical order: yields ``None`` per component that
-    matches and a witness for the first that does not.  The family's strict
-    bit reads False from the start of the scan (no consumer resumes a scan
-    after a failure) and is set when the scan ends."""
-    comps, mors = fam.components, gpd.morphisms
-    src_at = ex.compile_obj(fam.src_expr, env)
-    dst_at = ex.compile_obj(fam.tgt_expr, env)
+_FAM = "φ"  # the family's symbol in its own laws
+
+
+@cache
+def _family_laws(arity: int, src: ex.Expr, tgt: ex.Expr) -> tuple[ex.Law, ex.Law]:
+    """The endpoint law (over objects) and naturality law (over morphisms)
+    of a family φ: S -> T.  The endpoint routes evaluate exactly when φ(v…)
+    is a known morphism S(v…) -> T(v…), and then agree if identities do."""
+    xs = [ex.var(i) for i in range(arity)]
+    at = lambda end: ex.fam(_FAM, *[(end, x) for x in xs])
+    return (ex.Law("endpoints", arity, [ex.fam(_FAM, *xs), ex.ident(src)], [ex.ident(tgt), ex.fam(_FAM, *xs)]),
+            ex.Law("naturality", arity, [at("dst"), src], [tgt, at("src")]))
+
+
+def _family_env(law: ex.Law, fam: NatFamily, env: ex.Env, domain: FinGroupoid) -> dict:
+    """``law``'s tables: ``fam`` as φ, ``env`` (empty where it lacks a symbol), ``domain``'s ends."""
+    law_env = {sym: env.get(sym, ({}, {})) for sym in law.symbols}
+    law_env.update(ends=domain.morphisms, **{_FAM: (fam, env)})
+    return law_env
+
+
+def _endpoint_row(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, name: str) -> CheckResult:
+    """The endpoint row of ``fam``; its strict bit is False until the row
+    passes, then whether each distinct component is its source's identity.
+    The row runs in the reference loop: the kernel would encode a family
+    table as large as the space."""
+    started = time.perf_counter()
     _set_strict(fam, gpd, env, False)
-    for idx in product(gpd.objects_sorted, repeat=fam.arity):
-        mid = comps.get(idx)
-        mor = mors.get(mid)
+    comps, mors = fam.components, gpd.morphisms
+    for x, i in gpd.identity.items():  # the law reads these as identities
+        if (m := mors.get(i)) is not None and not m.src == m.dst == x:
+            raise MalformedTable(f"identity table gives {i!r}, not an endomorphism, at object {x!r}")
+
+    def witness_at(idx):
+        mor = mors.get(mid := comps.get(idx))
         if mor is None:
-            yield Witness(idx, note="component missing or unknown")
-            return
-        want_src, want_dst = src_at(idx), dst_at(idx)
+            return Witness(idx, note="component missing or unknown")
+        want_src, want_dst = ex.compile_obj(fam.src_expr, env)(idx), ex.compile_obj(fam.tgt_expr, env)(idx)
         if mor.src != want_src or mor.dst != want_dst:
-            yield Witness(
-                idx,
-                left=mid,
-                note=f"endpoints {mor.src}->{mor.dst} differ from declared {want_src}->{want_dst}",
-            )
-            return
-        yield None
-    # strict once the endpoints are checked: each distinct id is the identity
-    # of its own source.
-    used = set(comps.values())
-    strict = used <= set(gpd.identity.values()) and all(
-        (mor := mors.get(mid)) is not None and mor.src == mor.dst and gpd.identity.get(mor.src) == mid
-        for mid in used
-    )
-    _set_strict(fam, gpd, env, strict)
+            note = f"endpoints {mor.src}->{mor.dst} differ from declared {want_src}->{want_dst}"
+            return Witness(idx, left=mid, note=note)
+        return None  # the carrier's tables, not the family, fail the law here
+
+    law = _family_laws(fam.arity, fam.src_expr, fam.tgt_expr)[0]
+    legs = law.legs(_family_env(law, fam, env, gpd), gpd.identity)
+    n, witness = diagram._scan(gpd, legs, product(gpd.objects_sorted, repeat=fam.arity), witness_at)
+    if witness is None:
+        used = set(comps.values())
+        _set_strict(fam, gpd, env, used <= set(gpd.identity.values()) and all(
+            (m := mors.get(mid)) is not None and m.src == m.dst and gpd.identity.get(m.src) == mid for mid in used))
+    status = Status.FAIL if witness else Status.PASS
+    return CheckResult(name, status, witness, n, "exhaustive", time.perf_counter() - started)
 
 
 def validate_family(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, label: str = "family") -> Report:
     """Totality and endpoint correctness of a family over the full index
     space; the scan also records the family's strict bit."""
-    report = Report()
     if set(map(len, fam.components)) - {fam.arity}:
         for idx in fam.components:  # the ordered walk names the first offender
             if len(idx) != fam.arity:
                 raise ArityMismatch(f"{label}: component keyed by {idx} but arity is {fam.arity}")
-    _first_failure(report, f"{label}-endpoints", _scan_endpoints(gpd, fam, env))
-    return report
+    return Report([_endpoint_row(gpd, fam, env, f"{label}-endpoints")])
 
 
-def check_naturality(
-    fam: NatFamily,
-    env: ex.Env,
-    *,
-    domain: FinGroupoid,
-    codomain: FinGroupoid | None = None,
-    sample: int | None = None,
-    seed: int = 0,
-    label: str = "naturality",
-) -> Report:
-    """Check all naturality squares of ``fam``: its declared source and
-    target expressions, compiled under ``env``, give the actions on tuples
-    of test morphisms drawn from ``domain``; components live in
-    ``codomain`` (defaults to ``domain``).  With ``sample`` set below the
-    number of morphism tuples, a fixed-seed random subset of them is used
-    instead of the full product."""
+def check_naturality(fam: NatFamily, env: ex.Env, *, domain: FinGroupoid, codomain: FinGroupoid | None = None,
+                     sample: int | None = None, seed: int = 0, label: str = "naturality") -> Report:
+    """Check all naturality squares of ``fam`` (its declared endpoint
+    expressions act under ``env``) over tuples of morphisms of ``domain``,
+    or a fixed-seed sample of ``sample`` of them, composed in ``codomain``
+    (by default ``domain``)."""
     codomain = codomain or domain
-    lhs_action = ex.compile_mor(fam.src_expr, env)
-    rhs_action = ex.compile_mor(fam.tgt_expr, env)
-    space, _, mode = index_space(domain.morphisms_sorted, fam.arity, sample, seed)
-    ends, comps, pairs = domain.morphisms, fam.components, codomain.composable
+    mors = domain.morphisms
 
-    def squares():
-        for fs in space:
-            xs = tuple([ends[f].src for f in fs])
-            ys = tuple([ends[f].dst for f in fs])
-            # one lookup per step; each miss takes compose_path, the checking walk
-            try:
-                at_y = comps.get(ys)
-                if at_y is None:
-                    at_y = fam.at(*ys)
-                image = lhs_action(fs)
-                left = pairs.get((at_y, image))
-                if left is None:
-                    left = compose_path(codomain, [at_y, image])
-                image = rhs_action(fs)
-                at_x = comps.get(xs)
-                if at_x is None:
-                    at_x = fam.at(*xs)
-                right = pairs.get((image, at_x))
-                if right is None:
-                    right = compose_path(codomain, [image, at_x])
-            except StructureError as err:
-                yield Witness(fs, note=f"square does not typecheck: {err}")
-                return
-            if left != right:
-                yield Witness(fs, left=left, right=right)
-            else:
-                yield None
+    def witness_at(fs):
+        try:
+            at_y = fam.at(*[mors[f].dst for f in fs])
+            left = compose_path(codomain, [at_y, ex.compile_mor(fam.src_expr, env)(fs)])
+            image = ex.compile_mor(fam.tgt_expr, env)(fs)
+            right = compose_path(codomain, [image, fam.at(*[mors[f].src for f in fs])])
+        except StructureError as err:
+            return Witness(fs, note=f"square does not typecheck: {err}")
+        return Witness(fs, left=left, right=right) if left != right else None
 
-    report = Report()
-    _first_failure(report, label, squares(), mode)
-    return report
+    law = _family_laws(fam.arity, fam.src_expr, fam.tgt_expr)[1]
+    return Report([diagram._check(label, law, codomain, domain.morphisms_sorted, _family_env(law, fam, env, domain),
+                                  sample, seed, witness_at)])
 
 
 def index_space(
@@ -594,9 +576,8 @@ def index_space(
     instances the iterable yields.
     """
     count, mode = _space_size(len(seq) ** arity, sample, seed)
-    if mode == "exhaustive":
-        return product(seq, repeat=arity), count, mode
-    return _sample_tuples(seq, arity, sample, seed), count, mode
+    drawn = product(seq, repeat=arity) if mode == "exhaustive" else _sample_tuples(seq, arity, sample, seed)
+    return drawn, count, mode
 
 
 def _space_size(total: int, sample: int | None = None, seed: int = 0) -> tuple[int, str]:
@@ -628,3 +609,6 @@ def _sample_tuples(seq: Sequence[str], arity: int, count: int, seed: int) -> lis
         picks += [seq[r] for r in map(getrandbits, repeat(k, need - len(picks))) if r < n]
     del picks[need:]
     return list(zip(*[iter(picks)] * arity))
+
+
+from . import diagram  # noqa: E402  (diagram imports this module: bound once both exist)

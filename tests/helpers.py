@@ -8,6 +8,7 @@ from functools import partial
 from itertools import product
 
 from twogrp import (
+    ArityMismatch,
     FinGroupoid,
     GFunctor,
     MalformedTable,
@@ -42,9 +43,10 @@ from twogrp.functors import (
     fsum_family,
     tau_family,
 )
-from twogrp.groupoid import NatFamily, identity_family, validate_functor
+from twogrp.errors import StructureError
+from twogrp.groupoid import NatFamily, _first_failure, identity_family, index_space, validate_functor
 from twogrp.monoidal import SM_LAWS, basic_unitor
-from twogrp.report import Status
+from twogrp.report import Report, Status, Witness
 from twogrp.rings import (
     AC_RING_LAWS,
     COMMON_LAWS,
@@ -226,10 +228,10 @@ def eval_mor(expr, env, args):
 
 def law_legs(law, env, identity):
     """The routes of ``law`` at an index tuple, interpreted node by node: the
-    oracle ``Law.legs`` is held to, leg lists and missing entries alike."""
+    oracle ``Law.legs`` is held to, leg tuples and missing entries alike."""
     def legs(idx):
-        return ([_eval(t, env, idx, 1, identity) for t in law.left],
-                [_eval(t, env, idx, 1, identity) for t in law.right])
+        return (tuple(_eval(t, env, idx, 1, identity) for t in law.left),
+                tuple(_eval(t, env, idx, 1, identity) for t in law.right))
     return legs
 
 
@@ -399,6 +401,78 @@ def assoc_commutator_lower(m, x, y, z, t):
             a[(so[(x, y)], z, t)],
         ],
     )
+
+
+# ---------------------------------------------------------------------------
+# the family rows as hand-written scans: the oracles of the declared
+# endpoint and naturality laws of ``groupoid``
+# ---------------------------------------------------------------------------
+
+
+def reference_endpoints(gpd, fam, env, label="family"):
+    """``validate_family`` as a scan over the index space: the report and
+    the strict bit its closing test gives (False when the scan fails).  The
+    family's own memo is left alone; an exception propagates."""
+    for idx in fam.components:
+        if len(idx) != fam.arity:
+            raise ArityMismatch(f"{label}: component keyed by {idx} but arity is {fam.arity}")
+    comps, mors = fam.components, gpd.morphisms
+    src_at = ex.compile_obj(fam.src_expr, env)
+    dst_at = ex.compile_obj(fam.tgt_expr, env)
+    strict = [False]
+
+    def scan():
+        for idx in product(gpd.objects_sorted, repeat=fam.arity):
+            mid = comps.get(idx)
+            mor = mors.get(mid)
+            if mor is None:
+                yield Witness(idx, note="component missing or unknown")
+                return
+            want_src, want_dst = src_at(idx), dst_at(idx)
+            if mor.src != want_src or mor.dst != want_dst:
+                yield Witness(
+                    idx,
+                    left=mid,
+                    note=f"endpoints {mor.src}->{mor.dst} differ from declared {want_src}->{want_dst}",
+                )
+                return
+            yield None
+        used = set(comps.values())
+        strict[0] = used <= set(gpd.identity.values()) and all(
+            (mor := mors.get(mid)) is not None and mor.src == mor.dst and gpd.identity.get(mor.src) == mid
+            for mid in used
+        )
+
+    report = Report()
+    _first_failure(report, f"{label}-endpoints", scan())
+    return report, strict[0]
+
+
+def reference_naturality(fam, env, *, domain, codomain=None, sample=None, seed=0, label="naturality"):
+    """``check_naturality`` as a loop over the squares, each composed by
+    ``compose_path``."""
+    codomain = codomain or domain
+    lhs_action = ex.compile_mor(fam.src_expr, env)
+    rhs_action = ex.compile_mor(fam.tgt_expr, env)
+    space, _, mode = index_space(domain.morphisms_sorted, fam.arity, sample, seed)
+    ends = domain.morphisms
+
+    def squares():
+        for fs in space:
+            try:
+                left = compose_path(codomain, [fam.at(*[ends[f].dst for f in fs]), lhs_action(fs)])
+                right = compose_path(codomain, [rhs_action(fs), fam.at(*[ends[f].src for f in fs])])
+            except StructureError as err:
+                yield Witness(fs, note=f"square does not typecheck: {err}")
+                return
+            if left != right:
+                yield Witness(fs, left=left, right=right)
+            else:
+                yield None
+
+    report = Report()
+    _first_failure(report, label, squares(), mode)
+    return report
 
 
 # ---------------------------------------------------------------------------

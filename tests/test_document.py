@@ -235,7 +235,7 @@ def test_canonical_output_is_sorted_and_stable():
 # -- the strict profile on parsed documents -----------------------------------
 #
 # Fixture families are marked strict when they are built; a parsed family
-# gets its strict bit from the endpoint scan.  Each case is a function
+# gets its strict bit from the endpoint row.  Each case is a function
 # returning ``(make, run)``: ``make()`` parses a fresh copy of a document and
 # ``run(parsed, allow_strict_skip, check_data)`` runs one suite on it.
 

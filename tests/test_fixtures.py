@@ -104,7 +104,7 @@ def _identity_built_families():
 
 def test_identity_family_strict_bit_matches_the_endpoint_scan():
     """The bit ``identity_family`` sets without scanning is the one the
-    endpoint scan finds, and one flipped component clears it."""
+    endpoint row finds, and one flipped component clears it."""
     for label, fam, gpd, env in _identity_built_families():
         assert replace(fam, _cache={}).is_strict(gpd, env), label  # runs the scan
         idx = max(fam.components)

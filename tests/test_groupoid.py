@@ -62,6 +62,20 @@ def test_unknown_morphism_in_compose_is_malformed():
         validate_groupoid(bad)
 
 
+def test_inverse_table_names_its_first_unknown_id():
+    # entries in sorted order: ("1", "x9") comes before ("y", "0")
+    gpd = cyclic_one_object(3)
+    inverse = {**gpd.inverse, "1": "x9", "y": "0"}
+    bad = FinGroupoid.build(["*"], [(m, "*", "*") for m in "012"], dict(gpd.compose), dict(gpd.identity), inverse)
+    with pytest.raises(MalformedTable, match=r"^inverse table references unknown morphism 'x9'$"):
+        validate_groupoid(bad)
+    del inverse["1"]
+    inverse["1"] = "2"
+    bad = FinGroupoid.build(["*"], [(m, "*", "*") for m in "012"], dict(gpd.compose), dict(gpd.identity), inverse)
+    with pytest.raises(MalformedTable, match=r"^inverse table references unknown morphism 'y'$"):
+        validate_groupoid(bad)
+
+
 # -- compose_path -----------------------------------------------------------
 
 
@@ -112,9 +126,9 @@ def _outcome(fn, gpd, chain):
 
 
 def _table_walk(gpd, chain):
-    """The walk ``diagram._scan`` and ``check_naturality`` inline: one lookup
-    per step in ``gpd.composable``; a miss raises ``KeyError``/``IndexError``
-    and hands the chain to ``compose_path``."""
+    """The walk ``diagram._scan`` inlines: one lookup per step in
+    ``gpd.composable``; a miss raises ``KeyError``/``IndexError`` and hands
+    the chain to ``compose_path``."""
     acc = chain[-1]
     if acc not in gpd.morphisms:
         raise KeyError(acc)
@@ -277,16 +291,17 @@ def test_index_space_draws_what_random_choice_draws(n):
 def test_sampled_naturality_draws_what_random_choice_draws(n, monkeypatch):
     from twogrp import NatFamily
     from twogrp import expr as ex
-    from twogrp import groupoid
+    from twogrp import diagram
 
     seen = []
 
     def recording(*args):
-        # the squares the row scans, in the order it scans them
+        # the squares the row scans, in the order it scans them: the row is
+        # a law the diagram engine runs
         drawn, count, mode = index_space(*args)
         return (seen.append(fs) or fs for fs in drawn), count, mode
 
-    monkeypatch.setattr(groupoid, "index_space", recording)
+    monkeypatch.setattr(diagram, "index_space", recording)
     gpd = cyclic_one_object(n)
     mors = gpd.morphisms_sorted
     for arity in (1, 2, 3, 5):

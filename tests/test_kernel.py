@@ -2,8 +2,8 @@
 
 Every law of every fixture binding (the set ``test_laws`` compares the
 compiled legs on, with seeded single-component flips, dropped table
-entries and malformed tables) is checked twice through
-``diagram.check_diagram``: once with the kernel floor at zero, so every
+entries and malformed tables), and the naturality law of every family the
+bindings hold, is checked twice through ``diagram.check_diagram``: once with the kernel floor at zero, so every
 loop runs in the kernel, and once with it out of reach, so every loop runs
 the reference.  Both give the same row: status, instances, mode and every
 witness field.  The integer draw and the canonical associo-commutator
@@ -22,6 +22,7 @@ import pytest
 pytest.importorskip("numpy")
 
 from twogrp import build_dual_numbers_2group, canonical_acomm_at, diagram, validate_jp, validate_quang  # noqa: E402
+from twogrp import groupoid  # noqa: E402
 from twogrp import expr as ex  # noqa: E402
 from twogrp._kernel import sample_positions  # noqa: E402
 from twogrp.ac import _canonical_acomm  # noqa: E402
@@ -111,6 +112,38 @@ def test_kernel_rows_equal_the_reference_rows_on_malformed_tables(binding, monke
             assert kernel == row(law, gpd, objs, env, None, False, monkeypatch), (label, what, law.name)
             witnesses += kernel[3] is not None and kernel[3].note.startswith("route does not evaluate")
     assert witnesses
+
+
+def naturality_laws(binding):
+    """The naturality law of each family ``binding`` binds with the
+    environment its endpoints are typed in: (law, environment)."""
+    label, gpd, objs, env, laws = binding
+    for sym, (fam, fenv, *_) in sorted(env.items()):
+        if isinstance(fam, NatFamily) and isinstance(fenv, dict):
+            law = groupoid._family_laws(fam.arity, fam.src_expr, fam.tgt_expr)[1]
+            yield law, groupoid._family_env(law, fam, fenv, gpd)
+
+
+@pytest.mark.parametrize("binding", BINDINGS + FLIPPED, ids=[b[0] for b in BINDINGS + FLIPPED])
+def test_kernel_rows_equal_the_reference_rows_for_the_naturality_laws(binding, monkeypatch):
+    # a family's naturality law ranges over morphism tuples, composed in the
+    # carrier; the rows compared here are the law's own, witness legs
+    # included; a flip that breaks endpoints fails them
+    label, gpd, _, _, _ = binding
+    laws = list(naturality_laws(binding))
+    assert laws
+    for law, env in laws:
+        assert law.var_level == 1
+        assert_same_rows((label, gpd, gpd.morphisms_sorted, env, [law]), monkeypatch)
+
+
+@pytest.mark.parametrize("label", ["super-line", "twisted3", "dual3-ac"])
+def test_the_integer_draw_over_morphisms_is_the_reference_draw(label):
+    gpd = next(b[1] for b in BINDINGS if b[0] == label)
+    mors = gpd.morphisms_sorted
+    for arity, count, seed in ((1, 500, 3), (3, 2000, SEED), (4, 700, 11)):
+        got = sample_positions(len(mors), arity, count, seed)
+        assert [tuple(mors[p] for p in row) for row in got.tolist()] == _sample_tuples(mors, arity, count, seed)
 
 
 @pytest.mark.parametrize("n, arity, count, seed", [
