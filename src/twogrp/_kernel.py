@@ -4,18 +4,24 @@
 space, what the reference loop ``diagram._scan`` decides there (every
 lookup of both routes hits, each route's first leg is a carrier morphism,
 each step a composable pair, and the composites agree) and yields the
-tuples that fail, in the reference's order; the engine rescans the first
-in the reference for the witness.
+tuples that fail, in the reference's order; the engine rescans them in
+the reference, in order, until one gives the witness.
 
 Values are dense integer codes, one code space per level (objects 0,
-morphisms 1): the carrier's ids in sorted order, then every other value the
-tables read or return; a law's variables take the codes of the level they
-range over.  Every table becomes an int array with one extra slot per axis
-that holds -1, so a missing entry reads -1 and propagates to the composite.
+morphisms 1, composable pairs 2): the carrier's ids in sorted order (the
+pairs the law ranges over, for pairs), then every other value the tables
+read or return; a law's variables take the codes of the level they range
+over, and a pair's projections are gathers.  Every table becomes an int
+array with one extra slot per axis that holds -1, so a missing entry reads
+-1 and propagates to the composite.  A table keyed by exactly the tuples
+of the carrier's ids (a total family, a total sum) is read densely: its
+values in product order, sliced into the array; any other table, with a
+missing key or one outside the carrier, is encoded key by key.
 The terms compile to one instruction per distinct gather; variables are
 broadcast axes, so a subterm is computed only over the variables it
-mentions.  An exhaustive space runs in blocks over its leading coordinates,
-and a subterm free of them is computed once.  A sample runs in blocks of
+mentions.  An exhaustive space runs in blocks over its leading coordinates
+(the last of them a chunk of values when the rest are few), and a subterm
+free of them is computed once.  A sample runs in blocks of
 rows drawn as ``groupoid._sample_tuples`` draws them.
 
 A family with a recorded strict bit is computed, not read: its component
@@ -30,6 +36,8 @@ filled.
 from __future__ import annotations
 
 import random
+from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -68,7 +76,7 @@ class _Program:
     arrays (sized by them) are built."""
 
     def __init__(self, law, gpd, values, env):
-        self.codes = ({}, {})
+        self.codes = ({}, {}, {})
         self.columns: dict = {}  # table key -> (table, key levels, value level, key columns, values)
         self.arrays: dict = {}
         self.instrs: list = []  # (kind, payload, argument slots)
@@ -76,8 +84,10 @@ class _Program:
         self.varies: list = []  # per slot, the law variables it depends on
         self.env = env
         self.gpd = gpd
-        for level, ids in ((0, gpd.objects_sorted), (1, gpd.morphisms_sorted)):
-            self._code_all(level, ids)
+        # per level, the ids whose codes are their positions (none when
+        # the carrier declares an id twice): the axes of a dense table
+        self.ids = tuple(ids if self._code_all(level, ids) == list(range(len(ids))) else None
+                         for level, ids in ((0, gpd.objects_sorted), (1, gpd.morphisms_sorted)))
         self.values = self._code_all(law.var_level, values)
         self.vars = [self._instr("var", i, (), frozenset((i,))) for i in range(law.arity)]
         self.routes = [self._route(gpd, [self._term(t, 1, self.vars) for t in route])
@@ -87,16 +97,23 @@ class _Program:
             # in range (it wraps onto a sentinel slot)
             shape = tuple(max(len(self.codes[lv]), 1) + 1 for lv in key_levels)
             table = np.full(shape, -1, np.intp)
-            table[tuple(np.array(c, np.intp) for c in cols)] = vals
+            if cols is None:  # read densely
+                dims = [len(self.ids[lv]) for lv in key_levels]
+                table[tuple(map(slice, dims))] = np.array(vals, np.intp).reshape(dims)
+            else:
+                table[tuple(np.array(c, np.intp) for c in cols)] = vals
             self.arrays[key] = (table.ravel(), shape[1:])
         self.columns.clear()
 
     # -- codes and tables --------------------------------------------------
 
-    def _code_all(self, level: int, values) -> list[int]:
+    def _code_all(self, level: int, values: list) -> list[int]:
         codes = self.codes[level]
-        setdefault = codes.setdefault
-        return [setdefault(v, len(codes)) for v in values]
+        try:  # most values are coded already
+            return list(map(codes.__getitem__, values))
+        except KeyError:
+            setdefault = codes.setdefault
+            return [setdefault(v, len(codes)) for v in values]
 
     def _code(self, level: int, value) -> int:
         codes = self.codes[level]
@@ -107,7 +124,12 @@ class _Program:
         or, without ``tuple_keys``, by bare values) under ``key`` (by
         default its id and shape) and return the key."""
         key = key or (id(table), key_levels, value_level)
-        if key not in self.columns:
+        if key in self.columns:
+            return key
+        dense = self._dense(table, key_levels) if tuple_keys else None
+        if dense is not None:  # no key columns: the keys are the carrier's tuples
+            self.columns[key] = (table, key_levels, value_level, None, self._code_all(value_level, dense))
+        else:
             items = table.items()
             if tuple_keys:
                 arity = len(key_levels)
@@ -120,6 +142,16 @@ class _Program:
             self.columns[key] = (table, key_levels, value_level, cols,
                                  self._code_all(value_level, [v for _, v in items]))
         return key
+
+    def _dense(self, table, key_levels: tuple) -> list | None:
+        """``table``'s values at the tuples of the carrier's ids at
+        ``key_levels``, in product order, or ``None`` unless those tuples
+        are exactly its keys."""
+        axes = [self.ids[lv] if lv < 2 else None for lv in key_levels]
+        if not axes or None in axes or len(table) != prod(map(len, axes)):
+            return None
+        values = list(map(table.get, product(*axes)))
+        return None if None in values else values
 
     def _mask(self, level: int, declared) -> tuple:
         """A table sending the code of each value in ``declared`` to itself
@@ -166,6 +198,10 @@ class _Program:
             return self._const(level, term[1 + level])
         if tag == "c":
             return self._const(level, env[term[1]][level])
+        if tag in ("fst", "snd") and level == 1:
+            i = tag == "snd"
+            proj = self._table({p: p[i] for p in self.codes[2]}, (2,), 1, False, (tag,))
+            return self._gather(proj, self._term(term[1], 2, args, env))
         if tag in ("src", "dst") and not level:
             ends = self._table({f: getattr(m, tag) for f, m in env["ends"].items()}, (1,), 0, False,
                                (tag, id(env["ends"])))
@@ -256,21 +292,32 @@ class _Program:
 
     def exhaustive(self):
         n, arity = len(self.values), len(self.vars)
+        if not n:
+            return
         codes = np.array(self.values, np.intp)
-        lead = 0
-        while lead < arity - 1 and n ** (arity - lead) > BLOCK:
-            lead += 1
-        ndim = arity - lead
-        shape = (n,) * ndim
-        trailing = [codes.reshape((1,) * i + (n,) + (1,) * (ndim - i - 1)) for i in range(ndim)]
+        # a block fixes the coordinates before ``fixed`` and runs a chunk of
+        # values of that one with every tail of the rest (at most BLOCK
+        # instances, unless one tail is larger)
+        fixed = 0
+        while n ** (arity - fixed - 1) > BLOCK:
+            fixed += 1
+        ndim = arity - fixed
+        tail = (n,) * (ndim - 1)
+        chunk = min(n, max(BLOCK // n ** (ndim - 1), 1))
+        starts = range(0, n, chunk)
+        trailing = [codes.reshape((1,) * (i + 1) + (n,) + (1,) * (ndim - i - 2)) for i in range(ndim - 1)]
 
         def bound_blocks():
-            for prefix in np.ndindex(*(n,) * lead):
-                yield [np.full((1,) * ndim, codes[p], np.intp) for p in prefix] + trailing
+            for prefix in np.ndindex(*(n,) * fixed):
+                head = [np.full((1,) * ndim, codes[p], np.intp) for p in prefix]
+                for start in starts:
+                    yield head + [codes[start:start + chunk].reshape((-1,) + (1,) * (ndim - 1))] + trailing
 
-        for block, bad in enumerate(self._blocks(bound_blocks(), frozenset(range(lead)))):
-            for first in np.flatnonzero(np.broadcast_to(bad, shape)):
-                yield block * n ** ndim + int(first)
+        for block, bad in enumerate(self._blocks(bound_blocks(), frozenset(range(fixed + 1)))):
+            prefix, start = divmod(block, len(starts))
+            start = starts[start]
+            for first in np.flatnonzero(np.broadcast_to(bad, (min(chunk, n - start), *tail))):
+                yield (prefix * n + start) * n ** (ndim - 1) + int(first)
 
     def sampled(self, positions: np.ndarray):
         codes = np.array(self.values, np.intp)

@@ -7,22 +7,26 @@ morphisms, quantified over a finite tuple space.  This module runs that loop
 order.  A route that reads a missing table entry, or does not compose, is a
 witness too.
 
-The reference loop (``_scan``) composes each leg with one lookup per step
-in ``FinGroupoid.composable``; an instance with a miss is recomposed by
+The reference loop (``_scan``) composes each route with one lookup per step
+in ``FinGroupoid.composable``, in code generated per law
+(``Law.routes``); an instance with a miss is recomposed from its legs by
 ``compose_path``, whose checking walk names the id or endpoint that breaks.
 A loop of at least ``KERNEL_FLOOR`` instances runs its first
 ``REFERENCE_HEAD`` in the reference loop and, when they hold, the whole
 space in the numpy block kernel (``_kernel``, imported on the first loop
 that gets that far): the tables become integer arrays, each route term one
-gather over a block of instances.  The reference rescans the kernel's first
-failing tuple for the witness, so rows are the reference's.  Without numpy
-(``pip install .[fast]`` adds it) every loop runs the reference.
+gather over a block of instances.  The reference rescans the kernel's
+failing tuples, in order, for the witness, so rows are the reference's.
+Without numpy (``pip install .[fast]`` adds it) every loop runs the
+reference.
 
-A family's naturality squares (a law over morphisms) run through ``_check``
-and its endpoints through ``_scan`` (in the kernel they would encode a table
-as large as their space).  The row's one-index body writes the witness where
-the law fails; where it finds nothing (the carrier's tables, not the
-family, break the law there) the scan goes on.
+Three data rows are laws run through ``_check`` with a ``witness_at``: a
+family's endpoints (over objects) and naturality squares (over morphisms),
+and the sum's interchange (over pairs of composable pairs).  Where the law
+fails, the row's one-index body writes the witness with the row's own note;
+where it finds nothing (the carrier's tables, not the family or the sum,
+break the law there) the scan goes on, in the reference loop and over the
+kernel's failing tuples alike.
 
 ``check_diagram`` may discharge a law by its *strict profile*, derived from
 its terms (``Law.ingredients``): when every family the routes read is strict
@@ -55,6 +59,7 @@ KERNEL_FLOOR = 1 << 15
 REFERENCE_HEAD = 1 << 10
 
 LegsFn = Callable[[tuple[str, ...]], tuple[tuple[str, ...], tuple[str, ...]]]  # the two routes, as tuples of legs
+CompositesFn = Callable[[tuple[str, ...]], tuple[str, str]]  # the two routes' composites
 
 
 def strict_profile(law: Law, gpd: FinGroupoid, env: dict) -> bool:
@@ -71,54 +76,43 @@ def strict_profile(law: Law, gpd: FinGroupoid, env: dict) -> bool:
     )
 
 
-def _scan(
-    gpd: FinGroupoid, legs: LegsFn, idxs: Iterable[tuple[str, ...]], witness_at=None
-) -> tuple[int, Witness | None]:
+def _scan(gpd: FinGroupoid, legs: LegsFn, composites: CompositesFn, idxs: Iterable[tuple[str, ...]],
+          witness_at=None) -> tuple[int, Witness | None]:
     """The reference loop: the instances scanned and the first witness, written
-    by ``witness_at`` when given (the scan goes on where it gives ``None``)."""
-    pairs = gpd.composable
-    mors = gpd.morphisms
+    by ``witness_at`` when given (the scan goes on where it gives ``None``).
+    ``composites`` (from ``Law.routes``) composes both routes with one
+    lookup per step; an instance where they differ takes its witness legs
+    from ``legs``, and one where a lookup misses or raises is decided from
+    its legs by ``compose_path``, the checking walk, whose error names what
+    does not compose."""
     checked = 0
     for checked, idx in enumerate(idxs, 1):
         try:
-            left_legs, right_legs = legs(idx)
-            try:
-                # one lookup per step (a two-leg route is the key of its step); a
-                # step hits only after known morphisms, so a lone leg is tested; a
-                # miss takes compose_path, the checking walk
-                if len(left_legs) == 2:
-                    left = pairs[left_legs]
-                else:
-                    n = len(left_legs) - 1
-                    left = left_legs[n]
-                    if not n and left not in mors:
-                        raise KeyError(left)
-                    while n:
-                        n -= 1
-                        left = pairs[left_legs[n], left]
-                if len(right_legs) == 2:
-                    right = pairs[right_legs]
-                else:
-                    n = len(right_legs) - 1
-                    right = right_legs[n]
-                    if not n and right not in mors:
-                        raise KeyError(right)
-                    while n:
-                        n -= 1
-                        right = pairs[right_legs[n], right]
-            except (IndexError, KeyError):
-                left = compose_path(gpd, left_legs)
-                right = compose_path(gpd, right_legs)
+            left, right = composites(idx)
             if left == right:
                 continue
+            left_legs, right_legs = legs(idx)
             witness = Witness(tuple(idx), left, right, tuple(left_legs), tuple(right_legs))
-        except StructureError as err:
-            witness = Witness(tuple(idx), note=f"route does not evaluate: {err}")
-        except KeyError as err:  # a leg builder read a missing table entry
-            witness = Witness(tuple(idx), note=f"route does not evaluate: no entry at {err}")
+        except (KeyError, StructureError):  # a lookup misses (or a computed table raises)
+            witness = _walk(gpd, legs, idx)
+            if witness is None:
+                continue
         if witness_at is None or (witness := witness_at(witness.index)) is not None:
             return checked, witness
     return checked, None
+
+
+def _walk(gpd: FinGroupoid, legs: LegsFn, idx: tuple[str, ...]) -> Witness | None:
+    """The instance at ``idx`` decided by the checking walk: the witness of a
+    route that does not evaluate or compose, or of unequal composites."""
+    try:
+        left_legs, right_legs = legs(idx)
+        left, right = compose_path(gpd, left_legs), compose_path(gpd, right_legs)
+    except StructureError as err:
+        return Witness(tuple(idx), note=f"route does not evaluate: {err}")
+    except KeyError as err:  # a leg builder read a missing table entry
+        return Witness(tuple(idx), note=f"route does not evaluate: no entry at {err}")
+    return None if left == right else Witness(tuple(idx), left, right, tuple(left_legs), tuple(right_legs))
 
 
 def check_diagram(law: Law, gpd: FinGroupoid, objects: Sequence[str], env: dict, *,
@@ -147,44 +141,45 @@ def _check(name: str, law: Law, gpd: FinGroupoid, values: Sequence[str], env: di
     started = time.perf_counter()
     total = len(values) ** law.arity
     count, mode = _space_size(total, sample, seed)
-    legs = law.legs(env, gpd.identity)
+    legs, composites = law.routes(env, gpd.identity, gpd.composable, gpd.morphisms)
     if count < KERNEL_FLOOR:
-        checked, witness = _scan(gpd, legs, index_space(values, law.arity, sample, seed)[0], witness_at)
+        space = index_space(values, law.arity, sample, seed)[0]
+        checked, witness = _scan(gpd, legs, composites, space, witness_at)
     else:
-        checked, witness = _long_scan(law, gpd, values, env, legs, sample if count < total else None, seed,
-                                      witness_at)
+        checked, witness = _long_scan(law, gpd, values, env, legs, composites, sample if count < total else None,
+                                      seed, witness_at)
     if witness is None:
         return CheckResult(name, Status.PASS, None, count, mode, time.perf_counter() - started)
     return CheckResult(name, Status.FAIL, witness, checked, mode, time.perf_counter() - started)
 
 
-def _long_scan(law: Law, gpd: FinGroupoid, values: Sequence[str], env: dict, legs: LegsFn,
+def _long_scan(law: Law, gpd: FinGroupoid, values: Sequence[str], env: dict, legs: LegsFn, composites: CompositesFn,
                sample: int | None, seed: int, witness_at) -> tuple[int, Witness | None]:
     """``_scan`` over the full space (``sample`` ``None``) or the sample:
     the reference loop over the first ``REFERENCE_HEAD`` instances, then the
-    kernel over the space, whose first failing tuple the reference rescans
-    for the witness (or, without numpy, the reference over the rest)."""
+    kernel over the space, whose failing tuples the reference rescans in
+    order until one gives the witness (or, without numpy, the reference over
+    the rest)."""
     if sample is None:
         space = product(values, repeat=law.arity)
         head = islice(space, REFERENCE_HEAD)
     else:
         head = _sample_tuples(values, law.arity, min(sample, REFERENCE_HEAD), seed)
-    checked, witness = _scan(gpd, legs, head, witness_at)
+    checked, witness = _scan(gpd, legs, composites, head, witness_at)
     if witness is not None:
         return checked, witness
     kernel = _load_kernel()
     if kernel is None:
         rest = space if sample is None else _sample_tuples(values, law.arity, sample, seed)[checked:]
-        more, witness = _scan(gpd, legs, rest, witness_at)
+        more, witness = _scan(gpd, legs, composites, rest, witness_at)
         return checked + more, witness
-    found = next(kernel.failures(law, gpd, values, env, sample, seed), None)
-    if found is None:
-        return (len(values) ** law.arity if sample is None else sample), None
-    position, idx = found
-    _, witness = _scan(gpd, legs, [idx], witness_at)
-    if witness is None:
-        raise RuntimeError(f"{law.name}: the kernel fails the instance at {idx}, the reference loop does not")
-    return position + 1, witness
+    for position, idx in kernel.failures(law, gpd, values, env, sample, seed):
+        _, witness = _scan(gpd, legs, composites, [idx], witness_at)
+        if witness is not None:
+            return position + 1, witness
+        if witness_at is None:
+            raise RuntimeError(f"{law.name}: the kernel fails the instance at {idx}, the reference loop does not")
+    return (len(values) ** law.arity if sample is None else sample), None
 
 
 @functools.cache

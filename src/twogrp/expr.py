@@ -13,7 +13,9 @@ An expression is a nested tuple over these node kinds:
 * ``("fam", sym, e...)``  -- the component of a named family at the objects
   the subterms denote (a morphism),
 * ``("id", e)``           -- the identity of the object ``e`` denotes,
-* ``("src", e)``/``("dst", e)`` -- the source/target of the morphism ``e``.
+* ``("src", e)``/``("dst", e)`` -- the source/target of the morphism ``e``,
+* ``("fst", e)``/``("snd", e)`` -- the morphisms ``g``/``f`` of the
+  composable pair ``e = (g, f)`` (a key of the carrier's ``compose``).
 
 Symbols are resolved against an environment mapping each symbol to an
 ``(object_table, morphism_table)`` pair.  At the object level an expression
@@ -24,8 +26,9 @@ identity).
 One emitter writes every term as Python source, one subscript per node,
 generated once per process: ``compile_obj``/``compile_mor`` give one
 function of the argument tuple per endpoint expression (``v``, ``k``,
-``op``, ``ap``) and level, ``Law.legs`` one per law; a compile or a binding
-is one factory call with the tables.  An endpoint
+``op``, ``ap``) and level, ``Law.routes`` two per law (the legs of both
+routes, and their composites with one lookup per step); a compile or a
+binding is one factory call with the tables.  An endpoint
 function whose lookup misses hands its arguments to a node-by-node
 evaluator, which raises :class:`MalformedTable` naming the innermost
 lookup that misses (``object table '+' undefined at ('0', '1')``) or a
@@ -35,8 +38,9 @@ its subterms.
 A coherence law is a :class:`Law`: a name, an arity and two routes, each a
 list of morphism terms in application order (the last leg applies first),
 bound by ``Law.legs`` to an environment into the function the diagram
-engine scans.  Its variables are objects, or morphisms when its terms read
-them at the morphism level (``Law.var_level``, as in a naturality square).
+engine scans.  Its variables are objects, morphisms when its terms read
+them at the morphism level (``Law.var_level``, as in a naturality square),
+or composable pairs when they project them (the sum's interchange law).
 In a law's environment an ``op``/``ap`` symbol is bound to ``(object_table,
 morphism_table, preserves_identities)``, a ``fam`` symbol to ``(family,
 env)`` (the environment its endpoints are typed in), a ``c`` symbol to
@@ -137,9 +141,14 @@ def ident(obj: Expr) -> Expr:
     return ("id", obj)
 
 
+_PAIR = {"fst": 0, "snd": 1}  # a projection's position in the pair
+_ARG_LEVEL = {"id": 0, "src": 1, "dst": 1, "fst": 2, "snd": 2}
+
+
 class Law:
     """Two routes of morphism terms that must compose to the same morphism
-    at every tuple of ``arity`` objects (or morphisms: ``var_level``)."""
+    at every tuple of ``arity`` objects (or morphisms, or composable pairs:
+    ``var_level`` 1 or 2)."""
 
     __slots__ = ("name", "arity", "left", "right", "symbols", "ingredients", "var_level", "_code")
 
@@ -159,40 +168,69 @@ class Law:
                 symbols[term[1]] = None
                 if level:
                     read_as_morphism[tag][term[1]] = None
-            # a family's and an identity's arguments are objects, an end's a morphism
-            subterms = term[1:] if tag in ("id", "src", "dst") else term[2:] if tag in ("op", "ap", "fam") else ()
-            for sub in subterms:
-                walk(sub, level if tag in ("op", "ap") else int(tag in ("src", "dst")))
+            # an operation's arguments are read at its own level, a family's as
+            # objects, the argument of id, an end or a projection as _ARG_LEVEL says
+            if tag in ("op", "ap", "fam"):
+                for sub in term[2:]:
+                    walk(sub, level if tag != "fam" else 0)
+            elif tag in _ARG_LEVEL:
+                walk(term[1], _ARG_LEVEL[tag])
 
         for term in self.left + self.right:
             walk(term, 1)
         self.symbols = frozenset(symbols)
         self.ingredients = (tuple(fams), tuple(maps), tuple(consts))
-        self.var_level = max(levels)  # 1: the variables range over morphisms
+        self.var_level = max(levels)  # 1: the variables range over morphisms, 2: over pairs
 
     def legs(self, env: dict, identity: dict) -> Callable[[tuple[str, ...]], tuple[list, list]]:
         """The routes at an index tuple, with the symbols bound in ``env``
         and ``("id", e)`` read from the carrier's ``identity`` table."""
+        return self.routes(env, identity, {}, {})[0]
+
+    def routes(self, env: dict, identity: dict, composable: dict, morphisms: dict) -> tuple[Callable, Callable]:
+        """``legs`` and the function of an index tuple that gives the two
+        routes' composites: one lookup per step in ``composable``, a lone leg
+        looked up in ``morphisms``.  Any miss raises ``KeyError``; an empty
+        route always misses."""
         if self._code is None:
             self._code = _compile_law(self)
         make, params = self._code
-        return make(*[identity if slot == "id" else sym if slot == "k" else env[sym] if slot == "ends"
-                      else env[sym][0].components if slot == "fam" else env[sym][slot] for sym, slot in params])
+        return make(composable, morphisms, *[
+            identity if slot == "id" else sym if slot == "k" else env[sym] if slot == "ends"
+            else env[sym][0].components if slot == "fam" else env[sym][slot] for sym, slot in params])
 
 
 def _compile_law(law: Law):
-    """The factory of ``law``'s legs and the ``(symbol, slot)`` each of its
-    parameters is bound to: the generated function evaluates each route, a
-    tuple of legs, left to right, depth first, one subscript per node; a leg
-    that recurs is computed where it is first read and reused."""
+    """The factories of ``law``'s legs and composites and the ``(symbol,
+    slot)`` each of their law parameters is bound to.  Both generated
+    functions evaluate each route left to right, depth first, one subscript
+    per node; a leg that recurs is computed where it is first read and
+    reused.  The legs function returns each route as a tuple of legs; the
+    composites function nests the steps, ``pairs[l0, pairs[l1, l2]]`` for
+    ``[l0, l1, l2]``, which reads the legs in the same order."""
     params: dict[tuple, str] = {}
     legs, shared = law.left + law.right, {}
     emit = lambda t: shared.get(t) or (_emit(t, 1, params, law) if legs.count(t) < 2 else
                                        f"({shared.setdefault(t, f'l{len(shared)}')} := {_emit(t, 1, params, law)})")
-    routes = ["".join(emit(t) + ", " for t in route) for route in (law.left, law.right)]
+    routes = [[emit(t) for t in route] for route in (law.left, law.right)]
+
+    def composite(route):
+        if not route:
+            return "pairs[()]"  # no key of ``composable``: an empty route has no composite
+        if len(route) == 1:
+            return f"(lone if (lone := {route[0]}) in mors else mors[lone])"
+        return "".join(f"pairs[{leg}, " for leg in route[:-1]) + route[-1] + "]" * (len(route) - 1)
+
     names = "".join(f"v{i}, " for i in range(law.arity)) or "_"  # a law of arity 0 has no variable
-    return _factory(f"<law {law.name}>", params.values(), "legs(idx)",
-                    f"{names} = idx\n        return ({routes[0]}), ({routes[1]})"), list(params)
+    tuples = ["".join(leg + ", " for leg in route) for route in routes]
+    source = (f"def make(pairs, mors, {', '.join(params.values())}):\n"
+              f"    def legs(idx):\n        {names} = idx\n        return ({tuples[0]}), ({tuples[1]})\n"
+              f"    def composites(idx):\n        {names} = idx\n"
+              f"        return {composite(routes[0])}, {composite(routes[1])}\n"
+              f"    return legs, composites\n")
+    namespace: dict = {}
+    exec(compile(source, f"<law {law.name}>", "exec"), namespace)
+    return namespace["make"], list(params)
 
 
 def _emit(term: Expr, level: int, params: dict, law: Law | None) -> str:
@@ -201,6 +239,8 @@ def _emit(term: Expr, level: int, params: dict, law: Law | None) -> str:
     arguments at ``level``; a law's variables at ``law.var_level``."""
     tag = term[0]
     param = lambda sym, slot: params.setdefault((sym, slot), f"p{len(params)}")
+    if tag == "op" and term[2][0] == "fst" and term[3] == ("snd", term[2][1]):  # a pair is its own key
+        return f"{param(term[1], level)}[{_emit(term[2][1], 2, params, law)}]"
     if tag in ("op", "ap"):
         return f"{param(term[1], level)}[{', '.join(_emit(a, level, params, law) for a in term[2:])}]"
     if tag == "k":
@@ -212,6 +252,8 @@ def _emit(term: Expr, level: int, params: dict, law: Law | None) -> str:
         return f"v{term[1]}"
     elif tag in ("src", "dst") and not level:
         return f"{param('ends', 'ends')}[{_emit(term[1], 1, params, law)}].{tag}"
+    elif tag in _PAIR and level == 1:
+        return f"{_emit(term[1], 2, params, law)}[{_PAIR[tag]}]"
     elif tag == "c":
         return param(term[1], level)
     elif tag == "id" and level:

@@ -395,7 +395,8 @@ def _require_sf1(sf1: ex.Law, gpd, objects, env: dict) -> None:
     """Raise ``PreconditionFailed`` unless ``sf1``, bound in ``env``, holds
     by its strict profile or at every tuple of ``objects``."""
     if not strict_profile(sf1, gpd, env):
-        _, witness = _scan(gpd, sf1.legs(env, gpd.identity), product(objects, repeat=sf1.arity))
+        legs, composites = sf1.routes(env, gpd.identity, gpd.composable, gpd.morphisms)
+        _, witness = _scan(gpd, legs, composites, product(objects, repeat=sf1.arity))
         if witness is not None:
             raise PreconditionFailed(f"SF1 fails: witness {witness.describe()}")
 
@@ -404,8 +405,11 @@ def _unit_squares_hold(squares, env: dict, gpd, objects, candidate: str) -> bool
     """Do both unit ``squares`` (SF3 = AF2) hold in ``gpd`` at every object
     with ``candidate`` bound as the zero isomorphism ``F0`` in ``env``?"""
     env = {**env, "F0": (None, candidate)}
-    return all(_scan(gpd, square.legs(env, gpd.identity), [(x,) for x in objects])[1] is None
-               for square in squares)
+    for square in squares:
+        legs, composites = square.routes(env, gpd.identity, gpd.composable, gpd.morphisms)
+        if _scan(gpd, legs, composites, [(x,) for x in objects])[1] is not None:
+            return False
+    return True
 
 
 def _closed_form_zero_iso(route: ex.Law, squares, env: dict, src, tgt, f0: str) -> str:

@@ -6,14 +6,17 @@ tables, an axiom is an equality of two ``compose_path`` results, and a failed
 axiom is reported with the exact instance it fails at.
 
 ``compose_path`` is the checking walk: it tests every id and endpoint and
-raises the precise error.  ``diagram._scan`` alone composes with one lookup
-per step in ``FinGroupoid.composable`` and reruns ``compose_path`` on a miss.
+raises the precise error.  Only the diagram engine's reference loop
+composes with one lookup per step in ``FinGroupoid.composable`` (in the
+code ``Law.routes`` generates) and reruns ``compose_path`` on a miss.
 
 Morphism equality is identifier equality.  Canonical order (sorted ids)
 drives every scan, so witnesses and search results are reproducible.  A
 family's endpoint row and naturality squares are declared laws
-(``_family_laws``) the diagram engine runs; every other data row is a
-generator of per-instance outcomes consumed by ``_first_failure``.
+(``_family_laws``) the diagram engine runs, as is the sum's interchange
+(``monoidal.INTERCHANGE``); every other data row, the sum's table checks
+included, is a generator of per-instance outcomes consumed by
+``_first_failure``.
 """
 
 from __future__ import annotations
@@ -500,10 +503,12 @@ def _family_env(law: ex.Law, fam: NatFamily, env: ex.Env, domain: FinGroupoid) -
 
 
 def _endpoint_row(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, name: str) -> CheckResult:
-    """The endpoint row of ``fam``; its strict bit is False until the row
-    passes, then whether each distinct component is its source's identity.
-    The row runs in the reference loop: the kernel would encode a family
-    table as large as the space."""
+    """The endpoint row of ``fam``: its endpoint law run by the engine
+    (kernel included).  Where the law fails, ``witness_at`` writes the
+    witness (a component missing or unknown, or its endpoints against the
+    declared ones) or nothing.  Its strict bit is False until the row
+    passes, then whether each distinct component is its source's
+    identity."""
     started = time.perf_counter()
     _set_strict(fam, gpd, env, False)
     comps, mors = fam.components, gpd.morphisms
@@ -522,14 +527,13 @@ def _endpoint_row(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, name: str) -> C
         return None  # the carrier's tables, not the family, fail the law here
 
     law = _family_laws(fam.arity, fam.src_expr, fam.tgt_expr)[0]
-    legs = law.legs(_family_env(law, fam, env, gpd), gpd.identity)
-    n, witness = diagram._scan(gpd, legs, product(gpd.objects_sorted, repeat=fam.arity), witness_at)
-    if witness is None:
+    row = diagram._check(name, law, gpd, gpd.objects_sorted, _family_env(law, fam, env, gpd), witness_at=witness_at)
+    if row.witness is None:
         used = set(comps.values())
         _set_strict(fam, gpd, env, used <= set(gpd.identity.values()) and all(
             (m := mors.get(mid)) is not None and m.src == m.dst and gpd.identity.get(m.src) == mid for mid in used))
-    status = Status.FAIL if witness else Status.PASS
-    return CheckResult(name, status, witness, n, "exhaustive", time.perf_counter() - started)
+    row.seconds = time.perf_counter() - started
+    return row
 
 
 def validate_family(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, label: str = "family") -> Report:

@@ -404,8 +404,8 @@ def assoc_commutator_lower(m, x, y, z, t):
 
 
 # ---------------------------------------------------------------------------
-# the family rows as hand-written scans: the oracles of the declared
-# endpoint and naturality laws of ``groupoid``
+# the data rows as hand-written scans: the oracles of the declared endpoint
+# and naturality laws of ``groupoid`` and the sum's interchange law
 # ---------------------------------------------------------------------------
 
 
@@ -446,6 +446,54 @@ def reference_endpoints(gpd, fam, env, label="family"):
     report = Report()
     _first_failure(report, f"{label}-endpoints", scan())
     return report, strict[0]
+
+
+def reference_bifunctor(m):
+    """The bifunctor row as one scan: the sum's tables entry by entry, then
+    every pair of ``compose`` entries in sorted order, looped in Python.
+    An exception propagates."""
+    gpd = m.carrier
+    objects = set(gpd.objects)
+
+    def cases():
+        for (x, y), z in sorted(m.sum_obj.items()):
+            if x not in objects or y not in objects:
+                yield Witness((x, y), note="sum object table keyed outside the carrier")
+            elif z not in objects:
+                yield Witness((x, y), note="sum sends pair outside the carrier")
+            elif m.sum_mor.get((gpd.identity[x], gpd.identity[y])) != gpd.identity[z]:
+                yield Witness((x, y), note="sum of identities is not the identity of the sum")
+            else:
+                yield None
+        for x, y in product(gpd.objects_sorted, repeat=2):
+            if (x, y) not in m.sum_obj:
+                yield Witness((x, y), note="sum object table not total")
+        for f, g in product(gpd.morphisms_sorted, repeat=2):
+            if (f, g) not in m.sum_mor:
+                yield Witness((f, g), note="sum morphism table not total")
+        for (f, g), h in sorted(m.sum_mor.items()):
+            mf, mg = gpd.morphisms.get(f), gpd.morphisms.get(g)
+            if mf is None or mg is None:
+                yield Witness((f, g), note="sum morphism table keyed outside the carrier")
+            elif gpd.src(h) != m.sum_obj[(mf.src, mg.src)] or gpd.dst(h) != m.sum_obj[(mf.dst, mg.dst)]:
+                yield Witness((f, g), left=h, note="sum morphism has wrong endpoints")
+            else:
+                yield None
+        # functoriality: (g o f) + (g' o f') == (g + g') o (f + f')
+        comp = gpd.compose
+        pairs = sorted(comp)
+        for (g, f) in pairs:
+            for (g2, f2) in pairs:
+                lhs = m.sum_mor[(comp[(g, f)], comp[(g2, f2)])]
+                rhs = comp.get((m.sum_mor[(g, g2)], m.sum_mor[(f, f2)]))
+                if lhs != rhs:
+                    yield Witness((g, f, g2, f2), left=lhs, right=rhs)
+                else:
+                    yield None
+
+    report = Report()
+    _first_failure(report, "bifunctor", cases())
+    return report.checks[0]
 
 
 def reference_naturality(fam, env, *, domain, codomain=None, sample=None, seed=0, label="naturality"):

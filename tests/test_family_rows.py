@@ -17,6 +17,10 @@ The CLI part writes mutants of the dn2, super-line and z4 documents that
 reassign one family component to another declared id, and runs every suite
 that reads the family: exit 1, never 2 or a traceback, and a mutant that
 breaks the component's endpoints fails first at ``<family>-endpoints``.
+The same documents' sums, with each morphism entry reassigned to every
+other declared id, give the bifunctor row of ``helpers.reference_bifunctor``
+(the pair loop the sum's interchange law replaced), with every loop in the
+kernel and with none.
 """
 
 import contextlib
@@ -24,6 +28,7 @@ import io
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -31,8 +36,11 @@ import pytest
 from twogrp import build_dual_numbers_2group, build_mult_endofunctor, diagram
 from twogrp import expr as ex
 from twogrp.cli import main
+from twogrp.document import parse_document
 from twogrp.functors import functor_env, tau_family
 from twogrp.groupoid import NatFamily, _strict_bit, check_naturality, validate_family
+from twogrp.monoidal import _check_bifunctor
+from twogrp.report import Report
 
 from helpers import (
     SEED,
@@ -40,6 +48,7 @@ from helpers import (
     law_bindings,
     pair_groupoid_z2,
     parallel_morphisms,
+    reference_bifunctor,
     reference_endpoints,
     reference_naturality,
 )
@@ -244,3 +253,50 @@ def test_a_reassigned_component_fails_every_suite_that_reads_it(name, tmp_path):
                     else:  # a suite that validates the structure first names the row it failed
                         assert text.startswith("check aborted: ") and row in text.splitlines()[0], what
     assert "other endpoints" in kinds and (name == "z4" or "parallel" in kinds)
+
+
+# -- the bifunctor row on documents with one sum entry reassigned ----------------------
+
+# (document, block, status, first witness) -> mutants, as the pair loop gives them
+SUM_MUTANTS = {
+    ("dn2", "add", "fail", "interchange"): 48,
+    ("dn2", "add", "fail", "sum morphism has wrong endpoints"): 288,
+    ("dn2", "add", "fail", "sum of identities is not the identity of the sum"): 112,
+    ("super-line", "add", "fail", "interchange"): 12,
+    ("super-line", "add", "fail", "sum morphism has wrong endpoints"): 24,
+    ("super-line", "add", "fail", "sum of identities is not the identity of the sum"): 12,
+    ("z4", "add", "fail", "sum of identities is not the identity of the sum"): 48,
+    ("z4", "mul", "fail", "sum of identities is not the identity of the sum"): 48,
+}
+
+
+def _bifunctor_row(m, kernel, monkeypatch):
+    monkeypatch.setattr(diagram, "KERNEL_FLOOR", 0 if kernel else float("inf"))
+    monkeypatch.setattr(diagram, "REFERENCE_HEAD", 0)
+    report = Report()
+    _check_bifunctor(m, report)
+    return report.checks[0]
+
+
+def _key(row):
+    return row.law, row.status, row.instances, row.mode, row.witness
+
+
+def test_a_reassigned_sum_entry_gives_the_pair_loop_row(tmp_path, monkeypatch):
+    seen = Counter()
+    for name in sorted(DOCUMENTS):
+        source = tmp_path / f"{name}.json"
+        assert main([*DOCUMENTS[name][0], "--out", str(source)]) == 0
+        for block in parse_document(source.read_text()).of_kind("sm", "ac", "mul"):
+            m = block.obj
+            for key in sorted(m.sum_mor):
+                for new in m.carrier.morphisms_sorted:
+                    if new == m.sum_mor[key]:
+                        continue
+                    mutant = replace(m, sum_mor={**m.sum_mor, key: new}, _cache={})
+                    expected = _key(reference_bifunctor(mutant))
+                    for kernel in (True, False):
+                        assert _key(_bifunctor_row(mutant, kernel, monkeypatch)) == expected, (name, key, new, kernel)
+                    witness = expected[4]
+                    seen[name, block.name, expected[1].value, witness and (witness.note or "interchange")] += 1
+    assert seen == SUM_MUTANTS

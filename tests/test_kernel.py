@@ -6,9 +6,14 @@ entries and malformed tables), and the naturality law of every family the
 bindings hold, is checked twice through ``diagram.check_diagram``: once with the kernel floor at zero, so every
 loop runs in the kernel, and once with it out of reach, so every loop runs
 the reference.  Both give the same row: status, instances, mode and every
-witness field.  The integer draw and the canonical associo-commutator
-arrays are held to their string counterparts, and two child processes show
-the stdlib-only path and the lazy numpy import."""
+witness field.  The data rows that are laws (the sum's interchange with the
+bifunctor row around it, and each family's endpoint row with its strict
+bit) are held the same way, and to the hand-written scans of ``helpers``,
+on every distinct sum and family of the bindings, as bound and damaged; a
+family's table encodes to the same arrays densely and key by key.  The
+integer draw and the canonical associo-commutator arrays are held to their
+string counterparts, and two child processes show the stdlib-only path and
+the lazy numpy import."""
 
 import json
 import os
@@ -16,17 +21,20 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
-pytest.importorskip("numpy")
+np = pytest.importorskip("numpy")
 
-from twogrp import build_dual_numbers_2group, canonical_acomm_at, diagram, validate_jp, validate_quang  # noqa: E402
+from twogrp import Report, build_dual_numbers_2group, canonical_acomm_at, diagram, validate_jp, validate_quang  # noqa: E402,E501
 from twogrp import groupoid  # noqa: E402
 from twogrp import expr as ex  # noqa: E402
-from twogrp._kernel import sample_positions  # noqa: E402
+from twogrp._kernel import _Program, sample_positions  # noqa: E402
 from twogrp.ac import _canonical_acomm  # noqa: E402
-from twogrp.groupoid import NatFamily, _sample_tuples, index_space  # noqa: E402
+from twogrp.groupoid import NatFamily, _sample_tuples, _strict_bit, index_space, validate_family  # noqa: E402
+from twogrp.monoidal import INTERCHANGE, _check_bifunctor  # noqa: E402
 
 from helpers import (  # noqa: E402
     SEED,
@@ -34,6 +42,9 @@ from helpers import (  # noqa: E402
     flipped_bindings,
     kappa_twisted_2ring,
     law_bindings,
+    random_flip,
+    reference_bifunctor,
+    reference_endpoints,
     tables,
     with_table,
 )
@@ -114,14 +125,20 @@ def test_kernel_rows_equal_the_reference_rows_on_malformed_tables(binding, monke
     assert witnesses
 
 
+def families(binding):
+    """(symbol, family, environment its endpoints are typed in) for each
+    family ``binding`` binds."""
+    for sym, (fam, fenv, *_) in sorted(binding[3].items()):
+        if isinstance(fam, NatFamily) and isinstance(fenv, dict):
+            yield sym, fam, fenv
+
+
 def naturality_laws(binding):
     """The naturality law of each family ``binding`` binds with the
     environment its endpoints are typed in: (law, environment)."""
-    label, gpd, objs, env, laws = binding
-    for sym, (fam, fenv, *_) in sorted(env.items()):
-        if isinstance(fam, NatFamily) and isinstance(fenv, dict):
-            law = groupoid._family_laws(fam.arity, fam.src_expr, fam.tgt_expr)[1]
-            yield law, groupoid._family_env(law, fam, fenv, gpd)
+    for _, fam, fenv in families(binding):
+        law = groupoid._family_laws(fam.arity, fam.src_expr, fam.tgt_expr)[1]
+        yield law, groupoid._family_env(law, fam, fenv, binding[1])
 
 
 @pytest.mark.parametrize("binding", BINDINGS + FLIPPED, ids=[b[0] for b in BINDINGS + FLIPPED])
@@ -135,6 +152,193 @@ def test_kernel_rows_equal_the_reference_rows_for_the_naturality_laws(binding, m
     for law, env in laws:
         assert law.var_level == 1
         assert_same_rows((label, gpd, gpd.morphisms_sorted, env, [law]), monkeypatch)
+
+
+# -- the data rows: the sum's interchange law and the family endpoint laws ------------
+
+
+def forced(kernel, monkeypatch):
+    """Every loop in the kernel, or none."""
+    monkeypatch.setattr(diagram, "KERNEL_FLOOR", 0 if kernel else float("inf"))
+    monkeypatch.setattr(diagram, "REFERENCE_HEAD", 0)
+
+
+def outcome(run):
+    """The row ``run`` gives, or the type and text of what it raises."""
+    try:
+        res = run()
+    except Exception as err:  # the type and text of an error are compared
+        return type(err).__name__, str(err)
+    return res.law, res.status, res.instances, res.mode, res.witness
+
+
+def sums(binding):
+    """(symbol, object table, morphism table) of each sum or product
+    ``binding`` binds."""
+    for sym, b in sorted(binding[3].items()):
+        if isinstance(b[0], dict) and isinstance(b[1], dict) and b[1] \
+                and all(type(k) is tuple and len(k) == 2 for k in b[1]):
+            yield sym, b[0], b[1]
+
+
+def once(items, key):
+    """(binding, item) for the ``items`` of every binding, each ``key``
+    once: a table several fixtures bind is checked with the first."""
+    seen = set()
+    for binding in BINDINGS:
+        for item in items(binding):
+            if key(item) not in seen:
+                seen.add(key(item))
+                yield binding, item
+
+
+def sum_variants(binding, item, rng):
+    """(what, carrier, object table, morphism table): the sum as bound,
+    then damaged: a morphism entry dropped, reassigned to another declared
+    id or keyed outside the carrier, and a carrier whose compose table lacks
+    a pair or has an entry at a non-composable pair."""
+    label, gpd, _, _, _ = binding
+    sym, plus_obj, plus = item
+    mors = gpd.morphisms_sorted
+    yield f"{label} {sym}", gpd, plus_obj, plus
+    key = rng.choice(sorted(plus))
+    yield f"{label} {sym} without {key}", gpd, plus_obj, {k: v for k, v in plus.items() if k != key}
+    new = rng.choice([f for f in mors if f != plus[key]])
+    yield f"{label} {sym} at {key} -> {new}", gpd, plus_obj, {**plus, key: new}
+    yield f"{label} {sym} keyed outside", gpd, plus_obj, {**plus, ("zz|0", key[1]): plus[key]}
+    pair = rng.choice(sorted(gpd.compose))
+    yield (f"{label} {sym}, compose without {pair}",
+           replace(gpd, compose={k: v for k, v in gpd.compose.items() if k != pair}), plus_obj, plus)
+    apart = [(g, f) for g in mors for f in mors if gpd.dst(f) != gpd.src(g)]
+    if apart:
+        g, f = rng.choice(apart)
+        yield (f"{label} {sym}, compose at non-composable ({g}, {f})",
+               replace(gpd, compose={**gpd.compose, (g, f): g}), plus_obj, plus)
+
+
+SUM_CASES = [case for i, (binding, item) in enumerate(once(sums, lambda item: id(item[2])))
+             for case in sum_variants(binding, item, random.Random(SEED + i))]
+
+
+def sum_structure(gpd, plus_obj, plus):
+    return SimpleNamespace(carrier=gpd, sum_obj=plus_obj, sum_mor=plus, preserves_identities=None)
+
+
+@pytest.mark.parametrize("case", SUM_CASES, ids=[c[0] for c in SUM_CASES])
+def test_interchange_rows_equal_the_reference_rows(case, monkeypatch):
+    # the law alone (its own witness, legs included) and the bifunctor row
+    # (the table scans, then the law with the pair loop's witness), every
+    # loop in the kernel against none, and the row against the pair loop
+    what, gpd, plus_obj, plus = case
+    env = {"+": (plus_obj, plus, None), "∘": ({}, gpd.compose, None)}
+
+    def data_row():
+        report = Report()
+        _check_bifunctor(sum_structure(gpd, plus_obj, plus), report)
+        return report.checks[0]
+
+    rows = {}
+    for kernel in (True, False):
+        forced(kernel, monkeypatch)
+        rows[kernel] = (outcome(lambda: diagram._check("bifunctor", INTERCHANGE, gpd, sorted(gpd.compose), env)),
+                        outcome(data_row))
+    assert rows[True] == rows[False], what
+    assert rows[True][1] == outcome(lambda: reference_bifunctor(sum_structure(gpd, plus_obj, plus))), what
+
+
+def test_the_interchange_cases_fail_in_every_way():
+    # the damage reaches passes, the pair loop's witness and the table scans'
+    seen = set()
+    for _, gpd, plus_obj, plus in SUM_CASES:
+        row = outcome(lambda: reference_bifunctor(sum_structure(gpd, plus_obj, plus)))
+        seen.add("raises" if len(row) == 2 else row[1].value if row[4] is None else row[4].note or "interchange")
+    assert {"pass", "interchange", "sum morphism table not total"} <= seen, seen
+
+
+def family_variants(binding, item, rng):
+    """(what, carrier, family, environment): the family as bound, then a
+    component flipped, dropped, keyed outside the carrier (beside the
+    others, and in place of a dropped one: both read key by key), and a
+    carrier whose compose table lacks a pair."""
+    label, gpd, _, _, _ = binding
+    sym, fam, env = item
+    comps = fam.components
+    outside = ("zz",) * fam.arity
+    idx = rng.choice(sorted(comps))
+    dropped = {k: v for k, v in comps.items() if k != idx}
+    yield f"{label} {sym}", gpd, fam, env
+    yield f"{label} {sym} flipped", gpd, random_flip(gpd, fam, rng)[0], env
+    for what, table in ((f"without {idx}", dropped), ("keyed outside", {**comps, outside: comps[idx]}),
+                        (f"keyed outside for {idx}", {**dropped, outside: comps[idx]})):
+        yield f"{label} {sym} {what}", gpd, replace(fam, components=table, _cache={}), env
+    pair = rng.choice(sorted(gpd.compose))
+    yield (f"{label} {sym}, compose without {pair}",
+           replace(gpd, compose={k: v for k, v in gpd.compose.items() if k != pair}), fam, env)
+
+
+FAMILIES = list(once(families, lambda item: id(item[1])))
+FAMILY_CASES = [case for i, (binding, item) in enumerate(FAMILIES)
+                for case in family_variants(binding, item, random.Random(SEED + i))]
+
+
+def endpoint_program(gpd, fam, env):
+    law = groupoid._family_laws(fam.arity, fam.src_expr, fam.tgt_expr)[0]
+    return _Program(law, gpd, gpd.objects_sorted, groupoid._family_env(law, fam, env, gpd))
+
+
+@pytest.mark.parametrize("case", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES])
+def test_endpoint_rows_equal_the_reference_rows(case, monkeypatch):
+    # the row and the strict bit it leaves, every loop in the kernel
+    # against none and against the old scan
+    what, gpd, fam, env = case
+
+    def run(kernel):
+        forced(kernel, monkeypatch)
+        copy = replace(fam, _cache={})
+        return outcome(lambda: validate_family(gpd, copy, env, label="f").checks[0]), _strict_bit(copy, gpd, env)
+
+    report, bit = reference_endpoints(gpd, replace(fam, _cache={}), env, label="f")
+    assert run(True) == run(False) == (outcome(lambda: report.checks[0]), bit), what
+
+
+@pytest.mark.parametrize("case", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES])
+def test_dense_and_sparse_encodings_give_equal_arrays(case, monkeypatch):
+    # a family keyed by exactly the tuples of declared objects (every
+    # fixture family) is read densely, any other key by key; the arrays
+    # are the same either way
+    what, gpd, fam, env = case
+    fam = replace(fam, _cache={})  # no strict bit: the table is read
+    dense = endpoint_program(gpd, fam, env)
+    total = fam.components.keys() == set(product(gpd.objects_sorted, repeat=fam.arity))
+    assert total or "outside" in what or "without" in what, what
+    assert (dense._dense(fam.components, (0,) * fam.arity) is not None) is total, what
+    monkeypatch.setattr(_Program, "_dense", lambda self, table, levels: None)
+    sparse = endpoint_program(gpd, fam, env)
+    assert dense.arrays.keys() == sparse.arrays.keys(), what
+    for key, (flat, sizes) in dense.arrays.items():
+        assert sizes == sparse.arrays[key][1] and np.array_equal(flat, sparse.arrays[key][0]), (what, key)
+
+
+@pytest.mark.parametrize("binding, item", FAMILIES, ids=[f"{b[0]} {item[0]}" for b, item in FAMILIES])
+def test_an_endpoint_law_failing_only_on_the_carrier_scans_on_in_the_kernel(binding, item, monkeypatch):
+    # the compose table lacks φ(v)∘id(S(v)) at the first index: the law
+    # fails there (and wherever that pair recurs) while the component is
+    # right, so the body writes nothing and the scan goes on, over every
+    # failing tuple the kernel yields
+    label, gpd, _, _, _ = binding
+    sym, fam, env = item
+    idx = gpd.objects_sorted[:1] * fam.arity
+    pair = (fam.components[idx], gpd.identity[ex.compile_obj(fam.src_expr, env)(idx)])
+    broken = replace(gpd, compose={k: v for k, v in gpd.compose.items() if k != pair})
+
+    def run(kernel):
+        forced(kernel, monkeypatch)
+        copy = replace(fam, _cache={})
+        return outcome(lambda: validate_family(broken, copy, env, label=sym).checks[0]), _strict_bit(copy, broken, env)
+
+    kernel = run(True)
+    assert kernel == run(False), (label, sym)
+    assert kernel[0][1].value == "pass", (label, sym)
 
 
 @pytest.mark.parametrize("label", ["super-line", "twisted3", "dual3-ac"])

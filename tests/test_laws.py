@@ -6,7 +6,9 @@ The compiled legs (``Law.legs``) and the interpreted ones (``law_legs``)
 must give the same leg lists at every compared index tuple, on strict and
 non-strict fixtures and on seeded single-component flips of each, and the
 same ``route does not evaluate`` witness with any single entry the routes
-read dropped from its table."""
+read dropped from its table.  The compiled composites (``Law.routes``)
+must miss exactly where the checking walk over the interpreted legs fails
+to compose, and give its composites everywhere else."""
 
 import random
 from itertools import product
@@ -15,6 +17,8 @@ import pytest
 
 from twogrp.ac import AC_LAWS
 from twogrp.diagram import _scan
+from twogrp.errors import StructureError
+from twogrp.groupoid import compose_path
 from twogrp.functors import AF1, SF1, SF2, T1, UNIT_SQUARES
 from twogrp.groupoid import index_space
 from twogrp.monoidal import SM_LAWS
@@ -46,15 +50,38 @@ def outcome(legs, idx):
         return ("KeyError", exc.args)
 
 
+def walk_only(idx):
+    """Composites that always miss: the scan decides every instance by the
+    checking walk over the legs it is given."""
+    raise KeyError(idx)
+
+
+def composed(composites, idx):
+    try:
+        return composites(idx)
+    except KeyError:
+        return "miss"
+
+
+def walked(gpd, legs, idx):
+    try:
+        left, right = legs(idx)
+        return compose_path(gpd, left), compose_path(gpd, right)
+    except (KeyError, StructureError):
+        return "miss"
+
+
 @pytest.mark.parametrize("binding", ALL, ids=[b[0] for b in ALL])
 def test_compiled_legs_equal_the_interpreted_legs(binding):
     label, gpd, objs, env, laws = binding
     for law in laws:
-        compiled, interpreted = law.legs(env, gpd.identity), law_legs(law, env, gpd.identity)
+        compiled, composites = law.routes(env, gpd.identity, gpd.composable, gpd.morphisms)
+        interpreted = law_legs(law, env, gpd.identity)
         idxs = index_tuples(objs, law.arity)
         for idx in idxs:
             assert outcome(compiled, idx) == outcome(interpreted, idx), (law.name, idx)
-        assert _scan(gpd, compiled, idxs) == _scan(gpd, interpreted, idxs), law.name
+            assert composed(composites, idx) == walked(gpd, interpreted, idx), (law.name, idx)
+        assert _scan(gpd, compiled, composites, idxs) == _scan(gpd, interpreted, walk_only, idxs), law.name
 
 
 class Recorder(dict):
@@ -68,6 +95,28 @@ class Recorder(dict):
     def __getitem__(self, key):
         self.first_read.setdefault(key, self.where[0])
         return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("binding", BINDINGS, ids=[b[0] for b in BINDINGS])
+def test_composites_miss_where_a_leg_is_undeclared(binding):
+    # a morphism entry (an identity, a sum or map value, a component) set
+    # to an undeclared id: the composites miss wherever the checking walk
+    # rejects that leg, a lone one included
+    label, gpd, objs, env, laws = binding
+    rng = random.Random(SEED)
+    misses = 0
+    for key, table in [((None, "id"), gpd.identity), *tables(env).items()]:
+        if key[1] == 0:
+            continue  # an object table
+        entry = rng.choice(sorted(table))
+        denv, dident = with_table(env, gpd.identity, key, {**table, entry: "zz|0"})
+        for law in laws:
+            legs, composites = law.routes(denv, dident, gpd.composable, gpd.morphisms)
+            for idx in index_tuples(objs, law.arity):
+                got = composed(composites, idx)
+                assert got == walked(gpd, legs, idx), (law.name, key, entry, idx)
+                misses += got == "miss"
+    assert misses
 
 
 @pytest.mark.parametrize("binding", BINDINGS, ids=[b[0] for b in BINDINGS])
@@ -94,8 +143,8 @@ def test_a_dropped_entry_gives_the_same_witness(binding):
                 del dropped[entry]
                 denv, dident = with_table(env, gpd.identity, key, dropped)
                 at = [first_read[entry]]
-                got = _scan(gpd, law.legs(denv, dident), at)
-                assert got == _scan(gpd, law_legs(law, denv, dident), at), (law.name, key, entry)
+                got = _scan(gpd, *law.routes(denv, dident, gpd.composable, gpd.morphisms), at)
+                assert got == _scan(gpd, law_legs(law, denv, dident), walk_only, at), (law.name, key, entry)
                 hits += got[1] is not None and got[1].note.startswith("route does not evaluate")
     assert hits
 
