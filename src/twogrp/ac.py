@@ -32,9 +32,7 @@ from .monoidal import (
     assoc_family,
     comm_family,
     validate_sm,
-    _check_bifunctor,
-    _check_families,
-    _run_laws,
+    _sum_suite,
 )
 from .report import Report
 
@@ -108,18 +106,8 @@ def validate_ac(
 ) -> Report:
     """Run AC1 (over object 8-tuples), the four AC2 unital squares and the
     AC3 normalization equalities, plus the data-level checks by default."""
-    report = Report()
-    if check_data:
-        _check_bifunctor(a, report)
-        if report.ok:  # the family scans read the sum tables the bifunctor row checks
-            _check_families(a, report)
-        if not report.ok:
-            return report
-
-    gpd = a.carrier
-    _run_laws(report, AC_LAWS, gpd, gpd.objects_sorted, a.law_env(),
-              sample=sample, seed=seed, strict=allow_strict_skip)
-    return report
+    return _sum_suite(a, AC_LAWS, check_data=check_data, sample=sample, seed=seed,
+                      allow_strict_skip=allow_strict_skip)
 
 
 # ---------------------------------------------------------------------------

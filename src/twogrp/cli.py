@@ -272,23 +272,23 @@ def cmd_convert(args) -> int:
     try:
         validate_groupoid(doc.groupoid).require("carrier fails")
         if rings:
-            return _convert_ring(doc, blk, args)
-        if blk.kind == args.to:
-            raise CliFailure(f"structure {blk.name!r} is already in the {args.to!r} presentation", 1)
-        convert = to_ac if args.to == "ac" else to_sm
-        converted = convert(blk.obj, sample=_convert_sample(blk.obj))
-        new_blocks = [
-            Block(args.to, b.name, converted, b.refs) if b.name == blk.name else b
-            for b in doc.blocks
-        ]
-        _emit(serialize_document(StructureDocument(doc.groupoid, new_blocks)), args.out)
-        return 0
+            replaced = _convert_ring(blk, args)
+        else:
+            if blk.kind == args.to:
+                raise CliFailure(f"structure {blk.name!r} is already in the {args.to!r} presentation", 1)
+            convert = to_ac if args.to == "ac" else to_sm
+            replaced = {blk.name: Block(args.to, blk.name, convert(blk.obj, sample=_convert_sample(blk.obj)))}
     except StructureError as err:
         print(f"convert aborted: {err}")
         return 1
+    new_blocks = [replaced.get(b.name, b) for b in doc.blocks]
+    _emit(serialize_document(StructureDocument(doc.groupoid, new_blocks)), args.out)
+    return 0
 
 
-def _convert_ring(doc: StructureDocument, blk: Block, args) -> int:
+def _convert_ring(blk: Block, args) -> dict[str, Block]:
+    """The 2-ring block ``blk`` and its additive block in the ``--to``
+    presentation, by block name."""
     from .rings import ac_ring_to_quang, quang_to_ac_ring
 
     ring = blk.obj
@@ -297,16 +297,8 @@ def _convert_ring(doc: StructureDocument, blk: Block, args) -> int:
     convert = quang_to_ac_ring if args.to == "ac" else ac_ring_to_quang
     converted = convert(ring, sample=_convert_sample(ring))
     add_name = blk.refs["add"]
-    new_blocks = []
-    for b in doc.blocks:
-        if b.name == add_name:
-            new_blocks.append(Block(args.to, add_name, converted.add, b.refs))
-        elif b.name == blk.name:
-            new_blocks.append(Block("tworing", blk.name, converted, b.refs))
-        else:
-            new_blocks.append(b)
-    _emit(serialize_document(StructureDocument(doc.groupoid, new_blocks)), args.out)
-    return 0
+    return {add_name: Block(args.to, add_name, converted.add),
+            blk.name: Block("tworing", blk.name, converted, blk.refs)}
 
 
 def cmd_zero_iso(args) -> int:

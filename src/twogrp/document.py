@@ -18,7 +18,9 @@ Tables are handled in bulk, since a document at m=5 holds millions of ids.
 A table is accepted when three set-valued passes over it (row types, row
 widths, cell types) find only lists of the expected width holding strings;
 only a table that fails them is walked row by row, so the error names its
-first bad row.  Key/value tables are built by mapping item getters over the
+first bad row.  Every family field is read by one reader (its table, then
+its ids) and written from the structure's ``families()``, whose names are
+the field names.  Key/value tables are built by mapping item getters over the
 rows, and id checks accept by one set difference before an ordered walk
 names the first undeclared id.  The cyclic garbage collector is paused for
 the duration of a parse (it would otherwise rescan the millions of fresh
@@ -41,7 +43,7 @@ from operator import itemgetter
 from .ac import ACStructure, acomm_family
 from .errors import DocumentError
 from .functors import MonTransformation, StructuredFunctor, fsum_family, tau_family
-from .groupoid import FinGroupoid, GFunctor
+from .groupoid import FinGroupoid, GFunctor, NatFamily
 from .monoidal import MonStructure, assoc_family, comm_family, lunit_family, runit_family
 from .rings import TwoRingData, absorb_l_family, absorb_r_family, dist_l_family, dist_r_family
 
@@ -49,6 +51,9 @@ FORMAT = "twogrp/1"
 
 _STRUCT_KINDS = ("sm", "ac", "mul")
 _ALL_KINDS = _STRUCT_KINDS + ("functor", "transformation", "tworing")
+# a 2-ring's optional families, the absorbers of the AC presentation: read
+# when present and not null, written null when the ring lacks them
+_ABSORBERS = {"m": absorb_l_family, "n": absorb_r_family}
 
 
 @dataclass
@@ -112,6 +117,16 @@ def _check_ids(doc_gpd: FinGroupoid, names, kind: str) -> None:
                 raise DocumentError(f"{kind} references undeclared morphism {n!r}")
 
 
+def _family(gpd: FinGroupoid, raw: dict, name: str, make, *args) -> NatFamily:
+    """The family ``make(components, *args)`` read from the field ``name``:
+    rows of the family's arity in ids (learnt from ``make({}, *args)``, as
+    ``groupoid.identity_family`` learns it) then a declared morphism."""
+    fam = make({}, *args)
+    fam.components = _family_table(raw[name], name, fam.arity)
+    _check_ids(gpd, fam.components.values(), name)
+    return fam
+
+
 def _parse_groupoid(data: dict) -> FinGroupoid:
     for section in ("objects", "morphisms", "compose", "identities", "inverses"):
         if section not in data:
@@ -167,22 +182,16 @@ def _parse_sum_block(gpd: FinGroupoid, raw: dict, kind: str):
     if unit_id is None:
         raise DocumentError(f"unit {unit!r} has no identity morphism")
     _check_ids(gpd, op_mor.values(), "op_mor")
-    l = lunit_family(_family_table(raw["l"], "l", 1), unit, unit_id)
-    r = runit_family(_family_table(raw["r"], "r", 1), unit, unit_id)
-    _check_ids(gpd, l.components.values(), "l")
-    _check_ids(gpd, r.components.values(), "r")
+    l = _family(gpd, raw, "l", lunit_family, unit, unit_id)
+    r = _family(gpd, raw, "r", runit_family, unit, unit_id)
     if kind == "ac":
-        b = acomm_family(_family_table(raw["b"], "b", 4))
-        _check_ids(gpd, b.components.values(), "b")
-        return ACStructure(gpd, op_obj, op_mor, unit, b, l, r)
-    a = assoc_family(_family_table(raw["a"], "a", 3))
-    _check_ids(gpd, a.components.values(), "a")
+        return ACStructure(gpd, op_obj, op_mor, unit, _family(gpd, raw, "b", acomm_family), l, r)
+    a = _family(gpd, raw, "a", assoc_family)
     c = None
     if kind == "sm":
         if raw.get("c") is None:
             raise DocumentError("sm blocks carry a commutator; use kind 'mul' without one")
-        c = comm_family(_family_table(raw["c"], "c", 2))
-        _check_ids(gpd, c.components.values(), "c")
+        c = _family(gpd, raw, "c", comm_family)
     return MonStructure(gpd, op_obj, op_mor, unit, a, c, l, r)
 
 
@@ -244,8 +253,7 @@ def _parse(text: str) -> StructureDocument:
             obj_map = dict(_rows(raw["obj_map"], "obj_map", 2))
             mor_map = dict(_rows(raw["mor_map"], "mor_map", 2))
             _check_ids(gpd, mor_map.values(), "mor_map")
-            fsum = fsum_family(_family_table(raw["fsum"], "fsum", 2))
-            _check_ids(gpd, fsum.components.values(), "fsum")
+            fsum = _family(gpd, raw, "fsum", fsum_family)
             fzero = raw.get("fzero")
             if fzero is not None and (not isinstance(fzero, str) or fzero not in gpd.morphisms):
                 raise DocumentError(f"fzero {fzero!r} is not a declared morphism")
@@ -257,9 +265,7 @@ def _parse(text: str) -> StructureDocument:
             ftgt = doc.block(raw["target"])
             if fsrc.kind != "functor" or ftgt.kind != "functor":
                 raise DocumentError(f"transformation {name!r} endpoints must be functor blocks")
-            tau = tau_family(_family_table(raw["components"], "components", 1))
-            _check_ids(gpd, tau.components.values(), "components")
-            tr = MonTransformation(fsrc.obj, ftgt.obj, tau)
+            tr = MonTransformation(fsrc.obj, ftgt.obj, _family(gpd, raw, "components", tau_family))
             doc.blocks.append(Block(kind, name, tr, {"source": raw["source"], "target": raw["target"]}))
         else:  # tworing
             _require(raw, ("add", "mul", "d", "e"), kind)
@@ -267,20 +273,12 @@ def _parse(text: str) -> StructureDocument:
             mul_blk = doc.block(raw["mul"])
             if add_blk.kind not in ("sm", "ac") or mul_blk.kind != "mul":
                 raise DocumentError(f"tworing {name!r} needs an sm/ac 'add' and a mul 'mul'")
-            add = add_blk.obj
-            d = dist_l_family(_family_table(raw["d"], "d", 3))
-            e = dist_r_family(_family_table(raw["e"], "e", 3))
-            _check_ids(gpd, d.components.values(), "d")
-            _check_ids(gpd, e.components.values(), "e")
-            zero_id = gpd.identity[add.unit]
-            m = n = None
-            if raw.get("m") is not None:
-                m = absorb_l_family(_family_table(raw["m"], "m", 1), add.unit, zero_id)
-                _check_ids(gpd, m.components.values(), "m")
-            if raw.get("n") is not None:
-                n = absorb_r_family(_family_table(raw["n"], "n", 1), add.unit, zero_id)
-                _check_ids(gpd, n.components.values(), "n")
-            ring = TwoRingData(gpd, add, mul_blk.obj, d, e, m, n)
+            zero = add_blk.obj.unit
+            d = _family(gpd, raw, "d", dist_l_family)
+            e = _family(gpd, raw, "e", dist_r_family)
+            m, n = (_family(gpd, raw, f, make, zero, gpd.identity[zero]) if raw.get(f) is not None else None
+                    for f, make in _ABSORBERS.items())
+            ring = TwoRingData(gpd, add_blk.obj, mul_blk.obj, d, e, m, n)
             doc.blocks.append(Block(kind, name, ring, {"add": raw["add"], "mul": raw["mul"]}))
     doc.blocks.sort(key=lambda b: (order[b.kind], b.name))
     return doc
@@ -357,28 +355,23 @@ def _emit_table(entries: dict, level: int, out: list[str], codes: _Codes) -> Non
     out.append("\n" + "  " * level + "]")
 
 
-def _sum_block_payload(kind: str, name: str, s) -> dict:
-    payload = {
-        "kind": kind,
-        "name": name,
-        "op_obj": _Table(s.sum_obj),
-        "op_mor": _Table(s.sum_mor),
-        "unit": s.unit,
-        "l": _Table(s.lunit.components),
-        "r": _Table(s.runit.components),
-    }
-    if kind == "ac":
-        payload["b"] = _Table(s.acomm.components)
-    else:
-        payload["a"] = _Table(s.assoc.components)
-    if kind == "sm":
-        payload["c"] = _Table(s.comm.components)
-    return payload
+def _tables(families: dict) -> dict:
+    """Each family's components as a table under the family's name, which
+    is its field name in the document."""
+    return {name: _Table(fam.components) for name, fam in families.items()}
 
 
 def _block_payload(doc: StructureDocument, blk: Block) -> dict:
     if blk.kind in _STRUCT_KINDS:
-        return _sum_block_payload(blk.kind, blk.name, blk.obj)
+        s = blk.obj
+        return {
+            "kind": blk.kind,
+            "name": blk.name,
+            "op_obj": _Table(s.sum_obj),
+            "op_mor": _Table(s.sum_mor),
+            "unit": s.unit,
+            **_tables(s.families()),
+        }
     if blk.kind == "functor":
         fun: StructuredFunctor = blk.obj
         return {
@@ -406,10 +399,8 @@ def _block_payload(doc: StructureDocument, blk: Block) -> dict:
         "name": blk.name,
         "add": blk.refs["add"],
         "mul": blk.refs["mul"],
-        "d": _Table(ring.dist_l.components),
-        "e": _Table(ring.dist_r.components),
-        "m": _Table(ring.absorb_l.components) if ring.absorb_l is not None else None,
-        "n": _Table(ring.absorb_r.components) if ring.absorb_r is not None else None,
+        **dict.fromkeys(_ABSORBERS),
+        **_tables(ring.families()),
     }
 
 

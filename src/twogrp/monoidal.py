@@ -175,6 +175,8 @@ def _check_bifunctor(m: MonStructure, report: Report) -> None:
             mf, mg = gpd.morphisms.get(f), gpd.morphisms.get(g)
             if mf is None or mg is None:
                 yield Witness((f, g), note="sum morphism table keyed outside the carrier")
+            elif h not in gpd.morphisms:
+                yield Witness((f, g), left=h, note="sum morphism table sends pair outside the carrier")
             elif gpd.src(h) != m.sum_obj[(mf.src, mg.src)] or gpd.dst(h) != m.sum_obj[(mf.dst, mg.dst)]:
                 yield Witness((f, g), left=h, note="sum morphism has wrong endpoints")
             else:
@@ -199,10 +201,13 @@ def _check_bifunctor(m: MonStructure, report: Report) -> None:
     report.checks[-1] = row
 
 
-def _check_families(m: MonStructure, report: Report) -> None:
-    env = m.env()
-    for name, fam in m.families().items():
-        report.extend(validate_family(m.carrier, fam, env, label=name))
+def _check_families(s, report: Report, skip: tuple[str, ...] = ()) -> None:
+    """One endpoint row per family of ``s.families()`` not named in
+    ``skip``, under ``s.env()``."""
+    env = s.env()
+    for name, fam in s.families().items():
+        if name not in skip:
+            report.extend(validate_family(s.carrier, fam, env, label=name))
 
 
 def validate_sm(
@@ -222,16 +227,23 @@ def validate_sm(
     """
     if m.assoc is None or m.lunit is None or m.runit is None:
         raise MissingFamily("a, l, r are required for the monoidal axiom suite")
+    return _sum_suite(m, SM_LAWS, check_data=check_data, sample=sample, seed=seed,
+                      allow_strict_skip=allow_strict_skip)
+
+
+def _sum_suite(s, laws, *, check_data: bool, sample: int | None, seed: int, allow_strict_skip: bool) -> Report:
+    """The body of ``validate_sm`` and ``ac.validate_ac`` on the structure
+    ``s``: with ``check_data`` the bifunctor row and then the family rows,
+    returning at the first failure, and then one row per law of ``laws``."""
     report = Report()
     if check_data:
-        _check_bifunctor(m, report)
+        _check_bifunctor(s, report)
         if report.ok:  # the family scans read the sum tables the bifunctor row checks
-            _check_families(m, report)
+            _check_families(s, report)
         if not report.ok:
             return report
-
-    gpd = m.carrier
-    _run_laws(report, SM_LAWS, gpd, gpd.objects_sorted, m.law_env(),
+    gpd = s.carrier
+    _run_laws(report, laws, gpd, gpd.objects_sorted, s.law_env(),
               sample=sample, seed=seed, strict=allow_strict_skip)
     return report
 
@@ -274,11 +286,12 @@ def basic_unitor(m: MonStructure) -> str:
 
 
 def weak_inverse_candidates(m: MonStructure, x: str) -> list[WeakInverseCert]:
-    """All certificates (inverse, eta) for ``x``, in canonical order."""
+    """All certificates (inverse, eta) for ``x``, in canonical order; a
+    candidate whose sum with ``x`` the table lacks gives none."""
     gpd = m.carrier
     out = []
     for cand in gpd.objects_sorted:
-        for eta in gpd.hom(m.unit, m.add(cand, x)):
+        for eta in gpd.hom(m.unit, m.sum_obj.get((cand, x))):
             out.append(WeakInverseCert(x, cand, eta))
     return out
 
@@ -287,11 +300,11 @@ def find_weak_inverse(m: MonStructure, x: str) -> WeakInverseCert:
     """First weak inverse certificate for ``x`` in canonical order.
 
     Raises :class:`NoInverse` when no object sums with ``x`` into something
-    isomorphic to the unit.
+    isomorphic to the unit (a sum the table lacks is no certificate).
     """
     gpd = m.carrier
     for cand in gpd.objects_sorted:
-        hom = gpd.hom(m.unit, m.add(cand, x))
+        hom = gpd.hom(m.unit, m.sum_obj.get((cand, x)))
         if hom:
             return WeakInverseCert(x, cand, hom[0])
     raise NoInverse(x)

@@ -37,10 +37,9 @@ from .groupoid import (
     NatFamily,
     _Memo,
     check_naturality,
-    validate_family,
     validate_groupoid,
 )
-from .monoidal import MonStructure, _check_weak_inverses, validate_sm
+from .monoidal import MonStructure, _check_families, _check_weak_inverses, validate_sm
 from .functors import (
     _af1_routes,
     _closed_form_zero_iso,
@@ -205,23 +204,15 @@ def _law_env(ring: TwoRingData) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _needs_absorbers(ring: TwoRingData) -> bool:
-    """True for the AC presentation, whose suite needs the m and n families;
-    raises :class:`MissingAbsorbers` when it lacks either."""
+def _unchecked_families(ring: TwoRingData) -> tuple[str, ...]:
+    """The families the ring's data rows leave out: the absorbers m and n,
+    unless the presentation is AC, whose suite needs them; raises
+    :class:`MissingAbsorbers` when an AC ring lacks either."""
     if ring.presentation != "ac":
-        return False
+        return ("m", "n")
     if ring.absorb_l is None or ring.absorb_r is None:
         raise MissingAbsorbers("AC presentation requires the m and n families")
-    return True
-
-
-def _check_ring_families(ring: TwoRingData, report: Report, absorbers: bool) -> None:
-    env = ring.env()
-    report.extend(validate_family(ring.carrier, ring.dist_l, env, label="d"))
-    report.extend(validate_family(ring.carrier, ring.dist_r, env, label="e"))
-    if absorbers:
-        report.extend(validate_family(ring.carrier, ring.absorb_l, env, label="m"))
-        report.extend(validate_family(ring.carrier, ring.absorb_r, env, label="n"))
+    return ()
 
 
 def _pair_axiom(law: ex.Law, gpd: FinGroupoid, env: dict, *, sample, seed, allow_strict_skip) -> CheckResult:
@@ -262,10 +253,10 @@ def _ring_suite(
     if ring.presentation != presentation:
         form = "AC" if ring.presentation == "ac" else "symmetric"
         raise PresentationMismatch(f"additive structure is in {form} form; convert first")
-    absorbers = _needs_absorbers(ring)
+    unchecked = _unchecked_families(ring)
     report = Report()
     if check_data:
-        _check_ring_families(ring, report, absorbers=absorbers)
+        _check_families(ring, report, skip=unchecked)
         if not report.ok:
             return report
     gpd, env = ring.carrier, _law_env(ring)
@@ -343,7 +334,7 @@ def validate_two_ring_data(ring: TwoRingData, *, sample: int | None = None, seed
         report.extend(validate_sm(ring.mul, sample=sample, seed=seed), prefix="mul:")
     if not report.ok:
         return report
-    _check_ring_families(ring, report, absorbers=_needs_absorbers(ring))
+    _check_families(ring, report, skip=_unchecked_families(ring))
     return report
 
 

@@ -417,8 +417,8 @@ def reference_endpoints(gpd, fam, env, label="family"):
         if len(idx) != fam.arity:
             raise ArityMismatch(f"{label}: component keyed by {idx} but arity is {fam.arity}")
     comps, mors = fam.components, gpd.morphisms
-    src_at = ex.compile_obj(fam.src_expr, env)
-    dst_at = ex.compile_obj(fam.tgt_expr, env)
+    src_at = partial(eval_obj, fam.src_expr, env)
+    dst_at = partial(eval_obj, fam.tgt_expr, env)
     strict = [False]
 
     def scan():
@@ -475,6 +475,8 @@ def reference_bifunctor(m):
             mf, mg = gpd.morphisms.get(f), gpd.morphisms.get(g)
             if mf is None or mg is None:
                 yield Witness((f, g), note="sum morphism table keyed outside the carrier")
+            elif h not in gpd.morphisms:
+                yield Witness((f, g), left=h, note="sum morphism table sends pair outside the carrier")
             elif gpd.src(h) != m.sum_obj[(mf.src, mg.src)] or gpd.dst(h) != m.sum_obj[(mf.dst, mg.dst)]:
                 yield Witness((f, g), left=h, note="sum morphism has wrong endpoints")
             else:
@@ -500,8 +502,8 @@ def reference_naturality(fam, env, *, domain, codomain=None, sample=None, seed=0
     """``check_naturality`` as a loop over the squares, each composed by
     ``compose_path``."""
     codomain = codomain or domain
-    lhs_action = ex.compile_mor(fam.src_expr, env)
-    rhs_action = ex.compile_mor(fam.tgt_expr, env)
+    lhs_action = partial(eval_mor, fam.src_expr, env)
+    rhs_action = partial(eval_mor, fam.tgt_expr, env)
     space, _, mode = index_space(domain.morphisms_sorted, fam.arity, sample, seed)
     ends = domain.morphisms
 

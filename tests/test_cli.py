@@ -589,6 +589,27 @@ def test_conversions_of_a_table_keyed_outside_the_carrier_abort(capsys, tmp_path
     assert (code, out) == (1, "convert aborted: input fails the 2R suite: mul:bifunctor\n")
 
 
+def test_a_missing_sum_pair_is_reported_by_the_2group_suite(capsys, super_line_file):
+    path = _damaged(super_line_file, "add", "op_obj", lambda rows: rows.remove(["0", "1", "1"]))
+    code, out, _ = run(capsys, "check", str(path), "--suite", "2group")
+    assert code == 1
+    assert re.search(r"^bifunctor\s+fail.*\n  witness at \(0, 1\): sum object table not total$", out, re.M)
+    assert re.search(r"^weak-inverses\s+pass", out, re.M)
+
+
+def test_a_missing_additive_sum_pair_is_reported_by_the_ring_suites(capsys, tmp_path):
+    z3 = tmp_path / "z3.json"
+    assert main(["fixture", "strict-2ring", "--ring", "z3", "--out", str(z3)]) == 0
+    path = _damaged(z3, "add", "op_obj", lambda rows: rows.remove(["0", "1", "1"]))
+    for suite in ("quang", "jp"):
+        code, out, _ = run(capsys, "check", str(path), "--suite", suite)
+        assert code == 1
+        assert re.search(r"^add:bifunctor\s+fail.*\n  witness at \(0, 1\): sum object table not total$",
+                         out, re.M)
+    code, out, _ = run(capsys, "convert", str(path), "--to", "ac")
+    assert (code, out) == (1, "convert aborted: input fails the 2R suite: add:bifunctor\n")
+
+
 def test_zero_iso_enumeration_validates_its_endpoints(capsys, dn2_file):
     # as the canonical mode does: a damaged endpoint is exit 1, not an
     # enumeration over tables that fail their suite

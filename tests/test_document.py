@@ -203,6 +203,58 @@ def test_serializer_escapes_ids_as_the_json_module_does(name):
     assert all(ODD in x for x in doc.groupoid.objects)
 
 
+# -- every family field: one reader, one error text per defect -----------------
+
+# (document, block, family field, key width) for every block kind
+FAMILY_FIELDS = [
+    ("super-line sm", "add", "l", 1), ("super-line sm", "add", "r", 1),
+    ("super-line sm", "add", "a", 3), ("super-line sm", "add", "c", 2),
+    ("super-line ac", "add", "l", 1), ("super-line ac", "add", "r", 1), ("super-line ac", "add", "b", 4),
+    ("z4 sm (m, n null)", "mul", "l", 1), ("z4 sm (m, n null)", "mul", "r", 1), ("z4 sm (m, n null)", "mul", "a", 3),
+    ("dual m=3 F(1,2) ac", "F", "fsum", 2),
+    ("transformation", "T", "components", 1),
+    ("z4 sm (m, n null)", "ring", "d", 3), ("z4 sm (m, n null)", "ring", "e", 3),
+    ("z4 ac", "ring", "m", 1), ("z4 ac", "ring", "n", 1),
+]
+
+
+def _damaged(doc_name: str, block: str, field: str, damage) -> tuple[str, list]:
+    """The text of ``doc_name`` with the last row of ``field`` in ``block``
+    replaced by ``damage(row)``, and that row."""
+    data = json.loads(serialize_document(ORACLE_DOCS[doc_name]()))
+    rows = next(b for b in data["structures"] if b["name"] == block)[field]
+    rows[-1] = damage(rows[-1])
+    return json.dumps(data), rows[-1]
+
+
+@pytest.mark.parametrize("doc_name, block, field, width", FAMILY_FIELDS,
+                         ids=[f"{b}.{f}" for _, b, f, _ in FAMILY_FIELDS])
+def test_an_undeclared_component_names_its_family_field(doc_name, block, field, width):
+    text, _ = _damaged(doc_name, block, field, lambda row: row[:width] + ["undeclared"])
+    with pytest.raises(DocumentError) as exc:
+        parse_document(text)
+    assert str(exc.value) == f"{field} references undeclared morphism 'undeclared'"
+
+
+@pytest.mark.parametrize("doc_name, block, field, width", FAMILY_FIELDS,
+                         ids=[f"{b}.{f}" for _, b, f, _ in FAMILY_FIELDS])
+def test_a_malformed_family_row_names_its_family_field(doc_name, block, field, width):
+    for damage in (lambda row: row[:-1], lambda row: row + row[-1:], lambda row: row[:-1] + [7]):
+        text, row = _damaged(doc_name, block, field, damage)
+        with pytest.raises(DocumentError) as exc:
+            parse_document(text)
+        assert str(exc.value) == f"section {field!r}: expected rows of {width + 1} strings, got {row!r}"
+
+
+def test_a_symmetric_2ring_round_trips_with_null_absorbers():
+    text = serialize_document(ring_doc(ring_zmod(4)))
+    ring_block = next(b for b in json.loads(text)["structures"] if b["kind"] == "tworing")
+    assert ring_block["m"] is None and ring_block["n"] is None
+    parsed = parse_document(text)
+    assert parsed.block("ring").obj.absorb_l is None and parsed.block("ring").obj.absorb_r is None
+    assert serialize_document(parsed) == text
+
+
 def test_parse_restores_the_collector_state():
     import gc
 

@@ -39,6 +39,7 @@ from twogrp.monoidal import INTERCHANGE, _check_bifunctor  # noqa: E402
 from helpers import (  # noqa: E402
     SEED,
     coboundary_twisted_dual_numbers,
+    eval_obj,
     flipped_bindings,
     kappa_twisted_2ring,
     law_bindings,
@@ -328,7 +329,7 @@ def test_an_endpoint_law_failing_only_on_the_carrier_scans_on_in_the_kernel(bind
     label, gpd, _, _, _ = binding
     sym, fam, env = item
     idx = gpd.objects_sorted[:1] * fam.arity
-    pair = (fam.components[idx], gpd.identity[ex.compile_obj(fam.src_expr, env)(idx)])
+    pair = (fam.components[idx], gpd.identity[eval_obj(fam.src_expr, env, idx)])
     broken = replace(gpd, compose={k: v for k, v in gpd.compose.items() if k != pair})
 
     def run(kernel):

@@ -17,7 +17,7 @@ from twogrp import (
 )
 from twogrp.groupoid import compose_path
 from twogrp.monoidal import basic_unitor
-from twogrp.report import Status
+from twogrp.report import Status, Witness
 
 from helpers import (
     max_monoid_structure,
@@ -168,6 +168,29 @@ def test_no_inverse_in_max_monoid():
     assert validate_sm(m).ok  # valid structure, just not a 2-group
     with pytest.raises(NoInverse):
         find_weak_inverse(m, "1")
+
+
+def test_a_missing_sum_pair_gives_no_weak_inverse_certificate():
+    # 0 + 1 is undefined: 0 is no candidate inverse of 1, and the 2-group
+    # suite reports the bifunctor witness instead of raising KeyError
+    m = super_line()
+    gapped = replace(m, sum_obj={k: v for k, v in m.sum_obj.items() if k != ("0", "1")}, _cache={})
+    assert [c.inverse for c in weak_inverse_candidates(gapped, "1")] == ["1", "1"]
+    assert find_weak_inverse(gapped, "1").inverse == "1"
+    rep = validate_2group(gapped)
+    assert [c.law for c in rep.failures()] == ["bifunctor"]
+    assert rep["bifunctor"].witness == Witness(("0", "1"), note="sum object table not total")
+    assert rep["weak-inverses"].status is Status.PASS
+
+
+def test_a_sum_morphism_value_outside_the_carrier_is_a_bifunctor_witness():
+    m = super_line()
+    key = ("1|0", "1|0")
+    bad = replace(m, sum_mor={**m.sum_mor, key: "nope"}, _cache={})
+    rep = validate_sm(bad)
+    assert [c.law for c in rep.failures()] == ["bifunctor"]
+    assert rep["bifunctor"].witness == Witness(
+        key, left="nope", note="sum morphism table sends pair outside the carrier")
 
 
 def test_validate_2group():

@@ -64,6 +64,18 @@ def z2e():
     return build_strict_2ring(ring_dual_numbers(2))
 
 
+def test_a_missing_additive_sum_pair_is_a_data_row_failure():
+    # the weak-inverse row reads 0 + 1 after the bifunctor row has failed
+    ring = build_strict_2ring(ring_zmod(3))
+    add = replace(ring.add, sum_obj={k: v for k, v in ring.add.sum_obj.items() if k != ("0", "1")}, _cache={})
+    rep = validate_two_ring_data(replace(ring, add=add, _cache={}))
+    assert [c.law for c in rep.failures()] == ["add:bifunctor"]
+    assert rep["add:bifunctor"].witness.index == ("0", "1")
+    assert rep["add:bifunctor"].witness.note == "sum object table not total"
+    with pytest.raises(PreconditionFailed, match="^input fails the 2R suite: add:bifunctor$"):
+        quang_to_ac_ring(replace(ring, add=add, _cache={}))
+
+
 def test_strict_rings_pass_quang_and_jp():
     for ring in (z6(), z2e()):
         assert validate_two_ring_data(ring).ok
