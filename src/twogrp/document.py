@@ -15,20 +15,28 @@ name, two-space indent, trailing newline (the text of
 serialization of equal graphs is byte-identical.
 
 Tables are handled in bulk, since a document at m=5 holds millions of ids.
-A table is accepted when three set-valued passes over it (row types, row
-widths, cell types) find only lists of the expected width holding strings;
-only a table that fails them is walked row by row, so the error names its
-first bad row.  Every family field is read by one reader (its table, then
-its ids) and written from the structure's ``families()``, whose names are
-the field names.  Key/value tables are built by mapping item getters over the
-rows, and id checks accept by one set difference before an ordered walk
-names the first undeclared id.  The cyclic garbage collector is paused for
-the duration of a parse (it would otherwise rescan the millions of fresh
-lists and tuples a parse allocates), and its previous state is restored on
-the way out.  The serializer writes the same text as ``json.dumps`` with
-``indent=2`` and sorted keys, without that call's pure-Python encoder: each
-table is emitted as one row template filled from the sorted keys, with every
-distinct id encoded once.
+Every table cell that names a declared object or morphism is stored as the
+carrier's own string for that id, so a parsed table holds one string per
+distinct id, not one per cell.  A table is read by one lookup per cell in
+the map from each declared id to that string, once its rows are lists of
+the expected width; a table that fails this (a bad row, or a cell naming no
+declared id) is checked by three set-valued passes (row types, row widths,
+cell types) and, when they fail, walked row by row, so the error names its
+first bad row; a cell that is a string but no declared id is kept as read.
+Every family field is read by one reader (its table, then its ids) and
+written from the structure's ``families()``, whose names are the field
+names.  Id checks accept by one set difference before an ordered walk
+names the first undeclared id.  The document's text is not referenced once
+``json.loads`` has read it, and each raw table is taken out of the loaded
+data as it is read, so both are freed while the parse goes on.  The cyclic
+garbage collector is paused for the duration of a parse (it would
+otherwise rescan the millions of fresh lists and tuples a parse
+allocates), and its previous state is restored on the way out.
+
+The serializer writes the same text as ``json.dumps`` with ``indent=2`` and
+sorted keys, without that call's pure-Python encoder: each table is emitted
+as one row template filled from the sorted keys, with every distinct id
+encoded once.
 """
 
 from __future__ import annotations
@@ -104,10 +112,25 @@ def _rows(raw, name: str, width: int) -> list[list[str]]:
     return raw
 
 
-def _family_table(raw, name: str, arity: int) -> dict:
-    """``{tuple(row[:arity]): row[arity]}`` over the rows of ``raw``."""
-    rows = _rows(raw, name, arity + 1)
-    return dict(zip(map(tuple, map(itemgetter(slice(0, arity)), rows)), map(itemgetter(arity), rows)))
+def _table(raw: dict, name: str, arity: int | None, ids: dict) -> dict:
+    """The table ``name``, taken out of ``raw``: ``{tuple(row[:arity]):
+    row[arity]}``, or ``{row[0]: row[1]}`` when ``arity`` is None, with every
+    cell that names a declared id stored as the carrier's own string (``ids``
+    maps each declared id to it) and any other cell as read."""
+    width = 2 if arity is None else arity + 1
+    rows = raw.pop(name)
+
+    def build(cells: list) -> dict:
+        values = cells.pop()
+        return dict(zip(cells[0] if arity is None else zip(*cells), values))
+
+    try:  # rows of declared ids: one lookup per cell
+        if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}:
+            return build([map(ids.__getitem__, map(itemgetter(i), rows)) for i in range(width)])
+    except (KeyError, TypeError):
+        pass
+    rows = _rows(rows, name, width)
+    return build([map(ids.get, map(itemgetter(i), rows), map(itemgetter(i), rows)) for i in range(width)])
 
 
 def _check_ids(doc_gpd: FinGroupoid, names, kind: str) -> None:
@@ -117,17 +140,19 @@ def _check_ids(doc_gpd: FinGroupoid, names, kind: str) -> None:
                 raise DocumentError(f"{kind} references undeclared morphism {n!r}")
 
 
-def _family(gpd: FinGroupoid, raw: dict, name: str, make, *args) -> NatFamily:
+def _family(gpd: FinGroupoid, ids: dict, raw: dict, name: str, make, *args) -> NatFamily:
     """The family ``make(components, *args)`` read from the field ``name``:
     rows of the family's arity in ids (learnt from ``make({}, *args)``, as
     ``groupoid.identity_family`` learns it) then a declared morphism."""
     fam = make({}, *args)
-    fam.components = _family_table(raw[name], name, fam.arity)
+    fam.components = _table(raw, name, fam.arity, ids)
     _check_ids(gpd, fam.components.values(), name)
     return fam
 
 
-def _parse_groupoid(data: dict) -> FinGroupoid:
+def _parse_groupoid(data: dict) -> tuple[FinGroupoid, dict]:
+    """The carrier, and the map from each declared object and morphism id
+    to the carrier's own string for it."""
     for section in ("objects", "morphisms", "compose", "identities", "inverses"):
         if section not in data:
             raise DocumentError(f"missing section {section!r}")
@@ -136,7 +161,8 @@ def _parse_groupoid(data: dict) -> FinGroupoid:
         raise DocumentError("section 'objects' must be an array of strings")
     if len(set(objects)) != len(objects):
         raise DocumentError("duplicate object ids")
-    morrows = data["morphisms"]
+    ids = dict(zip(objects, objects))
+    morrows = data.pop("morphisms")
     if not isinstance(morrows, list):
         raise DocumentError("section 'morphisms' must be an array")
     mors = []
@@ -145,7 +171,8 @@ def _parse_groupoid(data: dict) -> FinGroupoid:
             raise DocumentError(f"morphism rows are objects with id/src/dst, got {row!r}")
         if not all(isinstance(v, str) for v in row.values()):
             raise DocumentError(f"morphism rows hold string ids, got {row!r}")
-        mors.append((row["id"], row["src"], row["dst"]))
+        mors.append((ids.setdefault(row["id"], row["id"]), ids.get(row["src"], row["src"]),
+                     ids.get(row["dst"], row["dst"])))
     if len({m[0] for m in mors}) != len(mors):
         raise DocumentError("duplicate morphism ids")
     objset = set(objects)
@@ -155,9 +182,9 @@ def _parse_groupoid(data: dict) -> FinGroupoid:
     gpd = FinGroupoid.build(
         objects,
         mors,
-        _family_table(data["compose"], "compose", 2),
-        dict(_rows(data["identities"], "identities", 2)),
-        dict(_rows(data["inverses"], "inverses", 2)),
+        _table(data, "compose", 2, ids),
+        _table(data, "identities", None, ids),
+        _table(data, "inverses", None, ids),
     )
     known = set(gpd.morphisms)
     for (g, f), h in gpd.compose.items():
@@ -169,12 +196,12 @@ def _parse_groupoid(data: dict) -> FinGroupoid:
     for f, i in gpd.inverse.items():
         if f not in known or i not in known:
             raise DocumentError("inverses table references undeclared morphism")
-    return gpd
+    return gpd, ids
 
 
-def _parse_sum_block(gpd: FinGroupoid, raw: dict, kind: str):
-    op_obj = _family_table(raw["op_obj"], "op_obj", 2)
-    op_mor = _family_table(raw["op_mor"], "op_mor", 2)
+def _parse_sum_block(gpd: FinGroupoid, ids: dict, raw: dict, kind: str):
+    op_obj = _table(raw, "op_obj", 2, ids)
+    op_mor = _table(raw, "op_mor", 2, ids)
     unit = raw["unit"]
     if not isinstance(unit, str) or unit not in set(gpd.objects):
         raise DocumentError(f"unit {unit!r} is not a declared object")
@@ -182,16 +209,16 @@ def _parse_sum_block(gpd: FinGroupoid, raw: dict, kind: str):
     if unit_id is None:
         raise DocumentError(f"unit {unit!r} has no identity morphism")
     _check_ids(gpd, op_mor.values(), "op_mor")
-    l = _family(gpd, raw, "l", lunit_family, unit, unit_id)
-    r = _family(gpd, raw, "r", runit_family, unit, unit_id)
+    l = _family(gpd, ids, raw, "l", lunit_family, unit, unit_id)
+    r = _family(gpd, ids, raw, "r", runit_family, unit, unit_id)
     if kind == "ac":
-        return ACStructure(gpd, op_obj, op_mor, unit, _family(gpd, raw, "b", acomm_family), l, r)
-    a = _family(gpd, raw, "a", assoc_family)
+        return ACStructure(gpd, op_obj, op_mor, unit, _family(gpd, ids, raw, "b", acomm_family), l, r)
+    a = _family(gpd, ids, raw, "a", assoc_family)
     c = None
     if kind == "sm":
         if raw.get("c") is None:
             raise DocumentError("sm blocks carry a commutator; use kind 'mul' without one")
-        c = _family(gpd, raw, "c", comm_family)
+        c = _family(gpd, ids, raw, "c", comm_family)
     return MonStructure(gpd, op_obj, op_mor, unit, a, c, l, r)
 
 
@@ -203,26 +230,30 @@ def _require(raw: dict, keys: tuple[str, ...], kind: str) -> None:
 
 def parse_document(text: str) -> StructureDocument:
     """Parse a document, verifying every reference; raises
-    :class:`DocumentError` with position info on syntax errors."""
+    :class:`DocumentError` with position info on syntax errors.  The text is
+    not referenced once ``json.loads`` has read it."""
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _parse(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise DocumentError(f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}") from err
+        del text
+        return _parse(data)
+    except RecursionError as err:  # from json.loads, or from the repr of a bad row
+        raise DocumentError("JSON nests too deeply") from err
     finally:
         if collecting:
             gc.enable()
 
 
-def _parse(text: str) -> StructureDocument:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise DocumentError(f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}") from err
+def _parse(data) -> StructureDocument:
     if not isinstance(data, dict):
         raise DocumentError("document root must be an object")
     if data.get("format") != FORMAT:
         raise DocumentError(f"unknown format {data.get('format')!r}; expected {FORMAT!r}")
-    gpd = _parse_groupoid(data)
+    gpd, ids = _parse_groupoid(data)
 
     raw_blocks = data.get("structures", [])
     if not isinstance(raw_blocks, list):
@@ -244,16 +275,16 @@ def _parse(text: str) -> StructureDocument:
         if kind in _STRUCT_KINDS:
             keys = ("op_obj", "op_mor", "unit", "l", "r") + (("b",) if kind == "ac" else ("a",))
             _require(raw, keys, kind)
-            doc.blocks.append(Block(kind, name, _parse_sum_block(gpd, raw, kind)))
+            doc.blocks.append(Block(kind, name, _parse_sum_block(gpd, ids, raw, kind)))
         elif kind == "functor":
             _require(raw, ("source", "target", "obj_map", "mor_map", "fsum"), kind)
             for ref in (raw["source"], raw["target"]):
                 if doc.block(ref).kind not in _STRUCT_KINDS:
                     raise DocumentError(f"functor {name!r} endpoint {ref!r} is not a structure block")
-            obj_map = dict(_rows(raw["obj_map"], "obj_map", 2))
-            mor_map = dict(_rows(raw["mor_map"], "mor_map", 2))
+            obj_map = _table(raw, "obj_map", None, ids)
+            mor_map = _table(raw, "mor_map", None, ids)
             _check_ids(gpd, mor_map.values(), "mor_map")
-            fsum = _family(gpd, raw, "fsum", fsum_family)
+            fsum = _family(gpd, ids, raw, "fsum", fsum_family)
             fzero = raw.get("fzero")
             if fzero is not None and (not isinstance(fzero, str) or fzero not in gpd.morphisms):
                 raise DocumentError(f"fzero {fzero!r} is not a declared morphism")
@@ -265,7 +296,7 @@ def _parse(text: str) -> StructureDocument:
             ftgt = doc.block(raw["target"])
             if fsrc.kind != "functor" or ftgt.kind != "functor":
                 raise DocumentError(f"transformation {name!r} endpoints must be functor blocks")
-            tr = MonTransformation(fsrc.obj, ftgt.obj, _family(gpd, raw, "components", tau_family))
+            tr = MonTransformation(fsrc.obj, ftgt.obj, _family(gpd, ids, raw, "components", tau_family))
             doc.blocks.append(Block(kind, name, tr, {"source": raw["source"], "target": raw["target"]}))
         else:  # tworing
             _require(raw, ("add", "mul", "d", "e"), kind)
@@ -274,9 +305,9 @@ def _parse(text: str) -> StructureDocument:
             if add_blk.kind not in ("sm", "ac") or mul_blk.kind != "mul":
                 raise DocumentError(f"tworing {name!r} needs an sm/ac 'add' and a mul 'mul'")
             zero = add_blk.obj.unit
-            d = _family(gpd, raw, "d", dist_l_family)
-            e = _family(gpd, raw, "e", dist_r_family)
-            m, n = (_family(gpd, raw, f, make, zero, gpd.identity[zero]) if raw.get(f) is not None else None
+            d = _family(gpd, ids, raw, "d", dist_l_family)
+            e = _family(gpd, ids, raw, "e", dist_r_family)
+            m, n = (_family(gpd, ids, raw, f, make, zero, gpd.identity[zero]) if raw.get(f) is not None else None
                     for f, make in _ABSORBERS.items())
             ring = TwoRingData(gpd, add_blk.obj, mul_blk.obj, d, e, m, n)
             doc.blocks.append(Block(kind, name, ring, {"add": raw["add"], "mul": raw["mul"]}))

@@ -368,3 +368,79 @@ def test_strict_profile_agrees_with_forced_full_on_parsed_documents(case):
         assert fast.checks
         for row in fast.checks:
             assert (row.status, row.witness) == (full[row.law].status, full[row.law].witness), row.law
+
+
+# -- ids shared with the carrier ------------------------------------------------
+
+
+def _own_ids(gpd) -> dict:
+    """Each declared id to the carrier's own string for it."""
+    own = {o: o for o in gpd.objects}
+    for mid, mor in gpd.morphisms.items():
+        assert own.setdefault(mid, mid) is mid
+        assert own[mor.src] is mor.src and own[mor.dst] is mor.dst
+    return own
+
+
+def _parsed_table(doc: StructureDocument, block, field) -> dict:
+    gpd = doc.groupoid
+    if block is None:
+        return {"compose": gpd.compose, "identities": gpd.identity, "inverses": gpd.inverse}[field]
+    obj = doc.block(block).obj
+    if field in ("obj_map", "mor_map", "fsum"):
+        return {"obj_map": obj.base.obj_map, "mor_map": obj.base.mor_map, "fsum": obj.fsum.components}[field]
+    if field == "components":
+        return obj.tau.components
+    if field in ("op_obj", "op_mor"):
+        return obj.sum_obj if field == "op_obj" else obj.sum_mor
+    return obj.families()[field].components
+
+
+SECTIONS = [
+    ("super-line sm", None, "compose"), ("super-line sm", None, "identities"),
+    ("super-line sm", None, "inverses"), ("super-line sm", "add", "op_obj"),
+    ("super-line sm", "add", "op_mor"), ("z4 ac", "mul", "op_obj"), ("z4 ac", "mul", "op_mor"),
+    ("dual m=3 F(1,2) ac", "F", "obj_map"), ("dual m=3 F(1,2) ac", "F", "mor_map"),
+] + [(doc_name, block, field) for doc_name, block, field, _ in FAMILY_FIELDS]
+
+
+@pytest.mark.parametrize("doc_name, block, field", SECTIONS,
+                         ids=[f"{b or 'carrier'}.{f}" for _, b, f in SECTIONS])
+def test_every_table_cell_is_the_carriers_own_string(doc_name, block, field):
+    doc = parse_document(serialize_document(ORACLE_DOCS[doc_name]()))
+    own = _own_ids(doc.groupoid)
+    table = _parsed_table(doc, block, field)
+    assert table
+    for key, value in table.items():
+        for cell in (*key, value) if isinstance(key, tuple) else (key, value):
+            assert cell is own[cell]
+
+
+def test_a_parsed_b_holds_one_string_per_declared_id():
+    doc = parse_document(serialize_document(dual_doc(3)))
+    b = doc.block("add").obj.acomm.components
+    strings = {id(cell) for key, value in b.items() for cell in (*key, value)}
+    gpd = doc.groupoid
+    assert len(b) == 9 ** 4
+    assert len(strings) <= len(gpd.objects) + len(gpd.morphisms)
+
+
+@pytest.mark.parametrize("field, row, law, witness", [
+    ("op_obj", 5, "bifunctor", "at (0+1e, undeclared): sum object table keyed outside the carrier"),
+    ("b", -1, "b-endpoints", "at (1+1e, 1+1e, 1+1e, 1+1e): component missing or unknown"),
+])
+def test_a_key_outside_the_carrier_is_kept_as_read(field, row, law, witness):
+    from twogrp import validate_ac
+
+    data = json.loads(serialize_document(dual_doc(2, (1, 1))))
+    rows = next(b for b in data["structures"] if b["name"] == "add")[field]
+    rows[row][-2] = "undeclared"
+    doc = parse_document(json.dumps(data))
+    own = _own_ids(doc.groupoid)
+    key, value = next(item for item in _parsed_table(doc, "add", field).items()
+                      if item[0] == tuple(rows[row][:-1]))
+    assert "undeclared" not in own
+    assert all(cell is own[cell] for cell in key[:-1]) and value is own[value]
+    report = validate_ac(doc.block("add").obj)
+    assert report.failures()[0].law == law
+    assert report.failures()[0].witness.describe() == witness
