@@ -44,7 +44,7 @@ import re
 import sys
 
 from .ac import AC_LAWS, to_ac, to_sm, validate_ac
-from .document import Block, StructureDocument, parse_document, serialize_document
+from .document import Block, StructureDocument, parse_document, write_document
 from .errors import DocumentError, StructureError
 from .fixtures import (
     build_derivation_2ring,
@@ -107,7 +107,7 @@ def _nat_sample(doc: StructureDocument, families) -> int | None:
 
 def _load(path: str) -> StructureDocument:
     """The document at ``path``; its text is handed to ``parse_document``
-    and held by nothing else, so the parse can drop it."""
+    and held by nothing else, so the parse decides how long it lives."""
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_document(fh.read())
@@ -117,12 +117,13 @@ def _load(path: str) -> StructureDocument:
         raise CliFailure(f"{path}: {err}", 2) from err
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(doc: StructureDocument, out: str | None) -> None:
+    """Write the canonical text of ``doc`` to the file ``out``, or to stdout."""
     if out is None:
-        sys.stdout.write(text)
+        write_document(doc, sys.stdout)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write_document(doc, fh)
 
 
 def _pick(doc: StructureDocument, kinds: tuple[str, ...], name: str | None) -> Block:
@@ -264,7 +265,8 @@ def cmd_check(args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        _emit(text, args.out)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return 0 if ok else 1
 
 
@@ -287,7 +289,7 @@ def cmd_convert(args) -> int:
         print(f"convert aborted: {err}")
         return 1
     new_blocks = [replaced.get(b.name, b) for b in doc.blocks]
-    _emit(serialize_document(StructureDocument(doc.groupoid, new_blocks)), args.out)
+    _emit(StructureDocument(doc.groupoid, new_blocks), args.out)
     return 0
 
 
@@ -366,7 +368,7 @@ def cmd_fixture(args) -> int:
         blocks.append(Block("tworing", "ring", ring, {"add": "add", "mul": "mul"}))
     else:
         raise CliFailure(f"unknown fixture {args.name!r}", 2)
-    _emit(serialize_document(StructureDocument(gpd, blocks)), args.out)
+    _emit(StructureDocument(gpd, blocks), args.out)
     return 0
 
 

@@ -26,25 +26,37 @@ first bad row; a cell that is a string but no declared id is kept as read.
 Every family field is read by one reader (its table, then its ids) and
 written from the structure's ``families()``, whose names are the field
 names.  Id checks accept by one set difference before an ordered walk
-names the first undeclared id.  The document's text is not referenced once
-``json.loads`` has read it, and each raw table is taken out of the loaded
-data as it is read, so both are freed while the parse goes on.  The cyclic
+names the first undeclared id.  Each raw table is taken out of the loaded
+data as it is read, so it is freed while the parse goes on.  The cyclic
 garbage collector is paused for the duration of a parse (it would
 otherwise rescan the millions of fresh lists and tuples a parse
 allocates), and its previous state is restored on the way out.
 
+A canonical text's long tables are never loaded whole.  Each table whose
+rows take more than ``_CHUNK`` characters is cut out of the text (its
+extent and its row separators are fixed strings of the layout, and no id
+can hold their raw newlines), the rest is loaded with a ``NaN`` in its
+place, and the table is loaded in row-aligned chunks, each chunk's rows
+built into the table before the next is read.  The text is held until the
+parse is done.  Any other text, and any text on which that read raises or
+leaves a cut unread, is loaded whole, and the whole-text read decides every
+error, so each message is the same either way.
+
 The serializer writes the same text as ``json.dumps`` with ``indent=2`` and
 sorted keys, without that call's pure-Python encoder: each table is emitted
 as one row template filled from the sorted keys, with every distinct id
-encoded once.
+encoded once.  The text goes out in pieces, a table's rows joined
+``_ROWS`` at a time: ``write_document`` passes them to a stream, and
+``serialize_document`` joins them.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -56,6 +68,11 @@ from .monoidal import MonStructure, assoc_family, comm_family, lunit_family, run
 from .rings import TwoRingData, absorb_l_family, absorb_r_family, dist_l_family, dist_r_family
 
 FORMAT = "twogrp/1"
+# a canonical table whose rows take more than this many characters is read
+# in row-aligned chunks of about this size
+_CHUNK = 1 << 20
+# rows the writer joins into one piece
+_ROWS = 1 << 12
 
 _STRUCT_KINDS = ("sm", "ac", "mul")
 _ALL_KINDS = _STRUCT_KINDS + ("functor", "transformation", "tworing")
@@ -112,6 +129,22 @@ def _rows(raw, name: str, width: int) -> list[list[str]]:
     return raw
 
 
+def _pairs(columns: list, arity: int | None):
+    """``(key, value)`` pairs from a table's columns, the last being the
+    values."""
+    values = columns.pop()
+    return zip(columns[0] if arity is None else zip(*columns), values)
+
+
+def _declared(rows, width: int, ids: dict) -> list:
+    """The columns of ``rows``, each cell looked up in ``ids``; reading them
+    raises KeyError or TypeError unless the rows are lists of ``width``
+    declared ids."""
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
+        raise TypeError("not rows of the expected width")
+    return [map(ids.__getitem__, map(itemgetter(i), rows)) for i in range(width)]
+
+
 def _table(raw: dict, name: str, arity: int | None, ids: dict) -> dict:
     """The table ``name``, taken out of ``raw``: ``{tuple(row[:arity]):
     row[arity]}``, or ``{row[0]: row[1]}`` when ``arity`` is None, with every
@@ -119,18 +152,17 @@ def _table(raw: dict, name: str, arity: int | None, ids: dict) -> dict:
     maps each declared id to it) and any other cell as read."""
     width = 2 if arity is None else arity + 1
     rows = raw.pop(name)
-
-    def build(cells: list) -> dict:
-        values = cells.pop()
-        return dict(zip(cells[0] if arity is None else zip(*cells), values))
-
+    if isinstance(rows, _Cut):  # a row of anything but declared ids raises: the whole text decides
+        table: dict = {}
+        for chunk in rows.chunks():
+            table.update(_pairs(_declared(chunk, width, ids), arity))
+        return table
     try:  # rows of declared ids: one lookup per cell
-        if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}:
-            return build([map(ids.__getitem__, map(itemgetter(i), rows)) for i in range(width)])
+        return dict(_pairs(_declared(rows, width, ids), arity))
     except (KeyError, TypeError):
         pass
     rows = _rows(rows, name, width)
-    return build([map(ids.get, map(itemgetter(i), rows), map(itemgetter(i), rows)) for i in range(width)])
+    return dict(_pairs([map(ids.get, map(itemgetter(i), rows), map(itemgetter(i), rows)) for i in range(width)], arity))
 
 
 def _check_ids(doc_gpd: FinGroupoid, names, kind: str) -> None:
@@ -228,13 +260,87 @@ def _require(raw: dict, keys: tuple[str, ...], kind: str) -> None:
         raise DocumentError(f"{kind} block is missing fields {missing}")
 
 
+class _Cut:
+    """A long table of a canonical text: its rows run from ``start`` (the
+    first row's ``[``) to ``end``, separated by ``sep``."""
+
+    def __init__(self, text: str, start: int, end: int, sep: str):
+        self.text, self.start, self.end, self.sep = text, start, end, sep
+        self.read = False
+
+    def chunks(self):
+        """The rows, as lists parsed from row-aligned runs of about
+        ``_CHUNK`` characters."""
+        self.read = True
+        text, at, end, sep = self.text, self.start, self.end, self.sep
+        while (stop := text.find(sep, at + _CHUNK, end)) >= 0:
+            yield json.loads("[" + text[at:stop + 1] + "]")
+            at = stop + len(sep) - 1
+        yield json.loads("[" + text[at:end] + "]")
+
+
+_ARRAY = '": [\n'
+_ROWS_OPEN = re.compile(r"( *)\[\n")
+
+
+def _cut(text: str) -> tuple[str, list[_Cut]]:
+    """``text`` with each table whose rows take more than ``_CHUNK``
+    characters replaced by ``NaN``, and those tables in document order.
+    Only the layout the serializer writes is searched: a table is an array
+    whose first row opens a line with ``[``, and it ends at the first ``]``
+    at its key's indent that another key follows (no canonical block ends
+    with a table)."""
+    kept, cuts, pos = [], [], 0
+    at = text.find(_ARRAY) if text.startswith('{\n  "') else -1
+    while at >= 0:
+        start = at + len(_ARRAY)
+        rows = _ROWS_OPEN.match(text, start)
+        if rows is None:  # objects, morphisms, structures: search inside
+            at = text.find(_ARRAY, start)
+            continue
+        pad = rows.group(1)
+        end = text.find("\n" + pad[2:] + "],\n" + pad[2:] + '"', start)
+        if end < 0:
+            break
+        if end - start > _CHUNK:
+            kept += (text[pos:start - 2], "NaN")
+            cuts.append(_Cut(text, rows.end() - 2, end, "],\n" + pad + "["))
+            pos = end + len(pad)
+        at = text.find(_ARRAY, end)
+    kept.append(text[pos:])
+    return "".join(kept), cuts
+
+
+def _parse_cut(text: str) -> StructureDocument | None:
+    """The document with its long tables read chunk by chunk from ``text``,
+    or None when it has none.  Anything else raises: a constant in the text
+    besides the cuts' ``NaN`` runs ``next`` past the cuts, and a cut that no
+    table read could hide a fault the whole text would show."""
+    rest, cuts = _cut(text)
+    if not cuts:
+        return None
+    found = iter(cuts)
+    doc = _parse(json.loads(rest, parse_constant=lambda _: next(found)))
+    if not all(cut.read for cut in cuts):
+        raise DocumentError("a long table was not read")
+    return doc
+
+
 def parse_document(text: str) -> StructureDocument:
     """Parse a document, verifying every reference; raises
-    :class:`DocumentError` with position info on syntax errors.  The text is
-    not referenced once ``json.loads`` has read it."""
+    :class:`DocumentError` with position info on syntax errors.  A canonical
+    text's long tables are read in chunks; any other text, and any text on
+    which that read fails, is read whole, so every error comes from the
+    whole-text read."""
     collecting = gc.isenabled()
     gc.disable()
     try:
+        try:
+            doc = _parse_cut(text)
+        except Exception:  # of any type: the whole-text read below reports it, or parses
+            doc = None
+        if doc is not None:
+            return doc
         try:
             data = json.loads(text)
         except json.JSONDecodeError as err:
@@ -336,35 +442,35 @@ class _Codes(dict):
         return code
 
 
-def _emit(value, level: int, out: list[str], codes: _Codes) -> None:
-    """Append the ``json.dumps(value, sort_keys=True, indent=2)`` text of
-    ``value`` nested ``level`` deep to ``out``."""
+def _emit(value, level: int, write, codes: _Codes) -> None:
+    """Pass the ``json.dumps(value, sort_keys=True, indent=2)`` text of
+    ``value`` nested ``level`` deep to ``write``, in pieces."""
     if isinstance(value, str):
-        out.append(codes[value])
+        write(codes[value])
     elif value is None:
-        out.append("null")
+        write("null")
     elif isinstance(value, _Table):
-        _emit_table(value.entries, level, out, codes)
+        _emit_table(value.entries, level, write, codes)
     elif isinstance(value, (dict, list)):
         is_dict = isinstance(value, dict)
         opening, closing = "{}" if is_dict else "[]"
         items = sorted(value.items()) if is_dict else [(None, item) for item in value]
         if not items:
-            out.append(opening + closing)
+            write(opening + closing)
             return
         pad = "\n" + "  " * (level + 1)
-        out.append(opening)
+        write(opening)
         for pos, (key, item) in enumerate(items):
-            out.append("," + pad if pos else pad)
+            write("," + pad if pos else pad)
             if is_dict:
-                out.append(codes[key] + ": ")
-            _emit(item, level + 1, out, codes)
-        out.append("\n" + "  " * level + closing)
+                write(codes[key] + ": ")
+            _emit(item, level + 1, write, codes)
+        write("\n" + "  " * level + closing)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit_table(entries: dict, level: int, out: list[str], codes: _Codes) -> None:
+def _emit_table(entries: dict, level: int, write, codes: _Codes) -> None:
     keys = sorted(entries)
     kinds = set(map(type, keys))
     widths = set(map(len, keys)) if kinds == {tuple} else set()
@@ -374,16 +480,18 @@ def _emit_table(entries: dict, level: int, out: list[str], codes: _Codes) -> Non
         columns = [map(itemgetter(i), keys) for i in range(widths.pop())]
     else:  # no rows, or mixed key shapes: sort the rows themselves, as lists
         rows = sorted([*k, v] if isinstance(k, tuple) else [k, v] for k, v in entries.items())
-        _emit(rows, level, out, codes)
+        _emit(rows, level, write, codes)
         return
     columns.append(map(entries.__getitem__, keys))
     row_pad = "\n" + "  " * (level + 1)
     cell_pad = row_pad + "  "
     row = "[" + cell_pad + ("%s," + cell_pad) * (len(columns) - 1) + "%s" + row_pad + "]"
-    cells = zip(*[map(codes.__getitem__, column) for column in columns])
-    out.append("[" + row_pad)
-    out.append(("," + row_pad).join(map(row.__mod__, cells)))
-    out.append("\n" + "  " * level + "]")
+    rows = map(row.__mod__, zip(*[map(codes.__getitem__, column) for column in columns]))
+    joint = "," + row_pad
+    write("[" + row_pad)
+    for start in range(0, len(keys), _ROWS):  # rows joined in blocks, not all at once
+        write((joint if start else "") + joint.join(islice(rows, _ROWS)))
+    write("\n" + "  " * level + "]")
 
 
 def _tables(families: dict) -> dict:
@@ -435,8 +543,7 @@ def _block_payload(doc: StructureDocument, blk: Block) -> dict:
     }
 
 
-def serialize_document(doc: StructureDocument) -> str:
-    """Canonical serialization: stable ordering everywhere, sorted keys."""
+def _write(doc: StructureDocument, write) -> None:
     gpd = doc.groupoid
     payload = {
         "format": FORMAT,
@@ -452,7 +559,18 @@ def serialize_document(doc: StructureDocument) -> str:
             _block_payload(doc, blk) for blk in sorted(doc.blocks, key=lambda b: b.name)
         ],
     }
+    _emit(payload, 0, write, _Codes())
+    write("\n")
+
+
+def write_document(doc: StructureDocument, fh) -> None:
+    """Write the canonical serialization of ``doc`` to the text stream
+    ``fh`` in pieces, so that its whole text is never held at once."""
+    _write(doc, fh.write)
+
+
+def serialize_document(doc: StructureDocument) -> str:
+    """Canonical serialization: stable ordering everywhere, sorted keys."""
     out: list[str] = []
-    _emit(payload, 0, out, _Codes())
-    out.append("\n")
+    _write(doc, out.append)
     return "".join(out)

@@ -31,11 +31,11 @@ UNCONVERTED = (
 )
 
 
-def document_digests(tmp_path) -> str:
-    """One line per document: the fixture, its conversion to the other
-    presentation and that document converted back.  ``PINNED`` holds this
-    text; write the function's output there to regenerate it."""
-    lines = []
+def written_documents(tmp_path) -> list[tuple[str, Path]]:
+    """Every pinned document as ``(name, path)``: each fixture, its
+    conversion to the other presentation and that document converted back,
+    then the unconverted fixtures, written into ``tmp_path``."""
+    docs = []
     for name, command, kind in FIXTURES:
         other = "sm" if kind == "ac" else "ac"
         path = tmp_path / f"{name}.json"
@@ -43,13 +43,19 @@ def document_digests(tmp_path) -> str:
         assert main(["fixture", *command, "--out", str(path)]) == 0
         assert main(["convert", str(path), "--to", other, "--out", str(there)]) == 0
         assert main(["convert", str(there), "--to", kind, "--out", str(back)]) == 0
-        for doc, label in ((path, name), (there, f"{name} --to {other}"), (back, f"{name} --to {other} --to {kind}")):
-            lines.append(f"{hashlib.sha256(doc.read_bytes()).hexdigest()}  {label}\n")
+        docs += [(name, path), (f"{name} --to {other}", there), (f"{name} --to {other} --to {kind}", back)]
     for name, command in UNCONVERTED:
         path = tmp_path / f"{name}.json"
         assert main(["fixture", *command, "--out", str(path)]) == 0
-        lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}\n")
-    return "".join(lines)
+        docs.append((name, path))
+    return docs
+
+
+def document_digests(tmp_path) -> str:
+    """One ``sha256  name`` line per written document.  ``PINNED`` holds
+    this text; write the function's output there to regenerate it."""
+    return "".join(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}\n"
+                   for name, path in written_documents(tmp_path))
 
 
 def test_fixture_and_convert_documents_match_pinned_digests(tmp_path):

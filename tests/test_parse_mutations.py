@@ -90,11 +90,11 @@ def _run(argv: list[str]) -> tuple[int | str, str]:
     return code, out.getvalue() or err.getvalue()
 
 
-def pinned_mutation_outcomes(tmp_path) -> str:
+def pinned_mutation_outcomes(tmp_path, dump=json.dumps) -> str:
     """One line per mutant: document, mutation, exit code and the first line
-    ``check`` prints (``time=`` stripped, the file shown by name).
-    ``PINNED`` holds this text; write the function's output there to
-    regenerate it."""
+    ``check`` prints (``time=`` stripped, the file shown by name), each
+    mutant written by ``dump``.  ``PINNED`` holds this text; write the
+    function's output there to regenerate it."""
     rng = random.Random(20251019)
     paths = {name: tmp_path / f"{name}.json" for name, _, _ in DOCUMENTS}
     lines = []
@@ -105,7 +105,7 @@ def pinned_mutation_outcomes(tmp_path) -> str:
         data = json.loads(paths[name].read_text(encoding="utf-8"))
         mutant_path = tmp_path / "mutant.json"
         for label, doc in mutants(data, rng):
-            mutant_path.write_text(json.dumps(doc), encoding="utf-8")
+            mutant_path.write_text(dump(doc), encoding="utf-8")
             code, text = _run(["check", str(mutant_path), "--suite", suite])
             first = (text.splitlines() or [""])[0].replace(str(mutant_path), "mutant.json")
             first = re.sub(r" time=\S+", "", first)
