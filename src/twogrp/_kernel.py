@@ -15,8 +15,9 @@ over, and a pair's projections are gathers.  Every table becomes an int
 array with one extra slot per axis that holds -1, so a missing entry reads
 -1 and propagates to the composite.  A table keyed by exactly the tuples
 of the carrier's ids (a total family, a total sum) is read densely: its
-values in product order, sliced into the array; any other table, with a
-missing key or one outside the carrier, is encoded key by key.
+values in product order (a ``groupoid.Column``'s values as they are),
+sliced into the array; any other table, with a missing key or one outside
+the carrier, is encoded key by key.
 The terms compile to one instruction per distinct gather; variables are
 broadcast axes, so a subterm is computed only over the variables it
 mentions.  An exhaustive space runs in blocks over its leading coordinates
@@ -42,7 +43,7 @@ from math import prod
 import numpy as np
 
 from .ac import ACOMM_UPPER, _CanonicalAcomm, _route_env
-from .groupoid import NatFamily, _strict_bit
+from .groupoid import Column, NatFamily, _strict_bit
 
 BLOCK = 1 << 14  # instances evaluated at once
 DRAW = 1 << 16  # generator outputs drawn at once
@@ -150,6 +151,8 @@ class _Program:
         axes = [self.ids[lv] if lv < 2 else None for lv in key_levels]
         if not axes or None in axes or len(table) != prod(map(len, axes)):
             return None
+        if isinstance(table, Column):  # its values are in that order already
+            return table.column if table.arity == len(axes) and all(a == table.axis for a in axes) else None
         values = list(map(table.get, product(*axes)))
         return None if None in values else values
 

@@ -239,7 +239,7 @@ def _translate_to_ac(m: MonStructure, sample: int | None, seed: int = 0) -> ACSt
         b_fam = identity_family(acomm_family, gpd, env)
     else:
         upper = _composite(ACOMM_UPPER, m)
-        b_fam = acomm_family({idx: upper(idx) for idx in product(gpd.objects_sorted, repeat=4)})
+        b_fam = acomm_family(gpd.product_table(4, map(upper, product(gpd.objects_sorted, repeat=4))))
     out = ACStructure(gpd, m.sum_obj, m.sum_mor, m.unit, b_fam, m.lunit, m.runit)
     validate_ac(out, check_data=False, sample=sample, seed=seed).require("translated structure fails")
     return out
@@ -271,8 +271,8 @@ def _translate_to_sm(a: ACStructure, sample: int | None, seed: int = 0) -> MonSt
         c_fam = identity_family(comm_family, gpd, env)
     else:
         assoc, comm = _composite(ASSOC_FROM_B, a), _composite(COMM_FROM_B, a)
-        a_fam = assoc_family({idx: assoc(idx) for idx in product(objs, repeat=3)})
-        c_fam = comm_family({idx: comm(idx) for idx in product(objs, repeat=2)})
+        a_fam = assoc_family(gpd.product_table(3, map(assoc, product(objs, repeat=3))))
+        c_fam = comm_family(gpd.product_table(2, map(comm, product(objs, repeat=2))))
     out = MonStructure(gpd, a.sum_obj, a.sum_mor, a.unit, a_fam, c_fam, a.lunit, a.runit)
     validate_sm(out, check_data=False, sample=sample, seed=seed).require("translated structure fails")
     return out

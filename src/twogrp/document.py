@@ -37,14 +37,21 @@ rows take more than ``_CHUNK`` characters is cut out of the text (its
 extent and its row separators are fixed strings of the layout, and no id
 can hold their raw newlines), the rest is loaded with a ``NaN`` in its
 place, and the table is loaded in row-aligned chunks, each chunk's rows
-built into the table before the next is read.  The text is held until the
-parse is done.  Any other text, and any text on which that read raises or
-leaves a cut unread, is loaded whole, and the whole-text read decides every
-error, so each message is the same either way.
+built into the table before the next is read.  A cut family table whose
+key columns equal those of the product of the carrier's sorted objects,
+compared chunk by chunk without building a key, is kept as its value column
+(``FinGroupoid.product_table``: a ``groupoid.Column`` at ``KERNEL_FLOOR``
+entries or more, a dict below); any other table is a dict, and a string
+cell naming no declared id is kept as read, as the whole-text read keeps
+it.  The text is held until the parse is done.  Any other text, and any
+text on which that read raises or leaves a cut unread, is loaded whole, and
+the whole-text read decides every error, so each message is the same
+either way.
 
 The serializer writes the same text as ``json.dumps`` with ``indent=2`` and
 sorted keys, without that call's pure-Python encoder: each table is emitted
-as one row template filled from the sorted keys, with every distinct id
+as one row template filled from the sorted keys (a column's from the
+product of its encoded ids, already in order), with every distinct id
 encoded once.  The text goes out in pieces, a table's rows joined
 ``_ROWS`` at a time: ``write_document`` passes them to a stream, and
 ``serialize_document`` joins them.
@@ -56,14 +63,14 @@ import gc
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .ac import ACStructure, acomm_family
 from .errors import DocumentError
 from .functors import MonTransformation, StructuredFunctor, fsum_family, tau_family
-from .groupoid import FinGroupoid, GFunctor, NatFamily
+from .groupoid import Column, FinGroupoid, GFunctor, NatFamily
 from .monoidal import MonStructure, assoc_family, comm_family, lunit_family, runit_family
 from .rings import TwoRingData, absorb_l_family, absorb_r_family, dist_l_family, dist_r_family
 
@@ -136,33 +143,90 @@ def _pairs(columns: list, arity: int | None):
     return zip(columns[0] if arity is None else zip(*columns), values)
 
 
-def _declared(rows, width: int, ids: dict) -> list:
-    """The columns of ``rows``, each cell looked up in ``ids``; reading them
-    raises KeyError or TypeError unless the rows are lists of ``width``
-    declared ids."""
+def _declared(rows, width: int, ids: dict, first: int = 0, kept: bool = False) -> list:
+    """Columns ``first`` on of ``rows``, each cell looked up in ``ids``;
+    reading them raises KeyError or TypeError unless the rows are lists of
+    ``width`` declared ids.  With ``kept``, a cell naming no declared id is
+    kept as read."""
     if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
         raise TypeError("not rows of the expected width")
-    return [map(ids.__getitem__, map(itemgetter(i), rows)) for i in range(width)]
+    cells = lambda i: map(itemgetter(i), rows)
+    return [map(ids.get, cells(i), cells(i)) if kept else map(ids.__getitem__, cells(i)) for i in range(first, width)]
 
 
-def _table(raw: dict, name: str, arity: int | None, ids: dict) -> dict:
+def _chunk(rows, width: int, ids: dict, first: int = 0) -> list[list]:
+    """``_declared`` of a chunk of a cut table, read: a string naming no
+    declared id is kept as read, as the whole-text read keeps it, and any
+    other cell raises TypeError."""
+    try:
+        return list(map(list, _declared(rows, width, ids, first)))
+    except KeyError:
+        if not set(map(type, chain.from_iterable(rows))) <= {str}:
+            raise TypeError("a cell is not a string") from None
+        return list(map(list, _declared(rows, width, ids, first, kept=True)))
+
+
+def _product_column(axis: tuple, arity: int, j: int, start: int, stop: int) -> list:
+    """Coordinate ``j`` of the tuples at positions ``start`` to ``stop`` of
+    ``product(axis, repeat=arity)``: each id repeated ``run`` times, over and
+    over, built from whole runs or, when they are short, whole periods."""
+    n, run = len(axis), len(axis) ** (arity - 1 - j)
+    cells: list = []
+    if run < n:
+        period = [x for x in axis for _ in range(run)]
+        skip = start % len(period)
+        cells = period * -(-(skip + stop - start) // len(period))
+    else:
+        skip = start % run
+        for q in range(start // run, -(-stop // run)):
+            cells += [axis[q % n]] * run
+    return cells[skip:skip + stop - start]
+
+
+def _in_product(rows, axis: tuple, arity: int, start: int) -> bool:
+    """Whether the keys of ``rows`` are the tuples at positions ``start``
+    on of ``product(axis, repeat=arity)``, compared column by column."""
+    stop = start + len(rows)
+    return stop <= len(axis) ** arity and all(
+        _product_column(axis, arity, j, start, stop) == list(map(itemgetter(j), rows)) for j in range(arity))
+
+
+def _read_cut(cut: "_Cut", width: int, arity: int | None, ids: dict, gpd: FinGroupoid | None):
+    """A cut table, read chunk by chunk.  A family's (``gpd`` given) whose
+    keys are the tuples of the carrier's sorted objects in product order,
+    compared chunk by chunk and never built, is its value column when
+    ``gpd.keeps_columns``; any other table is a dict, the values read into
+    a column so far included."""
+    axis = gpd.objects_sorted if gpd is not None and gpd.keeps_columns(arity) else None
+    column, table = ([] if axis else None), {}
+    for chunk in cut.chunks():
+        if column is not None and _in_product(chunk, axis, arity, len(column)):
+            column += _chunk(chunk, width, ids, arity)[0]
+            continue
+        if column is not None:
+            table, column = dict(zip(product(axis, repeat=arity), column)), None
+        table.update(_pairs(_chunk(chunk, width, ids), arity))
+    if column is not None and len(column) == len(axis) ** arity:
+        return gpd.product_table(arity, column)
+    return table if column is None else dict(zip(product(axis, repeat=arity), column))
+
+
+def _table(raw: dict, name: str, arity: int | None, ids: dict, gpd: FinGroupoid | None = None):
     """The table ``name``, taken out of ``raw``: ``{tuple(row[:arity]):
     row[arity]}``, or ``{row[0]: row[1]}`` when ``arity`` is None, with every
     cell that names a declared id stored as the carrier's own string (``ids``
-    maps each declared id to it) and any other cell as read."""
+    maps each declared id to it) and any other cell as read.  A cut table
+    of a family over ``gpd`` may be a column (``_read_cut``)."""
     width = 2 if arity is None else arity + 1
     rows = raw.pop(name)
-    if isinstance(rows, _Cut):  # a row of anything but declared ids raises: the whole text decides
-        table: dict = {}
-        for chunk in rows.chunks():
-            table.update(_pairs(_declared(chunk, width, ids), arity))
-        return table
+    if isinstance(rows, _Cut):  # a row that is not strings of the width raises: the whole text decides
+        return _read_cut(rows, width, arity, ids, gpd)
     try:  # rows of declared ids: one lookup per cell
         return dict(_pairs(_declared(rows, width, ids), arity))
     except (KeyError, TypeError):
         pass
     rows = _rows(rows, name, width)
-    return dict(_pairs([map(ids.get, map(itemgetter(i), rows), map(itemgetter(i), rows)) for i in range(width)], arity))
+    return dict(_pairs(_declared(rows, width, ids, kept=True), arity))
 
 
 def _check_ids(doc_gpd: FinGroupoid, names, kind: str) -> None:
@@ -177,7 +241,7 @@ def _family(gpd: FinGroupoid, ids: dict, raw: dict, name: str, make, *args) -> N
     rows of the family's arity in ids (learnt from ``make({}, *args)``, as
     ``groupoid.identity_family`` learns it) then a declared morphism."""
     fam = make({}, *args)
-    fam.components = _table(raw, name, fam.arity, ids)
+    fam.components = _table(raw, name, fam.arity, ids, gpd)
     _check_ids(gpd, fam.components.values(), name)
     return fam
 
@@ -470,26 +534,33 @@ def _emit(value, level: int, write, codes: _Codes) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit_table(entries: dict, level: int, write, codes: _Codes) -> None:
-    keys = sorted(entries)
-    kinds = set(map(type, keys))
-    widths = set(map(len, keys)) if kinds == {tuple} else set()
-    if kinds == {str}:
-        columns = [keys]
-    elif len(widths) == 1:
-        columns = [map(itemgetter(i), keys) for i in range(widths.pop())]
-    else:  # no rows, or mixed key shapes: sort the rows themselves, as lists
-        rows = sorted([*k, v] if isinstance(k, tuple) else [k, v] for k, v in entries.items())
-        _emit(rows, level, write, codes)
-        return
-    columns.append(map(entries.__getitem__, keys))
+def _emit_table(entries, level: int, write, codes: _Codes) -> None:
+    if isinstance(entries, Column) and entries:  # its keys in order: the product of the sorted ids
+        width = entries.arity + 1
+        keys = product(list(map(codes.__getitem__, entries.axis)), repeat=entries.arity)
+        cells = map(tuple.__add__, keys, zip(map(codes.__getitem__, entries.column)))
+    else:
+        keys = sorted(entries)
+        kinds = set(map(type, keys))
+        widths = set(map(len, keys)) if kinds == {tuple} else set()
+        if kinds == {str}:
+            columns = [keys]
+        elif len(widths) == 1:
+            columns = [map(itemgetter(i), keys) for i in range(widths.pop())]
+        else:  # no rows, or mixed key shapes: sort the rows themselves, as lists
+            rows = sorted([*k, v] if isinstance(k, tuple) else [k, v] for k, v in entries.items())
+            _emit(rows, level, write, codes)
+            return
+        columns.append(map(entries.__getitem__, keys))
+        width = len(columns)
+        cells = zip(*[map(codes.__getitem__, column) for column in columns])
     row_pad = "\n" + "  " * (level + 1)
     cell_pad = row_pad + "  "
-    row = "[" + cell_pad + ("%s," + cell_pad) * (len(columns) - 1) + "%s" + row_pad + "]"
-    rows = map(row.__mod__, zip(*[map(codes.__getitem__, column) for column in columns]))
+    row = "[" + cell_pad + ("%s," + cell_pad) * (width - 1) + "%s" + row_pad + "]"
+    rows = map(row.__mod__, cells)
     joint = "," + row_pad
     write("[" + row_pad)
-    for start in range(0, len(keys), _ROWS):  # rows joined in blocks, not all at once
+    for start in range(0, len(entries), _ROWS):  # rows joined in blocks, not all at once
         write((joint if start else "") + joint.join(islice(rows, _ROWS)))
     write("\n" + "  " * level + "]")
 

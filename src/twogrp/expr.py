@@ -197,7 +197,13 @@ class Law:
         make, params = self._code
         return make(composable, morphisms, *[
             identity if slot == "id" else sym if slot == "k" else env[sym] if slot == "ends"
-            else env[sym][0].components if slot == "fam" else env[sym][slot] for sym, slot in params])
+            else _readable(env[sym][0].components) if slot == "fam" else env[sym][slot] for sym, slot in params])
+
+
+def _readable(table):
+    """A family's ``table`` as the generated code reads it: a dict as it
+    is, a ``groupoid.Column`` through its dict of the entries read."""
+    return table if isinstance(table, dict) else table.read()
 
 
 def _compile_law(law: Law):

@@ -10,6 +10,13 @@ raises the precise error.  Only the diagram engine's reference loop
 composes with one lookup per step in ``FinGroupoid.composable`` (in the
 code ``Law.routes`` generates) and reruns ``compose_path`` on a miss.
 
+A family's components map index tuples to morphisms.  A total family of
+at least ``diagram.KERNEL_FLOOR`` components, keyed by exactly the tuples
+of the carrier's sorted objects (``FinGroupoid.product_table``), is a
+:class:`Column`: its values in product order, a key read at its position.
+The reference loop reads a column through a dict of the entries it has
+read; every smaller or partial family is a dict.
+
 Morphism equality is identifier equality.  Canonical order (sorted ids)
 drives every scan, so witnesses and search results are reproducible.  A
 family's endpoint row and naturality squares are declared laws
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import random
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, ItemsView, Mapping, Sequence
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
@@ -147,12 +154,106 @@ class FinGroupoid(_Memo):
             self._cache["composable"] = table
         return table
 
+    def keeps_columns(self, arity: int) -> bool:
+        """Whether :meth:`product_table` gives a :class:`Column` at
+        ``arity``: when the table has at least ``diagram.KERNEL_FLOOR``
+        entries (a smaller one is read faster as a dict by the loops over
+        it, which run in the reference loop) and the carrier declares no
+        object twice."""
+        if "positions" not in self._cache:
+            self._cache["positions"] = {x: i for i, x in enumerate(self.objects_sorted)}
+        n = len(self.objects_sorted)
+        return len(self._cache["positions"]) == n and n ** arity >= diagram.KERNEL_FLOOR
+
+    def product_table(self, arity: int, values: Iterable[str]) -> "Column | dict":
+        """The total table over the tuples of ``arity`` objects whose
+        values, in product order, are ``values``: a :class:`Column` when
+        :meth:`keeps_columns`, otherwise a dict."""
+        axis = self.objects_sorted
+        if not self.keeps_columns(arity):
+            return dict(zip(product(axis, repeat=arity), values))
+        return Column(axis, self._cache["positions"], arity, tuple(values))
+
     def identities_preserved_by_inverse(self) -> bool:
         if "inv_id" not in self._cache:
             self._cache["inv_id"] = all(
                 self.inverse.get(i) == i for i in self.identity.values()
             )
         return self._cache["inv_id"]
+
+
+class Column(Mapping):
+    """A read-only table keyed by exactly the tuples of ``arity`` ids of
+    ``axis`` (a carrier's sorted objects), held as its values in product
+    order, which is the order of its keys and of their sort.  A key is read
+    at its position, computed from ``positions`` (each id's index in
+    ``axis``, shared by the carrier's columns); any other key raises
+    ``KeyError``, as a dict's missing key does.  A column equals any
+    mapping with the same entries; two over one axis compare their values.
+    The reference loop reads it through :meth:`read`."""
+
+    __slots__ = ("axis", "arity", "column", "_positions", "_read")
+
+    def __init__(self, axis: tuple[str, ...], positions: dict[str, int], arity: int, column: tuple[str, ...]):
+        self.axis, self._positions, self.arity, self.column = axis, positions, arity, column
+        self._read = None
+
+    def read(self) -> dict:
+        """The entries read through this dict so far, a miss read from the
+        column: the reference loop reads a family through it, so that a
+        repeated read is one dict lookup."""
+        if self._read is None:
+            self._read = _Read(self)
+        return self._read
+
+    def __getitem__(self, key):
+        if type(key) is tuple and len(key) == self.arity:
+            n, positions, at = len(self.axis), self._positions, 0
+            try:
+                for x in key:
+                    at = at * n + positions[x]
+            except KeyError:
+                raise KeyError(key) from None
+            return self.column[at]
+        raise KeyError(key)
+
+    def __iter__(self):
+        return product(self.axis, repeat=self.arity)
+
+    def __len__(self) -> int:
+        return len(self.column)
+
+    def values(self) -> tuple[str, ...]:
+        return self.column
+
+    def items(self) -> ItemsView:
+        return _ColumnItems(self)
+
+    def __eq__(self, other):
+        if isinstance(other, Column) and (other.axis, other.arity) == (self.axis, self.arity):
+            return self.column == other.column
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        absent = object()
+        return len(other) == len(self) and all(other.get(k, absent) == v for k, v in self.items())
+
+    def __repr__(self) -> str:
+        return f"Column(arity={self.arity}, axis={self.axis!r}, {len(self.column)} values)"
+
+
+class _Read(dict):
+    def __init__(self, column: Column):
+        super().__init__()
+        self.column = column
+
+    def __missing__(self, key):
+        value = self[key] = self.column[key]
+        return value
+
+
+class _ColumnItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.column)
 
 
 def compose_path(gpd: FinGroupoid, chain: Sequence[str]) -> str:
@@ -420,7 +521,7 @@ class NatFamily(_Memo):
     unitors, associo-commutators, distributors and absorbers alike)."""
 
     arity: int
-    components: dict[tuple[str, ...], str]
+    components: Mapping[tuple[str, ...], str]
     src_expr: ex.Expr
     tgt_expr: ex.Expr
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -457,10 +558,9 @@ def identity_family(make, gpd: FinGroupoid, env: ex.Env, *args) -> NatFamily:
     satisfy the law the family witnesses); the tests hold every such family
     to the endpoint row."""
     fam = make({}, *args)
-    src_at, ident = ex.compile_obj(fam.src_expr, env), gpd.identity
-    fam.components = {
-        idx: ident[src_at(idx)] for idx in product(gpd.objects_sorted, repeat=fam.arity)
-    }
+    src_at = ex.compile_obj(fam.src_expr, env)
+    sources = map(src_at, product(gpd.objects_sorted, repeat=fam.arity))
+    fam.components = gpd.product_table(fam.arity, map(gpd.identity.__getitem__, sources))
     _set_strict(fam, gpd, env, True)
     return fam
 

@@ -195,6 +195,15 @@ def test_a_defect_reads_as_the_whole_text_does(texts, reads, defect):
                           else "DocumentError: ")
 
 
+def test_a_key_naming_no_declared_id_is_read_in_chunks_and_kept_as_read(texts, reads):
+    text = _edit_row(texts["dn3-mult"], lambda row: ["undeclared", *row[1:]])
+    doc = parse_document(text)
+    assert isinstance(reads[-1], list)
+    assert doc == whole(text)
+    b = doc.block("add").obj.acomm.components
+    assert sum(key[0] == "undeclared" for key in b) == 1
+
+
 # -- the writer -----------------------------------------------------------------
 
 

@@ -328,3 +328,106 @@ def test_naturality_sample_covering_the_space_runs_exhaustively():
                 assert (row.instances, row.mode) == (space, "exhaustive"), (sample, name)
             else:
                 assert (row.instances, row.mode) == (sample, f"sampled(n={sample},seed=0)"), (sample, name)
+
+
+# -- a total family held as its value column ------------------------------------
+
+
+@pytest.fixture
+def column(monkeypatch):
+    """A ``Column`` over the triples of four objects, whose component is
+    the identity of the last object, and the dict with its entries."""
+    from itertools import product
+
+    from twogrp import diagram
+    from twogrp.groupoid import Column
+
+    monkeypatch.setattr(diagram, "KERNEL_FLOOR", 0)  # every product table is a column
+    gpd = discrete(["c", "a", "d", "b"])
+    values = [gpd.identity[x] for x in gpd.objects_sorted] * 16
+    col = gpd.product_table(3, values)
+    assert isinstance(col, Column)
+    return col, dict(zip(product(gpd.objects_sorted, repeat=3), values))
+
+
+def family_error(fam, *idx) -> str:
+    from twogrp.errors import StructureError
+
+    with pytest.raises(StructureError) as err:
+        fam.at(*idx)
+    return f"{type(err.value).__name__}: {err.value}"
+
+
+def test_a_column_family_reads_and_raises_as_the_dict_family(column):
+    from twogrp import NatFamily
+    from twogrp import expr as ex
+
+    col, table = column
+    by_col, by_dict = (NatFamily(3, t, ex.var(0), ex.var(0)) for t in (col, table))
+    for idx in table:
+        assert by_col.at(*idx) == by_dict.at(*idx) == table[idx]
+    for idx in (("a", "b"), ("a", "b", "c", "d"), ("a", "b", "zz"), ("zz", "a", "b"), ()):
+        assert family_error(by_col, *idx) == family_error(by_dict, *idx), idx
+    assert family_error(by_col, "a", "b") == "ArityMismatch: family has arity 3, got index ('a', 'b')"
+    assert family_error(by_col, "a", "b", "zz") == "MalformedTable: family has no component at ('a', 'b', 'zz')"
+    for key in ("abc", "a", None, ("a", "b"), ("a", "b", 0)):
+        assert key not in col and col.get(key) is None
+
+
+def test_a_column_spread_into_a_dict_is_the_dict_with_one_entry_changed(column):
+    col, table = column
+    idx = ("b", "d", "a")
+    changed = {**col, idx: "0|c"}
+    assert type(changed) is dict
+    assert changed == {**table, idx: "0|c"} and changed != table
+    assert [k for k in changed if changed[k] != table[k]] == [idx]
+
+
+def test_a_column_iterates_in_sorted_order(column):
+    col, table = column
+    assert list(col) == sorted(col) == sorted(table)
+    assert list(col.items()) == sorted(table.items())
+    assert list(col.values()) == [table[k] for k in sorted(table)]
+    assert len(col) == len(table) == 4 ** 3
+
+
+def test_a_column_equals_the_dict_with_its_entries_both_ways(column):
+    from dataclasses import replace
+
+    from twogrp import NatFamily
+    from twogrp import expr as ex
+    from twogrp.groupoid import Column
+
+    col, table = column
+    assert col == table and table == col and not col != table
+    idx = sorted(table)[5]
+    changed, dropped = {**table, idx: "0|c"}, {k: v for k, v in table.items() if k != idx}
+    for other in (changed, dropped, {**table, ("a", "a", "zz"): "0|a"}, {}):
+        assert col != other and other != col
+    same, other = (Column(col.axis, col._positions, 3, values) for values in (col.column, ("0|c", *col.column[1:])))
+    assert col == same and col != other
+    assert col != list(table) and col != tuple(col.column)
+    fam = NatFamily(3, col, ex.var(0), ex.var(0))
+    assert fam == NatFamily(3, table, ex.var(0), ex.var(0)) == replace(fam, components=dict(col))
+    assert fam != NatFamily(3, changed, ex.var(0), ex.var(0))
+
+
+def test_the_reference_loop_reads_a_column_through_its_dict_of_read_entries(column, monkeypatch):
+    from twogrp import NatFamily, diagram
+    from twogrp import expr as ex
+    from twogrp.groupoid import check_naturality
+
+    col, table = column
+    read = col.read()
+    assert type(read) is not dict and isinstance(read, dict) and not read and col.read() is read
+    idx = ("b", "a", "d")
+    assert read[idx] == table[idx] and dict(read) == {idx: table[idx]}
+    for key in (("a", "b"), ("a", "b", "zz")):
+        with pytest.raises(KeyError):
+            read[key]
+    assert len(read) == 1
+    monkeypatch.setattr(diagram, "KERNEL_FLOOR", float("inf"))  # the reference loop
+    gpd = discrete(list(col.axis))
+    fam = NatFamily(3, col, ex.var(2), ex.var(2))  # the identity of the last object
+    assert check_naturality(fam, {}, domain=gpd).ok
+    assert dict(read) == table
