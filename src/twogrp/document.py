@@ -17,36 +17,36 @@ serialization of equal graphs is byte-identical.
 Tables are handled in bulk, since a document at m=5 holds millions of ids.
 Every table cell that names a declared object or morphism is stored as the
 carrier's own string for that id, so a parsed table holds one string per
-distinct id, not one per cell.  A table is read by one lookup per cell in
-the map from each declared id to that string, once its rows are lists of
-the expected width; a table that fails this (a bad row, or a cell naming no
-declared id) is checked by three set-valued passes (row types, row widths,
-cell types) and, when they fail, walked row by row, so the error names its
-first bad row; a cell that is a string but no declared id is kept as read.
-Every family field is read by one reader (its table, then its ids) and
-written from the structure's ``families()``, whose names are the field
-names.  Id checks accept by one set difference before an ordered walk
-names the first undeclared id.  Each raw table is taken out of the loaded
-data as it is read, so it is freed while the parse goes on.  The cyclic
-garbage collector is paused for the duration of a parse (it would
-otherwise rescan the millions of fresh lists and tuples a parse
-allocates), and its previous state is restored on the way out.
+distinct id, not one per cell.  One reader (``_table``) reads every table
+chunk by chunk: a cut table's chunks (below), or a whole-loaded table's
+rows as one chunk.  A chunk is read by one lookup per cell in the map from
+each declared id to that string, once its rows are lists of the expected
+width; a string cell naming no declared id is kept as read.  A family table
+whose key columns equal those of the product of the carrier's sorted
+objects, compared chunk by chunk without building a key, is kept as its
+value column, and ``FinGroupoid.product_table`` alone decides whether that
+is a ``groupoid.Column`` or a dict; any other table is a dict.  So a
+family's representation depends on its rows, not on the text's layout.  A
+whole-loaded table whose read raises is walked row by row, so the error
+names its first bad row.  Every family field is read by that reader (its
+table, then its ids) and written from the structure's ``families()``,
+whose names are the field names.  Id checks accept by one set difference
+before an ordered walk names the first undeclared id.  Each raw table is
+taken out of the loaded data as it is read, so it is freed while the parse
+goes on.  The cyclic garbage collector is paused for the duration of a
+parse (it would otherwise rescan the millions of fresh lists and tuples a
+parse allocates), and its previous state is restored on the way out.
 
 A canonical text's long tables are never loaded whole.  Each table whose
 rows take more than ``_CHUNK`` characters is cut out of the text (its
 extent and its row separators are fixed strings of the layout, and no id
 can hold their raw newlines), the rest is loaded with a ``NaN`` in its
 place, and the table is loaded in row-aligned chunks, each chunk's rows
-built into the table before the next is read.  A cut family table whose
-key columns equal those of the product of the carrier's sorted objects,
-compared chunk by chunk without building a key, is kept as its value column
-(``FinGroupoid.product_table``: a ``groupoid.Column`` at ``KERNEL_FLOOR``
-entries or more, a dict below); any other table is a dict, and a string
-cell naming no declared id is kept as read, as the whole-text read keeps
-it.  The text is held until the parse is done.  Any other text, and any
-text on which that read raises or leaves a cut unread, is loaded whole, and
-the whole-text read decides every error, so each message is the same
-either way.
+built into the table before the next is read; a bad row raises.  The text
+is held until the parse is done.  Any other text, and any text on which
+that read raises or leaves a cut unread, is loaded whole, and the
+whole-text read decides every error, so each message is the same either
+way.
 
 The serializer writes the same text as ``json.dumps`` with ``indent=2`` and
 sorted keys, without that call's pure-Python encoder: each table is emitted
@@ -124,46 +124,29 @@ class StructureDocument:
 # ---------------------------------------------------------------------------
 
 
-def _rows(raw, name: str, width: int) -> list[list[str]]:
+def _rows(raw, name: str, width: int) -> None:
+    """Raise naming the first row of ``raw`` that is not ``width`` strings,
+    if there is one: the error of a whole-loaded table whose read raised."""
     if not isinstance(raw, list):
         raise DocumentError(f"section {name!r} must be an array")
-    if (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {width}
-            and set(map(type, chain.from_iterable(raw))) <= {str}):
-        return raw
-    for row in raw:  # the row-by-row walk names the first bad row
+    for row in raw:
         if not isinstance(row, list) or len(row) != width or not all(isinstance(v, str) for v in row):
             raise DocumentError(f"section {name!r}: expected rows of {width} strings, got {row!r}")
-    return raw
-
-
-def _pairs(columns: list, arity: int | None):
-    """``(key, value)`` pairs from a table's columns, the last being the
-    values."""
-    values = columns.pop()
-    return zip(columns[0] if arity is None else zip(*columns), values)
-
-
-def _declared(rows, width: int, ids: dict, first: int = 0, kept: bool = False) -> list:
-    """Columns ``first`` on of ``rows``, each cell looked up in ``ids``;
-    reading them raises KeyError or TypeError unless the rows are lists of
-    ``width`` declared ids.  With ``kept``, a cell naming no declared id is
-    kept as read."""
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
-        raise TypeError("not rows of the expected width")
-    cells = lambda i: map(itemgetter(i), rows)
-    return [map(ids.get, cells(i), cells(i)) if kept else map(ids.__getitem__, cells(i)) for i in range(first, width)]
 
 
 def _chunk(rows, width: int, ids: dict, first: int = 0) -> list[list]:
-    """``_declared`` of a chunk of a cut table, read: a string naming no
-    declared id is kept as read, as the whole-text read keeps it, and any
-    other cell raises TypeError."""
+    """Columns ``first`` on of ``rows``, each cell looked up in ``ids``: a
+    string naming no declared id is kept as read, and rows that are not
+    lists of ``width`` strings raise TypeError."""
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
+        raise TypeError("not rows of the expected width")
+    cells = lambda i: map(itemgetter(i), rows)
     try:
-        return list(map(list, _declared(rows, width, ids, first)))
+        return [list(map(ids.__getitem__, cells(i))) for i in range(first, width)]
     except KeyError:
         if not set(map(type, chain.from_iterable(rows))) <= {str}:
             raise TypeError("a cell is not a string") from None
-        return list(map(list, _declared(rows, width, ids, first, kept=True)))
+        return [list(map(ids.get, cells(i), cells(i))) for i in range(first, width)]
 
 
 def _product_column(axis: tuple, arity: int, j: int, start: int, stop: int) -> list:
@@ -191,42 +174,42 @@ def _in_product(rows, axis: tuple, arity: int, start: int) -> bool:
         _product_column(axis, arity, j, start, stop) == list(map(itemgetter(j), rows)) for j in range(arity))
 
 
-def _read_cut(cut: "_Cut", width: int, arity: int | None, ids: dict, gpd: FinGroupoid | None):
-    """A cut table, read chunk by chunk.  A family's (``gpd`` given) whose
-    keys are the tuples of the carrier's sorted objects in product order,
-    compared chunk by chunk and never built, is its value column when
-    ``gpd.keeps_columns``; any other table is a dict, the values read into
-    a column so far included."""
-    axis = gpd.objects_sorted if gpd is not None and gpd.keeps_columns(arity) else None
-    column, table = ([] if axis else None), {}
-    for chunk in cut.chunks():
-        if column is not None and _in_product(chunk, axis, arity, len(column)):
-            column += _chunk(chunk, width, ids, arity)[0]
-            continue
-        if column is not None:
-            table, column = dict(zip(product(axis, repeat=arity), column)), None
-        table.update(_pairs(_chunk(chunk, width, ids), arity))
-    if column is not None and len(column) == len(axis) ** arity:
-        return gpd.product_table(arity, column)
-    return table if column is None else dict(zip(product(axis, repeat=arity), column))
-
-
 def _table(raw: dict, name: str, arity: int | None, ids: dict, gpd: FinGroupoid | None = None):
     """The table ``name``, taken out of ``raw``: ``{tuple(row[:arity]):
     row[arity]}``, or ``{row[0]: row[1]}`` when ``arity`` is None, with every
     cell that names a declared id stored as the carrier's own string (``ids``
-    maps each declared id to it) and any other cell as read.  A cut table
-    of a family over ``gpd`` may be a column (``_read_cut``)."""
+    maps each declared id to it) and any other cell as read.
+
+    A cut table's chunks, or a whole-loaded table's rows as one chunk, are
+    read in turn.  A family's (``gpd`` given) whose keys are the tuples of
+    the carrier's sorted objects in product order, compared chunk by chunk
+    and never built, is ``gpd.product_table`` of its value column; any other
+    table is a dict, the values read into a column so far included.  A bad
+    row of a cut table raises, and the whole text decides; one of a
+    whole-loaded table raises the error that names it."""
     width = 2 if arity is None else arity + 1
     rows = raw.pop(name)
-    if isinstance(rows, _Cut):  # a row that is not strings of the width raises: the whole text decides
-        return _read_cut(rows, width, arity, ids, gpd)
-    try:  # rows of declared ids: one lookup per cell
-        return dict(_pairs(_declared(rows, width, ids), arity))
-    except (KeyError, TypeError):
-        pass
-    rows = _rows(rows, name, width)
-    return dict(_pairs(_declared(rows, width, ids, kept=True), arity))
+    cut = isinstance(rows, _Cut)
+    axis = gpd.objects_sorted if gpd is not None else None
+    column, table = ([] if axis else None), {}
+    try:
+        for chunk in rows.chunks() if cut else [rows]:
+            if column is not None and _in_product(chunk, axis, arity, len(column)):
+                column += _chunk(chunk, width, ids, arity)[0]
+                continue
+            if column is not None:
+                table, column = dict(zip(product(axis, repeat=arity), column)), None
+            *keys, values = _chunk(chunk, width, ids)
+            table.update(zip(keys[0] if arity is None else zip(*keys), values))
+    except Exception:  # of any type: a short row or an object raises in the key comparison
+        if not cut:
+            _rows(rows, name, width)
+        raise
+    if column is None:
+        return table
+    if len(column) == len(axis) ** arity:
+        return gpd.product_table(arity, column)
+    return dict(zip(product(axis, repeat=arity), column))
 
 
 def _check_ids(doc_gpd: FinGroupoid, names, kind: str) -> None:

@@ -20,12 +20,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
 from typing import NamedTuple
 
 from . import expr as ex
 from .ac import ACStructure, _route_env, canonical_acomm_at
-from .diagram import _scan, check_diagram, strict_profile
+from .diagram import _check, check_diagram, strict_profile
 from .errors import (
     MissingZeroIso,
     PreconditionFailed,
@@ -395,8 +394,7 @@ def _require_sf1(sf1: ex.Law, gpd, objects, env: dict) -> None:
     """Raise ``PreconditionFailed`` unless ``sf1``, bound in ``env``, holds
     by its strict profile or at every tuple of ``objects``."""
     if not strict_profile(sf1, gpd, env):
-        legs, composites = sf1.routes(env, gpd.identity, gpd.composable, gpd.morphisms)
-        _, witness = _scan(gpd, legs, composites, product(objects, repeat=sf1.arity))
+        witness = _check(sf1.name, sf1, gpd, objects, env).witness
         if witness is not None:
             raise PreconditionFailed(f"SF1 fails: witness {witness.describe()}")
 
@@ -405,11 +403,7 @@ def _unit_squares_hold(squares, env: dict, gpd, objects, candidate: str) -> bool
     """Do both unit ``squares`` (SF3 = AF2) hold in ``gpd`` at every object
     with ``candidate`` bound as the zero isomorphism ``F0`` in ``env``?"""
     env = {**env, "F0": (None, candidate)}
-    for square in squares:
-        legs, composites = square.routes(env, gpd.identity, gpd.composable, gpd.morphisms)
-        if _scan(gpd, legs, composites, [(x,) for x in objects])[1] is not None:
-            return False
-    return True
+    return all(_check(square.name, square, gpd, objects, env).passed for square in squares)
 
 
 def _closed_form_zero_iso(route: ex.Law, squares, env: dict, src, tgt, f0: str) -> str:

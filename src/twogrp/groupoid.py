@@ -10,12 +10,12 @@ raises the precise error.  Only the diagram engine's reference loop
 composes with one lookup per step in ``FinGroupoid.composable`` (in the
 code ``Law.routes`` generates) and reruns ``compose_path`` on a miss.
 
-A family's components map index tuples to morphisms.  A total family of
-at least ``diagram.KERNEL_FLOOR`` components, keyed by exactly the tuples
-of the carrier's sorted objects (``FinGroupoid.product_table``), is a
-:class:`Column`: its values in product order, a key read at its position.
-The reference loop reads a column through a dict of the entries it has
-read; every smaller or partial family is a dict.
+A family's components map index tuples to morphisms.  A total family,
+built or parsed from rows in product order of the sorted objects, is made
+from its values by ``FinGroupoid.product_table``, which alone decides: a
+:class:`Column` (values in product order, a key read at its position) at
+``diagram.KERNEL_FLOOR`` entries or more, else a dict, as is every partial
+family.  The reference loop reads a column through a dict of its reads.
 
 Morphism equality is identifier equality.  Canonical order (sorted ids)
 drives every scan, so witnesses and search results are reproducible.  A
@@ -154,25 +154,19 @@ class FinGroupoid(_Memo):
             self._cache["composable"] = table
         return table
 
-    def keeps_columns(self, arity: int) -> bool:
-        """Whether :meth:`product_table` gives a :class:`Column` at
-        ``arity``: when the table has at least ``diagram.KERNEL_FLOOR``
-        entries (a smaller one is read faster as a dict by the loops over
-        it, which run in the reference loop) and the carrier declares no
-        object twice."""
-        if "positions" not in self._cache:
-            self._cache["positions"] = {x: i for i, x in enumerate(self.objects_sorted)}
-        n = len(self.objects_sorted)
-        return len(self._cache["positions"]) == n and n ** arity >= diagram.KERNEL_FLOOR
-
     def product_table(self, arity: int, values: Iterable[str]) -> "Column | dict":
         """The total table over the tuples of ``arity`` objects whose
-        values, in product order, are ``values``: a :class:`Column` when
-        :meth:`keeps_columns`, otherwise a dict."""
+        values, in product order, are ``values``: a :class:`Column` when it
+        has at least ``diagram.KERNEL_FLOOR`` entries (a smaller one is read
+        faster as a dict by the loops over it, which run in the reference
+        loop) and the carrier declares no object twice, otherwise a dict."""
         axis = self.objects_sorted
-        if not self.keeps_columns(arity):
+        if "positions" not in self._cache:
+            self._cache["positions"] = {x: i for i, x in enumerate(axis)}
+        positions = self._cache["positions"]
+        if len(positions) < len(axis) or len(axis) ** arity < diagram.KERNEL_FLOOR:
             return dict(zip(product(axis, repeat=arity), values))
-        return Column(axis, self._cache["positions"], arity, tuple(values))
+        return Column(axis, positions, arity, tuple(values))
 
     def identities_preserved_by_inverse(self) -> bool:
         if "inv_id" not in self._cache:

@@ -13,17 +13,18 @@ document to ``serialize_document``.
 import contextlib
 import io
 import json
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 from test_document_digests import written_documents
 from test_parse_mutations import PINNED as MUTATIONS_PINNED
 from test_parse_mutations import pinned_mutation_outcomes
 
-from twogrp import document
+from twogrp import diagram, document
 from twogrp.cli import main
 from twogrp.document import parse_document, serialize_document
 from twogrp.errors import DocumentError
+from twogrp.groupoid import Column
 
 CHUNK = 300  # a few rows: most tables of the pinned documents are long, the shortest are not
 
@@ -100,6 +101,18 @@ def long_tables(text: str, chunk: int) -> list[list]:
     return out
 
 
+def families(doc):
+    """``((block, field), family)`` for every family of ``doc``."""
+    for blk in doc.blocks:
+        if blk.kind == "functor":
+            fams = {"fsum": blk.obj.fsum}
+        elif blk.kind == "transformation":
+            fams = {"components": blk.obj.tau}
+        else:
+            fams = blk.obj.families()
+        yield from (((blk.name, field), fam) for field, fam in fams.items())
+
+
 # -- parity ---------------------------------------------------------------------
 
 
@@ -129,11 +142,23 @@ def test_every_long_table_of_a_canonical_document_is_read_in_chunks(texts, reads
 
 
 @pytest.mark.parametrize("indent", [4, None])
-def test_a_reindented_document_is_read_whole_to_the_same_structures(texts, reads, indent):
+def test_a_reindented_document_is_read_whole_to_the_same_structures(texts, reads, monkeypatch, indent):
+    """The layout does not decide a family's representation: with the
+    kernel floor lowered, each long total family of a re-indented text,
+    read whole, is a column equal to the canonical read's."""
+    monkeypatch.setattr(diagram, "KERNEL_FLOOR", 100)
+    columns = 0
     for name, text in texts.items():
         doc = parse_document(json.dumps(json.loads(text), sort_keys=True, indent=indent))
         assert reads[-1] == "whole", name
-        assert doc == parse_document(text), name
+        ref = parse_document(text)
+        assert doc == ref, name
+        for (where, fam), (_, ref_fam) in zip(families(doc), families(ref), strict=True):
+            total = fam.components.keys() == set(product(doc.groupoid.objects_sorted, repeat=fam.arity))
+            long = total and len(fam.components) >= diagram.KERNEL_FLOOR
+            assert isinstance(fam.components, Column) is isinstance(ref_fam.components, Column) is long, (name, where)
+            columns += long
+    assert columns
 
 
 def test_canonical_mutants_give_the_pinned_outcomes(tmp_path, reads):

@@ -1,11 +1,11 @@
-"""Drawn family tables: the chunked column read against the whole-text read.
+"""Drawn family tables: the column read, cut or whole, against the dict read.
 
 A seeded hypothesis search draws small documents in the canonical layout
 whose one drawn family table is total, misses a row, has two rows swapped,
 or holds a key or value the carrier does not declare.  With ``_CHUNK`` and
-``KERNEL_FLOOR`` lowered, so that a cut total family is a column, the
-chunked read gives the same document, or the same error text, as the
-whole-text read.
+``KERNEL_FLOOR`` lowered, the drawn table is a column exactly when it is
+total, cut or loaded whole, and the parse gives the same document, or the
+same error text, as the whole-text read at the real floor.
 """
 
 import json
@@ -72,7 +72,6 @@ def test_a_drawn_family_table_reads_as_the_whole_text_does(drawn, chunk):
     if kind == "value outside":
         assert got == f"DocumentError: {field} references undeclared morphism 'zz'"
         return
-    if chunk == 0:  # the table is cut
-        assert isinstance(got.block("add").obj.families()[field].components, Column) is (kind == "total")
+    assert isinstance(got.block("add").obj.families()[field].components, Column) is (kind == "total")
     if kind in ("total", "missing"):
         assert serialize_document(got) == text

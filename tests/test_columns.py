@@ -1,14 +1,14 @@
 """Total families held as value columns against the same families as dicts.
 
-A family table of a canonical document that is cut (its rows take more
-than ``document._CHUNK`` characters) and keyed by exactly the tuples of the
-carrier's sorted objects, in order, is read as a ``groupoid.Column`` when it
-has at least ``diagram.KERNEL_FLOOR`` entries.  The tests lower both
-thresholds for the parse, so that the small pinned documents hold columns,
-and hold those documents to the whole-text read, whose families are dicts:
-equal documents and written bytes, the same report rows and witnesses from
-every suite with every loop in the kernel and with none, and the kernel's
-flip cases on column families.
+A family table keyed by exactly the tuples of the carrier's sorted objects,
+in order, is read as a ``groupoid.Column`` when it has at least
+``diagram.KERNEL_FLOOR`` entries, whether the table is cut (its rows take
+more than ``document._CHUNK`` characters) or loaded whole.  The tests lower
+both thresholds for the parse, so that the small pinned documents hold
+columns, and hold those documents to the whole-text read at the real floor,
+whose families are dicts: equal documents and written bytes, the same
+report rows and witnesses from every suite with every loop in the kernel
+and with none, and the kernel's flip cases on column families.
 """
 
 import contextlib
@@ -18,7 +18,7 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
-from test_chunked_read import whole
+from test_chunked_read import families, whole
 from test_document_digests import written_documents
 
 from twogrp import cli, diagram, document
@@ -34,24 +34,12 @@ def texts(tmp_path_factory) -> dict[str, str]:
 
 
 def column_parse(text: str, chunk: int = 0):
-    """``parse_document`` with every family table of at least one entry
-    over ``chunk`` characters read as a column, if it can be."""
+    """``parse_document`` with each table whose rows take more than
+    ``chunk`` characters cut, and every total family read as a column."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(document, "_CHUNK", chunk)
         mp.setattr(diagram, "KERNEL_FLOOR", 0)
         return parse_document(text)
-
-
-def families(doc):
-    """``((block, field), family)`` for every family of ``doc``."""
-    for blk in doc.blocks:
-        if blk.kind == "functor":
-            fams = {"fsum": blk.obj.fsum}
-        elif blk.kind == "transformation":
-            fams = {"components": blk.obj.tau}
-        else:
-            fams = blk.obj.families()
-        yield from (((blk.name, field), fam) for field, fam in fams.items())
 
 
 @pytest.mark.parametrize("chunk", [0, 300])
@@ -64,8 +52,7 @@ def test_a_column_read_gives_the_whole_text_document_and_bytes(texts, chunk):
         for (where, fam), (_, ref_fam) in zip(families(doc), families(ref), strict=True):
             assert type(ref_fam.components) is dict
             total = ref_fam.components.keys() == set(product(doc.groupoid.objects_sorted, repeat=fam.arity))
-            if chunk == 0:  # every family table is cut
-                assert isinstance(fam.components, Column) is total, (name, where)
+            assert isinstance(fam.components, Column) is total, (name, where)
             kinds.add(type(fam.components))
         assert Column in kinds, name
 

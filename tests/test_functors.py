@@ -191,6 +191,15 @@ def test_identity_transformation_passes():
     assert rep["T2"].status is Status.PASS
 
 
+def test_t2_fails_where_tau_and_the_source_zero_iso_do_not_compose():
+    sl = build_super_line_2group()
+    fun = identity_structured(sl)
+    tau = tau_family({(x,): sl.carrier.identity[x] for x in sl.carrier.objects})
+    row = validate_transformation(MonTransformation(fun.with_zero("0|1"), fun, tau), sl, sl)["T2"]
+    assert row.status is Status.FAIL
+    assert row.witness.describe(legs=True) == "at (0): left=None right=0|0\n    left  = 0|0 o 0|1\n    right = 0|0"
+
+
 def test_linear_label_transformations_pass_t1_and_t2():
     sm = dn(3, "sm")
     fun = with_canonical_zero(F(3, 1, 0), sm, sm)

@@ -22,6 +22,7 @@ from twogrp import (
 from twogrp.functors import check_fsum_naturality
 from twogrp.groupoid import index_space
 from twogrp.monoidal import check_structure_naturality
+from twogrp.report import Status
 
 from helpers import SEED, cyclic_one_object, discrete, pair_groupoid_z2, perturb_family
 
@@ -210,6 +211,16 @@ def test_perturbed_mor_map_fails_with_witness():
     rep = validate_functor(bad)
     assert not rep.ok
     assert any(c.witness is not None for c in rep.failures())
+
+
+def test_a_composable_pair_missing_from_the_source_compose_table_is_the_composition_witness():
+    from dataclasses import replace
+
+    gpd = build_super_line_2group().carrier
+    holed = replace(gpd, compose={k: v for k, v in gpd.compose.items() if k != ("1|0", "0|0")})
+    row = validate_functor(identity_functor(holed))["composition"]
+    assert (row.status, row.instances) == (Status.FAIL, 2)
+    assert row.witness.describe() == "at (1|0, 0|0): composable pair missing from compose table"
 
 
 def test_partial_map_raises_domain_mismatch():
