@@ -18,24 +18,24 @@ Tables are handled in bulk, since a document at m=5 holds millions of ids.
 Every table cell that names a declared object or morphism is stored as the
 carrier's own string for that id, so a parsed table holds one string per
 distinct id, not one per cell.  One reader (``_table``) reads every table
-chunk by chunk: a cut table's chunks (below), or a whole-loaded table's
-rows as one chunk.  A chunk is read by one lookup per cell in the map from
-each declared id to that string, once its rows are lists of the expected
-width; a string cell naming no declared id is kept as read.  A family table
-whose key columns equal those of the product of the carrier's sorted
-objects, compared chunk by chunk without building a key, is kept as its
-value column, and ``FinGroupoid.product_table`` alone decides whether that
-is a ``groupoid.Column`` or a dict; any other table is a dict.  So a
-family's representation depends on its rows, not on the text's layout.  A
-whole-loaded table whose read raises is walked row by row, so the error
+chunk by chunk: a cut table's chunks (below), or a whole-loaded table's rows
+as one chunk.  A chunk is read by one lookup per cell in the map from each
+declared id to that string, once its rows are lists of the expected width; a
+string cell naming no declared id is kept as read.  A family table whose
+keys are the tuples of the product of the carrier's sorted objects, compared
+row by row with one walk of that product carried from chunk to chunk, is
+kept as its value column, and ``FinGroupoid.product_table`` alone decides
+whether that is a ``groupoid.Column`` or a dict; any other table is a dict.
+So a family's representation depends on its rows, not on the text's layout.
+A whole-loaded table whose read raises is walked row by row, so the error
 names its first bad row.  Every family field is read by that reader (its
-table, then its ids) and written from the structure's ``families()``,
-whose names are the field names.  Id checks accept by one set difference
-before an ordered walk names the first undeclared id.  Each raw table is
-taken out of the loaded data as it is read, so it is freed while the parse
-goes on.  The cyclic garbage collector is paused for the duration of a
-parse (it would otherwise rescan the millions of fresh lists and tuples a
-parse allocates), and its previous state is restored on the way out.
+table, then its ids) and written from the structure's ``families()``, whose
+names are the field names.  Id checks accept by one set difference before an
+ordered walk names the first undeclared id.  Each raw table is taken out of
+the loaded data as it is read, so it is freed while the parse goes on.  The
+cyclic garbage collector is paused for the duration of a parse (it would
+otherwise rescan the millions of fresh lists and tuples a parse allocates),
+and its previous state is restored on the way out.
 
 A canonical text's long tables are never loaded whole.  Each table whose
 rows take more than ``_CHUNK`` characters is cut out of the text (its
@@ -65,7 +65,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .ac import ACStructure, acomm_family
 from .errors import DocumentError
@@ -149,29 +149,12 @@ def _chunk(rows, width: int, ids: dict, first: int = 0) -> list[list]:
         return [list(map(ids.get, cells(i), cells(i))) for i in range(first, width)]
 
 
-def _product_column(axis: tuple, arity: int, j: int, start: int, stop: int) -> list:
-    """Coordinate ``j`` of the tuples at positions ``start`` to ``stop`` of
-    ``product(axis, repeat=arity)``: each id repeated ``run`` times, over and
-    over, built from whole runs or, when they are short, whole periods."""
-    n, run = len(axis), len(axis) ** (arity - 1 - j)
-    cells: list = []
-    if run < n:
-        period = [x for x in axis for _ in range(run)]
-        skip = start % len(period)
-        cells = period * -(-(skip + stop - start) // len(period))
-    else:
-        skip = start % run
-        for q in range(start // run, -(-stop // run)):
-            cells += [axis[q % n]] * run
-    return cells[skip:skip + stop - start]
-
-
-def _in_product(rows, axis: tuple, arity: int, start: int) -> bool:
-    """Whether the keys of ``rows`` are the tuples at positions ``start``
-    on of ``product(axis, repeat=arity)``, compared column by column."""
-    stop = start + len(rows)
-    return stop <= len(axis) ** arity and all(
-        _product_column(axis, arity, j, start, stop) == list(map(itemgetter(j), rows)) for j in range(arity))
+def _in_product(rows, keys, arity: int) -> bool:
+    """Whether the keys of ``rows`` are the next tuples of ``keys``, an
+    iterator over ``product(axis, repeat=arity)`` that the caller has
+    checked holds at least ``len(rows)`` more, compared row by row."""
+    cells = map(itemgetter(*range(arity)), rows)
+    return all(map(eq, zip(cells) if arity == 1 else cells, keys))
 
 
 def _table(raw: dict, name: str, arity: int | None, ids: dict, gpd: FinGroupoid | None = None):
@@ -182,19 +165,21 @@ def _table(raw: dict, name: str, arity: int | None, ids: dict, gpd: FinGroupoid 
 
     A cut table's chunks, or a whole-loaded table's rows as one chunk, are
     read in turn.  A family's (``gpd`` given) whose keys are the tuples of
-    the carrier's sorted objects in product order, compared chunk by chunk
-    and never built, is ``gpd.product_table`` of its value column; any other
-    table is a dict, the values read into a column so far included.  A bad
-    row of a cut table raises, and the whole text decides; one of a
-    whole-loaded table raises the error that names it."""
+    the carrier's sorted objects in product order, compared row by row with
+    one walk of the product, is ``gpd.product_table`` of its value column;
+    any other table is a dict, the values read into a column so far
+    included.  A bad row of a cut table raises, and the whole text
+    decides; one of a whole-loaded table raises the error that names it."""
     width = 2 if arity is None else arity + 1
     rows = raw.pop(name)
     cut = isinstance(rows, _Cut)
     axis = gpd.objects_sorted if gpd is not None else None
     column, table = ([] if axis else None), {}
+    if axis:
+        keys, total = product(axis, repeat=arity), len(axis) ** arity
     try:
         for chunk in rows.chunks() if cut else [rows]:
-            if column is not None and _in_product(chunk, axis, arity, len(column)):
+            if column is not None and len(column) + len(chunk) <= total and _in_product(chunk, keys, arity):
                 column += _chunk(chunk, width, ids, arity)[0]
                 continue
             if column is not None:
@@ -207,7 +192,7 @@ def _table(raw: dict, name: str, arity: int | None, ids: dict, gpd: FinGroupoid 
         raise
     if column is None:
         return table
-    if len(column) == len(axis) ** arity:
+    if len(column) == total:
         return gpd.product_table(arity, column)
     return dict(zip(product(axis, repeat=arity), column))
 

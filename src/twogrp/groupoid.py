@@ -32,7 +32,7 @@ import random
 import time
 from collections.abc import Iterable, ItemsView, Mapping, Sequence
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import product, repeat
 
@@ -449,8 +449,13 @@ def validate_functor(fun: GFunctor) -> Report:
     """Check totality, endpoint/identity preservation and functoriality.
 
     Raises :class:`DomainMismatch` when a map is partial; law failures are
-    reported with the offending object, morphism or pair.
+    reported with the offending object, morphism or pair.  The rows, pass
+    or fail, are recorded in ``fun._cache``: a later call returns copies of
+    them with its own seconds, without a rescan.
     """
+    started = time.perf_counter()
+    if (rows := fun._cache.get("rows")) is not None:
+        return Report([replace(c, seconds=time.perf_counter() - started) for c in rows])
     src, tgt = fun.source, fun.target
     targets = set(tgt.objects)
     for x in src.objects:
@@ -500,6 +505,7 @@ def validate_functor(fun: GFunctor) -> Report:
     _first_failure(report, "endpoints", endpoints())
     _first_failure(report, "identities", identities())
     _first_failure(report, "composition", composition())
+    fun._cache["rows"] = [replace(c) for c in report.checks]
     return report
 
 
@@ -531,15 +537,17 @@ class NatFamily(_Memo):
     def is_strict(self, gpd: FinGroupoid, env: ex.Env) -> bool:
         """True when every component is the identity of its declared source
         object, which is also its declared target: the strict profile's
-        condition.  The bit holds for the carrier and the tables (or equal
-        ones) it was set under, by the endpoint row (run here if needed) or
-        by :func:`identity_family`, the one strict constructor."""
+        condition.  The bit holds for the carrier, the tables (or equal
+        ones) and the ``components`` object it was set under, by the
+        endpoint row (run here if needed, but recorded only by
+        :func:`validate_family`, after its arity check) or by
+        :func:`identity_family`, the one strict constructor."""
         bit = _strict_bit(self, gpd, env)
         if bit is None:
             _set_strict(self, gpd, env, False)
             if set(gpd.identity.values()).issuperset(self.components.values()):
                 with suppress(StructureError):  # a row that raises leaves the bit False
-                    _endpoint_row(gpd, self, env, "endpoints")
+                    _endpoint_row(gpd, self, env)
             bit = _strict_bit(self, gpd, env)
         return bit
 
@@ -547,10 +555,11 @@ class NatFamily(_Memo):
 def identity_family(make, gpd: FinGroupoid, env: ex.Env, *args) -> NatFamily:
     """The family ``make(components, *args)`` whose component at every index
     tuple is the identity of its declared source object evaluated under
-    ``env``, with its strict bit set under ``env``.  The caller vouches that
-    the declared target evaluates to the same object (the tables of ``env``
-    satisfy the law the family witnesses); the tests hold every such family
-    to the endpoint row."""
+    ``env``, with its strict bit set under ``env`` but no endpoint row, so
+    its first validation scans.  The caller vouches that the declared
+    target evaluates to the same object (the tables of ``env`` satisfy the
+    law the family witnesses); the tests hold every such family to the
+    endpoint row."""
     fam = make({}, *args)
     src_at = ex.compile_obj(fam.src_expr, env)
     sources = map(src_at, product(gpd.objects_sorted, repeat=fam.arity))
@@ -561,18 +570,28 @@ def identity_family(make, gpd: FinGroupoid, env: ex.Env, *args) -> NatFamily:
 
 def _strict_bit(fam: NatFamily, gpd: FinGroupoid, env: ex.Env) -> bool | None:
     """The strict bit recorded for ``gpd`` under the tables of ``env``, or
-    ``None``.  The tables are matched by value (identical ones at once), so
-    another environment over equal tables shares the bit."""
+    ``None`` (see :func:`_record`)."""
+    return _record(fam, gpd, env)[0]
+
+
+def _record(fam: NatFamily, gpd: FinGroupoid, env: ex.Env) -> tuple:
+    """``(strict bit, endpoint row)`` recorded for ``gpd`` under the tables
+    of ``env`` (the row ``None`` when none was recorded), or ``(None,
+    None)``.  The record holds while ``fam.components`` is the object it
+    was set with; the tables are matched by value (identical ones at once),
+    so another environment over equal tables shares it."""
     entry = fam._cache.get(("strict", id(gpd)))
-    if entry is not None and entry[1] == env:
-        return entry[2]
-    return None
+    if entry is not None and entry[1] is fam.components and entry[2] == env:
+        return entry[3:]
+    return None, None
 
 
-def _set_strict(fam: NatFamily, gpd: FinGroupoid, env: ex.Env, bit: bool) -> None:
-    """Record the bit with the carrier and a copy of ``env``; holding the
-    carrier keeps its id, the key, from being reused while the bit stands."""
-    fam._cache[("strict", id(gpd))] = (gpd, dict(env), bit)
+def _set_strict(fam: NatFamily, gpd: FinGroupoid, env: ex.Env, bit: bool, row: CheckResult | None = None) -> None:
+    """Record the bit and the endpoint row with the carrier, the components
+    and a copy of ``env``; holding the carrier keeps its id, the key, from
+    being reused while the record stands.  Only the endpoint row, pass or
+    fail, is recorded, never a law row."""
+    fam._cache[("strict", id(gpd))] = (gpd, fam.components, dict(env), bit, row)
 
 
 _FAM = "φ"  # the family's symbol in its own laws
@@ -596,14 +615,13 @@ def _family_env(law: ex.Law, fam: NatFamily, env: ex.Env, domain: FinGroupoid) -
     return law_env
 
 
-def _endpoint_row(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, name: str) -> CheckResult:
+def _endpoint_row(gpd: FinGroupoid, fam: NatFamily, env: ex.Env) -> CheckResult:
     """The endpoint row of ``fam``: its endpoint law run by the engine
     (kernel included).  Where the law fails, ``witness_at`` writes the
     witness (a component missing or unknown, or its endpoints against the
     declared ones) or nothing.  Its strict bit is False until the row
     passes, then whether each distinct component is its source's
     identity."""
-    started = time.perf_counter()
     _set_strict(fam, gpd, env, False)
     comps, mors = fam.components, gpd.morphisms
     for x, i in gpd.identity.items():  # the law reads these as identities
@@ -621,23 +639,33 @@ def _endpoint_row(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, name: str) -> C
         return None  # the carrier's tables, not the family, fail the law here
 
     law = _family_laws(fam.arity, fam.src_expr, fam.tgt_expr)[0]
-    row = diagram._check(name, law, gpd, gpd.objects_sorted, _family_env(law, fam, env, gpd), witness_at=witness_at)
-    if row.witness is None:
-        used = set(comps.values())
-        _set_strict(fam, gpd, env, used <= set(gpd.identity.values()) and all(
-            (m := mors.get(mid)) is not None and m.src == m.dst and gpd.identity.get(m.src) == mid for mid in used))
-    row.seconds = time.perf_counter() - started
+    row = diagram._check("endpoints", law, gpd, gpd.objects_sorted, _family_env(law, fam, env, gpd),
+                         witness_at=witness_at)
+    _set_strict(fam, gpd, env, row.witness is None and (used := set(comps.values())) <= set(gpd.identity.values())
+                and all((m := mors.get(mid)) is not None and m.src == m.dst and gpd.identity.get(m.src) == mid
+                        for mid in used))
     return row
 
 
 def validate_family(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, label: str = "family") -> Report:
     """Totality and endpoint correctness of a family over the full index
-    space; the scan also records the family's strict bit."""
-    if set(map(len, fam.components)) - {fam.arity}:
-        for idx in fam.components:  # the ordered walk names the first offender
-            if len(idx) != fam.arity:
-                raise ArityMismatch(f"{label}: component keyed by {idx} but arity is {fam.arity}")
-    return Report([_endpoint_row(gpd, fam, env, f"{label}-endpoints")])
+    space; the scan also records the family's strict bit.  The row, pass or
+    fail, is recorded with the bit: validated again under the same carrier,
+    tables (or equal ones) and ``components`` object, the family gets a
+    copy of it, with this ``label`` and this call's seconds, and no scan.
+    A :class:`Column` of the family's arity is keyed by arity-tuples by
+    construction; any other table's keys are checked first."""
+    started = time.perf_counter()
+    row = _record(fam, gpd, env)[1]
+    if row is None:
+        comps = fam.components
+        if not (isinstance(comps, Column) and comps.arity == fam.arity) and set(map(len, comps)) - {fam.arity}:
+            for idx in comps:  # the ordered walk names the first offender
+                if len(idx) != fam.arity:
+                    raise ArityMismatch(f"{label}: component keyed by {idx} but arity is {fam.arity}")
+        row = _endpoint_row(gpd, fam, env)
+        _set_strict(fam, gpd, env, _strict_bit(fam, gpd, env), row)
+    return Report([replace(row, law=f"{label}-endpoints", seconds=time.perf_counter() - started)])
 
 
 def check_naturality(fam: NatFamily, env: ex.Env, *, domain: FinGroupoid, codomain: FinGroupoid | None = None,

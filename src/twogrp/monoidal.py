@@ -9,7 +9,8 @@ two axioms report not-applicable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
 
@@ -144,6 +145,20 @@ class WeakInverseCert:
 
 
 def _check_bifunctor(m: MonStructure, report: Report) -> None:
+    """Add the bifunctor row (:func:`_bifunctor_row`).  The row, pass or
+    fail, is recorded in the carrier's ``_cache`` under the two sum tables
+    (by identity, and holding them), which a ``replace`` copy of the
+    structure shares: a later call adds a copy of it with its own seconds,
+    without a rescan.  A row that raises records nothing."""
+    started = time.perf_counter()
+    gpd = m.carrier
+    key = ("bifunctor", id(m.sum_obj), id(m.sum_mor))
+    if key not in gpd._cache:
+        gpd._cache[key] = (m.sum_obj, m.sum_mor, _bifunctor_row(m))
+    report.add(replace(gpd._cache[key][2], seconds=time.perf_counter() - started))
+
+
+def _bifunctor_row(m: MonStructure) -> CheckResult:
     """The bifunctor row: the sum's tables (totality, keys and values in the
     carrier, identities and endpoints preserved) scanned entry by entry,
     then the interchange law over pairs of ``compose`` keys in sorted order.
@@ -182,10 +197,11 @@ def _check_bifunctor(m: MonStructure, report: Report) -> None:
             else:
                 yield None
 
+    report = Report()
     _first_failure(report, "bifunctor", cases())
-    tables = report.checks[-1]
+    tables = report.checks[0]
     if tables.status is not Status.PASS:
-        return
+        return tables
     comp, plus = gpd.compose, m.sum_mor
 
     def witness_at(idx):
@@ -197,8 +213,7 @@ def _check_bifunctor(m: MonStructure, report: Report) -> None:
     env = {"+": (m.sum_obj, plus, m.preserves_identities), "∘": ({}, comp, None)}
     row = diagram._check(tables.law, INTERCHANGE, gpd, sorted(comp), env, witness_at=witness_at)
     row.instances += tables.instances
-    row.seconds += tables.seconds
-    report.checks[-1] = row
+    return row
 
 
 def _check_families(s, report: Report, skip: tuple[str, ...] = ()) -> None:

@@ -229,6 +229,20 @@ def test_a_key_naming_no_declared_id_is_read_in_chunks_and_kept_as_read(texts, r
     assert sum(key[0] == "undeclared" for key in b) == 1
 
 
+def test_a_row_past_the_product_reads_as_a_dict_whose_last_row_wins(texts, reads):
+    # the key comparison walks the product alongside the rows: a table
+    # longer than the product is a dict, read through to its last row
+    data = json.loads(texts["dn3-mult"])
+    rows = _b_rows(data)
+    rows.append([*rows[0][:-1], rows[1][-1]])
+    text = canonical(data)
+    doc = parse_document(text)
+    assert isinstance(reads[-1], list)
+    assert doc == whole(text)
+    b = doc.block("add").obj.acomm.components
+    assert type(b) is dict and len(b) == len(rows) - 1 and b[tuple(rows[0][:-1])] == rows[1][-1]
+
+
 # -- the writer -----------------------------------------------------------------
 
 

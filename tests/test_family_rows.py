@@ -271,10 +271,12 @@ SUM_MUTANTS = {
 
 
 def _bifunctor_row(m, kernel, monkeypatch):
+    # on a fresh carrier, whose record of the row is empty, so the row is
+    # computed under this setting
     monkeypatch.setattr(diagram, "KERNEL_FLOOR", 0 if kernel else float("inf"))
     monkeypatch.setattr(diagram, "REFERENCE_HEAD", 0)
     report = Report()
-    _check_bifunctor(m, report)
+    _check_bifunctor(replace(m, carrier=replace(m.carrier, _cache={}), _cache={}), report)
     return report.checks[0]
 
 
