@@ -36,6 +36,7 @@ from .groupoid import (
     NatFamily,
     _Memo,
     _first_failure,
+    _recorded,
     check_naturality,
     compose_gfunctors,
     compose_path,
@@ -356,6 +357,8 @@ def boxplus(f: StructuredFunctor, g: StructuredFunctor, target: MonStructure) ->
     """Pointwise sum of two morphisms into a 2-group target:
     (F [+] G)x = Fx + Gx on objects and morphisms, monoidality routed through
     the target's canonical associo-commutator, zero through the basic unitor.
+    The target's 2-group verdict is recorded on it with every table it read
+    (:func:`groupoid._recorded`).
     """
     if not (_same_carrier(f.base.source, g.base.source) and _same_carrier(f.base.target, g.base.target)):
         raise StructureMismatch("summands must share source and target")
@@ -363,9 +366,9 @@ def boxplus(f: StructuredFunctor, g: StructuredFunctor, target: MonStructure) ->
         raise StructureMismatch("target structure does not match the functors' target")
     if f.fzero is None or g.fzero is None:
         raise MissingZeroIso("pointwise sum needs zero isomorphisms on both summands")
-    if "2group_ok" not in target._cache:
-        target._cache["2group_ok"] = validate_2group(target).ok
-    if not target._cache["2group_ok"]:
+    held = (target.carrier, target.sum_obj, target.sum_mor, target.unit,
+            *[t for fam in target.families().values() for t in (fam, fam.components)])
+    if not _recorded(target, "2-group", held, run=lambda: validate_2group(target).ok):
         raise PreconditionFailed("pointwise sum target is not a 2-group")
 
     gpd = target.carrier

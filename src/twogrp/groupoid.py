@@ -24,6 +24,11 @@ family's endpoint row and naturality squares are declared laws
 (``monoidal.INTERCHANGE``); every other data row, the sum's table checks
 included, is a generator of per-instance outcomes consumed by
 ``_first_failure``.
+
+Every recorded data row or verdict goes through ``_recorded``: a record
+sits on the object whose tables decide it, one per row, holds every table
+the row read, and is read back only while that object still holds them by
+identity (an environment's tables match by value).
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import product, repeat
+from operator import is_
 
 from . import expr as ex
 from .errors import ArityMismatch, DomainMismatch, EndpointMismatch, MalformedTable, StructureError
@@ -55,6 +61,22 @@ class _Memo:
 
     def __post_init__(self) -> None:
         self._cache = {}
+
+
+def _recorded(holder, row: str, held: tuple, env: ex.Env | None = None, run=None):
+    """The value recorded for ``row`` on ``holder`` while ``holder`` still
+    holds the tables ``held`` by identity and ``env`` by value (identical
+    tables at once); otherwise ``run()``, recorded in place of the old
+    record (a run that raises records nothing), or ``None`` without
+    ``run``.  Callers hand out copies."""
+    entry = holder._cache.get(row)
+    if entry is not None and entry[1] == env and all(map(is_, entry[0], held)):
+        return entry[2]
+    if run is None:
+        return None
+    value = run()
+    holder._cache[row] = (held, None if env is None else dict(env), value)
+    return value
 
 
 @dataclass
@@ -169,11 +191,8 @@ class FinGroupoid(_Memo):
         return Column(axis, positions, arity, tuple(values))
 
     def identities_preserved_by_inverse(self) -> bool:
-        if "inv_id" not in self._cache:
-            self._cache["inv_id"] = all(
-                self.inverse.get(i) == i for i in self.identity.values()
-            )
-        return self._cache["inv_id"]
+        return _recorded(self, "inv_id", (self.inverse, self.identity),
+                         run=lambda: all(self.inverse.get(i) == i for i in self.identity.values()))
 
 
 class Column(Mapping):
@@ -281,13 +300,11 @@ def compose_path(gpd: FinGroupoid, chain: Sequence[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _first_failure(
-    report: Report, law: str, cases: Iterable[Witness | None], mode: str = "exhaustive"
-) -> None:
-    """Add the timed row for ``law``.  ``cases`` yields ``None`` for each
-    instance that holds and a :class:`Witness` for the first that fails; the
-    scan stops there, so the instance count covers the cases examined up to
-    and including the failing one."""
+def _first_failure(report: Report, law: str, cases: Iterable[Witness | None]) -> None:
+    """Add the timed exhaustive row for ``law``.  ``cases`` yields ``None``
+    for each instance that holds and a :class:`Witness` for the first that
+    fails; the scan stops there, so the instance count covers the cases
+    examined up to and including the failing one."""
     started = time.perf_counter()
     n = 0
     witness = None
@@ -295,7 +312,7 @@ def _first_failure(
         if witness is not None:
             break
     status = Status.FAIL if witness is not None else Status.PASS
-    report.add(CheckResult(law, status, witness, n, mode, time.perf_counter() - started))
+    report.add(CheckResult(law, status, witness, n, "exhaustive", time.perf_counter() - started))
 
 
 def validate_groupoid(gpd: FinGroupoid) -> Report:
@@ -422,12 +439,9 @@ class GFunctor(_Memo):
             raise DomainMismatch(f"morphism map undefined at {f!r}") from None
 
     def preserves_identities(self) -> bool:
-        if "id_pres" not in self._cache:
-            self._cache["id_pres"] = all(
-                self.mor_map.get(self.source.identity[x]) == self.target.identity.get(self.obj_map.get(x))
-                for x in self.source.objects
-            )
-        return self._cache["id_pres"]
+        return _recorded(self, "id_pres", (self.source, self.target, self.obj_map, self.mor_map), run=lambda: all(
+            self.mor_map.get(self.source.identity[x]) == self.target.identity.get(self.obj_map.get(x))
+            for x in self.source.objects))
 
 
 def identity_functor(gpd: FinGroupoid) -> GFunctor:
@@ -450,11 +464,13 @@ def validate_functor(fun: GFunctor) -> Report:
 
     Raises :class:`DomainMismatch` when a map is partial; law failures are
     reported with the offending object, morphism or pair.  The rows, pass
-    or fail, are recorded in ``fun._cache``: a later call returns copies of
-    them with its own seconds, without a rescan.
+    or fail, are recorded (:func:`_recorded`) with both carriers and both
+    maps: a later call returns copies of them with its own seconds, without
+    a rescan.
     """
     started = time.perf_counter()
-    if (rows := fun._cache.get("rows")) is not None:
+    held = (fun.source, fun.target, fun.obj_map, fun.mor_map)
+    if (rows := _recorded(fun, "functor", held)) is not None:
         return Report([replace(c, seconds=time.perf_counter() - started) for c in rows])
     src, tgt = fun.source, fun.target
     targets = set(tgt.objects)
@@ -505,7 +521,7 @@ def validate_functor(fun: GFunctor) -> Report:
     _first_failure(report, "endpoints", endpoints())
     _first_failure(report, "identities", identities())
     _first_failure(report, "composition", composition())
-    fun._cache["rows"] = [replace(c) for c in report.checks]
+    _recorded(fun, "functor", held, run=lambda: [replace(c) for c in report.checks])
     return report
 
 
@@ -537,26 +553,25 @@ class NatFamily(_Memo):
     def is_strict(self, gpd: FinGroupoid, env: ex.Env) -> bool:
         """True when every component is the identity of its declared source
         object, which is also its declared target: the strict profile's
-        condition.  The bit holds for the carrier, the tables (or equal
-        ones) and the ``components`` object it was set under, by the
-        endpoint row (run here if needed, but recorded only by
-        :func:`validate_family`, after its arity check) or by
-        :func:`identity_family`, the one strict constructor."""
-        bit = _strict_bit(self, gpd, env)
-        if bit is None:
-            _set_strict(self, gpd, env, False)
+        condition.  The bit is the endpoint row's (:func:`_strict_bit`), or
+        else recorded here by the endpoint law run without its row (a row
+        that raises leaves it False) or by :func:`identity_family`, the one
+        strict constructor."""
+
+        def scan() -> bool:
             if set(gpd.identity.values()).issuperset(self.components.values()):
-                with suppress(StructureError):  # a row that raises leaves the bit False
-                    _endpoint_row(gpd, self, env)
-            bit = _strict_bit(self, gpd, env)
-        return bit
+                with suppress(StructureError):
+                    return _endpoint_row(gpd, self, env)[1]
+            return False
+
+        return _strict_bit(self, gpd, env, scan)
 
 
 def identity_family(make, gpd: FinGroupoid, env: ex.Env, *args) -> NatFamily:
     """The family ``make(components, *args)`` whose component at every index
     tuple is the identity of its declared source object evaluated under
-    ``env``, with its strict bit set under ``env`` but no endpoint row, so
-    its first validation scans.  The caller vouches that the declared
+    ``env``, with its strict bit recorded under ``env`` but no endpoint row,
+    so its first validation scans.  The caller vouches that the declared
     target evaluates to the same object (the tables of ``env`` satisfy the
     law the family witnesses); the tests hold every such family to the
     endpoint row."""
@@ -564,34 +579,18 @@ def identity_family(make, gpd: FinGroupoid, env: ex.Env, *args) -> NatFamily:
     src_at = ex.compile_obj(fam.src_expr, env)
     sources = map(src_at, product(gpd.objects_sorted, repeat=fam.arity))
     fam.components = gpd.product_table(fam.arity, map(gpd.identity.__getitem__, sources))
-    _set_strict(fam, gpd, env, True)
+    _recorded(fam, "strict", (gpd, fam.components), env, lambda: True)
     return fam
 
 
-def _strict_bit(fam: NatFamily, gpd: FinGroupoid, env: ex.Env) -> bool | None:
-    """The strict bit recorded for ``gpd`` under the tables of ``env``, or
-    ``None`` (see :func:`_record`)."""
-    return _record(fam, gpd, env)[0]
-
-
-def _record(fam: NatFamily, gpd: FinGroupoid, env: ex.Env) -> tuple:
-    """``(strict bit, endpoint row)`` recorded for ``gpd`` under the tables
-    of ``env`` (the row ``None`` when none was recorded), or ``(None,
-    None)``.  The record holds while ``fam.components`` is the object it
-    was set with; the tables are matched by value (identical ones at once),
-    so another environment over equal tables shares it."""
-    entry = fam._cache.get(("strict", id(gpd)))
-    if entry is not None and entry[1] is fam.components and entry[2] == env:
-        return entry[3:]
-    return None, None
-
-
-def _set_strict(fam: NatFamily, gpd: FinGroupoid, env: ex.Env, bit: bool, row: CheckResult | None = None) -> None:
-    """Record the bit and the endpoint row with the carrier, the components
-    and a copy of ``env``; holding the carrier keeps its id, the key, from
-    being reused while the record stands.  Only the endpoint row, pass or
-    fail, is recorded, never a law row."""
-    fam._cache[("strict", id(gpd))] = (gpd, fam.components, dict(env), bit, row)
+def _strict_bit(fam: NatFamily, gpd: FinGroupoid, env: ex.Env, scan=None) -> bool:
+    """The strict bit of ``fam`` on ``gpd`` under the tables of ``env``: the
+    endpoint row's when one is recorded, else the bit recorded without a
+    row, else ``scan()`` recorded (False without ``scan``)."""
+    held = (gpd, fam.components)
+    if (done := _recorded(fam, "endpoints", held, env)) is not None:
+        return done[1]
+    return bool(_recorded(fam, "strict", held, env, scan))
 
 
 _FAM = "φ"  # the family's symbol in its own laws
@@ -615,14 +614,14 @@ def _family_env(law: ex.Law, fam: NatFamily, env: ex.Env, domain: FinGroupoid) -
     return law_env
 
 
-def _endpoint_row(gpd: FinGroupoid, fam: NatFamily, env: ex.Env) -> CheckResult:
-    """The endpoint row of ``fam``: its endpoint law run by the engine
-    (kernel included).  Where the law fails, ``witness_at`` writes the
-    witness (a component missing or unknown, or its endpoints against the
-    declared ones) or nothing.  Its strict bit is False until the row
+def _endpoint_row(gpd: FinGroupoid, fam: NatFamily, env: ex.Env) -> tuple[CheckResult, bool]:
+    """The endpoint row of ``fam`` and its strict bit: the endpoint law run
+    by the engine (kernel included) over the components, never the bit (φ
+    is bound to a copy with no record).  Where the law fails, ``witness_at``
+    writes the witness (a component missing or unknown, or its endpoints
+    against the declared ones) or nothing.  The bit is False unless the row
     passes, then whether each distinct component is its source's
     identity."""
-    _set_strict(fam, gpd, env, False)
     comps, mors = fam.components, gpd.morphisms
     for x, i in gpd.identity.items():  # the law reads these as identities
         if (m := mors.get(i)) is not None and not m.src == m.dst == x:
@@ -639,32 +638,33 @@ def _endpoint_row(gpd: FinGroupoid, fam: NatFamily, env: ex.Env) -> CheckResult:
         return None  # the carrier's tables, not the family, fail the law here
 
     law = _family_laws(fam.arity, fam.src_expr, fam.tgt_expr)[0]
-    row = diagram._check("endpoints", law, gpd, gpd.objects_sorted, _family_env(law, fam, env, gpd),
+    bare = NatFamily(fam.arity, comps, fam.src_expr, fam.tgt_expr)
+    row = diagram._check("endpoints", law, gpd, gpd.objects_sorted, _family_env(law, bare, env, gpd),
                          witness_at=witness_at)
-    _set_strict(fam, gpd, env, row.witness is None and (used := set(comps.values())) <= set(gpd.identity.values())
-                and all((m := mors.get(mid)) is not None and m.src == m.dst and gpd.identity.get(m.src) == mid
-                        for mid in used))
-    return row
+    return row, (row.witness is None and (used := set(comps.values())) <= set(gpd.identity.values())
+                 and all((m := mors.get(mid)) is not None and m.src == m.dst and gpd.identity.get(m.src) == mid
+                         for mid in used))
 
 
 def validate_family(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, label: str = "family") -> Report:
     """Totality and endpoint correctness of a family over the full index
-    space; the scan also records the family's strict bit.  The row, pass or
-    fail, is recorded with the bit: validated again under the same carrier,
-    tables (or equal ones) and ``components`` object, the family gets a
-    copy of it, with this ``label`` and this call's seconds, and no scan.
-    A :class:`Column` of the family's arity is keyed by arity-tuples by
+    space.  The row, pass or fail, is recorded with the family's strict bit
+    (:func:`_recorded`): validated again under the same carrier, tables (or
+    equal ones) and ``components`` object, the family gets a copy of it,
+    with this ``label`` and this call's seconds, and no scan.  A
+    :class:`Column` of the family's arity is keyed by arity-tuples by
     construction; any other table's keys are checked first."""
     started = time.perf_counter()
-    row = _record(fam, gpd, env)[1]
-    if row is None:
+
+    def scan() -> tuple[CheckResult, bool]:
         comps = fam.components
         if not (isinstance(comps, Column) and comps.arity == fam.arity) and set(map(len, comps)) - {fam.arity}:
             for idx in comps:  # the ordered walk names the first offender
                 if len(idx) != fam.arity:
                     raise ArityMismatch(f"{label}: component keyed by {idx} but arity is {fam.arity}")
-        row = _endpoint_row(gpd, fam, env)
-        _set_strict(fam, gpd, env, _strict_bit(fam, gpd, env), row)
+        return _endpoint_row(gpd, fam, env)
+
+    row = _recorded(fam, "endpoints", (gpd, fam.components), env, scan)[0]
     return Report([replace(row, law=f"{label}-endpoints", seconds=time.perf_counter() - started)])
 
 

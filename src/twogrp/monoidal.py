@@ -23,6 +23,7 @@ from .groupoid import (
     NatFamily,
     _Memo,
     _first_failure,
+    _recorded,
     check_naturality,
     validate_family,
     validate_groupoid,
@@ -75,7 +76,8 @@ SM_LAWS = (
 # functoriality of the sum, (g∘f) + (g2∘f2) = (g + g2)∘(f + f2), over pairs of
 # composable pairs (g, f), (g2, f2); ∘ is bound to the carrier's compose table
 _G, _F, _G2, _F2 = ("fst", _X), ("snd", _X), ("fst", _Y), ("snd", _Y)
-INTERCHANGE = ex.Law("bifunctor", 2, [_add(ex.op("∘", _G, _F), ex.op("∘", _G2, _F2))], [_add(_G, _G2), _add(_F, _F2)])
+INTERCHANGE = ex.Law(
+    "bifunctor", 2, [_add(ex.op("∘", _G, _F), ex.op("∘", _G2, _F2))], [_add(_G, _G2), _add(_F, _F2)])
 
 
 class SumStructure(_Memo):
@@ -101,12 +103,9 @@ class SumStructure(_Memo):
 
     def preserves_identities(self) -> bool:
         """Does the sum of two identities give the identity of the sum?"""
-        if "id_pres" not in self._cache:
-            ident = self.carrier.identity
-            self._cache["id_pres"] = all(
-                self.sum_mor.get((ident[x], ident[y])) == ident[z] for (x, y), z in self.sum_obj.items()
-            )
-        return self._cache["id_pres"]
+        ident = self.carrier.identity
+        return _recorded(self, "id_pres", (self.carrier, self.sum_obj, self.sum_mor), run=lambda: all(
+            self.sum_mor.get((ident[x], ident[y])) == ident[z] for (x, y), z in self.sum_obj.items()))
 
 
 @dataclass
@@ -145,17 +144,13 @@ class WeakInverseCert:
 
 
 def _check_bifunctor(m: MonStructure, report: Report) -> None:
-    """Add the bifunctor row (:func:`_bifunctor_row`).  The row, pass or
-    fail, is recorded in the carrier's ``_cache`` under the two sum tables
-    (by identity, and holding them), which a ``replace`` copy of the
-    structure shares: a later call adds a copy of it with its own seconds,
-    without a rescan.  A row that raises records nothing."""
+    """Add the bifunctor row (:func:`_bifunctor_row`), recorded on the
+    carrier with the two sum tables (:func:`groupoid._recorded`), which a
+    ``replace`` copy of the structure shares: a later call adds a copy of it
+    with its own seconds, without a rescan."""
     started = time.perf_counter()
-    gpd = m.carrier
-    key = ("bifunctor", id(m.sum_obj), id(m.sum_mor))
-    if key not in gpd._cache:
-        gpd._cache[key] = (m.sum_obj, m.sum_mor, _bifunctor_row(m))
-    report.add(replace(gpd._cache[key][2], seconds=time.perf_counter() - started))
+    row = _recorded(m.carrier, "bifunctor", (m.sum_obj, m.sum_mor), run=lambda: _bifunctor_row(m))
+    report.add(replace(row, seconds=time.perf_counter() - started))
 
 
 def _bifunctor_row(m: MonStructure) -> CheckResult:

@@ -521,8 +521,8 @@ def reference_naturality(fam, env, *, domain, codomain=None, sample=None, seed=0
                 yield None
 
     report = Report()
-    _first_failure(report, label, squares(), mode)
-    return report
+    _first_failure(report, label, squares())
+    return Report([replace(row, mode=mode) for row in report.checks])
 
 
 # ---------------------------------------------------------------------------

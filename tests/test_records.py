@@ -1,12 +1,15 @@
 """Recorded data rows, held to fresh validations.
 
-A family's endpoint row, a functor's rows and the sum's bifunctor row are
-recorded on the object whose tables decide them (the family, the
-``GFunctor``, the carrier), and a later validation under the same tables
-returns a copy of the record instead of scanning.  Law rows are never
-recorded.  The oracle throughout is ``fresh``: a copy of the whole object
-graph with every memo empty and every table shared, so it records nothing
-it could read and scans every row.
+A family's endpoint row and strict bit, a functor's rows, the sum's
+bifunctor row and ``boxplus``'s 2-group verdict are recorded on the object
+whose tables decide them (the family, the ``GFunctor``, the carrier, the
+target structure) by ``groupoid._recorded``, one record per row and
+holder, read back only while the holder holds every table the row read.
+The tests read a record through the same helper.  A later validation
+under the same tables returns a copy of the record instead of scanning.
+Law rows are never recorded.  The oracle throughout is ``fresh``: a copy
+of the whole object graph with every memo empty and every table shared, so
+it records nothing it could read and scans every row.
 
 The flip tests follow the sweep: the unperturbed structure is validated
 first, then structures that differ from it in one flipped family, whose
@@ -16,15 +19,18 @@ sm-functor`` to the fresh in-process rows.
 """
 
 import contextlib
+import gc
 import io
 import json
 import random
 import re
+import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
 from twogrp import (
+    boxplus,
     build_dual_numbers_2group,
     build_mult_endofunctor,
     build_strict_2ring,
@@ -45,13 +51,13 @@ from twogrp import (
 )
 from twogrp.cli import _endpoints, _functor_endpoint_blocks, main
 from twogrp.document import parse_document
-from twogrp.errors import ArityMismatch, DomainMismatch, MalformedTable, StructureError
+from twogrp.errors import ArityMismatch, DomainMismatch, MalformedTable, PreconditionFailed, StructureError
 from twogrp.functors import MonTransformation, StructuredFunctor, check_fsum_naturality, tau_family
-from twogrp.groupoid import GFunctor, _record, _strict_bit, identity_family, validate_family, validate_functor
-from twogrp.monoidal import _check_bifunctor, assoc_family
+from twogrp.groupoid import GFunctor, _recorded, _strict_bit, identity_family, validate_family, validate_functor
+from twogrp.monoidal import _check_bifunctor, assoc_family, validate_2group
 from twogrp.report import Report, Status
 
-from helpers import SEED, random_flip
+from helpers import SEED, random_flip, with_canonical_zero
 
 FLIPS = 25  # flips drawn per pool
 
@@ -72,6 +78,18 @@ def fresh(*objs):
         return seen[id(obj)]
 
     return tuple(map(copy, objs))
+
+
+def _endpoint_record(fam, gpd, env):
+    return _recorded(fam, "endpoints", (gpd, fam.components), env)
+
+
+def _functor_record(fun):
+    return _recorded(fun, "functor", (fun.source, fun.target, fun.obj_map, fun.mor_map))
+
+
+def _bifunctor_record(m):
+    return _recorded(m.carrier, "bifunctor", (m.sum_obj, m.sum_mor))
 
 
 def rows(*reports):
@@ -139,7 +157,7 @@ def test_z6_distributor_and_absorber_flips_give_the_fresh_rows(presentation, sca
     names = ("dist_l", "dist_r") if presentation == "sm" else ("dist_l", "dist_r", "absorb_l", "absorb_r")
     for suite in suites:
         assert suite(ring).ok
-    recorded = [name for name in names if _record(getattr(ring, name), ring.carrier, ring.env())[1] is not None]
+    recorded = [name for name in names if _endpoint_record(getattr(ring, name), ring.carrier, ring.env()) is not None]
     assert recorded == list(names)
     for name, flipped in _flipped({k: (ring.carrier, getattr(ring, k)) for k in names}, random.Random(SEED)):
         pert = replace(ring, **{name: flipped}, _cache={})
@@ -216,7 +234,7 @@ def test_unequal_tables_are_rescanned_and_equal_ones_are_not(scans):
 def test_identity_familys_bit_alone_does_not_skip_the_scan(scans):
     gpd, _, env = _assoc()
     fam = identity_family(assoc_family, gpd, env)
-    assert _strict_bit(fam, gpd, env) is True and _record(fam, gpd, env)[1] is None
+    assert _strict_bit(fam, gpd, env) is True and _endpoint_record(fam, gpd, env) is None
     first = rows(validate_family(gpd, fam, env))
     assert times(scans, fam) == 1 and first == rows(validate_family(gpd, *fresh(fam), env))
     assert rows(validate_family(gpd, fam, env)) == first and times(scans, fam) == 1
@@ -231,7 +249,7 @@ def test_a_row_that_raised_records_nothing(scans):
         with pytest.raises(MalformedTable):
             validate_family(broken, fam, env)
     assert times(scans, fam) == 2 and _strict_bit(fam, broken, env) is False
-    assert _record(fam, broken, env)[1] is None
+    assert _endpoint_record(fam, broken, env) is None
     stray = replace(fam, components={**fam.components, ("0",): fam.components[("0", "0", "0")]}, _cache={})
     for _ in range(2):
         with pytest.raises(ArityMismatch):
@@ -240,7 +258,7 @@ def test_a_row_that_raised_records_nothing(scans):
     for _ in range(2):
         with pytest.raises(DomainMismatch):
             validate_functor(fun)
-    assert "rows" not in fun._cache
+    assert _functor_record(fun) is None
 
 
 def _bifunctor(m):
@@ -265,7 +283,7 @@ def test_a_hit_carries_the_callers_label_and_a_mutated_row_is_not_read_back(scan
             row.law, row.status, row.instances, row.mode = "x", Status.FAIL, -1, "x"
         assert rows(run()) == want
     assert times(scans, fam) == 1
-    assert "rows" in fun._cache and any(k[0] == "bifunctor" for k in sl.carrier._cache if type(k) is tuple)
+    assert _functor_record(fun) is not None and _bifunctor_record(sl) is not None
 
 
 def test_the_bifunctor_row_is_read_by_a_replace_copy_and_law_rows_always_run(monkeypatch):
@@ -307,8 +325,118 @@ def test_validate_functor_reads_its_record():
     bad = GFunctor(fun.source, fun.target, dict(fun.obj_map), mor_map)
     for f in (fun, bad):
         first = rows(validate_functor(f))
-        assert "rows" in f._cache and rows(validate_functor(f)) == first == rows(validate_functor(*fresh(f)))
+        assert _functor_record(f) is not None
+        assert rows(validate_functor(f)) == first == rows(validate_functor(*fresh(f)))
     assert not validate_functor(bad).ok
+
+
+# -- a reassigned table, one record per holder --------------------------------------
+
+
+def _other(ids, old, rng):
+    return rng.choice([i for i in sorted(ids) if i != old])
+
+
+def _family_case(rng):
+    gpd, fam, env = _assoc()
+
+    def components():
+        fam.components = random_flip(gpd, fam, rng)[0].components
+
+    return (lambda: rows(validate_family(gpd, fam, env)), lambda: rows(validate_family(gpd, *fresh(fam), env)),
+            [("components", components)] * 3)
+
+
+def _functor_case(rng):
+    fun, = fresh(build_mult_endofunctor(3, 2, 1, build_dual_numbers_2group(3)).base)
+    maps = fun.obj_map, fun.mor_map
+
+    def reassigned(name, ids):
+        table = dict(getattr(fun, name))
+        key = rng.choice(sorted(table))
+        table[key] = _other(ids, table[key], rng)
+        setattr(fun, name, table)
+
+    def restored():
+        fun.obj_map, fun.mor_map = maps
+
+    return (lambda: rows(validate_functor(fun)), lambda: rows(validate_functor(*fresh(fun))),
+            [("obj_map", lambda: reassigned("obj_map", fun.target.objects)), ("restored", restored),
+             ("mor_map", lambda: reassigned("mor_map", fun.target.morphisms)), ("restored", restored)])
+
+
+def _bifunctor_case(rng):
+    sl, = fresh(build_super_line_2group())
+    at = [sl]  # the structure under test: a ``replace`` copy on the same carrier
+
+    def reassigned(name, ids):
+        table = dict(getattr(sl, name))
+        key = rng.choice(sorted(table))
+        at[0] = replace(sl, **{name: {**table, key: _other(ids, table[key], rng)}}, _cache={})
+
+    return (lambda: rows(_bifunctor(at[0])), lambda: rows(_bifunctor(*fresh(at[0]))),
+            [("sum_obj", lambda: reassigned("sum_obj", sl.carrier.objects)),
+             ("sum_mor", lambda: reassigned("sum_mor", sl.carrier.morphisms)),
+             ("restored", lambda: at.__setitem__(0, replace(sl, _cache={})))])
+
+
+def _two_group_case(rng):
+    target, = fresh(build_dual_numbers_2group(3, "sm"))
+    summands = [with_canonical_zero(build_mult_endofunctor(3, a, 0), target, target) for a in (1, 2)]
+    original = dict(vars(target))
+
+    def verdict():
+        try:
+            boxplus(*summands, target)
+        except PreconditionFailed:
+            return False
+        return True
+
+    def reassigned(name):
+        setattr(target, name, random_flip(target.carrier, getattr(target, name), rng)[0])
+
+    def restored():
+        for name in ("assoc", "comm", "lunit", "runit"):
+            setattr(target, name, original[name])
+
+    return (verdict, lambda: validate_2group(*fresh(target)).ok,
+            [(name, lambda name=name: reassigned(name)) for name in ("assoc", "comm", "lunit", "runit")]
+            + [("restored", restored)])
+
+
+RECORDS = {"family": _family_case, "functor": _functor_case, "bifunctor": _bifunctor_case, "2-group": _two_group_case}
+
+
+@pytest.mark.parametrize("record", sorted(RECORDS))
+def test_a_reassigned_table_gives_the_fresh_rows(record):
+    run, oracle, changes = RECORDS[record](random.Random(SEED))
+    assert run() == run() == oracle()
+    for what, change in changes:
+        change()
+        assert run() == run() == oracle(), what
+
+
+def test_sum_mutants_on_one_carrier_leave_one_record():
+    # each mutant's sum morphism table is a copy with one entry changed: a
+    # record per mutant would keep every copy alive
+    dn3, = fresh(build_dual_numbers_2group(3))
+    rng = random.Random(SEED)
+    keys, mors = sorted(dn3.sum_mor), dn3.carrier.morphisms
+    first = None
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(300):
+            key = rng.choice(keys)
+            mutant = replace(dn3, sum_mor={**dn3.sum_mor, key: _other(mors, dn3.sum_mor[key], rng)}, _cache={})
+            assert not _bifunctor(mutant).ok
+            first = first or mutant
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert _bifunctor_record(mutant) is not None and _bifunctor_record(first) is None
+    assert retained < 1 << 20, retained
 
 
 # -- the CLI on functor documents with one map entry reassigned -------------------------
