@@ -23,7 +23,10 @@ broadcast axes, so a subterm is computed only over the variables it
 mentions.  An exhaustive space runs in blocks over its leading coordinates
 (the last of them a chunk of values when the rest are few), and a subterm
 free of them is computed once.  A sample runs in blocks of
-rows drawn as ``groupoid._sample_tuples`` draws them.
+rows drawn as ``groupoid._sample_tuples`` draws them (``sample_positions``,
+one byte per coordinate over at most 255 values); the last draw is kept,
+read-only, so consecutive rows over one space, such as the 2-ring laws of
+one arity, draw it once.
 
 A family with a recorded strict bit is computed, not read: its component
 at declared objects is the identity of its declared source object.  The
@@ -36,6 +39,7 @@ filled.
 
 from __future__ import annotations
 
+import functools
 import random
 from itertools import product
 from math import prod
@@ -49,15 +53,18 @@ BLOCK = 1 << 14  # instances evaluated at once
 DRAW = 1 << 16  # generator outputs drawn at once
 
 
+@functools.lru_cache(maxsize=1)
 def sample_positions(n: int, arity: int, count: int, seed: int) -> np.ndarray:
-    """The positions (a ``count`` x ``arity`` array) of the tuples
+    """The positions (a read-only ``count`` x ``arity`` array of the
+    narrowest unsigned type that holds ``n``) of the tuples
     ``_sample_tuples`` draws over ``n`` values: ``getrandbits(32 * N)`` holds
     the next N outputs of the generator, least significant first, and
     ``getrandbits(k)`` is one output shifted right by ``32 - k``.  The
     tuples are the first accepted outputs of the stream, however it is
-    drawn."""
+    drawn.  The last draw is kept, so consecutive rows over one space (the
+    2-ring laws of one arity) share it."""
     need = count * arity
-    out = np.empty(need, np.intp)
+    out = np.empty(need, np.min_scalar_type(n))
     getrandbits = random.Random(seed).getrandbits
     shift = 32 - n.bit_length()
     have = 0
@@ -67,6 +74,7 @@ def sample_positions(n: int, arity: int, count: int, seed: int) -> np.ndarray:
         words = words[words < n]
         out[have:have + len(words)] = words
         have += len(words)
+    out.flags.writeable = False
     return out.reshape(count, arity)
 
 

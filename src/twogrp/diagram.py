@@ -11,12 +11,14 @@ The reference loop (``_scan``) composes each route with one lookup per step
 in ``FinGroupoid.composable``, in code generated per law
 (``Law.routes``); an instance with a miss is recomposed from its legs by
 ``compose_path``, whose checking walk names the id or endpoint that breaks.
-A loop of at least ``KERNEL_FLOOR`` instances runs its first
-``REFERENCE_HEAD`` in the reference loop and, when they hold, the whole
-space in the numpy block kernel (``_kernel``, imported on the first loop
-that gets that far): the tables become integer arrays, each route term one
-gather over a block of instances.  The reference rescans the kernel's
-failing tuples, in order, for the witness, so rows are the reference's.
+A loop of at least ``KERNEL_FLOOR`` (2^13) instances, the three-variable
+laws at m=5 among them, runs its first ``REFERENCE_HEAD`` in the reference
+loop and, when they hold, the whole space in the numpy block kernel
+(``_kernel``, imported on the first loop that gets that far): the tables
+become integer arrays, each route term one gather over a block of
+instances; consecutive sampled rows over one space share one draw.  The
+reference rescans the kernel's failing tuples, in order, for the witness,
+so rows are the reference's.
 Without numpy (``pip install .[fast]`` adds it) every loop runs the
 reference.
 
@@ -49,10 +51,13 @@ from .groupoid import FinGroupoid, _sample_tuples, _space_size, compose_path, in
 from .errors import StructureError
 from .report import CheckResult, Status, Witness
 
-# loops of at least this many instances run in the kernel: far above the
-# loops of small checks (AF1 on the 9-object dual numbers has 6,561), where
-# importing numpy and encoding the tables would cost more than they save
-KERNEL_FLOOR = 1 << 15
+# loops of at least this many instances run in the kernel.  With numpy
+# loaded, its encode and run beat the reference loop from a few thousand
+# instances on (15,625 three-variable instances at m=5: about 6 ms against
+# 30 ms); the floor stays above the loops of small checks (AF1 on the
+# 9-object dual numbers has 6,561), where importing numpy would cost more
+# than the kernel saves
+KERNEL_FLOOR = 1 << 13
 # such a loop first runs this many instances in the reference loop, a few
 # milliseconds: a scan that fails there (a broken structure's usually does)
 # neither imports numpy nor encodes a table

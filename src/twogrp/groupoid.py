@@ -14,8 +14,9 @@ A family's components map index tuples to morphisms.  A total family,
 built or parsed from rows in product order of the sorted objects, is made
 from its values by ``FinGroupoid.product_table``, which alone decides: a
 :class:`Column` (values in product order, a key read at its position) at
-``diagram.KERNEL_FLOOR`` entries or more, else a dict, as is every partial
-family.  The reference loop reads a column through a dict of its reads.
+``diagram.KERNEL_FLOOR`` (2^13) entries or more, the arity-3 families at
+m=5 among them, else a dict, as is every partial family.  The reference
+loop reads a column through a dict of its reads.
 
 Morphism equality is identifier equality.  Canonical order (sorted ids)
 drives every scan, so witnesses and search results are reproducible.  A
@@ -26,7 +27,8 @@ included, is a generator of per-instance outcomes consumed by
 ``_first_failure``.
 
 Every recorded data row or verdict goes through ``_recorded``: a record
-sits on the object whose tables decide it, one per row, holds every table
+sits on the object whose tables decide it, one per row (a carrier keeps
+two bifunctor rows, one per sum of a 2-ring), holds every table
 the row read, and is read back only while that object still holds them by
 identity (an environment's tables match by value).
 """
@@ -63,19 +65,26 @@ class _Memo:
         self._cache = {}
 
 
+# the records a holder keeps per row: one, but two bifunctor rows, since a
+# 2-ring's additive and multiplicative sums share their carrier
+_KEEP = {"bifunctor": 2}
+
+
 def _recorded(holder, row: str, held: tuple, env: ex.Env | None = None, run=None):
     """The value recorded for ``row`` on ``holder`` while ``holder`` still
     holds the tables ``held`` by identity and ``env`` by value (identical
-    tables at once); otherwise ``run()``, recorded in place of the old
-    record (a run that raises records nothing), or ``None`` without
-    ``run``.  Callers hand out copies."""
-    entry = holder._cache.get(row)
-    if entry is not None and entry[1] == env and all(map(is_, entry[0], held)):
-        return entry[2]
+    tables at once); otherwise ``run()``, recorded in place of the oldest
+    of the records ``holder`` keeps for ``row`` (``_KEEP``; a run that
+    raises records nothing), or ``None`` without ``run``.  Callers hand out
+    copies."""
+    records = holder._cache.get(row, ())
+    for record in records:
+        if record[1] == env and all(map(is_, record[0], held)):
+            return record[2]
     if run is None:
         return None
     value = run()
-    holder._cache[row] = (held, None if env is None else dict(env), value)
+    holder._cache[row] = ((held, None if env is None else dict(env), value),) + records[:_KEEP.get(row, 1) - 1]
     return value
 
 

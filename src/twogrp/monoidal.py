@@ -147,7 +147,8 @@ def _check_bifunctor(m: MonStructure, report: Report) -> None:
     """Add the bifunctor row (:func:`_bifunctor_row`), recorded on the
     carrier with the two sum tables (:func:`groupoid._recorded`), which a
     ``replace`` copy of the structure shares: a later call adds a copy of it
-    with its own seconds, without a rescan."""
+    with its own seconds, without a rescan.  The carrier keeps two such
+    records, so a 2-ring's additive and multiplicative sums keep theirs."""
     started = time.perf_counter()
     row = _recorded(m.carrier, "bifunctor", (m.sum_obj, m.sum_mor), run=lambda: _bifunctor_row(m))
     report.add(replace(row, seconds=time.perf_counter() - started))

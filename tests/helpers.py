@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from functools import partial
 from itertools import product
 
@@ -58,6 +58,24 @@ from twogrp.rings import (
 )
 
 SEED = 20250811
+
+
+def fresh(*objs):
+    """Copies of ``objs`` with every memo empty, sharing their tables: each
+    dataclass field that holds a structure, family, functor or carrier is
+    copied the same way, and an object shared in the graph stays shared."""
+    seen = {}
+
+    def copy(obj):
+        if id(obj) not in seen:
+            parts = {f.name: copy(v) for f in fields(obj) if f.name != "_cache"
+                     and is_dataclass(v := getattr(obj, f.name)) and not isinstance(v, type)}
+            if any(f.name == "_cache" for f in fields(obj)):
+                parts["_cache"] = {}
+            seen[id(obj)] = replace(obj, **parts)
+        return seen[id(obj)]
+
+    return tuple(map(copy, objs))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,11 @@ on every distinct sum and family of the bindings, as bound and damaged; a
 family's table encodes to the same arrays densely and key by key.  The
 integer draw and the canonical associo-commutator arrays are held to their
 string counterparts, and two child processes show the stdlib-only path and
-the lazy numpy import."""
+the lazy numpy import.  The m=5 rows the shipped floor sends to the kernel
+(15,625 instances) are held to the reference as shipped, and the sampled
+rows of one space to a single draw."""
 
+import functools
 import json
 import os
 import random
@@ -29,18 +32,27 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from twogrp import Report, build_dual_numbers_2group, canonical_acomm_at, diagram, validate_jp, validate_quang  # noqa: E402,E501
-from twogrp import groupoid  # noqa: E402
+from twogrp import (  # noqa: E402
+    _kernel,
+    build_mult_endofunctor,
+    build_strict_2ring,
+    groupoid,
+    ring_dual_numbers,
+    validate_sm,
+    validate_sm_functor,
+)
 from twogrp import expr as ex  # noqa: E402
 from twogrp._kernel import _Program, sample_positions  # noqa: E402
 from twogrp.ac import _canonical_acomm  # noqa: E402
 from twogrp.groupoid import NatFamily, _sample_tuples, _strict_bit, index_space, validate_family  # noqa: E402
-from twogrp.monoidal import INTERCHANGE, _check_bifunctor  # noqa: E402
+from twogrp.monoidal import INTERCHANGE, _check_bifunctor, check_structure_naturality  # noqa: E402
 
 from helpers import (  # noqa: E402
     SEED,
     coboundary_twisted_dual_numbers,
     eval_obj,
     flipped_bindings,
+    fresh,
     kappa_twisted_2ring,
     law_bindings,
     random_flip,
@@ -354,10 +366,13 @@ def test_the_integer_draw_over_morphisms_is_the_reference_draw(label):
 @pytest.mark.parametrize("n, arity, count, seed", [
     (25, 5, 1000, 7), (9, 8, 500, 3), (1, 3, 10, 0), (6, 4, 999, 123456789), (4, 8, 4096, 1),
     (2, 1, 300, SEED), (36, 5, 2000, SEED), (64, 2, 100, 5), (25, 5, 20000, SEED),  # the last over two draws
+    (255, 3, 2000, SEED), (256, 3, 2000, SEED), (257, 3, 2000, SEED),  # one and two bytes a position
 ])
 def test_the_integer_draw_is_the_reference_draw(n, arity, count, seed):
     got = sample_positions(n, arity, count, seed)
-    assert got.shape == (count, arity)
+    assert got.shape == (count, arity) and got.dtype == np.min_scalar_type(n) and not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0, 0] = 0
     assert [tuple(r) for r in got.tolist()] == _sample_tuples(range(n), arity, count, seed)
 
 
@@ -479,3 +494,93 @@ def test_small_jobs_do_not_import_numpy():
         "print('numpy' in sys.modules)\n"
     )
     assert out.strip() == "False"
+
+
+# -- the m=5 rows between the floor and 2^15 --------------------------------------
+
+
+@functools.cache
+def m5_cases():
+    ac5, sm5 = build_dual_numbers_2group(5), build_dual_numbers_2group(5, "sm")
+    ring = build_strict_2ring(ring_dual_numbers(5))
+    # d changed at its last index to another object's identity: its endpoint
+    # and naturality rows fail at their last instance, past the reference head
+    comps = ring.dist_l.components
+    last = comps.values()[-1]
+    other = next(i for i in ring.carrier.identity.values() if i != last)
+    flipped = replace(ring, dist_l=replace(ring.dist_l, components=ring.carrier.product_table(
+        3, [*comps.values()[:-1], other])))
+
+    def family_rows(ring):
+        return [validate_family(ring.carrier, ring.dist_l, ring.env(), label="d"), check_structure_naturality(ring)]
+
+    return {
+        "SF F_even": ((build_mult_endofunctor(5, 2, 0, ac5), sm5),
+                      lambda fun, sm: [validate_sm_functor(fun, sm, sm, allow_strict_skip=False)]),
+        "SF F_odd": ((build_mult_endofunctor(5, 1, 3, ac5), sm5),
+                     lambda fun, sm: [validate_sm_functor(fun, sm, sm, allow_strict_skip=False)]),
+        "SC twin": ((sm5,), lambda sm: [validate_sm(sm, check_data=False, allow_strict_skip=False)]),
+        "d flipped": ((flipped,), family_rows),
+    }
+
+
+@pytest.mark.parametrize("case", ["SF F_even", "SF F_odd", "SC twin", "d flipped"])
+def test_the_m5_rows_across_the_floor_equal_the_reference_rows(case, monkeypatch):
+    # every loop of 2^13 instances or more runs in the kernel here and in
+    # the reference below; each side validates fresh copies, so no record
+    # of one is read by the other
+    assert 5 ** 6 >= diagram.KERNEL_FLOOR
+    objs, run = m5_cases()[case]
+    decided = []
+    failures = _kernel.failures
+    monkeypatch.setattr(_kernel, "failures", lambda law, *args: decided.append(law.name) or failures(law, *args))
+
+    def rows():
+        return [(c.law, c.status, c.instances, c.mode, c.witness) for rep in run(*fresh(*objs)) for c in rep.checks]
+
+    kernel = rows()
+    monkeypatch.setattr(diagram, "KERNEL_FLOOR", float("inf"))
+    assert kernel == rows()
+    status = {row[0]: (row[1].value, row[2]) for row in kernel}
+    if case == "SF F_even":
+        assert status["SF1"] == ("pass", 5 ** 6) and "SF1" in decided
+    elif case == "SF F_odd":
+        assert status["SF1"][0] == "fail"
+    elif case == "SC twin":
+        assert [status[f"SC{i}"][0] for i in range(1, 5)] == ["pass"] * 4 and "SC3" in decided
+    else:
+        assert status["d-endpoints"] == status["naturality(d)"] == ("fail", 5 ** 6)
+        assert status["naturality(e)"] == ("pass", 5 ** 6)
+        assert sorted(decided) == ["endpoints", "naturality", "naturality"]
+
+
+# -- one draw per sampled space --------------------------------------------------
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The arguments of each call of the draw, which starts with no draw
+    kept; its cache's misses are the draws made."""
+    calls = []
+    cached = _kernel.sample_positions
+    cached.cache_clear()
+    monkeypatch.setattr(_kernel, "sample_positions", lambda *args: calls.append(args) or cached(*args))
+    yield calls
+    cached.cache_clear()
+
+
+def test_the_sampled_rows_of_one_space_share_one_draw(draws):
+    ring, = fresh(build_strict_2ring(ring_dual_numbers(5)))
+    report = validate_jp(ring, sample=10000, seed=SEED, allow_strict_skip=False)
+    assert report.ok and {c.mode for c in report.checks if c.instances == 10000} == {f"sampled(n=10000,seed={SEED})"}
+    made = sample_positions.cache_info().misses
+    assert len(draws) > made == len(set(draws))
+
+
+def test_another_seed_or_count_draws_afresh(draws):
+    # only the last draw is kept: the first space, drawn again at the end,
+    # is drawn afresh
+    for args in ((25, 5, 1000, 7), (25, 5, 1000, 7), (25, 5, 1000, 8), (25, 5, 1001, 8), (25, 5, 1001, 8),
+                 (25, 5, 1000, 7)):
+        _kernel.sample_positions(*args)
+    assert sample_positions.cache_info()[:2] == (2, 4)  # hits, misses

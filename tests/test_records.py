@@ -4,7 +4,8 @@ A family's endpoint row and strict bit, a functor's rows, the sum's
 bifunctor row and ``boxplus``'s 2-group verdict are recorded on the object
 whose tables decide them (the family, the ``GFunctor``, the carrier, the
 target structure) by ``groupoid._recorded``, one record per row and
-holder, read back only while the holder holds every table the row read.
+holder (two bifunctor rows per carrier, one for each sum of a 2-ring),
+read back only while the holder holds every table the row read.
 The tests read a record through the same helper.  A later validation
 under the same tables returns a copy of the record instead of scanning.
 Law rows are never recorded.  The oracle throughout is ``fresh``: a copy
@@ -25,7 +26,7 @@ import json
 import random
 import re
 import tracemalloc
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import replace
 
 import pytest
 
@@ -38,6 +39,7 @@ from twogrp import (
     canonical_zero_iso,
     diagram,
     groupoid,
+    monoidal,
     ring_zmod,
     to_ac,
     validate_ac,
@@ -48,6 +50,7 @@ from twogrp import (
     validate_sm,
     validate_sm_functor,
     validate_transformation,
+    validate_two_ring_data,
 )
 from twogrp.cli import _endpoints, _functor_endpoint_blocks, main
 from twogrp.document import parse_document
@@ -57,27 +60,9 @@ from twogrp.groupoid import GFunctor, _recorded, _strict_bit, identity_family, v
 from twogrp.monoidal import _check_bifunctor, assoc_family, validate_2group
 from twogrp.report import Report, Status
 
-from helpers import SEED, random_flip, with_canonical_zero
+from helpers import SEED, fresh, random_flip, with_canonical_zero
 
 FLIPS = 25  # flips drawn per pool
-
-
-def fresh(*objs):
-    """Copies of ``objs`` with every memo empty, sharing their tables: each
-    dataclass field that holds a structure, family, functor or carrier is
-    copied the same way, and an object shared in the graph stays shared."""
-    seen = {}
-
-    def copy(obj):
-        if id(obj) not in seen:
-            parts = {f.name: copy(v) for f in fields(obj) if f.name != "_cache"
-                     and is_dataclass(v := getattr(obj, f.name)) and not isinstance(v, type)}
-            if any(f.name == "_cache" for f in fields(obj)):
-                parts["_cache"] = {}
-            seen[id(obj)] = replace(obj, **parts)
-        return seen[id(obj)]
-
-    return tuple(map(copy, objs))
 
 
 def _endpoint_record(fam, gpd, env):
@@ -302,6 +287,18 @@ def test_the_bifunctor_row_is_read_by_a_replace_copy_and_law_rows_always_run(mon
     laws = [name for name in calls if name.startswith("SC")]
     assert laws == ["SC1", "SC2", "SC3", "SC4"] * 2  # forced full, every law loop runs on both calls
     assert calls.count("bifunctor") == 1 and calls.count("endpoints") == 4
+
+
+def test_a_2rings_two_sums_keep_their_bifunctor_rows_on_the_shared_carrier(monkeypatch):
+    z6, = fresh(build_strict_2ring(ring_zmod(6)))
+    assert z6.add.carrier is z6.mul.carrier
+    scans = []
+    row = monoidal._bifunctor_row
+    monkeypatch.setattr(monoidal, "_bifunctor_row", lambda m: scans.append(m) or row(m))
+    first = rows(validate_two_ring_data(z6))
+    assert [m.sum_mor for m in scans] == [z6.add.sum_mor, z6.mul.sum_mor]
+    assert rows(validate_two_ring_data(z6)) == first and len(scans) == 2
+    assert _bifunctor_record(z6.add) is not None and _bifunctor_record(z6.mul) is not None
 
 
 def test_the_bifunctor_row_is_keyed_by_both_sum_tables():
