@@ -35,6 +35,17 @@ lookup that misses (``object table '+' undefined at ('0', '1')``) or a
 symbol the environment lacks (``... undefined at '<sym>'``) before any of
 its subterms.
 
+Beside it, ``column_obj`` gives an object expression at every index tuple
+at once, in product order (the columns ``groupoid.identity_family`` and
+``fixtures.check_ring_table`` read).  It computes each subterm once, over
+the product of the variables that subterm mentions: a variable is the axis,
+a ``k`` node a constant, and an ``op``/``ap`` node one ``map`` of its table,
+over the product of its children's columns when their variables are
+disjoint and in order (``(x+y)+(z+t)``), else over their zip, each child
+expanded to the union of their variables (``xy+xz``).  A lookup that misses
+raises a bare ``KeyError``; the caller then takes ``compile_obj``, whose
+error names it.
+
 A coherence law is a :class:`Law`: a name, an arity and two routes, each a
 list of morphism terms in application order (the last leg applies first),
 bound by ``Law.legs`` to an environment into the function the diagram
@@ -56,8 +67,10 @@ inversion an ``ap`` over the carrier's inverse table.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import cache, partial
+from itertools import chain, product, repeat
+from operator import mul
 
 from .errors import MalformedTable
 
@@ -84,6 +97,52 @@ def app(sym: str, inner: Expr) -> Expr:
 def compile_obj(expr: Expr, env: Env) -> Callable[[Sequence[str]], str]:
     """The object ``expr`` denotes, as a function of the argument objects."""
     return _compile(expr, env, 0)
+
+
+def column_obj(expr: Expr, env: Env, axis: Sequence[str], arity: int) -> Iterable[str]:
+    """The objects ``expr`` denotes at every tuple of ``arity`` ids of
+    ``axis``, in product order: each subterm computed once, over the
+    product of the variables it mentions.  A lookup that misses, or a
+    symbol ``env`` lacks, raises a bare ``KeyError`` (possibly once the
+    values are read); :func:`compile_obj` names it."""
+    variables, values = _column(expr, env, axis)
+    return _expand(variables, values, tuple(range(arity)), len(axis))
+
+
+def _column(expr: Expr, env: Env, axis: Sequence[str]) -> tuple[tuple[int, ...], Iterable[str]]:
+    """The sorted variables ``expr`` mentions and its values over their
+    product: an ``op``/``ap`` node is one ``map`` of its table over its
+    children's columns, their product when their variables are disjoint
+    and in order, else their zip, each expanded to the union."""
+    tag = expr[0]
+    if tag == "v":
+        return (expr[1],), axis
+    if tag == "k":
+        return (), (expr[1],)
+    if tag not in ("op", "ap"):
+        raise ValueError(f"expression: no object node {expr!r}")
+    table = env[expr[1]][0]
+    if tag == "ap":
+        variables, values = _column(expr[2], env, axis)
+        return variables, map(table.__getitem__, values)
+    (left, lvals), (right, rvals) = _column(expr[2], env, axis), _column(expr[3], env, axis)
+    if not left or not right or left[-1] < right[0]:
+        return left + right, map(table.__getitem__, product(lvals, rvals))
+    n, union = len(axis), tuple(sorted({*left, *right}))
+    return union, map(table.__getitem__, zip(_expand(left, lvals, union, n), _expand(right, rvals, union, n)))
+
+
+def _expand(own: tuple[int, ...], values: Iterable[str], onto: tuple[int, ...], n: int) -> Iterable[str]:
+    """``values``, given over the product of the variables ``own``, at each
+    tuple of the product of ``onto`` (which holds them), ``n`` ids a
+    variable: a variable ``own`` lacks repeats, ``n`` times, each block of
+    the values over the variables after it."""
+    for v in onto:
+        if v not in own:
+            block = n ** sum(w > v for w in own)
+            values = chain.from_iterable(map(mul, zip(*[iter(values)] * block), repeat(n)))
+            own = tuple(sorted((*own, v)))
+    return values
 
 
 def compile_mor(expr: Expr, env: Env) -> Callable[[Sequence[str]], str]:

@@ -583,11 +583,18 @@ def identity_family(make, gpd: FinGroupoid, env: ex.Env, *args) -> NatFamily:
     so its first validation scans.  The caller vouches that the declared
     target evaluates to the same object (the tables of ``env`` satisfy the
     law the family witnesses); the tests hold every such family to the
-    endpoint row."""
+    endpoint row.  The sources are ``ex.column_obj``'s column, whose
+    identities stream into ``product_table``; on a lookup that misses, the
+    family is built again one :func:`ex.compile_obj` call per index tuple,
+    which raises the error naming the first miss in product order."""
     fam = make({}, *args)
-    src_at = ex.compile_obj(fam.src_expr, env)
-    sources = map(src_at, product(gpd.objects_sorted, repeat=fam.arity))
-    fam.components = gpd.product_table(fam.arity, map(gpd.identity.__getitem__, sources))
+    axis = gpd.objects_sorted
+    try:
+        sources = ex.column_obj(fam.src_expr, env, axis, fam.arity)
+        fam.components = gpd.product_table(fam.arity, map(gpd.identity.__getitem__, sources))
+    except KeyError:
+        sources = map(ex.compile_obj(fam.src_expr, env), product(axis, repeat=fam.arity))
+        fam.components = gpd.product_table(fam.arity, map(gpd.identity.__getitem__, sources))
     _recorded(fam, "strict", (gpd, fam.components), env, lambda: True)
     return fam
 

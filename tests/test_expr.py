@@ -117,6 +117,27 @@ def test_compiled_expressions_match_reference(label, fam, env, domain, codomain)
 
 
 @pytest.mark.parametrize("label,fam,env,domain,codomain", FAMILIES, ids=IDS)
+def test_columns_match_reference(label, fam, env, domain, codomain):
+    axis = domain.objects_sorted
+    for expr in (fam.src_expr, fam.tgt_expr):
+        want = [eval_obj(expr, env, idx) for idx in product(axis, repeat=fam.arity)]
+        assert list(ex.column_obj(expr, env, axis, fam.arity)) == want
+
+
+def test_columns_of_repeated_shuffled_and_unused_variables():
+    """Terms whose subterms share variables, read them out of order, or
+    leave some unread: each column is the reference at every tuple."""
+    s = build_dual_numbers_2group(3, "sm")
+    env, axis = s.env(), s.carrier.objects_sorted
+    x, y, z, t = map(ex.var, range(4))
+    add, unit = (lambda l, r: ex.op("+", l, r)), ex.const(s.unit, s.carrier.identity[s.unit])
+    for expr in (x, unit, add(x, x), add(z, x), add(add(z, x), y), add(unit, add(y, unit)),
+                 add(x, add(x, y)), add(add(t, y), add(z, x)), add(y, t)):
+        want = [eval_obj(expr, env, idx) for idx in product(axis, repeat=4)]
+        assert list(ex.column_obj(expr, env, axis, 4)) == want, expr
+
+
+@pytest.mark.parametrize("label,fam,env,domain,codomain", FAMILIES, ids=IDS)
 def test_compiled_errors_match_reference_with_any_entry_dropped(label, fam, env, domain, codomain):
     # every environment that lacks one entry of one table the family reads;
     # each compiled closure gives the reference's value or its error text

@@ -2,6 +2,7 @@
 separating property of the multiplication endofunctors."""
 
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -28,9 +29,15 @@ from twogrp import (
     validate_quang,
     validate_sm_functor,
 )
+from twogrp import expr as ex
+from twogrp.ac import acomm_family
+from twogrp.diagram import KERNEL_FLOOR
+from twogrp.errors import MalformedTable
 from twogrp.fixtures import check_ring_table
 from twogrp.functors import check_fsum_naturality
-from twogrp.groupoid import validate_functor
+from twogrp.groupoid import Column, _recorded, identity_family, validate_functor
+from twogrp.monoidal import assoc_family, comm_family, lunit_family
+from twogrp.rings import ac_ring_to_quang, dist_l_family, dist_r_family, quang_to_ac_ring
 from twogrp.report import Status
 
 from helpers import max_monoid_structure, parallel_morphisms, parity_2ring, perturb_family, strict_derivation_2ring
@@ -68,15 +75,18 @@ def test_dual_numbers_every_family_is_strict():
         assert fam.is_strict(sm.carrier, env)
 
 
+def _families_of(label, structure, keys):
+    """(label, family, carrier, environment) for the families ``keys`` of ``structure``."""
+    fams, env = structure.families(), structure.env()
+    return [(f"{label} {key}", fams[key], structure.carrier, env) for key in keys]
+
+
 def _identity_built_families():
     """(label, family, carrier, environment) for every family built by
     ``identity_family``: the fixtures', the strict branches of the two
     translations' and the test helpers'."""
     out = []
-
-    def add(label, structure, keys):
-        fams, env = structure.families(), structure.env()
-        out.extend((f"{label} {key}", fams[key], structure.carrier, env) for key in keys)
+    add = lambda *entry: out.extend(_families_of(*entry))
 
     for m in (2, 3):
         add(f"dn{m} ac", build_dual_numbers_2group(m), "blr")
@@ -111,6 +121,83 @@ def test_identity_family_strict_bit_matches_the_endpoint_scan():
         old = fam.components[idx]
         new = (parallel_morphisms(gpd, old) or sorted(set(gpd.identity.values()) - {old}))[0]
         assert not perturb_family(fam, idx, new).is_strict(gpd, env), label
+
+
+def _m5_identity_built_families():
+    """The identity-built families at m=5: the dual numbers' b, a and c,
+    the z5e 2-ring's d and e (and m and n in the AC presentation), and the
+    translations of those sums."""
+    dn_ac, dn_sm = build_dual_numbers_2group(5), build_dual_numbers_2group(5, "sm")
+    z_sm, z_ac = build_strict_2ring(ring_dual_numbers(5)), build_strict_2ring(ring_dual_numbers(5), "ac")
+    return (_families_of("dn5 ac", dn_ac, "b") + _families_of("dn5 sm", dn_sm, "ac")
+            + _families_of("z5e sm", z_sm, "de") + _families_of("z5e ac", z_ac, "demn")
+            + _families_of("to_ac(dn5 sm)", to_ac(dn_sm), "b") + _families_of("to_sm(dn5 ac)", to_sm(dn_ac), "ac")
+            + _families_of("z5e sm to ac add", quang_to_ac_ring(z_sm, validate=False).add, "b")
+            + _families_of("z5e ac to sm add", ac_ring_to_quang(z_ac, validate=False).add, "ac"))
+
+
+def _per_tuple(fam, gpd, env):
+    """``fam``'s identity table the reference way: one compiled endpoint
+    call per index tuple."""
+    at = ex.compile_obj(fam.src_expr, env)
+    sources = map(at, product(gpd.objects_sorted, repeat=fam.arity))
+    return gpd.product_table(fam.arity, map(gpd.identity.__getitem__, sources))
+
+
+def test_identity_families_match_the_per_tuple_reference():
+    """Each identity-built family, and the same family built afresh, has
+    the reference's entries in its order and type (a column from
+    ``KERNEL_FLOOR`` entries on), and a fresh build records its strict bit
+    and no endpoint row."""
+    for label, fam, gpd, env in _identity_built_families() + _m5_identity_built_families():
+        want = _per_tuple(fam, gpd, env)
+        assert type(want) is (Column if len(want) >= KERNEL_FLOOR else dict), label
+        fresh = identity_family(lambda table: replace(fam, components=table, _cache={}), gpd, env)
+        for got in (fam.components, fresh.components):
+            assert type(got) is type(want) and list(got.items()) == list(want.items()), label
+        assert _recorded(fresh, "strict", (gpd, fresh.components), env) is True, label
+        assert set(fresh._cache) == {"strict"}, label
+
+
+def test_identity_family_names_the_first_missing_entry_in_product_order():
+    """A table that misses an entry takes the per-tuple line, whose error
+    names the first tuple in product order at which a lookup misses."""
+    dn = build_dual_numbers_2group(2, "sm")
+    ring = build_strict_2ring(ring_dual_numbers(2), "ac")
+    unit = (dn.unit, dn.carrier.identity[dn.unit])
+
+    def error(structure, sym, dropped, make, *args, env=None):
+        if env is None:
+            env = structure.env()
+            env = {**env, sym: ({k: v for k, v in env[sym][0].items() if k not in dropped}, env[sym][1])}
+        with pytest.raises(MalformedTable) as exc:
+            identity_family(make, structure.carrier, env, *args)
+        return str(exc.value)
+
+    for make, args in ((assoc_family, ()), (comm_family, ()), (acomm_family, ()), (lunit_family, unit)):
+        assert error(dn, "+", [("0+0e", "1+0e")], make, *args) == "object table '+' undefined at ('0+0e', '1+0e')"
+        if make is not lunit_family:
+            assert error(dn, "+", [("1+1e", "0+1e")], make) == "object table '+' undefined at ('1+1e', '0+1e')"
+            assert error(dn, "+", [("1+1e", "0+1e"), ("0+1e", "1+1e")], make) == \
+                "object table '+' undefined at ('0+1e', '1+1e')"
+    assert error(dn, "+", [], assoc_family, env={}) == "object table '+' undefined at '+'"
+    for make in (dist_l_family, dist_r_family):
+        assert error(ring, "*", [("1+0e", "1+1e")], make) == "object table '*' undefined at ('1+0e', '1+1e')"
+    assert error(ring, "+", [("0+1e", "1+1e")], dist_l_family) == "object table '+' undefined at ('0+1e', '1+1e')"
+
+
+def test_m5_fixtures_build_without_the_per_tuple_line(monkeypatch):
+    """Every m=5 fixture and translation builds its identity families from
+    columns: the per-tuple line is never taken."""
+    def refuse(*args):
+        raise AssertionError("identity_family took the per-tuple line")
+
+    monkeypatch.setattr(ex, "compile_obj", refuse)
+    sm, ac = build_dual_numbers_2group.__wrapped__(5, "sm"), build_dual_numbers_2group.__wrapped__(5, "ac")
+    to_ac(sm), to_sm(ac)
+    rings = [build_strict_2ring(ring_dual_numbers(5), pres) for pres in ("sm", "ac")]
+    quang_to_ac_ring(rings[0], validate=False), ac_ring_to_quang(rings[1], validate=False)
+    build_derivation_2ring(5), build_strict_2ring(ring_zmod(5))
 
 
 def test_invalid_modulus():
@@ -206,8 +293,8 @@ def test_non_distributive_table_is_rejected_with_witness():
     bad = RingTable(base.elements, base.add, mul, "0", "1")
     with pytest.raises(NotARing) as exc:
         build_strict_2ring(bad)
-    assert "distributivity" in exc.value.law or "associativity" in exc.value.law
-    assert exc.value.witness
+    assert (exc.value.law, exc.value.witness) == ("right-distributivity", ("1", "1", "3"))
+    assert str(exc.value) == "not a ring: right-distributivity fails at ('1', '1', '3')"
 
 
 def test_missing_additive_inverse_is_rejected():
@@ -216,4 +303,22 @@ def test_missing_additive_inverse_is_rejected():
     mul = {(x, y): "1" if x == y == "1" else "0" for x in els for y in els}
     with pytest.raises(NotARing) as exc:
         build_strict_2ring(RingTable(els, add, mul, "0", "1"))
-    assert exc.value.law in ("additive-inverse", "additive-associativity", "additive-unit")
+    assert (exc.value.law, exc.value.witness) == ("additive-inverse", ("1",))
+
+
+def test_non_commutative_sum_is_rejected_at_the_first_pair():
+    """Z/4 with 1+2 = 1 keeps its units and inverses; listed from 2, the
+    first pair the check reaches that does not commute is (2, 1)."""
+    base = ring_zmod(4)
+    add = {**base.add, ("1", "2"): "1"}
+    with pytest.raises(NotARing) as exc:
+        check_ring_table(RingTable(("2", "1", "0", "3"), add, base.mul, "0", "1"))
+    assert (exc.value.law, exc.value.witness) == ("additive-commutativity", ("2", "1"))
+
+
+def test_a_ring_table_with_a_missing_entry_raises_the_bare_key_error():
+    base = ring_zmod(3)
+    mul = {k: v for k, v in base.mul.items() if k != ("2", "2")}
+    with pytest.raises(KeyError) as exc:
+        check_ring_table(RingTable(base.elements, base.add, mul, "0", "1"))
+    assert exc.type is KeyError and exc.value.args == (("2", "2"),)
