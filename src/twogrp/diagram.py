@@ -12,13 +12,14 @@ in ``FinGroupoid.composable``, in code generated per law
 (``Law.routes``); an instance with a miss is recomposed from its legs by
 ``compose_path``, whose checking walk names the id or endpoint that breaks.
 A loop of at least ``KERNEL_FLOOR`` (2^13) instances, the three-variable
-laws at m=5 among them, runs its first ``REFERENCE_HEAD`` in the reference
-loop and, when they hold, the whole space in the numpy block kernel
-(``_kernel``, imported on the first loop that gets that far): the tables
-become integer arrays, each route term one gather over a block of
-instances; consecutive sampled rows over one space share one draw.  The
-reference rescans the kernel's failing tuples, in order, for the witness,
-so rows are the reference's.
+laws at m=5 among them, runs a head in the reference loop and, when it
+holds, the whole space in the numpy block kernel (``_kernel``, imported on
+the first loop that gets that far): the tables become integer arrays, each
+route term one gather over a block of instances; the sampled rows over one
+space share one draw.  The head is ``REFERENCE_HEAD`` instances until
+numpy has been looked for, then ``LOADED_HEAD``.  The reference rescans
+the kernel's failing tuples, in order, for the witness, so rows are the
+reference's.
 Without numpy (``pip install .[fast]`` adds it) every loop runs the
 reference.
 
@@ -58,10 +59,14 @@ from .report import CheckResult, Status, Witness
 # 9-object dual numbers has 6,561), where importing numpy would cost more
 # than the kernel saves
 KERNEL_FLOOR = 1 << 13
-# such a loop first runs this many instances in the reference loop, a few
-# milliseconds: a scan that fails there (a broken structure's usually does)
-# neither imports numpy nor encodes a table
+# such a loop first runs this many instances in the reference loop, about
+# 3.5 ms: a scan that fails there (a broken structure's usually does)
+# neither imports numpy (0.15 s) nor encodes a table.  Once numpy has been
+# looked for, only the import is left to spare, and the head drops to
+# ``LOADED_HEAD``: enough to fail SF1 of F_odd at m=5 (its 6th instance)
+# without an encode
 REFERENCE_HEAD = 1 << 10
+LOADED_HEAD = 1 << 7
 
 LegsFn = Callable[[tuple[str, ...]], tuple[tuple[str, ...], tuple[str, ...]]]  # the two routes, as tuples of legs
 CompositesFn = Callable[[tuple[str, ...]], tuple[str, str]]  # the two routes' composites
@@ -128,8 +133,8 @@ def check_diagram(law: Law, gpd: FinGroupoid, objects: Sequence[str], env: dict,
     With ``strict`` the law's strict profile is tested first; when it holds,
     the loop is skipped and the instance count records the whole space it
     covers, sampled or not.  A loop of at least ``KERNEL_FLOOR`` instances
-    that holds on its first ``REFERENCE_HEAD`` runs in the numpy kernel,
-    when numpy imports.
+    that holds on its reference head runs in the numpy kernel, when numpy
+    imports.
     """
     started = time.perf_counter()
     if strict and strict_profile(law, gpd, env):
@@ -161,15 +166,17 @@ def _check(name: str, law: Law, gpd: FinGroupoid, values: Sequence[str], env: di
 def _long_scan(law: Law, gpd: FinGroupoid, values: Sequence[str], env: dict, legs: LegsFn, composites: CompositesFn,
                sample: int | None, seed: int, witness_at) -> tuple[int, Witness | None]:
     """``_scan`` over the full space (``sample`` ``None``) or the sample:
-    the reference loop over the first ``REFERENCE_HEAD`` instances, then the
-    kernel over the space, whose failing tuples the reference rescans in
+    the reference loop over the head (``REFERENCE_HEAD`` instances, or
+    ``LOADED_HEAD`` once numpy has been looked for), then the kernel over
+    the space, whose failing tuples the reference rescans in
     order until one gives the witness (or, without numpy, the reference over
     the rest)."""
+    size = min(REFERENCE_HEAD, LOADED_HEAD) if _load_kernel.cache_info().currsize else REFERENCE_HEAD
     if sample is None:
         space = product(values, repeat=law.arity)
-        head = islice(space, REFERENCE_HEAD)
+        head = islice(space, size)
     else:
-        head = _sample_tuples(values, law.arity, min(sample, REFERENCE_HEAD), seed)
+        head = _sample_tuples(values, law.arity, min(sample, size), seed)
     checked, witness = _scan(gpd, legs, composites, head, witness_at)
     if witness is not None:
         return checked, witness

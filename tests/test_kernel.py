@@ -14,8 +14,9 @@ family's table encodes to the same arrays densely and key by key.  The
 integer draw and the canonical associo-commutator arrays are held to their
 string counterparts, and two child processes show the stdlib-only path and
 the lazy numpy import.  The m=5 rows the shipped floor sends to the kernel
-(15,625 instances) are held to the reference as shipped, and the sampled
-rows of one space to a single draw."""
+(15,625 instances) are held to the reference as shipped, a long row with
+the kernel loaded to the short reference head, and the sampled rows of one
+space to a single draw."""
 
 import functools
 import json
@@ -554,33 +555,87 @@ def test_the_m5_rows_across_the_floor_equal_the_reference_rows(case, monkeypatch
         assert sorted(decided) == ["endpoints", "naturality", "naturality"]
 
 
+# -- the reference head once the kernel is loaded -------------------------------
+
+
+def test_with_the_kernel_loaded_a_long_row_runs_only_the_short_head(monkeypatch):
+    # the failing SF1 of F_odd still fails within the short head, so it
+    # encodes no table; the passing SF1 of F_even composes only the short
+    # head in the reference loop and the rest in the kernel
+    assert diagram._load_kernel() is _kernel
+    short = min(diagram.REFERENCE_HEAD, diagram.LOADED_HEAD)
+    programs, rows = [], {}
+    init, long_scan = _Program.__init__, diagram._long_scan
+    monkeypatch.setattr(_Program, "__init__",
+                        lambda self, law, *args: programs.append(law.name) or init(self, law, *args))
+
+    def counted(law, gpd, values, env, legs, composites, *rest):
+        composed = []
+        checked, witness = long_scan(law, gpd, values, env, legs, lambda idx: composed.append(idx) or composites(idx),
+                                     *rest)
+        rows[law.name] = (witness is None, len(composed))
+        return checked, witness
+
+    monkeypatch.setattr(diagram, "_long_scan", counted)
+    for case, passes in (("SF F_odd", False), ("SF F_even", True)):
+        objs, run = m5_cases()[case]
+        programs.clear()
+        sf1 = next(c for rep in run(*fresh(*objs)) for c in rep.checks if c.law == "SF1")
+        assert (sf1.status.value == "pass") == passes and rows["SF1"][0] == passes, case
+        if passes:
+            assert sf1.instances == 5 ** 6 and rows["SF1"][1] == short and "SF1" in programs
+        else:
+            assert sf1.instances == rows["SF1"][1] == 6 and "SF1" not in programs
+    assert all(composed <= short for held, composed in rows.values() if held)
+
+
 # -- one draw per sampled space --------------------------------------------------
 
 
 @pytest.fixture
 def draws(monkeypatch):
-    """The arguments of each call of the draw, which starts with no draw
-    kept; its cache's misses are the draws made."""
-    calls = []
-    cached = _kernel.sample_positions
-    cached.cache_clear()
-    monkeypatch.setattr(_kernel, "sample_positions", lambda *args: calls.append(args) or cached(*args))
-    yield calls
-    cached.cache_clear()
+    """The seed of each fresh draw (a generator started from its seed), with
+    no stream kept at the start, and the arguments of each request."""
+    seeds, calls = [], []
+    generator, positions = _kernel._generator, _kernel.sample_positions
+    monkeypatch.setattr(_kernel, "_kept", (None, None, None))
+    monkeypatch.setattr(_kernel, "_generator", lambda seed: seeds.append(seed) or generator(seed))
+    monkeypatch.setattr(_kernel, "sample_positions", lambda *args: calls.append(args) or positions(*args))
+    return SimpleNamespace(seeds=seeds, calls=calls)
 
 
 def test_the_sampled_rows_of_one_space_share_one_draw(draws):
+    # the sampled 2-ring laws have arities 4 and 5 over the 25 objects:
+    # every row takes a prefix of one stream
     ring, = fresh(build_strict_2ring(ring_dual_numbers(5)))
     report = validate_jp(ring, sample=10000, seed=SEED, allow_strict_skip=False)
     assert report.ok and {c.mode for c in report.checks if c.instances == 10000} == {f"sampled(n=10000,seed={SEED})"}
-    made = sample_positions.cache_info().misses
-    assert len(draws) > made == len(set(draws))
+    assert {arity for _, arity, _, _ in draws.calls} == {4, 5}
+    assert draws.seeds == [SEED]
 
 
-def test_another_seed_or_count_draws_afresh(draws):
-    # only the last draw is kept: the first space, drawn again at the end,
+def test_another_seed_or_n_draws_afresh_and_a_longer_need_extends(draws):
+    # only the last stream is kept: the first, asked for again at the end,
     # is drawn afresh
-    for args in ((25, 5, 1000, 7), (25, 5, 1000, 7), (25, 5, 1000, 8), (25, 5, 1001, 8), (25, 5, 1001, 8),
-                 (25, 5, 1000, 7)):
-        _kernel.sample_positions(*args)
-    assert sample_positions.cache_info()[:2] == (2, 4)  # hits, misses
+    requests = ((25, 5, 1000, 7), (25, 5, 1000, 7), (25, 4, 1200, 7), (25, 5, 1000, 8), (25, 5, 30000, 8),
+                (26, 5, 30000, 8), (25, 5, 1000, 7))
+    for n, arity, count, seed in requests:
+        got = _kernel.sample_positions(n, arity, count, seed)
+        assert [tuple(r) for r in got.tolist()] == _sample_tuples(range(n), arity, count, seed)
+    assert draws.seeds == [7, 8, 8, 7]
+
+
+@pytest.mark.parametrize("n", [1, 2, 25, 255, 256, 257])
+@pytest.mark.parametrize("seed", [0, 1, (1 << 40) + 7, -3])
+@pytest.mark.parametrize("long_first", [False, True], ids=["short-first", "long-first"])
+def test_the_kept_stream_gives_the_reference_draw_in_either_order(n, seed, long_first, monkeypatch):
+    # the long request needs more outputs than one generator draw holds
+    monkeypatch.setattr(_kernel, "_kept", (None, None, None))
+    requests = [(2, 700), (3, 30000)]
+    assert 3 * 30000 > _kernel.DRAW
+    for arity, count in requests[::-1] if long_first else requests:
+        got = _kernel.sample_positions(n, arity, count, seed)
+        assert got.shape == (count, arity) and got.dtype == np.min_scalar_type(n) and not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 0
+        assert [tuple(r) for r in got.tolist()] == _sample_tuples(range(n), arity, count, seed)
