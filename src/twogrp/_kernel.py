@@ -17,7 +17,14 @@ array with one extra slot per axis that holds -1, so a missing entry reads
 of the carrier's ids (a total family, a total sum) is read densely: its
 values in product order (a ``groupoid.Column``'s values as they are),
 sliced into the array; any other table, with a missing key or one outside
-the carrier, is encoded key by key.
+the carrier, is encoded key by key.  A law's table read at levels 0 and
+1 whose every key and value is a carrier id (the carrier declaring no id
+twice) codes to the ids' positions in any program, so its code columns,
+read-only arrays of the narrowest unsigned type, are kept on the carrier
+under the one record rule (``groupoid._recorded``: by identity, at most
+``_KEEP["codes"]`` of them) and every later program over that carrier
+reads them instead of encoding the table again; its own code spaces,
+array shapes and sentinel slots stay its own.
 The terms compile to one instruction per distinct gather; variables are
 broadcast axes, so a subterm is computed only over the variables it
 mentions.  An exhaustive space runs in blocks over its leading coordinates
@@ -49,7 +56,7 @@ from math import prod
 import numpy as np
 
 from .ac import ACOMM_UPPER, _CanonicalAcomm, _route_env
-from .groupoid import Column, NatFamily, _strict_bit
+from .groupoid import Column, NatFamily, _recorded, _strict_bit
 
 BLOCK = 1 << 14  # instances evaluated at once
 DRAW = 1 << 16  # generator outputs drawn at once
@@ -92,6 +99,14 @@ def sample_positions(n: int, arity: int, count: int, seed: int) -> np.ndarray:
     return kept[:need].reshape(count, arity)
 
 
+def _frozen(codes: list[int], n: int) -> np.ndarray:
+    """``codes`` (each below ``n``) as a read-only array of the narrowest
+    unsigned type that holds ``n``."""
+    out = np.array(codes, np.min_scalar_type(n))
+    out.flags.writeable = False
+    return out
+
+
 class _Program:
     """A law's routes bound to its environment, as integer tables and one
     instruction list.  Encoding runs in two passes: every table is read
@@ -122,7 +137,7 @@ class _Program:
             table = np.full(shape, -1, np.intp)
             if cols is None:  # read densely
                 dims = [len(self.ids[lv]) for lv in key_levels]
-                table[tuple(map(slice, dims))] = np.array(vals, np.intp).reshape(dims)
+                table[tuple(map(slice, dims))] = np.reshape(vals, dims)
             else:
                 table[tuple(np.array(c, np.intp) for c in cols)] = vals
             self.arrays[key] = (table.ravel(), shape[1:])
@@ -145,26 +160,44 @@ class _Program:
     def _table(self, table, key_levels: tuple, value_level: int, tuple_keys: bool = True, key=None) -> tuple:
         """Register ``table`` (keyed by tuples of ``len(key_levels)`` values
         or, without ``tuple_keys``, by bare values) under ``key`` (by
-        default its id and shape) and return the key."""
+        default its id and shape) and return the key.  The code columns of
+        a table the law reads (one built for this program comes with its
+        ``key``) at levels 0 and 1, over carrier ids only, are kept on the
+        carrier and read by every later program over it."""
+        own = key is None
         key = key or (id(table), key_levels, value_level)
         if key in self.columns:
             return key
-        dense = self._dense(table, key_levels) if tuple_keys else None
-        if dense is not None:  # no key columns: the keys are the carrier's tuples
-            self.columns[key] = (table, key_levels, value_level, None, self._code_all(value_level, dense))
-        else:
-            items = table.items()
-            if tuple_keys:
-                arity = len(key_levels)
-                items = [(k, v) for k, v in items if type(k) is tuple and len(k) == arity]
-                keys = list(zip(*[k for k, _ in items])) or [()] * arity
-            else:
-                keys = [[k for k, _ in items]]
-            cols = [self._code_all(lv, col) for lv, col in zip(key_levels, keys)]
-            # the entry holds the table, so no other table takes its id
-            self.columns[key] = (table, key_levels, value_level, cols,
-                                 self._code_all(value_level, [v for _, v in items]))
+        levels = (*key_levels, value_level)
+        at = {"levels": levels} if own and all(lv < 2 and self.ids[lv] is not None for lv in levels) else None
+        kept = at and _recorded(self.gpd, "codes", (table,), at)
+        if kept is None:
+            cols, vals = kept = self._encode(table, key_levels, value_level, tuple_keys)
+            columns = [*zip(cols or (), key_levels), (vals, value_level)]
+            # kept when no key was dropped and every code is a carrier id's
+            if at and len(vals) == len(table) and all(max(c, default=-1) < len(self.ids[lv]) for c, lv in columns):
+                frozen = [_frozen(c, len(self.ids[lv])) for c, lv in columns]
+                kept = (None if cols is None else tuple(frozen[:-1]), frozen[-1])
+                _recorded(self.gpd, "codes", (table,), at, lambda: kept)
+        # the entry holds the table, so no other table takes its id
+        self.columns[key] = (table, key_levels, value_level, *kept)
         return key
+
+    def _encode(self, table, key_levels: tuple, value_level: int, tuple_keys: bool) -> tuple:
+        """``table``'s key code columns (``None`` when its keys are the
+        carrier's tuples, read densely) and value codes."""
+        dense = self._dense(table, key_levels) if tuple_keys else None
+        if dense is not None:
+            return None, self._code_all(value_level, dense)
+        items = table.items()
+        if tuple_keys:
+            arity = len(key_levels)
+            items = [(k, v) for k, v in items if type(k) is tuple and len(k) == arity]
+            keys = list(zip(*[k for k, _ in items])) or [()] * arity
+        else:
+            keys = [[k for k, _ in items]]
+        return ([self._code_all(lv, col) for lv, col in zip(key_levels, keys)],
+                self._code_all(value_level, [v for _, v in items]))
 
     def _dense(self, table, key_levels: tuple) -> list | None:
         """``table``'s values at the tuples of the carrier's ids at

@@ -28,7 +28,8 @@ included, is a generator of per-instance outcomes consumed by
 
 Every recorded data row or verdict goes through ``_recorded``: a record
 sits on the object whose tables decide it, one per row (a carrier keeps
-two bifunctor rows, one per sum of a 2-ring), holds every table
+two bifunctor rows, one per sum of a 2-ring, and the kernel's code
+columns of up to 16 tables), holds every table
 the row read, and is read back only while that object still holds them by
 identity (an environment's tables match by value).
 """
@@ -66,8 +67,10 @@ class _Memo:
 
 
 # the records a holder keeps per row: one, but two bifunctor rows, since a
-# 2-ring's additive and multiplicative sums share their carrier
-_KEEP = {"bifunctor": 2}
+# 2-ring's additive and multiplicative sums share their carrier, and the
+# kernel's code columns of the 16 tables last read on a carrier (a 2-ring
+# suite on the m=5 dual numbers reads 12 distinct ones)
+_KEEP = {"bifunctor": 2, "codes": 16}
 
 
 def _recorded(holder, row: str, held: tuple, env: ex.Env | None = None, run=None):

@@ -39,6 +39,7 @@ from twogrp import (  # noqa: E402
     build_strict_2ring,
     groupoid,
     ring_dual_numbers,
+    ring_zmod,
     validate_sm,
     validate_sm_functor,
 )
@@ -327,6 +328,7 @@ def test_dense_and_sparse_encodings_give_equal_arrays(case, monkeypatch):
     assert total or "outside" in what or "without" in what, what
     assert (dense._dense(fam.components, (0,) * fam.arity) is not None) is total, what
     monkeypatch.setattr(_Program, "_dense", lambda self, table, levels: None)
+    monkeypatch.delitem(gpd._cache, "codes", raising=False)  # no kept codes: every table is encoded again
     sparse = endpoint_program(gpd, fam, env)
     assert dense.arrays.keys() == sparse.arrays.keys(), what
     for key, (flat, sizes) in dense.arrays.items():
@@ -422,6 +424,94 @@ def test_kernel_rows_equal_the_reference_rows_on_the_kappa_twisted_rings(separat
     assert len(_canonical_acomm(ring.add)) == 0  # the kernel computed b, never read the memo
     assert kernel == rows(False)[1]
     assert any(row[1].value == "fail" for row in kernel) is separating
+
+
+# -- the code columns kept on the carrier ---------------------------------------
+
+
+def kept(gpd):
+    """The tables whose code columns ``gpd`` keeps."""
+    return [held[0] for held, _, _ in gpd._cache.get("codes", ())]
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """The tables the programs encode (rather than read from their
+    carrier), in order."""
+    seen = []
+    encode = _Program._encode
+    monkeypatch.setattr(_Program, "_encode",
+                        lambda self, table, *args: seen.append(table) or encode(self, table, *args))
+    return seen
+
+
+def suite_rows(ring, kernel, monkeypatch, **kwargs):
+    """The rows of Quang's and JP's suites forced full, every loop in the
+    kernel or none."""
+    forced(kernel, monkeypatch)
+    return [(c.law, c.status, c.instances, c.mode, c.witness) for suite in (validate_quang, validate_jp)
+            for c in suite(ring, allow_strict_skip=False, **kwargs).checks]
+
+
+RINGS = {"kappa coherent": lambda: kappa_twisted_2ring(3, False),
+         "kappa separating": lambda: kappa_twisted_2ring(3, True),
+         "z6": lambda: build_strict_2ring(ring_zmod(6))}
+
+
+@pytest.mark.parametrize("label", sorted(RINGS))
+def test_a_second_run_reads_the_kept_codes_and_gives_the_reference_rows(label, encodes, monkeypatch):
+    ring, = fresh(RINGS[label]())
+    reference = suite_rows(*fresh(ring), False, monkeypatch)
+    first = suite_rows(ring, True, monkeypatch)
+    tables = kept(ring.carrier)
+    assert tables and all(sum(t is table for t in encodes) == 1 for table in tables), label
+    encodes.clear()
+    assert suite_rows(ring, True, monkeypatch) == first == reference, label
+    assert encodes and not any(t is table for t in encodes for table in tables), label
+
+
+def test_a_sum_valued_outside_the_carrier_is_not_kept(encodes, monkeypatch):
+    # z6's product sent at one pair to an undeclared id, on z6's carrier:
+    # its rows are the reference's before and after z6's own rows keep the
+    # carrier's tables, and its table is encoded again by every run
+    z6, = fresh(build_strict_2ring(ring_zmod(6)))
+    key = sorted(z6.mul.sum_mor)[7]
+    bad = replace(z6, mul=replace(z6.mul, sum_mor={**z6.mul.sum_mor, key: "zz"}, _cache={}), _cache={})
+    assert bad.carrier is z6.carrier
+    reference = suite_rows(*fresh(bad), False, monkeypatch, check_data=False)
+    assert any(row[1].value == "fail" for row in reference)
+    assert suite_rows(bad, True, monkeypatch, check_data=False) == reference
+    assert kept(z6.carrier) and all(t is not bad.mul.sum_mor for t in kept(z6.carrier))
+    suite_rows(z6, True, monkeypatch)
+    assert any(t is z6.mul.sum_mor for t in kept(z6.carrier))
+    encodes.clear()
+    assert suite_rows(bad, True, monkeypatch, check_data=False) == reference
+    assert all(t is not bad.mul.sum_mor for t in kept(z6.carrier))
+    assert any(t is bad.mul.sum_mor for t in encodes)
+
+
+def test_a_second_validate_sm_at_m5_encodes_no_kept_table(encodes):
+    sm5, = fresh(build_dual_numbers_2group(5, "sm"))
+    first = validate_sm(sm5, allow_strict_skip=False)
+    tables = kept(sm5.carrier)
+    assert first.ok and tables and all(sum(t is table for t in encodes) == 1 for table in tables)
+    encodes.clear()
+    again = validate_sm(sm5, allow_strict_skip=False)
+    assert [(c.law, c.status, c.instances, c.mode, c.witness) for c in again.checks] == \
+        [(c.law, c.status, c.instances, c.mode, c.witness) for c in first.checks]
+    assert encodes and not any(t is table for t in encodes for table in tables)
+
+
+def test_a_forced_full_quang_on_the_kappa_twisted_m5_ring_encodes_each_carrier_table_once(encodes):
+    # each 2R1 row is 25 engine calls, one per fixed object, over one carrier
+    ring, = fresh(kappa_twisted_2ring(5, False))
+    report = validate_quang(ring, allow_strict_skip=False)
+    assert report.ok and report["2R1/left-assoc"].instances == 25 ** 4
+    tables = kept(ring.carrier)
+    read = [ring.carrier.composable, ring.carrier.identity, ring.dist_l.components, ring.dist_r.components,
+            *(table for m in (ring.add, ring.mul) for table in (m.sum_obj, m.sum_mor))]
+    assert all(any(t is table for t in tables) for table in read)
+    assert [sum(t is table for t in encodes) for table in tables] == [1] * len(tables)
 
 
 def child(code: str) -> str:

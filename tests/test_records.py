@@ -401,7 +401,30 @@ def _two_group_case(rng):
             + [("restored", restored)])
 
 
-RECORDS = {"family": _family_case, "functor": _functor_case, "bifunctor": _bifunctor_case, "2-group": _two_group_case}
+def _kernel_rows(m):
+    """The SC rows of ``m``, every loop in the numpy kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagram, "KERNEL_FLOOR", 0)
+        mp.setattr(diagram, "REFERENCE_HEAD", 0)
+        return rows(validate_sm(m, check_data=False, allow_strict_skip=False))
+
+
+def _codes_case(rng):
+    # the kernel keeps the code columns of the tables it reads on the
+    # carrier: a reassigned sum table is encoded afresh
+    dn3, = fresh(build_dual_numbers_2group(3, "sm"))
+    plus = dn3.sum_mor
+
+    def reassigned():
+        key = rng.choice(sorted(plus))
+        dn3.sum_mor = {**plus, key: _other(dn3.carrier.morphisms, plus[key], rng)}
+
+    return (lambda: _kernel_rows(dn3), lambda: _kernel_rows(*fresh(dn3)),
+            [("sum_mor", reassigned)] * 3 + [("restored", lambda: setattr(dn3, "sum_mor", plus))])
+
+
+RECORDS = {"family": _family_case, "functor": _functor_case, "bifunctor": _bifunctor_case, "2-group": _two_group_case,
+           "kernel codes": _codes_case}
 
 
 @pytest.mark.parametrize("record", sorted(RECORDS))
@@ -433,6 +456,33 @@ def test_sum_mutants_on_one_carrier_leave_one_record():
     finally:
         tracemalloc.stop()
     assert _bifunctor_record(mutant) is not None and _bifunctor_record(first) is None
+    assert retained < 1 << 20, retained
+
+
+def test_sum_mutants_through_the_kernel_leave_at_most_the_bound_of_kept_codes():
+    # each mutant's sum morphism table is read by a kernel row on the
+    # shared carrier, whose kept code columns hold it
+    pytest.importorskip("numpy")
+    dn3, = fresh(build_dual_numbers_2group(3, "sm"))
+    rng = random.Random(SEED)
+    keys, mors = sorted(dn3.sum_mor), dn3.carrier.morphisms
+    bound = groupoid._KEEP["codes"]
+    first = None
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(300):
+            key = rng.choice(keys)
+            mutant = replace(dn3, sum_mor={**dn3.sum_mor, key: _other(mors, dn3.sum_mor[key], rng)}, _cache={})
+            _kernel_rows(mutant)
+            first = first or mutant
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    held = [record[0][0] for record in dn3.carrier._cache["codes"]]
+    assert len(held) <= bound and any(t is mutant.sum_mor for t in held)
+    assert not any(t is first.sum_mor for t in held)
     assert retained < 1 << 20, retained
 
 
