@@ -23,17 +23,12 @@ gives the expected endpoint of a component; at the morphism level, the
 functorial action used by naturality squares (a constant acts as its
 identity).
 
-One emitter writes every term as Python source, one subscript per node,
-generated once per process: ``compile_obj``/``compile_mor`` give one
-function of the argument tuple per endpoint expression (``v``, ``k``,
-``op``, ``ap``) and level, ``Law.routes`` two per law (the legs of both
-routes, and their composites with one lookup per step); a compile or a
-binding is one factory call with the tables.  An endpoint
-function whose lookup misses hands its arguments to a node-by-node
-evaluator, which raises :class:`MalformedTable` naming the innermost
-lookup that misses (``object table '+' undefined at ('0', '1')``) or a
-symbol the environment lacks (``... undefined at '<sym>'``) before any of
-its subterms.
+An endpoint expression (``v``, ``k``, ``op``, ``ap``) is evaluated at an
+argument tuple by ``evaluate``, node by node, which raises
+:class:`MalformedTable` naming the innermost lookup that misses (``object
+table '+' undefined at ('0', '1')``) or a symbol the environment lacks
+(``... undefined at '<sym>'``) before any of its subterms, and
+``ValueError`` at any other node.
 
 Beside it, ``column_obj`` gives an object expression at every index tuple
 at once, in product order (the columns ``groupoid.identity_family`` and
@@ -43,7 +38,7 @@ a ``k`` node a constant, and an ``op``/``ap`` node one ``map`` of its table,
 over the product of its children's columns when their variables are
 disjoint and in order (``(x+y)+(z+t)``), else over their zip, each child
 expanded to the union of their variables (``xy+xz``).  A lookup that misses
-raises a bare ``KeyError``; the caller then takes ``compile_obj``, whose
+raises a bare ``KeyError``; the caller then takes ``evaluate``, whose
 error names it.
 
 A coherence law is a :class:`Law`: a name, an arity and two routes, each a
@@ -63,12 +58,16 @@ routes read, the maps they apply to morphisms and the constants they use as
 morphisms (a map applied only to objects needs nothing).  A law may have
 one route only: the border composites of ``ac`` are such routes, their
 inversion an ``ap`` over the carrier's inverse table.
+
+One emitter writes a law's terms as Python source, one subscript per node,
+generated once per law and process: ``Law.routes`` gives two functions per
+law (the legs of both routes, and their composites with one lookup per
+step), and a binding is one factory call with the tables.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from functools import cache, partial
 from itertools import chain, product, repeat
 from operator import mul
 
@@ -94,17 +93,12 @@ def app(sym: str, inner: Expr) -> Expr:
     return ("ap", sym, inner)
 
 
-def compile_obj(expr: Expr, env: Env) -> Callable[[Sequence[str]], str]:
-    """The object ``expr`` denotes, as a function of the argument objects."""
-    return _compile(expr, env, 0)
-
-
 def column_obj(expr: Expr, env: Env, axis: Sequence[str], arity: int) -> Iterable[str]:
     """The objects ``expr`` denotes at every tuple of ``arity`` ids of
     ``axis``, in product order: each subterm computed once, over the
     product of the variables it mentions.  A lookup that misses, or a
     symbol ``env`` lacks, raises a bare ``KeyError`` (possibly once the
-    values are read); :func:`compile_obj` names it."""
+    values are read); :func:`evaluate` names it."""
     variables, values = _column(expr, env, axis)
     return _expand(variables, values, tuple(range(arity)), len(axis))
 
@@ -145,47 +139,33 @@ def _expand(own: tuple[int, ...], values: Iterable[str], onto: tuple[int, ...], 
     return values
 
 
-def compile_mor(expr: Expr, env: Env) -> Callable[[Sequence[str]], str]:
-    """The morphism ``expr`` denotes, as a function of the argument
-    morphisms: the functorial action of the expression."""
-    return _compile(expr, env, 1)
+_LEVELS = ("object", "morphism")
 
 
-def _compile(expr: Expr, env: Env, level: int) -> Callable[[Sequence[str]], str]:
-    make, params = _expr_code(expr, level)
-    # a symbol ``env`` lacks is bound to an empty table: the evaluator names it
-    return make(partial(_evaluate, expr, env, level),
-                *[sym if slot == "k" else env[sym][slot] if sym in env else {} for sym, slot in params])
-
-
-@cache
-def _expr_code(expr: Expr, level: int):
-    """``expr``'s factory at ``level``; its function hands the arguments of
-    a lookup that misses to the evaluator, its first parameter."""
-    params: dict[tuple, str] = {}
-    body = _emit(expr, level, params, None)
-    handled = f"try:\n            return {body}\n        except KeyError:\n            return explain(args)"
-    return _factory(f"<expr {expr!r}>", ["explain", *params.values()], "at(args)", handled), list(params)
-
-
-def _evaluate(expr: Expr, env: Env, level: int, args: Sequence[str]) -> str:
-    """``expr`` at ``args``, node by node: a lookup that misses raises the
-    :class:`MalformedTable` of the innermost, an unknown symbol before its
-    subterms are evaluated."""
+def evaluate(expr: Expr, env: Env, level: int, args: Sequence[str]) -> str:
+    """The object (``level`` 0) or morphism (1) ``expr`` denotes at the
+    argument objects or morphisms ``args``, node by node: a lookup that
+    misses raises the :class:`MalformedTable` of the innermost, an unknown
+    symbol before its subterms are evaluated, a node other than ``v``,
+    ``k``, ``op`` or ``ap`` a ``ValueError``."""
     tag = expr[0]
     if tag == "v":
         return args[expr[1]]
     if tag == "k":
         return expr[1 + level]
+    if tag not in ("op", "ap"):
+        raise ValueError(f"expression: no {_LEVELS[level]} node {expr!r}")
     sym = expr[1]
-    where = f"{('object', 'morphism')[level]} table {sym!r} undefined at"
     if sym not in env:
-        raise MalformedTable(f"{where} {sym!r}")
-    key = tuple(_evaluate(sub, env, level, args) for sub in expr[2:])
+        raise MalformedTable(f"{_LEVELS[level]} table {sym!r} undefined at {sym!r}")
+    if tag == "op":
+        key = (evaluate(expr[2], env, level, args), evaluate(expr[3], env, level, args))
+    else:
+        key = evaluate(expr[2], env, level, args)
     try:
-        return env[sym][level][key if tag == "op" else key[0]]
+        return env[sym][level][key]
     except KeyError as exc:
-        raise MalformedTable(f"{where} {exc}") from exc
+        raise MalformedTable(f"{_LEVELS[level]} table {sym!r} undefined at {exc}") from exc
 
 
 def constant(sym: str) -> Expr:
@@ -298,10 +278,9 @@ def _compile_law(law: Law):
     return namespace["make"], list(params)
 
 
-def _emit(term: Expr, level: int, params: dict, law: Law | None) -> str:
+def _emit(term: Expr, level: int, params: dict, law: Law) -> str:
     """Source computing ``term`` at ``level``, each table a parameter named
-    in ``params``.  An endpoint expression (``law`` ``None``) reads its
-    arguments at ``level``; a law's variables at ``law.var_level``."""
+    in ``params``, the law's variables read at ``law.var_level``."""
     tag = term[0]
     param = lambda sym, slot: params.setdefault((sym, slot), f"p{len(params)}")
     if tag == "op" and term[2][0] == "fst" and term[3] == ("snd", term[2][1]):  # a pair is its own key
@@ -310,30 +289,18 @@ def _emit(term: Expr, level: int, params: dict, law: Law | None) -> str:
         return f"{param(term[1], level)}[{', '.join(_emit(a, level, params, law) for a in term[2:])}]"
     if tag == "k":
         return param(term[1 + level], "k")
-    if law is None:
-        if tag == "v":
-            return f"args[{term[1]}]"
-    elif tag == "v" and level == law.var_level:
+    if tag == "v" and level == law.var_level:
         return f"v{term[1]}"
-    elif tag in ("src", "dst") and not level:
+    if tag in ("src", "dst") and not level:
         return f"{param('ends', 'ends')}[{_emit(term[1], 1, params, law)}].{tag}"
-    elif tag in _PAIR and level == 1:
+    if tag in _PAIR and level == 1:
         return f"{_emit(term[1], 2, params, law)}[{_PAIR[tag]}]"
-    elif tag == "c":
+    if tag == "c":
         return param(term[1], level)
-    elif tag == "id" and level:
+    if tag == "id" and level:
         return f"{param('', 'id')}[{_emit(term[1], 0, params, law)}]"
-    elif tag == "fam" and level:
+    if tag == "fam" and level:
         args = "idx" if term[2:] == tuple(map(var, range(law.arity))) and not law.var_level else \
             "".join(_emit(a, 0, params, law) + ", " for a in term[2:])  # a component at the index tuple itself
         return f"{param(term[1], 'fam')}[{args}]"
-    where = "expression" if law is None else f"law {law.name}"
-    raise ValueError(f"{where}: no {('object', 'morphism')[level]} node {term!r}")
-
-
-def _factory(label: str, params, head: str, body: str):
-    """``make(*params)``, which defines ``def <head>: <body>`` and returns it."""
-    source = f"def make({', '.join(params)}):\n    def {head}:\n        {body}\n    return {head.split('(')[0]}\n"
-    namespace: dict = {}
-    exec(compile(source, label, "exec"), namespace)
-    return namespace["make"]
+    raise ValueError(f"law {law.name}: no {_LEVELS[level]} node {term!r}")

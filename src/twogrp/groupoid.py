@@ -588,15 +588,15 @@ def identity_family(make, gpd: FinGroupoid, env: ex.Env, *args) -> NatFamily:
     law the family witnesses); the tests hold every such family to the
     endpoint row.  The sources are ``ex.column_obj``'s column, whose
     identities stream into ``product_table``; on a lookup that misses, the
-    family is built again one :func:`ex.compile_obj` call per index tuple,
-    which raises the error naming the first miss in product order."""
+    family is built again one :func:`ex.evaluate` call per index tuple, in
+    product order, which raises the error naming the first miss."""
     fam = make({}, *args)
     axis = gpd.objects_sorted
     try:
         sources = ex.column_obj(fam.src_expr, env, axis, fam.arity)
         fam.components = gpd.product_table(fam.arity, map(gpd.identity.__getitem__, sources))
     except KeyError:
-        sources = map(ex.compile_obj(fam.src_expr, env), product(axis, repeat=fam.arity))
+        sources = (ex.evaluate(fam.src_expr, env, 0, idx) for idx in product(axis, repeat=fam.arity))
         fam.components = gpd.product_table(fam.arity, map(gpd.identity.__getitem__, sources))
     _recorded(fam, "strict", (gpd, fam.components), env, lambda: True)
     return fam
@@ -650,7 +650,7 @@ def _endpoint_row(gpd: FinGroupoid, fam: NatFamily, env: ex.Env) -> tuple[CheckR
         mor = mors.get(mid := comps.get(idx))
         if mor is None:
             return Witness(idx, note="component missing or unknown")
-        want_src, want_dst = ex.compile_obj(fam.src_expr, env)(idx), ex.compile_obj(fam.tgt_expr, env)(idx)
+        want_src, want_dst = ex.evaluate(fam.src_expr, env, 0, idx), ex.evaluate(fam.tgt_expr, env, 0, idx)
         if mor.src != want_src or mor.dst != want_dst:
             note = f"endpoints {mor.src}->{mor.dst} differ from declared {want_src}->{want_dst}"
             return Witness(idx, left=mid, note=note)
@@ -699,8 +699,8 @@ def check_naturality(fam: NatFamily, env: ex.Env, *, domain: FinGroupoid, codoma
     def witness_at(fs):
         try:
             at_y = fam.at(*[mors[f].dst for f in fs])
-            left = compose_path(codomain, [at_y, ex.compile_mor(fam.src_expr, env)(fs)])
-            image = ex.compile_mor(fam.tgt_expr, env)(fs)
+            left = compose_path(codomain, [at_y, ex.evaluate(fam.src_expr, env, 1, fs)])
+            image = ex.evaluate(fam.tgt_expr, env, 1, fs)
             right = compose_path(codomain, [image, fam.at(*[mors[f].src for f in fs])])
         except StructureError as err:
             return Witness(fs, note=f"square does not typecheck: {err}")

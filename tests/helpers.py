@@ -186,6 +186,29 @@ def coboundary_twisted_dual_numbers(m: int = 3, seed: int = 1) -> MonStructure:
                         base.lunit, base.runit)
 
 
+def relabelled(s: MonStructure, prefix: str) -> MonStructure:
+    """A copy of the symmetric structure ``s`` whose every object and
+    morphism id is ``prefix`` followed by its id: the same tables on a
+    carrier that shares no id with ``s``'s."""
+    gpd, pre = s.carrier, lambda i: prefix + i
+    keyed = lambda table: {tuple(map(pre, k)): pre(v) for k, v in table.items()}  # noqa: E731
+    renamed = lambda table: {pre(k): pre(v) for k, v in table.items()}  # noqa: E731
+    mors = [(pre(f), pre(m.src), pre(m.dst)) for f, m in gpd.morphisms.items()]
+    carrier = FinGroupoid.build(map(pre, gpd.objects), mors, keyed(gpd.compose), renamed(gpd.identity),
+                                renamed(gpd.inverse))
+    fams = [replace(f, components=keyed(f.components), _cache={}) for f in (s.assoc, s.comm, s.lunit, s.runit)]
+    return MonStructure(carrier, keyed(s.sum_obj), keyed(s.sum_mor), pre(s.unit), *fams)
+
+
+def from_relabelled(fun: StructuredFunctor, src: MonStructure, prefix: str) -> StructuredFunctor:
+    """``fun`` with its source replaced by ``src``, the ``relabelled`` copy
+    of it under ``prefix``: a functor between two different carriers."""
+    base = GFunctor(src.carrier, fun.base.target, {prefix + x: y for x, y in fun.base.obj_map.items()},
+                    {prefix + f: g for f, g in fun.base.mor_map.items()})
+    comps = {tuple(prefix + x for x in k): v for k, v in fun.fsum.components.items()}
+    return StructuredFunctor(base, fsum_family(comps), fun.fzero)
+
+
 def parity_2ring(m: int):
     """The strict 2-ring on Z/m (m even) whose every object carries the
     automorphisms {0, 1}: labels add under the sum, and the product sends
@@ -233,9 +256,8 @@ def kappa_twisted_2ring(m: int, separating: bool, sign: int = 1):
 
 
 def eval_obj(expr, env, args):
-    """The object ``expr`` denotes at ``args``, node by node: the oracle the
-    compiled closures of ``twogrp.expr`` are held to, values and error
-    texts alike."""
+    """The object ``expr`` denotes at ``args``, node by node: the oracle
+    ``twogrp.expr.evaluate`` is held to, values and error texts alike."""
     return _eval(expr, env, args, 0)
 
 
@@ -560,6 +582,14 @@ def parallel_morphisms(gpd: FinGroupoid, mid: str) -> list[str]:
     return [o for o in gpd.hom(m.src, m.dst) if o != mid]
 
 
+def on_carrier(gpd: FinGroupoid, fam) -> bool:
+    """Whether ``fam`` is keyed by tuples of ``gpd``'s objects and valued in
+    its morphisms: not a family of a functor's other carrier, nor a
+    monoidality family keyed by another carrier's objects."""
+    objs = set(gpd.objects)
+    return all(objs.issuperset(k) for k in fam.components) and gpd.morphisms.keys() >= set(fam.components.values())
+
+
 def random_flip(gpd: FinGroupoid, fam, rng: random.Random):
     """Replace one component by a different morphism: a parallel one when the
     carrier has any, otherwise a different object's identity (which breaks
@@ -584,8 +614,10 @@ def law_bindings():
     """(label, carrier, index objects, environment, laws) for every fixture
     the laws are compared on: the super line, the twisted dual numbers and
     the dual numbers m=2,3 in both presentations, multiplication functors
-    on them and the rings of ``law_rings`` (a symmetric one with its last
-    object bound as the fixed object of the 2R1 laws)."""
+    on them (at m=3 also from the ``relabelled`` copy under ``s:`` onto the
+    original, whose index objects are not the carrier's) and the rings of
+    ``law_rings`` (a symmetric one with its last object bound as the fixed
+    object of the 2R1 laws)."""
     out = []
 
     def structure(label, s):
@@ -613,8 +645,10 @@ def law_bindings():
     twisted = coboundary_twisted_dual_numbers(3)
     structure("twisted3", twisted)
     structure("twisted3-ac", to_ac(twisted, sample=4096))  # AC1 has 9^8 tuples
+    across = []  # functors between two carriers, bound last
     for m in (2, 3):
         ac, sm = build_dual_numbers_2group(m), build_dual_numbers_2group(m, "sm")
+        copy = relabelled(sm, "s:")
         structure(f"dual{m}-ac", ac)
         structure(f"dual{m}-sm", sm)
         for a, b in ((1, 0), (1, 1)):
@@ -625,11 +659,15 @@ def law_bindings():
             if m == 3:
                 functor(f"twisted3 F({a},{b})", replace(fun, _cache={}), twisted, twisted,
                         (SF1, SF2, *UNIT_SQUARES["SF3"]))
+                across.append((f"s:dual3 F({a},{b}) sm", from_relabelled(fun, copy, "s:"), copy, sm,
+                               (SF1, SF2, *UNIT_SQUARES["SF3"])))
         tau = tau_family({(x,): sm.carrier.identity[fun.base.obj_map[x]] for x in sm.carrier.objects})
         env = {**functor_law_env(fun, sm, sm), "tau": (tau, None), "G+": (fun.fsum, None)}
         out.append((f"dual{m} T1", sm.carrier, sm.carrier.objects_sorted, env, (T1,)))
     for label, r in law_rings():
         ring(label, r)
+    for args in across:
+        functor(*args)
     return out
 
 
@@ -647,7 +685,9 @@ def law_rings():
 def flipped_binding(binding, rng):
     """The binding with one component of one of its families replaced."""
     label, gpd, objs, env, laws = binding
-    syms = sorted(s for s, b in env.items() if isinstance(b[0], NatFamily))
+    # a family on the carrier (not one on a functor's other carrier)
+    syms = sorted(s for s, b in env.items()
+                  if isinstance(b[0], NatFamily) and gpd.morphisms.keys() >= set(b[0].components.values()))
     sym = rng.choice(syms)
     fam, idx = random_flip(gpd, env[sym][0], rng)
     return (f"{label} {sym}{idx}->{fam.components[idx]}", gpd, objs, {**env, sym: (fam, env[sym][1])}, laws)

@@ -1,7 +1,8 @@
-"""Compiled endpoint expressions against the reference evaluators of
-``helpers``, over every family of every shipped fixture: values, witnesses
-and the texts of the errors they raise."""
+"""The endpoint evaluator ``expr.evaluate`` against the reference
+evaluators of ``helpers``, over every family of every shipped fixture:
+values, witnesses and the texts of the errors they raise."""
 
+from functools import partial
 from itertools import product, islice
 
 import pytest
@@ -106,12 +107,12 @@ def value_or_error(fn, *args):
 
 
 @pytest.mark.parametrize("label,fam,env,domain,codomain", FAMILIES, ids=IDS)
-def test_compiled_expressions_match_reference(label, fam, env, domain, codomain):
+def test_evaluated_expressions_match_reference(label, fam, env, domain, codomain):
     for expr in (fam.src_expr, fam.tgt_expr):
-        at_obj = ex.compile_obj(expr, env)
+        at_obj = partial(ex.evaluate, expr, env, 0)
         for idx in product(domain.objects_sorted, repeat=fam.arity):
             assert at_obj(idx) == eval_obj(expr, env, idx)
-        at_mor = ex.compile_mor(expr, env)
+        at_mor = partial(ex.evaluate, expr, env, 1)
         for fs in islice(product(domain.morphisms_sorted, repeat=fam.arity), MOR_TUPLES):
             assert at_mor(fs) == eval_mor(expr, env, fs)
 
@@ -138,20 +139,19 @@ def test_columns_of_repeated_shuffled_and_unused_variables():
 
 
 @pytest.mark.parametrize("label,fam,env,domain,codomain", FAMILIES, ids=IDS)
-def test_compiled_errors_match_reference_with_any_entry_dropped(label, fam, env, domain, codomain):
+def test_evaluated_errors_match_reference_with_any_entry_dropped(label, fam, env, domain, codomain):
     # every environment that lacks one entry of one table the family reads;
-    # each compiled closure gives the reference's value or its error text
-    levels = ((0, ex.compile_obj, eval_obj, domain.objects_sorted),
-              (1, ex.compile_mor, eval_mor, domain.morphisms_sorted))
+    # the evaluator gives the reference's value or its error text
+    levels = ((0, eval_obj, domain.objects_sorted), (1, eval_mor, domain.morphisms_sorted))
     for sym in sorted(env):
-        for level, compile_, evaluate, ids in levels:
+        for level, evaluate, ids in levels:
             args = list(islice(product(ids, repeat=fam.arity), DROP_TUPLES))
             for key in sorted(env[sym][level]):
                 tables = list(env[sym])
                 tables[level] = {k: v for k, v in tables[level].items() if k != key}
                 broken = {**env, sym: tuple(tables)}
                 for expr in (fam.src_expr, fam.tgt_expr):
-                    fn = compile_(expr, broken)
+                    fn = partial(ex.evaluate, expr, broken, level)
                     for a in args:
                         assert value_or_error(fn, a) == value_or_error(evaluate, expr, broken, a)
 
@@ -199,7 +199,7 @@ def test_missing_env_entry_raises_reference_message(label, fam, env, domain, cod
     with pytest.raises(MalformedTable) as want:
         eval_mor(fam.src_expr, broken, first_fs)
     with pytest.raises(MalformedTable) as got:
-        ex.compile_mor(fam.src_expr, broken)(first_fs)
+        ex.evaluate(fam.src_expr, broken, 1, first_fs)
     assert str(got.value) == str(want.value)
     # the square reads the source side first
     rep = check_naturality(fam, broken, domain=domain, codomain=codomain)
@@ -207,7 +207,7 @@ def test_missing_env_entry_raises_reference_message(label, fam, env, domain, cod
     assert rep.checks[0].witness.note == f"square does not typecheck: {want.value}"
 
 
-def test_unknown_symbol_raises_reference_message_before_its_subterms():
+def test_unknown_symbol_raises_reference_message_before_its_subterms_are_evaluated():
     args = ("a", "b")
     cases = (
         ex.op("?", ex.var(0), ex.var(1)),
@@ -218,39 +218,55 @@ def test_unknown_symbol_raises_reference_message_before_its_subterms():
         ex.op("+", ex.app("?", ex.var(0)), ex.var(1)),
     )
     env = {"F": ({}, {}), "+": ({}, {})}
-    for compile_, evaluate in ((ex.compile_obj, eval_obj), (ex.compile_mor, eval_mor)):
+    for level, evaluate in ((0, eval_obj), (1, eval_mor)):
         for expr in cases:
             with pytest.raises(MalformedTable) as want:
                 evaluate(expr, env, args)
             with pytest.raises(MalformedTable) as got:
-                compile_(expr, env)(args)
+                ex.evaluate(expr, env, level, args)
             assert str(got.value) == str(want.value)
             assert str(got.value).endswith("undefined at '?'")
 
 
-def test_one_expression_compiled_under_two_environments_reads_each_ones_tables():
-    # the generated source is cached by the expression; the tables are bound
-    # per compile, so neither environment sees the other's
+def test_one_expression_evaluated_under_two_environments_reads_each_ones_tables():
+    # each evaluation reads the tables of the environment it is given, so
+    # neither environment sees the other's
     expr = ex.op("+", ex.app("F", ex.var(0)), ex.const("u", "id_u"))
     first = {"+": ({("a", "u"): "a+u"}, {("f", "id_u"): "f+id_u"}), "F": ({"x": "a"}, {"h": "f"})}
     second = {"+": ({("b", "u"): "b+u"}, {("g", "id_u"): "g+id_u"}), "F": ({"x": "b"}, {"h": "g"})}
-    at_first, at_second = ex.compile_obj(expr, first), ex.compile_obj(expr, second)
-    mor_first, mor_second = ex.compile_mor(expr, first), ex.compile_mor(expr, second)
+    at_first, at_second = partial(ex.evaluate, expr, first, 0), partial(ex.evaluate, expr, second, 0)
+    mor_first, mor_second = partial(ex.evaluate, expr, first, 1), partial(ex.evaluate, expr, second, 1)
     for _ in range(2):  # and again, in the other order
         assert (at_first(("x",)), at_second(("x",))) == ("a+u", "b+u")
         assert (mor_first(("h",)), mor_second(("h",))) == ("f+id_u", "g+id_u")
-        at_second, at_first = ex.compile_obj(expr, second), ex.compile_obj(expr, first)
-        mor_second, mor_first = ex.compile_mor(expr, second), ex.compile_mor(expr, first)
+        at_second, at_first = partial(ex.evaluate, expr, second, 0), partial(ex.evaluate, expr, first, 0)
+        mor_second, mor_first = partial(ex.evaluate, expr, second, 1), partial(ex.evaluate, expr, first, 1)
     for env in (first, second):
         assert at_first(("x",)) == eval_obj(expr, first, ("x",))
-        assert value_or_error(ex.compile_obj(expr, env), ("y",)) == value_or_error(eval_obj, expr, env, ("y",))
+        assert value_or_error(ex.evaluate, expr, env, 0, ("y",)) == value_or_error(eval_obj, expr, env, ("y",))
 
 
-def test_a_symbol_missing_from_one_environment_leaves_no_stale_binding():
+def test_a_symbol_missing_from_one_environment_is_evaluated_as_missing_in_it_only():
     expr = ex.op("+", ex.app("G", ex.var(0)), ex.var(1))
     lacking = {"+": ({("a", "b"): "c"}, {})}
     having = {**lacking, "G": ({"x": "a"}, {})}
     for env, want in ((lacking, ("raises", "object table 'G' undefined at 'G'")), (having, "c"),
                       (lacking, ("raises", "object table 'G' undefined at 'G'"))):
-        got = value_or_error(ex.compile_obj(expr, env), ("x", "b"))
+        got = value_or_error(ex.evaluate, expr, env, 0, ("x", "b"))
         assert got == want == value_or_error(eval_obj, expr, env, ("x", "b"))
+
+
+def test_a_node_other_than_v_k_op_or_ap_raises_a_value_error_at_either_level():
+    # a constant, a family component or an identity is no endpoint node: the
+    # evaluator names the innermost such node, even where the environment
+    # binds its symbol
+    env = {"+": ({("a", "b"): "c"}, {}), "u": ({}, {}), "a": ({}, {})}
+    for level, kind in ((0, "object"), (1, "morphism")):
+        for expr, node in ((ex.constant("u"), ex.constant("u")),
+                           (ex.fam("a", ex.var(0), ex.var(1)), ex.fam("a", ex.var(0), ex.var(1))),
+                           (ex.op("+", ex.constant("u"), ex.var(0)), ex.constant("u")),
+                           (ex.app("+", ex.fam("a", ex.var(0))), ex.fam("a", ex.var(0))),
+                           (ex.ident(ex.var(0)), ex.ident(ex.var(0)))):
+            with pytest.raises(ValueError) as got:
+                ex.evaluate(expr, env, level, ("a", "b"))
+            assert str(got.value) == f"expression: no {kind} node {node!r}"

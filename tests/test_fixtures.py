@@ -137,10 +137,9 @@ def _m5_identity_built_families():
 
 
 def _per_tuple(fam, gpd, env):
-    """``fam``'s identity table the reference way: one compiled endpoint
-    call per index tuple."""
-    at = ex.compile_obj(fam.src_expr, env)
-    sources = map(at, product(gpd.objects_sorted, repeat=fam.arity))
+    """``fam``'s identity table the reference way: one endpoint evaluation
+    per index tuple."""
+    sources = (ex.evaluate(fam.src_expr, env, 0, idx) for idx in product(gpd.objects_sorted, repeat=fam.arity))
     return gpd.product_table(fam.arity, map(gpd.identity.__getitem__, sources))
 
 
@@ -192,7 +191,7 @@ def test_m5_fixtures_build_without_the_per_tuple_line(monkeypatch):
     def refuse(*args):
         raise AssertionError("identity_family took the per-tuple line")
 
-    monkeypatch.setattr(ex, "compile_obj", refuse)
+    monkeypatch.setattr(ex, "evaluate", refuse)
     sm, ac = build_dual_numbers_2group.__wrapped__(5, "sm"), build_dual_numbers_2group.__wrapped__(5, "ac")
     to_ac(sm), to_sm(ac)
     rings = [build_strict_2ring(ring_dual_numbers(5), pres) for pres in ("sm", "ac")]

@@ -57,6 +57,7 @@ from helpers import (  # noqa: E402
     fresh,
     kappa_twisted_2ring,
     law_bindings,
+    on_carrier,
     random_flip,
     reference_bifunctor,
     reference_endpoints,
@@ -122,7 +123,7 @@ def malformed(binding, rng):
 
 
 MALFORMED = [b for b in BINDINGS if b[0] in ("super-line", "twisted3", "dual2-ac", "dual2 F(1,1) ac",
-                                              "z4-sm", "z4-ac", "derivation2")]
+                                              "s:dual3 F(1,1) sm", "z4-sm", "z4-ac", "derivation2")]
 
 
 @pytest.mark.parametrize("binding", MALFORMED, ids=[b[0] for b in MALFORMED])
@@ -140,11 +141,33 @@ def test_kernel_rows_equal_the_reference_rows_on_malformed_tables(binding, monke
     assert witnesses
 
 
+RELABELLED = [b for b in BINDINGS if b[0].startswith("s:")]
+
+
+@pytest.mark.parametrize("binding", RELABELLED, ids=[b[0] for b in RELABELLED])
+@pytest.mark.parametrize("seed", [SEED, 5])
+def test_a_functor_from_a_relabelled_carrier_gives_the_reference_rows_sampled(binding, seed, monkeypatch):
+    # the index objects are the source carrier's, coded after the target
+    # carrier's ids: a drawn position is read through its value's code
+    label, gpd, objs, env, laws = binding
+    n = len(gpd.objects)
+    for law in laws:
+        assert _Program(law, gpd, objs, env).values == list(range(n, n + len(objs))), law.name
+        rows = []
+        for floor in (0, float("inf")):  # every loop in the kernel, then none
+            monkeypatch.setattr(diagram, "KERNEL_FLOOR", floor)
+            monkeypatch.setattr(diagram, "REFERENCE_HEAD", 0)
+            res = diagram.check_diagram(law, gpd, objs, env, sample=300, seed=seed)
+            rows.append((res.status, res.instances, res.mode, res.witness))
+        assert rows[0] == rows[1], (label, law.name)
+        assert rows[0][2] == f"sampled(n=300,seed={seed})" or len(objs) ** law.arity <= 300, law.name
+
+
 def families(binding):
     """(symbol, family, environment its endpoints are typed in) for each
-    family ``binding`` binds."""
+    family ``binding`` binds on its carrier."""
     for sym, (fam, fenv, *_) in sorted(binding[3].items()):
-        if isinstance(fam, NatFamily) and isinstance(fenv, dict):
+        if isinstance(fam, NatFamily) and isinstance(fenv, dict) and on_carrier(binding[1], fam):
             yield sym, fam, fenv
 
 
@@ -189,10 +212,11 @@ def outcome(run):
 
 def sums(binding):
     """(symbol, object table, morphism table) of each sum or product
-    ``binding`` binds."""
+    ``binding`` binds on its carrier."""
+    mors = binding[1].morphisms.keys()
     for sym, b in sorted(binding[3].items()):
         if isinstance(b[0], dict) and isinstance(b[1], dict) and b[1] \
-                and all(type(k) is tuple and len(k) == 2 for k in b[1]):
+                and all(type(k) is tuple and len(k) == 2 and mors >= set(k) for k in b[1]):
             yield sym, b[0], b[1]
 
 
