@@ -13,38 +13,41 @@ pairs the law ranges over, for pairs), then every other value the tables
 read or return; a law's variables take the codes of the level they range
 over, and a pair's projections are gathers.  Every table becomes an int
 array with one extra slot per axis that holds -1, so a missing entry reads
--1 and propagates to the composite.  A table keyed by exactly the tuples
-of the carrier's ids (a total family, a total sum) is read densely: its
-values in product order (a ``groupoid.Column``'s values as they are),
-sliced into the array; any other table, with a missing key or one outside
-the carrier, is encoded key by key.  A law's table read at levels 0 and
-1 whose every key and value is a carrier id (the carrier declaring no id
-twice) codes to the ids' positions in any program, so its code columns,
-read-only arrays of the narrowest unsigned type, are kept on the carrier
-under the one record rule (``groupoid._recorded``: by identity, at most
-``_KEEP["codes"]`` of them) and every later program over that carrier
-reads them instead of encoding the table again; its own code spaces,
-array shapes and sentinel slots stay its own.
+-1 and propagates to the composite; an array of more than ``BLOCK`` slots
+is held in the narrowest signed type of its value codes and -1 (int8 for a
+family of arity 3 or 4 at m=5), each gather casting what it reads to
+``np.intp``.  A table keyed by exactly the tuples of the carrier's ids (a
+total family, a total sum) is read densely: its values in product order
+(a ``groupoid.Column``'s values as they are), sliced into the array; any
+other table, with a missing key or one outside the carrier, is encoded key
+by key.  A law's table read at levels 0 and 1 whose every key and value
+is a carrier id (the carrier declaring no id twice) codes to the ids'
+positions in any program, so its code columns, read-only arrays of the
+narrowest unsigned type, are kept on the carrier under the one record
+rule (``groupoid._recorded``: by identity, at most ``_KEEP["codes"]`` of
+them) and every later program over that carrier reads them instead of
+encoding the table again; its own code spaces, array shapes and sentinel
+slots stay its own.
 The terms compile to one instruction per distinct gather; variables are
 broadcast axes, so a subterm is computed only over the variables it
 mentions.  An exhaustive space runs in blocks over its leading coordinates
 (the last of them a chunk of values when the rest are few), and a subterm
 free of them is computed once.  A sample runs in blocks of
 rows drawn as ``groupoid._sample_tuples`` draws them (``sample_positions``,
-one byte per coordinate over at most 255 values), from numpy's MT19937 put
+one byte per coordinate over at most 255 values, each its value's code
+when the values are the carrier's ids), from numpy's MT19937 put
 in the state of ``random.Random(seed)``, whose raw words are the stdlib's
 (about 2.7 against 7.3 ms per 640k words).  One stream per ``(n, seed)``
 is kept, the last: a row takes a read-only prefix of its accepted
 outputs, and a longer one extends it, so the rows over one space, the
 2-ring laws of every arity among them, draw it once.
 
-A family with a recorded strict bit is computed, not read: its component
-at declared objects is the identity of its declared source object.  The
-canonical associo-commutator of the symmetric presentation is computed from
-its structure's tables, by the identity of ``(x+y)+(z+t)`` when its
-ingredients are strict and otherwise by compiling the declared upper
-border route (``ac.ACOMM_UPPER``) like a law's; its string memo is never
-filled.
+Every family is read, whatever its strict bit: one gather of its
+component table.  The canonical associo-commutator of the symmetric
+presentation is computed from its structure's tables, by the identity of
+``(x+y)+(z+t)`` when its ingredients are strict and otherwise by
+compiling the declared upper border route (``ac.ACOMM_UPPER``) like a
+law's; its string memo is never filled.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from math import prod
 import numpy as np
 
 from .ac import ACOMM_UPPER, _CanonicalAcomm, _route_env
-from .groupoid import Column, NatFamily, _recorded, _strict_bit
+from .groupoid import Column, _recorded
 
 BLOCK = 1 << 14  # instances evaluated at once
 DRAW = 1 << 16  # generator outputs drawn at once
@@ -134,7 +137,9 @@ class _Program:
             # at least two slots per axis, so an index with -1 digits stays
             # in range (it wraps onto a sentinel slot)
             shape = tuple(max(len(self.codes[lv]), 1) + 1 for lv in key_levels)
-            table = np.full(shape, -1, np.intp)
+            # one larger than a block in the narrowest type of its codes and -1
+            dtype = np.intp if prod(shape) <= BLOCK else np.min_scalar_type(-len(self.codes[value_level]) - 1)
+            table = np.full(shape, -1, dtype)
             if cols is None:  # read densely
                 dims = [len(self.ids[lv]) for lv in key_levels]
                 table[tuple(map(slice, dims))] = np.reshape(vals, dims)
@@ -275,18 +280,9 @@ class _Program:
         raise ValueError(f"no {('object', 'morphism')[level]} node {term!r}")
 
     def _family(self, binding, args: list[int]) -> int:
-        fam, fenv = binding[0], binding[1]
+        fam = binding[0]
         if isinstance(fam, _CanonicalAcomm):
             return self._canonical_acomm(fam, *args)
-        gpd = self.gpd
-        if (isinstance(fam, NatFamily) and fam.arity == len(args)
-                and len(fam.components) == len(gpd.objects) ** fam.arity
-                and _strict_bit(fam, gpd, fenv)):
-            # the components are exactly the identities of the declared
-            # sources at the declared objects
-            declared = self._mask(0, gpd.objects)
-            src = self._term(fam.src_expr, 0, [self._gather(declared, a) for a in args], fenv)
-            return self._gather(self._table(gpd.identity, (0,), 1, False), src)
         return self._gather(self._table(fam.components, (0,) * len(args), 1), *args)
 
     def _canonical_acomm(self, fam: _CanonicalAcomm, x: int, y: int, z: int, t: int) -> int:
@@ -319,7 +315,7 @@ class _Program:
                 index = values[args[0]]
                 for a, size in zip(args[1:], sizes):
                     index = index * size + values[a]
-                out = flat.take(index)
+                out = flat.take(index).astype(np.intp, copy=False)
             elif kind == "var":
                 out = bound[payload]
             else:  # const
@@ -378,10 +374,12 @@ class _Program:
                 yield (prefix * n + start) * n ** (ndim - 1) + int(first)
 
     def sampled(self, positions: np.ndarray):
-        codes = np.array(self.values, np.intp)
+        # the values coded first (the carrier's ids): a position is a code
+        codes = None if self.values == list(range(len(self.values))) else np.array(self.values, np.intp)
         count, arity = positions.shape
         starts = range(0, count, BLOCK)
-        blocks = ([codes[positions[s:s + BLOCK, i]] for i in range(arity)] for s in starts)
+        blocks = ([positions[s:s + BLOCK, i].astype(np.intp) if codes is None else codes[positions[s:s + BLOCK, i]]
+                   for i in range(arity)] for s in starts)
         for start, bad in zip(starts, self._blocks(blocks, frozenset(range(arity)))):
             for first in np.flatnonzero(np.broadcast_to(bad, (min(BLOCK, count - start),))):
                 yield start + int(first)

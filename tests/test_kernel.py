@@ -16,7 +16,10 @@ string counterparts, and two child processes show the stdlib-only path and
 the lazy numpy import.  The m=5 rows the shipped floor sends to the kernel
 (15,625 instances) are held to the reference as shipped, a long row with
 the kernel loaded to the short reference head, and the sampled rows of one
-space to a single draw."""
+space to a single draw.  Every family is read through its table: a table
+larger than a block is held narrow, a strict family with a recorded strict
+bit gives the reference rows, and a sample over the carrier's ids takes
+its positions as codes."""
 
 import functools
 import json
@@ -40,14 +43,16 @@ from twogrp import (  # noqa: E402
     groupoid,
     ring_dual_numbers,
     ring_zmod,
+    validate_ac,
     validate_sm,
     validate_sm_functor,
+    validate_two_ring_data,
 )
 from twogrp import expr as ex  # noqa: E402
 from twogrp._kernel import _Program, sample_positions  # noqa: E402
-from twogrp.ac import _canonical_acomm  # noqa: E402
+from twogrp.ac import AC_LAWS, _canonical_acomm  # noqa: E402
 from twogrp.groupoid import NatFamily, _sample_tuples, _strict_bit, index_space, validate_family  # noqa: E402
-from twogrp.monoidal import INTERCHANGE, _check_bifunctor, check_structure_naturality  # noqa: E402
+from twogrp.monoidal import INTERCHANGE, SM_LAWS, _check_bifunctor, check_structure_naturality  # noqa: E402
 
 from helpers import (  # noqa: E402
     SEED,
@@ -58,6 +63,7 @@ from helpers import (  # noqa: E402
     kappa_twisted_2ring,
     law_bindings,
     on_carrier,
+    parallel_morphisms,
     random_flip,
     reference_bifunctor,
     reference_endpoints,
@@ -346,7 +352,7 @@ def test_dense_and_sparse_encodings_give_equal_arrays(case, monkeypatch):
     # fixture family) is read densely, any other key by key; the arrays
     # are the same either way
     what, gpd, fam, env = case
-    fam = replace(fam, _cache={})  # no strict bit: the table is read
+    fam = replace(fam, _cache={})  # an empty memo: no record is read
     dense = endpoint_program(gpd, fam, env)
     total = fam.components.keys() == set(product(gpd.objects_sorted, repeat=fam.arity))
     assert total or "outside" in what or "without" in what, what
@@ -753,3 +759,100 @@ def test_the_kept_stream_gives_the_reference_draw_in_either_order(n, seed, long_
         with pytest.raises(ValueError):
             got[0, 0] = 0
         assert [tuple(r) for r in got.tolist()] == _sample_tuples(range(n), arity, count, seed)
+
+
+# -- every family read through its table, large tables held narrow ------------------
+
+
+def test_a_large_table_is_held_narrow_and_gives_the_reference_rows(monkeypatch):
+    # the m=5 associator (26^3 slots) and AC family b (26^4) exceed a block,
+    # so each is held in int8, its 125 morphism codes and -1; the
+    # composable pairs (126^2 slots) do not; SC1 (exhaustive), AC1 and b's
+    # endpoint law (sampled over two blocks) and a's pass as bound and give
+    # the reference rows with the component at the first drawn tuple
+    # flipped to a parallel morphism, dropped or an unknown id
+    sm5, ac5 = fresh(build_dual_numbers_2group(5, "sm"), build_dual_numbers_2group(5))
+    gpd, objs = sm5.carrier, sm5.carrier.objects_sorted
+    assert (len(objs) + 1) ** 3 > _kernel.BLOCK >= (len(gpd.morphisms) + 1) ** 2
+    statuses = set()
+    for s, sym, law, sample in ((sm5, "a", SM_LAWS[0], None), (ac5, "b", AC_LAWS[0], 20000)):
+        assert (law.name, s.carrier) == (("SC1", "AC1")[sym == "b"], gpd)
+        bound = s.law_env()
+        fam, fenv = bound[sym]
+        comps = fam.components
+        idx = tuple(objs[p] for p in sample_positions(len(objs), fam.arity, 1, SEED)[0])
+        arrays = _Program(law, gpd, objs, bound).arrays
+        assert arrays[id(comps), (0,) * fam.arity, 1][0].dtype == np.int8, sym
+        assert arrays[id(gpd.composable), (1, 1), 1][0].dtype == np.intp, sym
+        endpoints = groupoid._family_laws(fam.arity, fam.src_expr, fam.tgt_expr)[0]
+        for what, table in (("as bound", comps), ("flipped", {**comps, idx: parallel_morphisms(gpd, comps[idx])[0]}),
+                            ("without", {k: v for k, v in comps.items() if k != idx}),
+                            ("unknown", {**comps, idx: "zz|0"})):
+            env = with_table(bound, None, (sym, "fam"), table)[0]
+            for law_, env_ in ((law, env), (endpoints, groupoid._family_env(endpoints, env[sym][0], fenv, gpd))):
+                args = (law_, gpd, objs, env_, sample)
+                kernel = row(*args, True, monkeypatch)
+                if what == "as bound":  # the strict structure holds at every tuple
+                    assert (kernel[0].value, kernel[1]) == ("pass", sample or len(objs) ** law_.arity), law_.name
+                else:
+                    assert kernel == row(*args, False, monkeypatch), (sym, what, law_.name)
+                statuses.add((sym, what, law_.name, kernel[0].value))
+    assert {("a", "flipped", "SC1", "fail"), ("a", "without", "endpoints", "fail"),
+            ("b", "unknown", "endpoints", "fail"), ("b", "flipped", "endpoints", "pass")} <= statuses, statuses
+
+
+STRICT = {"dual3-sm": lambda: build_dual_numbers_2group(3, "sm"), "dual2-ac": lambda: build_dual_numbers_2group(2),
+          "z4": lambda: build_strict_2ring(ring_zmod(4)), "z3e": lambda: build_strict_2ring(ring_dual_numbers(3))}
+
+
+def strict_fixture(label):
+    """A fresh copy of the fixture and its suites; for ``z3e reassigned``
+    the ring whose d is given a flipped table after the data rows recorded
+    its strict bit."""
+    s, = fresh(STRICT[label.split()[0]]())
+    if hasattr(s, "dist_l"):
+        suites = (validate_jp, validate_quang)
+    else:
+        suites = (validate_ac,) if hasattr(s, "acomm") else (validate_sm,)
+    if label.endswith("reassigned"):
+        assert validate_two_ring_data(s).ok and _strict_bit(s.dist_l, s.carrier, s.env())
+        s.dist_l.components = random_flip(s.carrier, s.dist_l, random.Random(SEED))[0].components
+    return s, suites
+
+
+@pytest.mark.parametrize("label", [*STRICT, "z3e reassigned"])
+@pytest.mark.parametrize("sample", [None, SAMPLE], ids=["full", "sampled"])
+def test_a_strict_family_read_through_its_table_gives_the_reference_rows(label, sample, monkeypatch):
+    # the data rows record each family's strict bit; the law rows, with no
+    # strict profile taken, read the families' tables in the kernel
+    def rows(kernel):
+        s, suites = strict_fixture(label)
+        forced(kernel, monkeypatch)
+        out = [(c.law, c.status, c.instances, c.mode, c.witness) for suite in suites
+               for c in suite(s, sample=sample, seed=SEED, allow_strict_skip=False).checks]
+        return s, out
+
+    s, kernel = rows(True)
+    bits = [_strict_bit(fam, s.carrier, s.env()) for fam in s.families().values()]
+    assert kernel == rows(False)[1], label
+    if label.endswith("reassigned"):
+        assert not bits[0] and all(bits[1:]) and any(r[1].value == "fail" for r in kernel)
+    else:
+        assert all(bits) and all(r[1].value == "pass" for r in kernel), label
+
+
+@pytest.mark.parametrize("label", ["dual3-sm ", "z3e-sm ", "dual3 F(1,1) sm "], ids=str.strip)
+def test_sampled_positions_read_as_codes_give_the_gathered_failures(label, monkeypatch):
+    # the values are the carrier's ids, coded first: the positions are cast
+    # to codes; with the values taken as other codes, they are gathered
+    failing = 0
+    for _, gpd, objs, env, laws in (b for b in FLIPPED if b[0].startswith(label)):
+        for law in laws:
+            program = _Program(law, gpd, objs, env)
+            assert program.values == list(range(len(objs))), law.name
+            positions = sample_positions(len(objs), law.arity, 20000, SEED)
+            cast = list(program.sampled(positions))
+            monkeypatch.setattr(program, "values", tuple(program.values))  # never equal to a list
+            assert list(program.sampled(positions)) == cast, law.name
+            failing += bool(cast)
+    assert failing
