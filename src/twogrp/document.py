@@ -49,11 +49,18 @@ whole-text read decides every error, so each message is the same either
 way.
 
 The serializer writes the same text as ``json.dumps`` with ``indent=2`` and
-sorted keys, without that call's pure-Python encoder: each table is emitted
-as one row template filled from the sorted keys (a column's from the
-product of its encoded ids, already in order), with every distinct id
-encoded once.  The text goes out in pieces, a table's rows joined
-``_ROWS`` at a time: ``write_document`` passes them to a stream, and
+sorted keys, without that call's pure-Python encoder: a table's rows are
+joined from precomputed cell texts, with no per-row formatting.  Each
+distinct id of a table is encoded once as a key cell (its literal, comma
+and the next cell's pad) and once as a value cell (its literal and the
+text that closes its row and opens the next).  A column's keys, already
+in product order, take at most n² strings for n ids: one head per prefix of
+its leading key columns and one string per pair of its last two, the pairs
+cycled against its value column, so a row is the join of a head, a pair
+and a value cell.  A dict's rows join the cells of its sorted key columns
+and values; a dict whose keys mix shapes is written as its rows sorted as
+lists.  The text goes out in pieces, a table's rows joined ``_ROWS`` at a
+time: ``write_document`` passes them to a stream, and
 ``serialize_document`` joins them.
 """
 
@@ -63,7 +70,7 @@ import gc
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain, islice, product
+from itertools import chain, cycle, islice, product, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq, itemgetter
 
@@ -467,10 +474,15 @@ class _Table:
 
 
 class _Codes(dict):
-    """JSON string literals by value, each encoded once."""
+    """JSON string literals by value, each encoded once and followed by
+    ``tail``."""
+
+    def __init__(self, tail: str = ""):
+        super().__init__()
+        self.tail = tail
 
     def __missing__(self, value: str) -> str:
-        code = self[value] = encode_basestring_ascii(value)
+        code = self[value] = encode_basestring_ascii(value) + self.tail
         return code
 
 
@@ -503,34 +515,40 @@ def _emit(value, level: int, write, codes: _Codes) -> None:
 
 
 def _emit_table(entries, level: int, write, codes: _Codes) -> None:
-    if isinstance(entries, Column) and entries:  # its keys in order: the product of the sorted ids
-        width = entries.arity + 1
-        keys = product(list(map(codes.__getitem__, entries.axis)), repeat=entries.arity)
-        cells = map(tuple.__add__, keys, zip(map(codes.__getitem__, entries.column)))
+    if not entries:
+        write("[]")
+        return
+    row_pad = "\n" + "  " * (level + 1)
+    cell_pad = row_pad + "  "
+    # a row is its key cells, each ending in its comma and the next cell's
+    # pad, then its value cell, which ends in the opening of the next row
+    key, value = _Codes("," + cell_pad), _Codes(row_pad + "]," + row_pad + "[" + cell_pad)
+    if isinstance(entries, Column):
+        # its keys in order, the product of the sorted ids: each head (a
+        # prefix of all but the last two ids) once per pair of the last two
+        axis = list(map(key.__getitem__, entries.axis))
+        last = min(entries.arity, 2)
+        pairs = list(map("".join, product(axis, repeat=last)))
+        heads = map("".join, product(axis, repeat=entries.arity - last))
+        cells = [chain.from_iterable(map(repeat, heads, repeat(len(pairs)))), cycle(pairs),
+                 map(value.__getitem__, entries.column)]
     else:
-        keys = sorted(entries)
-        kinds = set(map(type, keys))
-        widths = set(map(len, keys)) if kinds == {tuple} else set()
-        if kinds == {str}:
-            columns = [keys]
-        elif len(widths) == 1:
-            columns = [map(itemgetter(i), keys) for i in range(widths.pop())]
-        else:  # no rows, or mixed key shapes: sort the rows themselves, as lists
+        kinds = set(map(type, entries))
+        widths = set(map(len, entries)) if kinds == {tuple} else set()
+        if kinds != {str} and len(widths) != 1:  # mixed key shapes: sort the rows themselves, as lists
             rows = sorted([*k, v] if isinstance(k, tuple) else [k, v] for k, v in entries.items())
             _emit(rows, level, write, codes)
             return
-        columns.append(map(entries.__getitem__, keys))
-        width = len(columns)
-        cells = zip(*[map(codes.__getitem__, column) for column in columns])
-    row_pad = "\n" + "  " * (level + 1)
-    cell_pad = row_pad + "  "
-    row = "[" + cell_pad + ("%s," + cell_pad) * (width - 1) + "%s" + row_pad + "]"
-    rows = map(row.__mod__, cells)
-    joint = "," + row_pad
-    write("[" + row_pad)
-    for start in range(0, len(entries), _ROWS):  # rows joined in blocks, not all at once
-        write((joint if start else "") + joint.join(islice(rows, _ROWS)))
-    write("\n" + "  " * level + "]")
+        keys = sorted(entries)
+        columns = [keys] if kinds == {str} else [map(itemgetter(i), keys) for i in range(widths.pop())]
+        cells = [*(map(key.__getitem__, column) for column in columns),
+                 map(value.__getitem__, map(entries.__getitem__, keys))]
+    rows = zip(*cells)
+    write("[" + row_pad + "[" + cell_pad)
+    for _ in range(_ROWS, len(entries), _ROWS):  # rows joined in blocks, not all at once
+        write("".join(chain.from_iterable(islice(rows, _ROWS))))
+    last_rows = "".join(chain.from_iterable(rows))
+    write(last_rows[:len(last_rows) - len(value.tail)] + row_pad + "]\n" + "  " * level + "]")
 
 
 def _tables(families: dict) -> dict:

@@ -193,7 +193,8 @@ def _data_rows(fun: StructuredFunctor, src, tgt, report: Report) -> None:
     report.extend(validate_functor(fun.base), prefix="base:")
     if not report.ok:
         return
-    report.extend(validate_family(tgt.carrier, fun.fsum, functor_env(fun, src, tgt), label="fsum"))
+    report.extend(validate_family(tgt.carrier, fun.fsum, functor_env(fun, src, tgt), label="fsum",
+                                  domain=src.carrier))
     if fun.fzero is not None:
         gpd = tgt.carrier
         ok = (
@@ -286,7 +287,7 @@ def validate_transformation(
     if check_data:
         env = {"F": (tr.source.base.obj_map, tr.source.base.mor_map),
                "G": (tr.target.base.obj_map, tr.target.base.mor_map)}
-        report.extend(validate_family(tgt.carrier, tr.tau, env, label="tau"))
+        report.extend(validate_family(tgt.carrier, tr.tau, env, label="tau", domain=src.carrier))
         if not report.ok:
             return report
         report.extend(

@@ -563,17 +563,17 @@ class NatFamily(_Memo):
             raise MalformedTable(f"family has no component at {idx}") from None
 
     def is_strict(self, gpd: FinGroupoid, env: ex.Env) -> bool:
-        """True when every component is the identity of its declared source
-        object, which is also its declared target: the strict profile's
-        condition.  The bit is the endpoint row's (:func:`_strict_bit`), or
-        else recorded here by the endpoint law run without its row (a row
-        that raises leaves it False) or by :func:`identity_family`, the one
-        strict constructor."""
+        """True when the component at every tuple of ``gpd``'s objects is
+        the identity of its declared source object, which is also its
+        declared target: the strict profile's condition.  The bit is the
+        endpoint row's (:func:`_strict_bit`), or else recorded here by the
+        endpoint law run without its row (a row that raises leaves it False)
+        or by :func:`identity_family`, the one strict constructor."""
 
         def scan() -> bool:
             if set(gpd.identity.values()).issuperset(self.components.values()):
                 with suppress(StructureError):
-                    return _endpoint_row(gpd, self, env)[1]
+                    return _endpoint_row(gpd, self, env, gpd.objects_sorted)[1]
             return False
 
         return _strict_bit(self, gpd, env, scan)
@@ -598,15 +598,18 @@ def identity_family(make, gpd: FinGroupoid, env: ex.Env, *args) -> NatFamily:
     except KeyError:
         sources = (ex.evaluate(fam.src_expr, env, 0, idx) for idx in product(axis, repeat=fam.arity))
         fam.components = gpd.product_table(fam.arity, map(gpd.identity.__getitem__, sources))
-    _recorded(fam, "strict", (gpd, fam.components), env, lambda: True)
+    _recorded(fam, "strict", (gpd, fam.components, axis), env, lambda: True)
     return fam
 
 
 def _strict_bit(fam: NatFamily, gpd: FinGroupoid, env: ex.Env, scan=None) -> bool:
-    """The strict bit of ``fam`` on ``gpd`` under the tables of ``env``: the
-    endpoint row's when one is recorded, else the bit recorded without a
-    row, else ``scan()`` recorded (False without ``scan``)."""
-    held = (gpd, fam.components)
+    """The strict bit of ``fam`` on ``gpd``, over the tuples of its objects,
+    under the tables of ``env``: the endpoint row's when one is recorded,
+    else the bit recorded without a row, else ``scan()`` recorded (False
+    without ``scan``).  A family indexed by another carrier's objects (a
+    functor's ``fsum``) is not strict here, so the strict profile does not
+    skip a law between two carriers."""
+    held = (gpd, fam.components, gpd.objects_sorted)
     if (done := _recorded(fam, "endpoints", held, env)) is not None:
         return done[1]
     return bool(_recorded(fam, "strict", held, env, scan))
@@ -633,9 +636,10 @@ def _family_env(law: ex.Law, fam: NatFamily, env: ex.Env, domain: FinGroupoid) -
     return law_env
 
 
-def _endpoint_row(gpd: FinGroupoid, fam: NatFamily, env: ex.Env) -> tuple[CheckResult, bool]:
+def _endpoint_row(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, objects: tuple[str, ...]) -> tuple[CheckResult, bool]:
     """The endpoint row of ``fam`` and its strict bit: the endpoint law run
-    by the engine (kernel included) over the components, never the bit (φ
+    by the engine (kernel included) over the tuples of ``objects``, the
+    family's index set, reading the components in ``gpd``, never the bit (φ
     is bound to a copy with no record).  Where the law fails, ``witness_at``
     writes the witness (a component missing or unknown, or its endpoints
     against the declared ones) or nothing.  The bit is False unless the row
@@ -658,22 +662,26 @@ def _endpoint_row(gpd: FinGroupoid, fam: NatFamily, env: ex.Env) -> tuple[CheckR
 
     law = _family_laws(fam.arity, fam.src_expr, fam.tgt_expr)[0]
     bare = NatFamily(fam.arity, comps, fam.src_expr, fam.tgt_expr)
-    row = diagram._check("endpoints", law, gpd, gpd.objects_sorted, _family_env(law, bare, env, gpd),
+    row = diagram._check("endpoints", law, gpd, objects, _family_env(law, bare, env, gpd),
                          witness_at=witness_at)
     return row, (row.witness is None and (used := set(comps.values())) <= set(gpd.identity.values())
                  and all((m := mors.get(mid)) is not None and m.src == m.dst and gpd.identity.get(m.src) == mid
                          for mid in used))
 
 
-def validate_family(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, label: str = "family") -> Report:
+def validate_family(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, label: str = "family", *,
+                    domain: FinGroupoid | None = None) -> Report:
     """Totality and endpoint correctness of a family over the full index
-    space.  The row, pass or fail, is recorded with the family's strict bit
-    (:func:`_recorded`): validated again under the same carrier, tables (or
-    equal ones) and ``components`` object, the family gets a copy of it,
-    with this ``label`` and this call's seconds, and no scan.  A
+    space, the tuples of ``domain``'s objects (by default ``gpd``'s), its
+    components read in ``gpd``.  The row, pass or fail, is recorded with the
+    family's strict bit (:func:`_recorded`): validated again under the same
+    carrier, domain, tables (or equal ones) and ``components`` object, the
+    family gets a copy of it, with this ``label`` and this call's seconds,
+    and no scan.  A
     :class:`Column` of the family's arity is keyed by arity-tuples by
     construction; any other table's keys are checked first."""
     started = time.perf_counter()
+    objects = (domain or gpd).objects_sorted
 
     def scan() -> tuple[CheckResult, bool]:
         comps = fam.components
@@ -681,9 +689,9 @@ def validate_family(gpd: FinGroupoid, fam: NatFamily, env: ex.Env, label: str = 
             for idx in comps:  # the ordered walk names the first offender
                 if len(idx) != fam.arity:
                     raise ArityMismatch(f"{label}: component keyed by {idx} but arity is {fam.arity}")
-        return _endpoint_row(gpd, fam, env)
+        return _endpoint_row(gpd, fam, env, objects)
 
-    row = _recorded(fam, "endpoints", (gpd, fam.components), env, scan)[0]
+    row = _recorded(fam, "endpoints", (gpd, fam.components, objects), env, scan)[0]
     return Report([replace(row, law=f"{label}-endpoints", seconds=time.perf_counter() - started)])
 
 

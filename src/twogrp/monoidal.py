@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
+from operator import eq
 
 from . import diagram
 from . import expr as ex
@@ -154,10 +155,49 @@ def _check_bifunctor(m: MonStructure, report: Report) -> None:
     report.add(replace(row, seconds=time.perf_counter() - started))
 
 
+def _key_columns(table, ids: set):
+    """The two key columns of ``table`` when it is keyed by exactly the
+    pairs of ``ids`` (as many keys as pairs, each a pair of them), else
+    None."""
+    if len(table) != len(ids) ** 2 or set(map(type, table)) != {tuple} or set(map(len, table)) != {2}:
+        return None
+    firsts, seconds = zip(*table)
+    return (firsts, seconds) if ids.issuperset(firsts) and ids.issuperset(seconds) else None
+
+
+def _carries(table, keys, at, other) -> bool:
+    """Whether ``other`` sends the image under ``at`` of each key pair of
+    ``table`` (its key columns ``keys``) to the image of its value."""
+    return all(map(eq, map(at, table.values()), map(other.get, zip(*[map(at, column) for column in keys]))))
+
+
+def _tables_hold(m: MonStructure) -> bool:
+    """Whether every entry of the sum's tables passes the bifunctor row's
+    walk, decided by set and count comparisons: each table is keyed by
+    exactly the pairs of the carrier's ids and valued in them, the sum of
+    identities is the identity of the sum, and each ``sum_mor`` entry has
+    the endpoints the object sum gives.  A table on which a lookup misses
+    reads False, so the walk names what is wrong."""
+    gpd, so, sm = m.carrier, m.sum_obj, m.sum_mor
+    objects, mors = set(gpd.objects), set(gpd.morphisms)
+    obj_keys, mor_keys = _key_columns(so, objects), _key_columns(sm, mors)
+    if not (obj_keys and mor_keys and objects.issuperset(so.values()) and mors.issuperset(sm.values())):
+        return False
+    ends = [{f: getattr(mor, end) for f, mor in gpd.morphisms.items()}.__getitem__ for end in ("src", "dst")]
+    try:
+        return (_carries(so, obj_keys, gpd.identity.__getitem__, sm)
+                and all(_carries(sm, mor_keys, at, so) for at in ends))
+    except KeyError:
+        return False
+
+
 def _bifunctor_row(m: MonStructure) -> CheckResult:
     """The bifunctor row: the sum's tables (totality, keys and values in the
-    carrier, identities and endpoints preserved) scanned entry by entry,
+    carrier, identities and endpoints preserved), each entry one instance,
     then the interchange law over pairs of ``compose`` keys in sorted order.
+    The tables are decided by :func:`_tables_hold`; only where that fails
+    are they walked entry by entry, in sorted order, to name the first
+    failing entry.
     Where the law fails, ``witness_at`` writes the witness at
     ``(g, f, g2, f2)``: ``(g∘f) + (g2∘f2)`` and the ``compose`` entry at
     ``(g + g2, f + f2)`` (``None`` when there is none), or nothing where they
@@ -193,11 +233,11 @@ def _bifunctor_row(m: MonStructure) -> CheckResult:
             else:
                 yield None
 
-    report = Report()
-    _first_failure(report, "bifunctor", cases())
-    tables = report.checks[0]
-    if tables.status is not Status.PASS:
-        return tables
+    if not _tables_hold(m):
+        report = Report()
+        _first_failure(report, "bifunctor", cases())
+        if report.checks[0].status is not Status.PASS:
+            return report.checks[0]
     comp, plus = gpd.compose, m.sum_mor
 
     def witness_at(idx):
@@ -207,8 +247,8 @@ def _bifunctor_row(m: MonStructure) -> CheckResult:
         return Witness((g, f, g2, f2), left=lhs, right=rhs) if lhs != rhs else None
 
     env = {"+": (m.sum_obj, plus, m.preserves_identities), "∘": ({}, comp, None)}
-    row = diagram._check(tables.law, INTERCHANGE, gpd, sorted(comp), env, witness_at=witness_at)
-    row.instances += tables.instances
+    row = diagram._check("bifunctor", INTERCHANGE, gpd, sorted(comp), env, witness_at=witness_at)
+    row.instances += len(m.sum_obj) + len(m.sum_mor)
     return row
 
 

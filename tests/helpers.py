@@ -449,10 +449,11 @@ def assoc_commutator_lower(m, x, y, z, t):
 # ---------------------------------------------------------------------------
 
 
-def reference_endpoints(gpd, fam, env, label="family"):
-    """``validate_family`` as a scan over the index space: the report and
-    the strict bit its closing test gives (False when the scan fails).  The
-    family's own memo is left alone; an exception propagates."""
+def reference_endpoints(gpd, fam, env, label="family", domain=None):
+    """``validate_family`` as a scan over the index space, the tuples of
+    ``domain``'s objects (by default ``gpd``'s): the report and the strict
+    bit its closing test gives (False when the scan fails).  The family's
+    own memo is left alone; an exception propagates."""
     for idx in fam.components:
         if len(idx) != fam.arity:
             raise ArityMismatch(f"{label}: component keyed by {idx} but arity is {fam.arity}")
@@ -462,7 +463,7 @@ def reference_endpoints(gpd, fam, env, label="family"):
     strict = [False]
 
     def scan():
-        for idx in product(gpd.objects_sorted, repeat=fam.arity):
+        for idx in product((domain or gpd).objects_sorted, repeat=fam.arity):
             mid = comps.get(idx)
             mor = mors.get(mid)
             if mor is None:

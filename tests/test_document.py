@@ -1,6 +1,8 @@
 """Document format: canonical serialization, round-trips, reference checks."""
 
 import json
+import random
+from itertools import product
 
 import pytest
 
@@ -14,14 +16,17 @@ from twogrp import (
     ring_zmod,
     to_ac,
 )
+from twogrp import diagram, document
 from twogrp.document import (
     Block,
     StructureDocument,
     parse_document,
     serialize_document,
+    write_document,
 )
 from twogrp.errors import DocumentError
 from twogrp.functors import tau_family
+from twogrp.groupoid import Column
 from twogrp.report import Report
 
 
@@ -201,6 +206,67 @@ def test_serializer_escapes_ids_as_the_json_module_does(name):
     assert json.loads(text) == data
     assert serialize_document(parse_document(text)) == text
     assert all(ODD in x for x in doc.groupoid.objects)
+
+
+def _family_tables(doc: StructureDocument):
+    """Every family table of ``doc``'s blocks."""
+    for blk in doc.blocks:
+        if blk.kind == "functor":
+            yield blk.obj.fsum.components
+        elif blk.kind == "transformation":
+            yield blk.obj.tau.components
+        else:
+            yield from (fam.components for fam in blk.obj.families().values() if fam is not None)
+
+
+def odd_copy(doc: StructureDocument) -> tuple[dict, StructureDocument]:
+    """The JSON data of ``doc`` with ``_odd_ids`` renaming, and its parse."""
+    data = _odd_ids(json.loads(serialize_document(doc)))
+    return data, parse_document(json.dumps(data, ensure_ascii=False))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DOCS))
+def test_serializer_writes_columns_of_escaped_ids_as_the_json_module_does(name, monkeypatch):
+    # with the floor lowered every total family is a column, built or parsed
+    monkeypatch.setattr(diagram, "KERNEL_FLOOR", 0)
+    text = serialize_document(ORACLE_DOCS[name]())
+    assert text == json_oracle(text)
+    data, doc = odd_copy(ORACLE_DOCS[name]())
+    assert any(isinstance(table, Column) for table in _family_tables(doc))
+    text = serialize_document(doc)
+    assert text == json_oracle(text)
+    assert json.loads(text) == data
+
+
+class _Pieces(list):
+    """A text stream that keeps each piece written to it."""
+
+    write = list.append
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+@pytest.mark.parametrize("name", ["super-line ac", "transformation"])
+def test_column_rows_are_written_in_blocks_of_rows(name, rows, monkeypatch):
+    # columns of arity 1 to 4 over 2 or 4 escaped object ids: row counts on
+    # either side of n^2 (the key pairs cycled against the value column)
+    # and of the rows joined into one piece
+    monkeypatch.setattr(document, "_ROWS", rows)
+    monkeypatch.setattr(diagram, "KERNEL_FLOOR", 0)
+    data, doc = odd_copy(ORACLE_DOCS[name]())
+    gpd, rng = doc.groupoid, random.Random(20261020)
+    blk = next(b for b in doc.blocks if b.kind in ("ac", "transformation"))
+    fam, field = (blk.obj.tau, "components") if blk.kind == "transformation" else (blk.obj.lunit, "l")
+    for arity in range(1, 5):
+        keys = list(product(gpd.objects_sorted, repeat=arity))
+        values = [rng.choice(gpd.morphisms_sorted) for _ in keys]
+        fam.components = gpd.product_table(arity, values)
+        assert isinstance(fam.components, Column)
+        next(b for b in data["structures"] if b["name"] == blk.name)[field] = [[*k, v] for k, v in zip(keys, values)]
+        pieces = _Pieces()
+        write_document(doc, pieces)
+        assert "".join(pieces) == serialize_document(doc) == json.dumps(data, sort_keys=True, indent=2) + "\n"
+        # a row of a top-level table ends in 4 spaces and "]", one of a block's in 8
+        assert max(piece.count("\n    ]") + piece.count("\n        ]") for piece in pieces) == rows, arity
 
 
 # -- every family field: one reader, one error text per defect -----------------

@@ -187,6 +187,15 @@ ACROSS = [(f"{label} [{what}]", domain, *case)
           for what, *case in _variants(codomain, fam, env, random.Random(SEED + i))]
 
 
+@pytest.mark.parametrize("case", ACROSS, ids=[c[0] for c in ACROSS])
+def test_endpoint_row_between_two_carriers_equals_the_scan(case):
+    # the index tuples are the source carrier's objects; the components
+    # and their endpoints are read in the target's
+    label, domain, gpd, fam, env = case
+    expected = _outcome(lambda: reference_endpoints(gpd, _fresh(fam), env, label="f", domain=domain)[0])
+    assert _outcome(lambda: validate_family(gpd, _fresh(fam), env, label="f", domain=domain)) == expected, label
+
+
 @pytest.mark.parametrize("kernel", [False, True], ids=["reference", "kernel"])
 @pytest.mark.parametrize("case", ACROSS, ids=[c[0] for c in ACROSS])
 def test_naturality_row_between_two_carriers_equals_the_square_loop(case, kernel, monkeypatch):
@@ -350,3 +359,50 @@ def test_a_reassigned_sum_entry_gives_the_pair_loop_row(tmp_path, monkeypatch):
                     witness = expected[4]
                     seen[name, block.name, expected[1].value, witness and (witness.note or "interchange")] += 1
     assert seen == SUM_MUTANTS
+
+
+def _sum_defects(m):
+    """``(defect, mutant)``: ``m`` with one defect of each kind the sum's
+    table walk names, in either table where the kind applies."""
+    gpd, so, sm = m.carrier, m.sum_obj, m.sum_mor
+    x, y = sorted(so)[1]
+    f, g = sorted(sm)[-1]
+    h = sm[(f, g)]
+    mors = gpd.morphisms_sorted
+    ident = gpd.identity
+    moved = next(k for k in mors if gpd.src(k) != gpd.src(h))
+    loop = next(k for k in mors if k != ident[so[(x, y)]] and gpd.src(k) == gpd.dst(k) == so[(x, y)])
+    without = lambda table, key: {k: v for k, v in table.items() if k != key}  # noqa: E731
+    yield "object key outside", replace(m, sum_obj={**so, (x, "undeclared"): x}, _cache={})
+    yield "morphism key outside", replace(m, sum_mor={**sm, (f, "undeclared"): h}, _cache={})
+    yield "object key of three ids", replace(m, sum_obj={**so, (x, y, x): x}, _cache={})
+    yield "object value outside", replace(m, sum_obj={**so, (x, y): "undeclared"}, _cache={})
+    yield "morphism value outside", replace(m, sum_mor={**sm, (f, g): "undeclared"}, _cache={})
+    yield "object table not total", replace(m, sum_obj=without(so, (x, y)), _cache={})
+    yield "morphism table not total", replace(m, sum_mor=without(sm, (f, g)), _cache={})
+    yield "identities", replace(m, sum_mor={**sm, (ident[x], ident[y]): loop}, _cache={})
+    yield "wrong endpoints", replace(m, sum_mor={**sm, (f, g): moved}, _cache={})
+
+
+@pytest.mark.parametrize("name", ["dual2 sm", "super-line"])
+def test_each_sum_table_defect_gives_the_walk_row(name, monkeypatch):
+    # the tables are decided by set and count comparisons; any defect falls
+    # back to the ordered walk, whose row (or error) it must give
+    from twogrp import build_super_line_2group
+    from twogrp.monoidal import _tables_hold
+
+    m = build_dual_numbers_2group(2, "sm") if name == "dual2 sm" else build_super_line_2group()
+    assert _tables_hold(m)
+    assert _key(_bifunctor_row(m, True, monkeypatch)) == _key(reference_bifunctor(m))
+    notes = set()
+    for defect, mutant in _sum_defects(m):
+        assert not _tables_hold(mutant), defect
+        expected = _outcome(lambda: Report([reference_bifunctor(mutant)]))
+        for kernel in (True, False):
+            assert _outcome(lambda: Report([_bifunctor_row(mutant, kernel, monkeypatch)])) == expected, (defect, kernel)
+        notes.add(expected[0][4].note if isinstance(expected, list) else expected[0])
+    assert notes == {"sum object table keyed outside the carrier", "sum morphism table keyed outside the carrier",
+                     "sum sends pair outside the carrier", "sum morphism table sends pair outside the carrier",
+                     "sum object table not total", "sum morphism table not total",
+                     "sum of identities is not the identity of the sum", "sum morphism has wrong endpoints",
+                     "ValueError"}, notes

@@ -29,7 +29,17 @@ from twogrp.groupoid import compose_path
 from twogrp.monoidal import basic_unitor
 from twogrp.report import Status
 
-from helpers import constant_zero_endofunctor, perturb_family, with_canonical_zero
+from helpers import (
+    all_structured_endofunctors,
+    constant_zero_endofunctor,
+    from_relabelled,
+    one_object_2group,
+    parallel_morphisms,
+    perturb_family,
+    relabelled,
+    strict_cyclic_2group,
+    with_canonical_zero,
+)
 
 
 def dn(m, presentation="ac"):
@@ -344,3 +354,67 @@ def test_derive_sm_axioms_refuses_separating_functor():
     ac = dn(3)
     with pytest.raises(PreconditionFailed):
         derive_sm_axioms_from_ac(F(3, 1, 2), ac, ac)  # no zero iso exists
+
+
+# -- a functor between two carriers -------------------------------------------
+
+
+def _rows_up_to(report, prefix):
+    """Each row's law, status, instances and witness, with ``prefix`` taken
+    off every id of the witness: a relabelled source's ids, read as the
+    endofunctor's."""
+    def plain(witness):
+        return witness and repr(witness).replace(prefix, "")
+    return [(c.law, c.status, c.instances, plain(c.witness)) for c in report.checks]
+
+
+def _endofunctors_and_flips():
+    """``(label, structure, functor)``: every structured endofunctor of the
+    m=2 bases, and the dual numbers m=2's multiplication functors, each
+    also with its last ``fsum`` component flipped to a parallel morphism and
+    to one with other endpoints."""
+    for name, sm in (("cyclic2", strict_cyclic_2group(2)), ("one-object2", one_object_2group(2))):
+        for i, fun in enumerate(all_structured_endofunctors(sm)):
+            yield f"{name} #{i}", sm, fun
+    sm = dn(2, "sm")
+    for a, b in ((1, 0), (1, 1), (0, 1)):
+        fun = build_mult_endofunctor(2, a, b, sm)
+        yield f"dual2 F({a},{b})", sm, fun
+        key = sorted(fun.fsum.components)[-1]
+        mid = fun.fsum.components[key]
+        parallel = parallel_morphisms(sm.carrier, mid)[0]
+        other = next(f for f in sm.carrier.morphisms_sorted if sm.carrier.src(f) != sm.carrier.src(mid))
+        for what, new in (("parallel", parallel), ("other endpoints", other)):
+            yield f"dual2 F({a},{b}) {what}", sm, StructuredFunctor(fun.base, perturb_family(fun.fsum, key, new))
+
+
+def test_a_functor_from_a_relabelled_source_gives_the_endofunctor_rows():
+    # fsum is keyed by pairs of source objects: its endpoint row ranges over
+    # the source carrier, not the target's
+    copies, failed = {}, set()
+    for label, sm, fun in _endofunctors_and_flips():
+        copy = copies.setdefault(id(sm), relabelled(sm, "s:"))
+        want = _rows_up_to(validate_sm_functor(fun, sm, sm), "s:")
+        got = _rows_up_to(validate_sm_functor(from_relabelled(fun, copy, "s:"), copy, sm), "s:")
+        assert got == want, label
+        assert got[3][:2] == ("fsum-endpoints", Status.FAIL if "other" in label else Status.PASS), label
+        failed.update(row[0] for row in got if row[1] is Status.FAIL)
+    assert failed == {"fsum-endpoints", "SF1"}
+
+
+def test_a_transformation_from_a_relabelled_source_gives_the_endofunctor_rows():
+    # tau is keyed by source objects, as fsum is
+    sm = dn(2, "sm")
+    copy = relabelled(sm, "s:")
+    fun = build_mult_endofunctor(2, 1, 0, sm)
+    across = from_relabelled(fun, copy, "s:")
+    ident = sm.carrier.identity
+    for flip in (False, True):
+        comps = {(x,): ident[fun.base.obj_map[x]] for x in sm.carrier.objects_sorted}
+        if flip:
+            comps[("0+1e",)] = ident["0+0e"]
+        want = validate_transformation(MonTransformation(fun, fun, tau_family(comps)), sm, sm)
+        tau = tau_family({("s:" + x,): mid for (x,), mid in comps.items()})
+        got = validate_transformation(MonTransformation(across, across, tau), copy, sm)
+        assert _rows_up_to(got, "s:") == _rows_up_to(want, "s:")
+        assert got.checks[0].law == "tau-endpoints" and got.checks[0].status is (Status.FAIL if flip else Status.PASS)

@@ -92,9 +92,9 @@ def scans(monkeypatch):
     seen = []
     scan = groupoid._endpoint_row
 
-    def counted(gpd, fam, env):
+    def counted(gpd, fam, env, objects):
         seen.append(fam)
-        return scan(gpd, fam, env)
+        return scan(gpd, fam, env, objects)
 
     monkeypatch.setattr(groupoid, "_endpoint_row", counted)
     return seen
