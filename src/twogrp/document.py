@@ -41,12 +41,17 @@ A canonical text's long tables are never loaded whole.  Each table whose
 rows take more than ``_CHUNK`` characters is cut out of the text (its
 extent and its row separators are fixed strings of the layout, and no id
 can hold their raw newlines), the rest is loaded with a ``NaN`` in its
-place, and the table is loaded in row-aligned chunks, each chunk's rows
-built into the table before the next is read; a bad row raises.  The text
-is held until the parse is done.  Any other text, and any text on which
-that read raises or leaves a cut unread, is loaded whole, and the
-whole-text read decides every error, so each message is the same either
-way.
+place, and the table is read in row-aligned chunks, each chunk's rows
+built into the table before the next is read; a bad row raises.  A cut
+family table's chunks are first matched against the writer's text of a
+column: split at the row separator, each row must be the key text of the
+next tuple of the product (built by ``_column_keys``, as the writer builds
+it) followed by the literal of a declared id, which is looked up in a map
+from literal to the carrier's string.  The first chunk that is anything
+else, and every chunk after it, is loaded as JSON.  The text is held until
+the parse is done.  Any other text, and any text on which that read raises
+or leaves a cut unread, is loaded whole, and the whole-text read decides
+every error, so each message is the same either way.
 
 The serializer writes the same text as ``json.dumps`` with ``indent=2`` and
 sorted keys, without that call's pure-Python encoder: a table's rows are
@@ -54,14 +59,14 @@ joined from precomputed cell texts, with no per-row formatting.  Each
 distinct id of a table is encoded once as a key cell (its literal, comma
 and the next cell's pad) and once as a value cell (its literal and the
 text that closes its row and opens the next).  A column's keys, already
-in product order, take at most n² strings for n ids: one head per prefix of
-its leading key columns and one string per pair of its last two, the pairs
-cycled against its value column, so a row is the join of a head, a pair
-and a value cell.  A dict's rows join the cells of its sorted key columns
-and values; a dict whose keys mix shapes is written as its rows sorted as
-lists.  The text goes out in pieces, a table's rows joined ``_ROWS`` at a
-time: ``write_document`` passes them to a stream, and
-``serialize_document`` joins them.
+in product order, take at most n² strings for n ids (``_column_keys``):
+one head per prefix of its leading key columns and one string per pair of
+its last two, the pairs cycled against its value column, so a row is the
+join of a head, a pair and a value cell.  A dict's rows join the cells of
+its sorted key columns and values; a dict whose keys mix shapes is written
+as its rows sorted as lists.  The text goes out in pieces, a table's rows
+joined ``_ROWS`` at a time: ``write_document`` passes them to a stream,
+and ``serialize_document`` joins them.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import chain, cycle, islice, product, repeat
 from json.encoder import encode_basestring_ascii
-from operator import eq, itemgetter
+from operator import add, eq, itemgetter
 
 from .ac import ACStructure, acomm_family
 from .errors import DocumentError
@@ -175,17 +180,20 @@ def _table(raw: dict, name: str, arity: int | None, ids: dict, gpd: FinGroupoid 
     the carrier's sorted objects in product order, compared row by row with
     one walk of the product, is ``gpd.product_table`` of its value column;
     any other table is a dict, the values read into a column so far
-    included.  A bad row of a cut table raises, and the whole text
+    included.  A cut family's leading chunks that hold the writer's text of
+    such a column are matched against that text (``_Cut.take``) before the
+    rest is parsed.  A bad row of a cut table raises, and the whole text
     decides; one of a whole-loaded table raises the error that names it."""
     width = 2 if arity is None else arity + 1
     rows = raw.pop(name)
     cut = isinstance(rows, _Cut)
     axis = gpd.objects_sorted if gpd is not None else None
     column, table = ([] if axis else None), {}
+    spans = rows.take(column, axis, arity, ids) if cut and axis else None
     if axis:
-        keys, total = product(axis, repeat=arity), len(axis) ** arity
+        keys, total = islice(product(axis, repeat=arity), len(column), None), len(axis) ** arity
     try:
-        for chunk in rows.chunks() if cut else [rows]:
+        for chunk in rows.chunks(spans) if cut else [rows]:
             if column is not None and len(column) + len(chunk) <= total and _in_product(chunk, keys, arity):
                 column += _chunk(chunk, width, ids, arity)[0]
                 continue
@@ -301,21 +309,62 @@ def _require(raw: dict, keys: tuple[str, ...], kind: str) -> None:
 
 class _Cut:
     """A long table of a canonical text: its rows run from ``start`` (the
-    first row's ``[``) to ``end``, separated by ``sep``."""
+    first row's ``[``) to ``end``, each row's brackets on lines of their own
+    at the indent ``pad``."""
 
-    def __init__(self, text: str, start: int, end: int, sep: str):
-        self.text, self.start, self.end, self.sep = text, start, end, sep
+    def __init__(self, text: str, start: int, end: int, pad: str):
+        self.text, self.start, self.end, self.pad = text, start, end, pad
+        self.sep = "],\n" + pad + "["
         self.read = False
 
-    def chunks(self):
-        """The rows, as lists parsed from row-aligned runs of about
-        ``_CHUNK`` characters."""
+    def spans(self):
+        """The extents of the rows' row-aligned runs of about ``_CHUNK``
+        characters."""
         self.read = True
         text, at, end, sep = self.text, self.start, self.end, self.sep
         while (stop := text.find(sep, at + _CHUNK, end)) >= 0:
-            yield json.loads("[" + text[at:stop + 1] + "]")
+            yield at, stop + 1
             at = stop + len(sep) - 1
-        yield json.loads("[" + text[at:end] + "]")
+        yield at, end
+
+    def chunks(self, spans=None):
+        """The rows of each run of ``spans`` (by default every run), as
+        lists parsed as JSON."""
+        for at, stop in self.spans() if spans is None else spans:
+            yield json.loads("[" + self.text[at:stop] + "]")
+
+    def take(self, column: list, axis: tuple, arity: int, ids: dict):
+        """Read into ``column`` each leading run that is the writer's text
+        of the next rows of a column over ``axis``, and return the runs
+        left.  Each row of such a run is the key text of the next tuple of
+        the product, then the literal of a declared id, which a map from
+        each declared id's literal gives as the carrier's string.  A row is
+        stripped of its cell pad and key text at once, and one that does not
+        open with them is left whole; a literal holds no newline and each of
+        the key text's arity + 1 cells opens with one, so the run's count of
+        newlines tells a row left whole from a stripped one."""
+        row_pad = "\n" + self.pad
+        cell_pad = row_pad + "  "
+        heads, pairs = _column_keys(axis, arity, cell_pad)
+        keys = chain.from_iterable(map(add, repeat(cell_pad + head), pairs) for head in heads)
+        literals = dict(zip(map(encode_basestring_ascii, ids), ids.values()))
+        text, sep, closing, spans = self.text, row_pad + "]," + row_pad + "[", row_pad + "]", self.spans()
+        for at, stop in spans:
+            if not text.endswith(closing, at, stop):
+                break
+            run = text[at + 1:stop - len(closing)]
+            rows = run.split(sep)
+            try:
+                values = list(map(literals.__getitem__, map(str.removeprefix, rows, keys)))
+            except KeyError:
+                break
+            # rows past the product's last tuple, or a row that is only a literal
+            if len(values) < len(rows) or run.count("\n") != len(rows) * (arity + 3) - 2:
+                break
+            column += values
+        else:
+            return spans
+        return chain([(at, stop)], spans)
 
 
 _ARRAY = '": [\n'
@@ -343,7 +392,7 @@ def _cut(text: str) -> tuple[str, list[_Cut]]:
             break
         if end - start > _CHUNK:
             kept += (text[pos:start - 2], "NaN")
-            cuts.append(_Cut(text, rows.end() - 2, end, "],\n" + pad + "["))
+            cuts.append(_Cut(text, rows.end() - 2, end, pad))
             pos = end + len(pad)
         at = text.find(_ARRAY, end)
     kept.append(text[pos:])
@@ -514,6 +563,17 @@ def _emit(value, level: int, write, codes: _Codes) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _column_keys(axis, arity: int, cell_pad: str):
+    """The key text of the rows of a column over ``axis`` in product order,
+    each key cell a literal, a comma and ``cell_pad``: the heads, one per
+    prefix of all but the last two key columns, and the list of pairs, one
+    per pair of the last two.  A row's key text is its head then its pair."""
+    key = _Codes("," + cell_pad)
+    codes = list(map(key.__getitem__, axis))
+    last = min(arity, 2)
+    return map("".join, product(codes, repeat=arity - last)), list(map("".join, product(codes, repeat=last)))
+
+
 def _emit_table(entries, level: int, write, codes: _Codes) -> None:
     if not entries:
         write("[]")
@@ -524,12 +584,9 @@ def _emit_table(entries, level: int, write, codes: _Codes) -> None:
     # pad, then its value cell, which ends in the opening of the next row
     key, value = _Codes("," + cell_pad), _Codes(row_pad + "]," + row_pad + "[" + cell_pad)
     if isinstance(entries, Column):
-        # its keys in order, the product of the sorted ids: each head (a
-        # prefix of all but the last two ids) once per pair of the last two
-        axis = list(map(key.__getitem__, entries.axis))
-        last = min(entries.arity, 2)
-        pairs = list(map("".join, product(axis, repeat=last)))
-        heads = map("".join, product(axis, repeat=entries.arity - last))
+        # its keys in order, the product of the sorted ids: each head once
+        # per pair of the last two ids
+        heads, pairs = _column_keys(entries.axis, entries.arity, cell_pad)
         cells = [chain.from_iterable(map(repeat, heads, repeat(len(pairs)))), cycle(pairs),
                  map(value.__getitem__, entries.column)]
     else:

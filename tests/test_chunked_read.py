@@ -14,6 +14,7 @@ import contextlib
 import io
 import json
 from itertools import chain, product
+from types import SimpleNamespace
 
 import pytest
 from test_document_digests import written_documents
@@ -27,6 +28,9 @@ from twogrp.errors import DocumentError
 from twogrp.groupoid import Column
 
 CHUNK = 300  # a few rows: most tables of the pinned documents are long, the shortest are not
+DEFAULT_CHUNK = document._CHUNK
+# the fields of a document that hold a family table
+FAMILY_FIELDS = {"a", "b", "c", "l", "r", "d", "e", "m", "n", "fsum", "components"}
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +89,33 @@ def reads(monkeypatch) -> list:
     return taken
 
 
+@pytest.fixture
+def decoded(monkeypatch) -> list:
+    """Every text a parse hands to ``json.loads``, as ``[cut, text]``:
+    ``cut`` is the ``_Cut`` whose chunk the text is, None for the text
+    around the cuts or a text loaded whole."""
+    calls, loads, chunks = [], json.loads, document._Cut.chunks
+
+    def spy_loads(text, **kwargs):
+        calls.append([None, text])
+        return loads(text, **kwargs)
+
+    def spy_chunks(self, spans=None):
+        for rows in chunks(self, spans):
+            calls[-1][0] = self  # the call that parsed these rows
+            yield rows
+
+    monkeypatch.setattr(document, "json", SimpleNamespace(loads=spy_loads, JSONDecodeError=json.JSONDecodeError))
+    monkeypatch.setattr(document._Cut, "chunks", spy_chunks)
+    return calls
+
+
+def field_of(cut) -> str:
+    """The name of the field whose table ``cut`` is: the key before it."""
+    end = cut.text.rindex('"', 0, cut.start)
+    return cut.text[cut.text.rindex('"', 0, end) + 1:end]
+
+
 def long_tables(text: str, chunk: int) -> list[list]:
     """The rows of every table of ``text`` whose rows take more than
     ``chunk`` characters in the canonical layout, in document order: the
@@ -139,6 +170,45 @@ def test_every_long_table_of_a_canonical_document_is_read_in_chunks(texts, reads
         assert reads[-1] != "fallback", name
         cuts = [] if reads[-1] == "whole" else reads[-1]
         assert [list(chain(*cut.chunks())) for cut in cuts] == long_tables(text, chunk), name
+
+
+@pytest.fixture(scope="module")
+def dn5_text(tmp_path_factory) -> str:
+    """The canonical text of the m=5 dual-numbers fixture document."""
+    path = tmp_path_factory.mktemp("dn5") / "dn5.json"
+    assert main(["fixture", "dual-numbers", "--mod", "5", "--out", str(path)]) == 0
+    return path.read_text(encoding="utf-8")
+
+
+def family_cuts_read_as_text(text: str, reads: list, decoded: list) -> list[str]:
+    """Parse ``text``, whose families are all total, and return the fields
+    of its cut family tables: ``json.loads`` is handed the text around the
+    cuts and chunks of other tables only."""
+    decoded.clear()
+    doc = parse_document(text)
+    assert reads[-1] != "fallback"
+    for _, fam in families(doc):
+        assert fam.components.keys() == set(product(doc.groupoid.objects_sorted, repeat=fam.arity))
+    cuts = [] if reads[-1] == "whole" else reads[-1]
+    assert [loaded for cut, loaded in decoded if cut is None] == [document._cut(text)[0] if cuts else text]
+    assert not [field_of(cut) for cut, _ in decoded if cut is not None and field_of(cut) in FAMILY_FIELDS]
+    return [field_of(cut) for cut in cuts if field_of(cut) in FAMILY_FIELDS]
+
+
+@pytest.mark.parametrize("chunk", [0, CHUNK, 10 * CHUNK])
+def test_every_cut_family_table_of_a_canonical_document_is_read_as_text(texts, reads, decoded, monkeypatch,
+                                                                        chunk):
+    """The layout pin of the text read: a writer or layout change that
+    sends a cut family table back to the JSON read fails here."""
+    monkeypatch.setattr(document, "_CHUNK", chunk)
+    fields = [family_cuts_read_as_text(text, reads, decoded) for text in texts.values()]
+    assert any(fields)
+
+
+def test_the_m5_dual_numbers_document_reads_its_family_table_as_text(dn5_text, reads, decoded, monkeypatch):
+    monkeypatch.setattr(document, "_CHUNK", DEFAULT_CHUNK)
+    assert family_cuts_read_as_text(dn5_text, reads, decoded) == ["b"]
+    assert {field_of(cut) for cut, _ in decoded if cut is not None} == {"op_mor"}
 
 
 @pytest.mark.parametrize("indent", [4, None])
