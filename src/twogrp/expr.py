@@ -59,19 +59,22 @@ morphisms (a map applied only to objects needs nothing).  A law may have
 one route only: the border composites of ``ac`` are such routes, their
 inversion an ``ap`` over the carrier's inverse table.
 
-One emitter writes a law's terms as Python source, one subscript per node,
-generated once per law and process: ``Law.routes`` gives two functions per
-law (the legs of both routes, and their composites with one lookup per
-step), and a binding is one factory call with the tables.
+One emitter writes a law's terms as Python source, generated and compiled
+once per law and process: ``Law.routes`` gives three functions per law (the
+legs of both routes and their composites, one subscript per node, at one
+index tuple; and the nested-loop scan over every tuple, each node once in
+the loop of the deepest variable it reads, compiled on its first call), and
+a binding is one factory call with the tables.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable, Sequence
 from itertools import chain, product, repeat
 from operator import mul
 
-from .errors import MalformedTable
+from .errors import MalformedTable, StructureError
 
 Expr = tuple
 Env = dict[str, tuple[dict, dict]]
@@ -189,11 +192,11 @@ class Law:
     at every tuple of ``arity`` objects (or morphisms, or composable pairs:
     ``var_level`` 1 or 2)."""
 
-    __slots__ = ("name", "arity", "left", "right", "symbols", "ingredients", "var_level", "_code")
+    __slots__ = ("name", "arity", "left", "right", "symbols", "ingredients", "var_level", "_code", "_scan_code")
 
     def __init__(self, name: str, arity: int, left: Sequence[Expr], right: Sequence[Expr]):
         self.name, self.arity, self.left, self.right = name, arity, tuple(left), tuple(right)
-        self._code = None
+        self._code = self._scan_code = None
         symbols, fams, maps, consts, levels = {}, {}, {}, {}, {0}
         read_as_morphism = {"fam": fams, "op": maps, "ap": maps, "c": consts}
 
@@ -226,17 +229,30 @@ class Law:
         and ``("id", e)`` read from the carrier's ``identity`` table."""
         return self.routes(env, identity, {}, {})[0]
 
-    def routes(self, env: dict, identity: dict, composable: dict, morphisms: dict) -> tuple[Callable, Callable]:
-        """``legs`` and the function of an index tuple that gives the two
-        routes' composites: one lookup per step in ``composable``, a lone leg
-        looked up in ``morphisms``.  Any miss raises ``KeyError``; an empty
-        route always misses."""
+    def routes(self, env: dict, identity: dict, composable: dict, morphisms: dict, curry=None) -> tuple:
+        """``legs``, the function of an index tuple that gives the two
+        routes' composites (one lookup per step in ``composable``, a lone
+        leg looked up in ``morphisms``; any miss raises ``KeyError``, and an
+        empty route always misses) and ``scan(values, stop)``, which yields,
+        in order, the position of each tuple of ``values`` below ``stop``
+        whose composites differ or miss.  ``scan`` reads a table whose
+        lookups of ``arity`` components learn them in different loops
+        through ``curry(table, arity, stop)``, a view read one component at a
+        time.  The scan's source is compiled on its first call: most
+        laws a small check binds never scan."""
         if self._code is None:
             self._code = _compile_law(self)
         make, params = self._code
-        return make(composable, morphisms, *[
-            identity if slot == "id" else sym if slot == "k" else env[sym] if slot == "ends"
-            else _readable(env[sym][0].components) if slot == "fam" else env[sym][slot] for sym, slot in params])
+        tables = [identity if slot == "id" else sym if slot == "k" else env[sym] if slot == "ends"
+                  else _readable(env[sym][0].components) if slot == "fam" else env[sym][slot] for sym, slot in params]
+        scan = functools.partial(self._scan, composable, morphisms, curry, tables)
+        return (*make(composable, morphisms, *tables), scan)
+
+    def _scan(self, composable: dict, morphisms: dict, curry, tables: list, values: Sequence[str],
+              stop: int) -> Iterable[int]:
+        if self._scan_code is None:
+            self._scan_code = _compile_scan(self, self._code[1])
+        return self._scan_code(values, stop, composable, morphisms, curry, *tables)
 
 
 def _readable(table):
@@ -245,8 +261,104 @@ def _readable(table):
     return table if isinstance(table, dict) else table.read()
 
 
+def _subscript(table: str, args: list[str], tuple_key: bool) -> str:
+    return f"{table}[{', '.join(args)}{',' if tuple_key and len(args) == 1 else ''}]"
+
+
+class _Inline:
+    """Source of a term as one expression, one subscript per node."""
+
+    def __init__(self, arity: int):
+        self.vars = [f"v{i}" for i in range(arity)]
+
+    def read(self, table: str, args: list[str], tuple_key: bool = False) -> str:
+        if tuple_key and args == self.vars:
+            return f"{table}[idx]"  # a component at the index tuple itself
+        return _subscript(table, args, tuple_key)
+
+    def node(self, template: str, arg: str) -> str:
+        return template.format(arg)
+
+
+class _Hoisted(_Inline):
+    """Source of terms as assignments, one per distinct node, each in the
+    loop of the deepest variable it reads (``lines[depth + 1]``; depth -1
+    is before the loops).  A lookup of several components whose first is
+    known in an outer loop reads the table's curried view, a row in each
+    loop that learns a component: ``r = view[a]`` there, ``r[b]`` below.  A
+    component at the index tuple itself is read by its tuple key: the scan
+    reads each such entry once, so a view would cost more than it saves."""
+
+    def __init__(self, arity: int):
+        super().__init__(arity)
+        self.arity = arity
+        self.depth = {f"v{i}": i for i in range(arity)}  # of a variable or assigned name; -1 for any other
+        self.names: dict[str, str] = {}
+        self.lines: list[list[str]] = [[] for _ in range(arity + 1)]
+        self.views: dict[tuple[str, int], str] = {}
+
+    def _at(self, args: list[str]) -> int:
+        return max((self.depth.get(a, -1) for a in args), default=-1)
+
+    def _assign(self, text: str, depth: int) -> str:
+        if text not in self.names:
+            self.names[text] = name = f"t{len(self.names)}"
+            self.depth[name] = depth
+            self.lines[depth + 1].append(f"{name} = {text}")
+        return self.names[text]
+
+    def read(self, table: str, args: list[str], tuple_key: bool = False) -> str:
+        depth = self._at(args)
+        if len(args) < 2 or self._at(args[:1]) == depth or args == self.vars:
+            return self._assign(_subscript(table, args, tuple_key), depth)
+        row, known = self.views.setdefault((table, len(args)), f"q{len(self.views)}"), 0
+        for i in range(1, len(args) + 1):  # a row in each loop that learns a component, the value in the last
+            at = self._at(args[:i])
+            if i == len(args) or self._at(args[:i + 1]) > at:
+                row, known = self._assign(row + "".join(f"[{a}]" for a in args[known:i]), at), i
+        return row
+
+    def node(self, template: str, arg: str) -> str:
+        return self._assign(template.format(arg), self._at([arg]))
+
+    def scan(self, tables: str, left: str, right: str) -> str:
+        """Source of the scan generator over ``values`` and the parameters
+        ``tables``: loop ``j`` walks ``v{j}`` over ``values``, ``w{j}``
+        positions an iteration from ``f{j}``, cut at ``stop``; a lookup that
+        misses yields every position below its loop, and the loop of the
+        deepest variable the composites read compares them."""
+        arity, last = self.arity, self._at([left, right])
+        w = lambda j: "total" if j < 0 else "1" if j == arity - 1 else f"w{j}"
+        first = lambda j: ("" if j == 0 else f"f{j - 1} + ") + f"i{j}" + ("" if w(j) == "1" else f" * {w(j)}")
+        at = lambda j: f"f{j}" if j < last else first(j)
+        span = lambda j: ("yield from range(min(total, stop))" if j < 0 else f"yield {at(j)}" if w(j) == "1"
+                          else f"yield from range({at(j)}, min({at(j)} + {w(j)}, stop))")
+        out = [f"def scan(values, stop, {tables}):", "    if stop <= 0:", "        return",
+               "    n = len(values)", f"    total = n ** {arity}",
+               *(f"    w{j} = n ** {arity - 1 - j}" for j in range(min(last + 1, arity - 1))),
+               *(f"    {view} = curry({table}, {k}, stop)" for (table, k), view in self.views.items())]
+        pad = " " * 4
+        for j in range(-1, last + 1):
+            if j >= 0:
+                whole, rest = ("total", "stop") if j == 0 else (f"f{j - 1} + {w(j - 1)}", f"stop - f{j - 1}")
+                cut = rest if w(j) == "1" else f"({rest} + {w(j)} - 1) // {w(j)}"
+                out.append(f"{pad}for i{j}, v{j} in enumerate(values if {whole} <= stop else values[:{cut}]):")
+                pad += "    "
+                if j < last:
+                    out.append(f"{pad}f{j} = {first(j)}")
+            skip = "continue" if j >= 0 else "return"
+            body = [f"{pad}    {line}" for line in self.lines[j + 1]]
+            if j == last:
+                out += [f"{pad}try:", *body, f"{pad}    if {left} == {right}:", f"{pad}        {skip}",
+                        f"{pad}except (KeyError, StructureError):", f"{pad}    pass", pad + span(j)]
+            elif body:
+                out += [f"{pad}try:", *body, f"{pad}except (KeyError, StructureError):", f"{pad}    {span(j)}",
+                        f"{pad}    {skip}"]
+        return "\n".join(out) + "\n"
+
+
 def _compile_law(law: Law):
-    """The factories of ``law``'s legs and composites and the ``(symbol,
+    """The factory of ``law``'s legs and composites and the ``(symbol,
     slot)`` each of their law parameters is bound to.  Both generated
     functions evaluate each route left to right, depth first, one subscript
     per node; a leg that recurs is computed where it is first read and
@@ -254,53 +366,69 @@ def _compile_law(law: Law):
     composites function nests the steps, ``pairs[l0, pairs[l1, l2]]`` for
     ``[l0, l1, l2]``, which reads the legs in the same order."""
     params: dict[tuple, str] = {}
+    inline = _Inline(law.arity)
     legs, shared = law.left + law.right, {}
-    emit = lambda t: shared.get(t) or (_emit(t, 1, params, law) if legs.count(t) < 2 else
-                                       f"({shared.setdefault(t, f'l{len(shared)}')} := {_emit(t, 1, params, law)})")
+    emit = lambda t: shared.get(t) or (
+        _emit(t, 1, params, law, inline) if legs.count(t) < 2 else
+        f"({shared.setdefault(t, f'l{len(shared)}')} := {_emit(t, 1, params, law, inline)})")
     routes = [[emit(t) for t in route] for route in (law.left, law.right)]
-
-    def composite(route):
-        if not route:
-            return "pairs[()]"  # no key of ``composable``: an empty route has no composite
-        if len(route) == 1:
-            return f"(lone if (lone := {route[0]}) in mors else mors[lone])"
-        return "".join(f"pairs[{leg}, " for leg in route[:-1]) + route[-1] + "]" * (len(route) - 1)
-
     names = "".join(f"v{i}, " for i in range(law.arity)) or "_"  # a law of arity 0 has no variable
     tuples = ["".join(leg + ", " for leg in route) for route in routes]
     source = (f"def make(pairs, mors, {', '.join(params.values())}):\n"
               f"    def legs(idx):\n        {names} = idx\n        return ({tuples[0]}), ({tuples[1]})\n"
               f"    def composites(idx):\n        {names} = idx\n"
-              f"        return {composite(routes[0])}, {composite(routes[1])}\n"
+              f"        return {_composite(routes[0], inline)}, {_composite(routes[1], inline)}\n"
               f"    return legs, composites\n")
     namespace: dict = {}
     exec(compile(source, f"<law {law.name}>", "exec"), namespace)
     return namespace["make"], list(params)
 
 
-def _emit(term: Expr, level: int, params: dict, law: Law) -> str:
-    """Source computing ``term`` at ``level``, each table a parameter named
-    in ``params``, the law's variables read at ``law.var_level``."""
+def _compile_scan(law: Law, keys: list):
+    """``law``'s scan generator (:class:`_Hoisted`), its tables the
+    parameters of its legs and composites, ``keys`` in order."""
+    params = {key: f"p{i}" for i, key in enumerate(keys)}
+    hoisted = _Hoisted(law.arity)
+    composites = [_composite([_emit(t, 1, params, law, hoisted) for t in route], hoisted)
+                  for route in (law.left, law.right)]
+    source = hoisted.scan(f"pairs, mors, curry, {', '.join(params.values())}", *composites)
+    namespace: dict = {"StructureError": StructureError}
+    exec(compile(source, f"<scan {law.name}>", "exec"), namespace)
+    return namespace["scan"]
+
+
+def _composite(route: list[str], out: _Inline) -> str:
+    """Source of the composite of ``route``'s legs, as ``out`` writes it."""
+    if not route:
+        return out.read("pairs", ["()"])  # no key of ``composable``: an empty route has no composite
+    if len(route) == 1:
+        return out.node("(lone if (lone := {}) in mors else mors[lone])", route[0])
+    return functools.reduce(lambda rest, leg: out.read("pairs", [leg, rest]), reversed(route[:-1]), route[-1])
+
+
+def _emit(term: Expr, level: int, params: dict, law: Law, out: _Inline) -> str:
+    """Source computing ``term`` at ``level`` as ``out`` writes it, each
+    table a parameter named in ``params``, the law's variables read at
+    ``law.var_level``."""
     tag = term[0]
     param = lambda sym, slot: params.setdefault((sym, slot), f"p{len(params)}")
+    sub = lambda t, lv: _emit(t, lv, params, law, out)
     if tag == "op" and term[2][0] == "fst" and term[3] == ("snd", term[2][1]):  # a pair is its own key
-        return f"{param(term[1], level)}[{_emit(term[2][1], 2, params, law)}]"
+        return out.read(param(term[1], level), [sub(term[2][1], 2)])
     if tag in ("op", "ap"):
-        return f"{param(term[1], level)}[{', '.join(_emit(a, level, params, law) for a in term[2:])}]"
+        return out.read(param(term[1], level), [sub(a, level) for a in term[2:]])
     if tag == "k":
         return param(term[1 + level], "k")
     if tag == "v" and level == law.var_level:
         return f"v{term[1]}"
     if tag in ("src", "dst") and not level:
-        return f"{param('ends', 'ends')}[{_emit(term[1], 1, params, law)}].{tag}"
+        return out.node(f"{param('ends', 'ends')}[{{}}].{tag}", sub(term[1], 1))
     if tag in _PAIR and level == 1:
-        return f"{_emit(term[1], 2, params, law)}[{_PAIR[tag]}]"
+        return out.node(f"{{}}[{_PAIR[tag]}]", sub(term[1], 2))
     if tag == "c":
         return param(term[1], level)
     if tag == "id" and level:
-        return f"{param('', 'id')}[{_emit(term[1], 0, params, law)}]"
+        return out.read(param("", "id"), [sub(term[1], 0)])
     if tag == "fam" and level:
-        args = "idx" if term[2:] == tuple(map(var, range(law.arity))) and not law.var_level else \
-            "".join(_emit(a, 0, params, law) + ", " for a in term[2:])  # a component at the index tuple itself
-        return f"{param(term[1], 'fam')}[{args}]"
+        return out.read(param(term[1], "fam"), [sub(a, 0) for a in term[2:]], True)
     raise ValueError(f"law {law.name}: no {_LEVELS[level]} node {term!r}")

@@ -31,7 +31,10 @@ sits on the object whose tables decide it, one per row (a carrier keeps
 two bifunctor rows, one per sum of a 2-ring, and the kernel's code
 columns of up to 16 tables), holds every table
 the row read, and is read back only while that object still holds them by
-identity (an environment's tables match by value).
+identity (an environment's tables match by value).  The curried views the
+diagram engine's scans read (``diagram._curried``) follow the same rule:
+on the carrier, at most 16, each holding its table and found by its
+identity, in a dict so that a lookup is one probe.
 """
 
 from __future__ import annotations
@@ -68,9 +71,10 @@ class _Memo:
 
 # the records a holder keeps per row: one, but two bifunctor rows, since a
 # 2-ring's additive and multiplicative sums share their carrier, and the
-# kernel's code columns of the 16 tables last read on a carrier (a 2-ring
-# suite on the m=5 dual numbers reads 12 distinct ones)
-_KEEP = {"bifunctor": 2, "codes": 16}
+# kernel's code columns and the scans' curried views of the 16 tables last
+# read on a carrier (a 2-ring suite on the m=5 dual numbers reads 12
+# distinct ones)
+_KEEP = {"bifunctor": 2, "codes": 16, "curried": 16}
 
 
 def _recorded(holder, row: str, held: tuple, env: ex.Env | None = None, run=None):

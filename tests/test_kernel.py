@@ -15,7 +15,7 @@ integer draw and the canonical associo-commutator arrays are held to their
 string counterparts, and two child processes show the stdlib-only path and
 the lazy numpy import.  The m=5 rows the shipped floor sends to the kernel
 (15,625 instances) are held to the reference as shipped, a long row with
-the kernel loaded to the short reference head, and the sampled rows of one
+the kernel loaded to the short head, and the sampled rows of one
 space to a single draw.  Every family is read through its table: a table
 larger than a block is held narrow, a strict family with a recorded strict
 bit gives the reference rows, and a sample over the carrier's ids takes
@@ -581,7 +581,7 @@ def test_without_numpy_the_reference_gives_the_same_rows():
     # AC1 on the 4-object dual numbers (4^8 instances) and 2R1' on the
     # 9-object derivation ring (9^5) are above the floor: the kernel runs
     # them here and the reference in the child; with d changed at its last
-    # index, 2R1'/d first fails past the reference head
+    # index, 2R1'/d first fails past the head
     assert 4 ** 8 >= diagram.KERNEL_FLOOR and 9 ** 5 >= diagram.KERNEL_FLOOR
     with_numpy = json.loads(child(ROWS))
     blocked = json.loads(child("import sys; sys.modules['numpy'] = None\n" + ROWS))
@@ -594,7 +594,7 @@ def test_without_numpy_the_reference_gives_the_same_rows():
 def test_small_jobs_do_not_import_numpy():
     # the AF1 control at m=3 (9^4 = 6,561 instances) stays below the floor;
     # AF1 at m=4 (16^4 = 65,536) with a changed monoidality component is
-    # above it, and fails within the reference head
+    # above it, and fails within the head
     out = child(
         "import sys\n"
         "import twogrp as tg\n"
@@ -625,7 +625,7 @@ def m5_cases():
     ac5, sm5 = build_dual_numbers_2group(5), build_dual_numbers_2group(5, "sm")
     ring = build_strict_2ring(ring_dual_numbers(5))
     # d changed at its last index to another object's identity: its endpoint
-    # and naturality rows fail at their last instance, past the reference head
+    # and naturality rows fail at their last instance, past the head
     comps = ring.dist_l.components
     last = comps.values()[-1]
     other = next(i for i in ring.carrier.identity.values() if i != last)
@@ -675,13 +675,15 @@ def test_the_m5_rows_across_the_floor_equal_the_reference_rows(case, monkeypatch
         assert sorted(decided) == ["endpoints", "naturality", "naturality"]
 
 
-# -- the reference head once the kernel is loaded -------------------------------
+# -- the head once the kernel is loaded -----------------------------------------
 
 
 def test_with_the_kernel_loaded_a_long_row_runs_only_the_short_head(monkeypatch):
-    # the failing SF1 of F_odd still fails within the short head, so it
-    # encodes no table; the passing SF1 of F_even composes only the short
-    # head in the reference loop and the rest in the kernel
+    # the failing SF1 of F_odd still fails within the short head of the
+    # nested-loop scan, so it encodes no table; the passing SF1 of F_even
+    # scans only the short head and the rest in the kernel.  The scan
+    # yields exactly the reference's failing tuples below its stop
+    # (test_scan), and the reference loop composes only what it yields
     assert diagram._load_kernel() is _kernel
     short = min(diagram.REFERENCE_HEAD, diagram.LOADED_HEAD)
     programs, rows = [], {}
@@ -689,11 +691,13 @@ def test_with_the_kernel_loaded_a_long_row_runs_only_the_short_head(monkeypatch)
     monkeypatch.setattr(_Program, "__init__",
                         lambda self, law, *args: programs.append(law.name) or init(self, law, *args))
 
-    def counted(law, gpd, values, env, legs, composites, *rest):
-        composed = []
-        checked, witness = long_scan(law, gpd, values, env, legs, lambda idx: composed.append(idx) or composites(idx),
-                                     *rest)
-        rows[law.name] = (witness is None, len(composed))
+    def counted(law, gpd, values, env, routes, *rest):
+        legs, composites, scan = routes
+        stops, composed = [], []
+        spied = (legs, lambda idx: composed.append(idx) or composites(idx),
+                 lambda values, stop: stops.append(stop) or scan(values, stop))
+        checked, witness = long_scan(law, gpd, values, env, spied, *rest)
+        rows[law.name] = (witness is None, stops, len(composed))
         return checked, witness
 
     monkeypatch.setattr(diagram, "_long_scan", counted)
@@ -703,10 +707,10 @@ def test_with_the_kernel_loaded_a_long_row_runs_only_the_short_head(monkeypatch)
         sf1 = next(c for rep in run(*fresh(*objs)) for c in rep.checks if c.law == "SF1")
         assert (sf1.status.value == "pass") == passes and rows["SF1"][0] == passes, case
         if passes:
-            assert sf1.instances == 5 ** 6 and rows["SF1"][1] == short and "SF1" in programs
+            assert sf1.instances == 5 ** 6 and rows["SF1"][1:] == ([short], 0) and "SF1" in programs
         else:
-            assert sf1.instances == rows["SF1"][1] == 6 and "SF1" not in programs
-    assert all(composed <= short for held, composed in rows.values() if held)
+            assert sf1.instances == 6 and rows["SF1"][1:] == ([short], 1) and "SF1" not in programs
+    assert all(stops == [short] for held, stops, _ in rows.values() if held)
 
 
 # -- one draw per sampled space --------------------------------------------------

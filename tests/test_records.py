@@ -459,6 +459,35 @@ def test_sum_mutants_on_one_carrier_leave_one_record():
     assert retained < 1 << 20, retained
 
 
+def test_family_mutants_on_one_carrier_leave_at_most_the_bound_of_curried_views():
+    # each mutant's associator is a copy with one component changed, read
+    # from its curried view by the scans of the SC rows on the shared
+    # carrier: a view kept per mutant would keep every copy alive
+    dn3, = fresh(build_dual_numbers_2group(3, "sm"))
+    rng = random.Random(SEED)
+    keys, mors = sorted(dn3.assoc.components), dn3.carrier.morphisms
+    bound = groupoid._KEEP["curried"]
+    first = None
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(300):
+            key = rng.choice(keys)
+            comps = dn3.assoc.components
+            mutant = replace(dn3, assoc=replace(dn3.assoc, components={**comps, key: _other(mors, comps[key], rng)},
+                                                _cache={}), _cache={})
+            assert not validate_sm(mutant, check_data=False, allow_strict_skip=False).ok
+            first = first or mutant
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    held = [table for table, _ in dn3.carrier._cache["curried"].values()]
+    assert len(held) <= bound and any(t is mutant.assoc.components for t in held)
+    assert not any(t is first.assoc.components for t in held)
+    assert retained < (bound + 4) << 16, retained  # a kept mutant with its view: about 60 kB
+
+
 def test_sum_mutants_through_the_kernel_leave_at_most_the_bound_of_kept_codes():
     # each mutant's sum morphism table is read by a kernel row on the
     # shared carrier, whose kept code columns hold it

@@ -644,7 +644,7 @@ def test_kappa_twisted_rings_separate_the_notions_with_non_identity_a_c_d_e():
 
 def test_a_missing_inverse_is_a_route_that_does_not_evaluate():
     # the canonical b of a kappa-twisted ring reads the carrier's inverses;
-    # without check_data a missing one is a witness, in the reference head
+    # without check_data a missing one is a witness, in the head
     # (2R1'/d, 2R2) and past it (2R1'/e)
     gpd = coboundary_twisted_dual_numbers(3).carrier
     gpd = replace(gpd, inverse={k: v for k, v in gpd.inverse.items() if k != "1|0+0e"})
