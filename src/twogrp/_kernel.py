@@ -47,7 +47,7 @@ component table.  The canonical associo-commutator of the symmetric
 presentation is computed from its structure's tables, by the identity of
 ``(x+y)+(z+t)`` when its ingredients are strict and otherwise by
 compiling the declared upper border route (``ac.ACOMM_UPPER``) like a
-law's; its string memo is never filled.
+law's, under its record's bindings; its string memo is never filled.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from math import prod
 
 import numpy as np
 
-from .ac import ACOMM_UPPER, _CanonicalAcomm, _route_env
+from .ac import ACOMM_UPPER, _CanonicalAcomm
 from .groupoid import Column, _recorded
 
 BLOCK = 1 << 14  # instances evaluated at once
@@ -293,9 +293,9 @@ class _Program:
         gpd = m.carrier
         so = self._table(m.sum_obj, (0, 0), 0)
         ident = self._table(gpd.identity, (0,), 1, False)
-        if fam.is_strict():
+        if fam.strict:
             return self._gather(ident, self._gather(so, self._gather(so, x, y), self._gather(so, z, t)))
-        args, env = [x, y, z, t], _route_env(m)
+        args, env = [x, y, z, t], fam.env
         return self._route(gpd, [self._term(leg, 1, args, env) for leg in ACOMM_UPPER.left])
 
     # -- evaluation ----------------------------------------------------------

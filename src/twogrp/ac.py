@@ -9,7 +9,8 @@ with axioms AC1 (4x4 interchange), AC2 (unital squares) and AC3
 
 Each composite is the declared route of a law, compiled like every law;
 inversion is an ``ap`` over the carrier's inverse table (a miss raises
-``FinGroupoid.inv``'s error).  The canonical b and the kernel read b's too.
+``FinGroupoid.inv``'s error).  ``to_ac`` and the kernel read b's bindings
+and upper composite from its record on the structure (``_canonical_acomm``).
 
 Both translations validate their input and always re-check their output
 (a converted structure is never assumed valid); round-tripping reproduces
@@ -18,14 +19,14 @@ the input tables exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import product
 
 from . import expr as ex
 from .diagram import strict_profile
 from .errors import MalformedTable, PreconditionFailed
-from .groupoid import FinGroupoid, NatFamily, compose_path, identity_family
+from .groupoid import FinGroupoid, NatFamily, _recorded, compose_path, identity_family
 from .monoidal import (
     MonStructure,
     SumStructure,
@@ -57,7 +58,6 @@ class ACStructure(SumStructure):
     acomm: NatFamily
     lunit: NatFamily
     runit: NatFamily
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def families(self) -> dict[str, NatFamily]:
         return {"b": self.acomm, "l": self.lunit, "r": self.runit}
@@ -140,75 +140,72 @@ class _Inverses(dict):
 
 
 def _route_env(s) -> dict:
-    """The symbols of the border composites bound to ``s`` (memoized);
-    inversion preserves identities when the inverse table fixes them."""
-    if "route_env" not in s._cache:
-        gpd = s.carrier
-        s._cache["route_env"] = {**s.law_env(), "inv": (None, _Inverses(gpd.inverse),
-                                                         gpd.identities_preserved_by_inverse)}
-    return s._cache["route_env"]
+    """The symbols of the border composites bound to ``s``; inversion
+    preserves identities when the inverse table fixes them."""
+    gpd = s.carrier
+    return {**s.law_env(), "inv": (None, _Inverses(gpd.inverse), gpd.identities_preserved_by_inverse)}
 
 
-def _composite(law: ex.Law, s):
-    """``law``'s route bound to ``s``, composed in its carrier: a function
-    of the index tuple (memoized)."""
-    route = s._cache.get(law)
-    if route is None:
-        gpd = s.carrier
-        legs = law.legs(_route_env(s), gpd.identity)
-        route = s._cache[law] = lambda idx: compose_path(gpd, legs(idx)[0])
-    return route
+def _composite(law: ex.Law, s, env: dict):
+    """``law``'s route bound in ``env`` (``_route_env(s)``), composed in the
+    carrier of ``s``: a function of the index tuple."""
+    gpd = s.carrier
+    legs = law.legs(env, gpd.identity)
+    return lambda idx: compose_path(gpd, legs(idx)[0])
 
 
 def assoc_commutator_upper(m: MonStructure, x: str, y: str, z: str, t: str) -> str:
     """b(x,y,z,t) as the upper border composite:
     a(x,z,y+t) o (id + a(z,y,t)^-1) o (id + (c(y,z) + id)) o (id + a(y,z,t)) o a(x,y,z+t)^-1.
     """
-    return _composite(ACOMM_UPPER, m)((x, y, z, t))
+    return _canonical_acomm(m).upper((x, y, z, t))
 
 
 class _CanonicalAcomm(dict):
     """The canonical associo-commutator of a symmetric structure, the family
-    the 2-ring laws read as ``b``: each component is computed on its first
-    read (the identity of its source object when the border composite's
-    ingredients are strict, the upper border composite otherwise) and
-    memoized."""
+    the 2-ring laws read as ``b``, with its route env: recorded on the
+    structure (:func:`_canonical_acomm`), so its strict bit and upper border
+    composite are built once per record, on first use.  Each component is
+    computed on its first read (the identity of its source object when the
+    border composite's ingredients are strict, the upper border composite
+    otherwise) and memoized."""
 
     def __init__(self, m: MonStructure):
         super().__init__()
-        self.m, self.strict = m, None
+        self.m, self.env = m, _route_env(m)
 
     @property
     def components(self) -> dict:
         return self
 
+    @cached_property
+    def strict(self) -> bool:
+        return strict_profile(ACOMM_UPPER, self.m.carrier, self.env)
+
+    @cached_property
+    def upper(self):
+        return _composite(ACOMM_UPPER, self.m, self.env)
+
     def is_strict(self, gpd=None, env=None) -> bool:
-        if self.strict is None:
-            self.strict = strict_profile(ACOMM_UPPER, self.m.carrier, _route_env(self.m))
         return self.strict
 
     def __missing__(self, key):
-        m = self.m
-        if self.is_strict():
-            so = m.sum_obj
-            x, y, z, t = key
-            value = m.carrier.identity[so[(so[(x, y)], so[(z, t)])]]
-        else:
-            value = _composite(ACOMM_UPPER, m)(key)
-        self[key] = value
+        x, y, z, t = key
+        so = self.m.sum_obj
+        value = self[key] = self.m.carrier.identity[so[so[x, y], so[z, t]]] if self.strict else self.upper(key)
         return value
 
 
 def _canonical_acomm(m: MonStructure) -> _CanonicalAcomm:
-    if "acomm" not in m._cache:
-        m._cache["acomm"] = _CanonicalAcomm(m)
-    return m._cache["acomm"]
+    """The canonical b of ``m``, recorded on it with every table b reads
+    (``SumStructure.tables``, :func:`groupoid._recorded`)."""
+    return _recorded(m, "acomm", m.tables(), run=lambda: _CanonicalAcomm(m))
 
 
 def canonical_acomm_at(m: MonStructure, x: str, y: str, z: str, t: str) -> str:
     """Canonical associo-commutator of a symmetric structure at one tuple,
-    memoized on the structure (strict structures short-circuit to the
-    identity of the evaluated source object)."""
+    read from its record on the structure (strict structures short-circuit
+    to the identity of the evaluated source object)."""
     return _canonical_acomm(m)[x, y, z, t]
 
 
@@ -234,12 +231,11 @@ def _translate_to_ac(m: MonStructure, sample: int | None, seed: int = 0) -> ACSt
     and the re-check of its output."""
     if m.comm is None:
         raise PreconditionFailed("translation needs a commutator")
-    gpd, env = m.carrier, m.env()
-    if _canonical_acomm(m).is_strict():
+    gpd, env, acomm = m.carrier, m.env(), _canonical_acomm(m)
+    if acomm.strict:
         b_fam = identity_family(acomm_family, gpd, env)
     else:
-        upper = _composite(ACOMM_UPPER, m)
-        b_fam = acomm_family(gpd.product_table(4, map(upper, product(gpd.objects_sorted, repeat=4))))
+        b_fam = acomm_family(gpd.product_table(4, map(acomm.upper, product(gpd.objects_sorted, repeat=4))))
     out = ACStructure(gpd, m.sum_obj, m.sum_mor, m.unit, b_fam, m.lunit, m.runit)
     validate_ac(out, check_data=False, sample=sample, seed=seed).require("translated structure fails")
     return out
@@ -264,13 +260,13 @@ def to_sm(
 def _translate_to_sm(a: ACStructure, sample: int | None, seed: int = 0) -> MonStructure:
     """:func:`to_sm` of an input its caller has validated: the translation
     and the re-check of its output."""
-    gpd, env = a.carrier, a.env()
+    gpd, env, routes = a.carrier, a.env(), _route_env(a)
     objs = gpd.objects_sorted
-    if all(strict_profile(law, gpd, _route_env(a)) for law in (ASSOC_FROM_B, COMM_FROM_B)):
+    if all(strict_profile(law, gpd, routes) for law in (ASSOC_FROM_B, COMM_FROM_B)):
         a_fam = identity_family(assoc_family, gpd, env)
         c_fam = identity_family(comm_family, gpd, env)
     else:
-        assoc, comm = _composite(ASSOC_FROM_B, a), _composite(COMM_FROM_B, a)
+        assoc, comm = _composite(ASSOC_FROM_B, a, routes), _composite(COMM_FROM_B, a, routes)
         a_fam = assoc_family(gpd.product_table(3, map(assoc, product(objs, repeat=3))))
         c_fam = comm_family(gpd.product_table(2, map(comm, product(objs, repeat=2))))
     out = MonStructure(gpd, a.sum_obj, a.sum_mor, a.unit, a_fam, c_fam, a.lunit, a.runit)

@@ -18,12 +18,12 @@ morphism 0' -> F0 with no shortcuts.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
 from . import expr as ex
-from .ac import ACStructure, _route_env, canonical_acomm_at
+from .ac import ACStructure, _canonical_acomm, _route_env
 from .diagram import _check, check_diagram, strict_profile
 from .errors import (
     MissingZeroIso,
@@ -70,7 +70,6 @@ class StructuredFunctor(_Memo):
     base: GFunctor
     fsum: NatFamily
     fzero: str | None = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def with_zero(self, fzero: str) -> "StructuredFunctor":
         return StructuredFunctor(self.base, self.fsum, fzero)
@@ -367,9 +366,7 @@ def boxplus(f: StructuredFunctor, g: StructuredFunctor, target: MonStructure) ->
         raise StructureMismatch("target structure does not match the functors' target")
     if f.fzero is None or g.fzero is None:
         raise MissingZeroIso("pointwise sum needs zero isomorphisms on both summands")
-    held = (target.carrier, target.sum_obj, target.sum_mor, target.unit,
-            *[t for fam in target.families().values() for t in (fam, fam.components)])
-    if not _recorded(target, "2-group", held, run=lambda: validate_2group(target).ok):
+    if not _recorded(target, "2-group", target.tables(), run=lambda: validate_2group(target).ok):
         raise PreconditionFailed("pointwise sum target is not a 2-group")
 
     gpd = target.carrier
@@ -380,10 +377,9 @@ def boxplus(f: StructuredFunctor, g: StructuredFunctor, target: MonStructure) ->
         m: sm[(f.base.mor_map[m], g.base.mor_map[m])] for m in f.base.source.morphisms
     }
     base = GFunctor(f.base.source, gpd, obj_map, mor_map)
-    comps = {}
+    comps, b = {}, _canonical_acomm(target)
     for (x, y), fm in f.fsum.components.items():
-        b = canonical_acomm_at(target, fo[x], go[x], fo[y], go[y])
-        comps[(x, y)] = compose_path(gpd, [sm[(fm, g.fsum.components[(x, y)])], b])
+        comps[(x, y)] = compose_path(gpd, [sm[(fm, g.fsum.components[(x, y)])], b[fo[x], go[x], fo[y], go[y]]])
     dprime = basic_unitor(target)
     fzero = compose_path(gpd, [sm[(f.fzero, g.fzero)], gpd.inv(dprime)])
     return StructuredFunctor(base, fsum_family(comps), fzero)

@@ -26,15 +26,14 @@ family's endpoint row and naturality squares are declared laws
 included, is a generator of per-instance outcomes consumed by
 ``_first_failure``.
 
-Every recorded data row or verdict goes through ``_recorded``: a record
-sits on the object whose tables decide it, one per row (a carrier keeps
-two bifunctor rows, one per sum of a 2-ring, and the kernel's code
-columns of up to 16 tables), holds every table
-the row read, and is read back only while that object still holds them by
-identity (an environment's tables match by value).  The curried views the
-diagram engine's scans read (``diagram._curried``) follow the same rule:
-on the carrier, at most 16, each holding its table and found by its
-identity, in a dict so that a lookup is one probe.
+Every value kept on a carrier, structure, family or functor (a data row,
+a verdict, the kernel's code columns, the canonical b) goes through
+``_recorded``: a record sits on the object whose tables decide it, one
+per row (a carrier keeps two bifunctor rows and the code columns of up to
+16 tables), holds every table the value read, and is read back only while
+that object still holds them by identity (an environment's tables match
+by value).  Outside it: the carrier's own lookups (its tables immutable
+by contract) and the scans' curried views (``diagram._curried``).
 """
 
 from __future__ import annotations
@@ -60,10 +59,13 @@ class Morphism:
     dst: str
 
 
+@dataclass
 class _Memo:
-    """Base of the dataclasses that memoize on ``_cache``: every instance,
+    """Base of the dataclasses that keep records on ``_cache``: every instance,
     a ``dataclasses.replace`` copy included, starts with an empty memo, since
     a copy may change the tables the memo was computed from."""
+
+    _cache: dict = field(default_factory=dict, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self) -> None:
         self._cache = {}
@@ -79,14 +81,14 @@ _KEEP = {"bifunctor": 2, "codes": 16, "curried": 16}
 
 def _recorded(holder, row: str, held: tuple, env: ex.Env | None = None, run=None):
     """The value recorded for ``row`` on ``holder`` while ``holder`` still
-    holds the tables ``held`` by identity and ``env`` by value (identical
-    tables at once); otherwise ``run()``, recorded in place of the oldest
-    of the records ``holder`` keeps for ``row`` (``_KEEP``; a run that
-    raises records nothing), or ``None`` without ``run``.  Callers hand out
-    copies."""
+    holds exactly the tables ``held`` by identity and ``env`` by value
+    (identical tables at once); otherwise ``run()``, recorded in place of
+    the oldest of the records ``holder`` keeps for ``row`` (``_KEEP``; a
+    run that raises records nothing), or ``None`` without ``run``.  Callers
+    hand out copies."""
     records = holder._cache.get(row, ())
     for record in records:
-        if record[1] == env and all(map(is_, record[0], held)):
+        if record[1] == env and len(record[0]) == len(held) and all(map(is_, record[0], held)):
             return record[2]
     if run is None:
         return None
@@ -110,7 +112,6 @@ class FinGroupoid(_Memo):
     compose: dict[tuple[str, str], str]
     identity: dict[str, str]
     inverse: dict[str, str]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(
@@ -196,8 +197,9 @@ class FinGroupoid(_Memo):
         """The total table over the tuples of ``arity`` objects whose
         values, in product order, are ``values``: a :class:`Column` when it
         has at least ``diagram.KERNEL_FLOOR`` entries (a smaller one is read
-        faster as a dict by the loops over it, which run in the reference
-        loop) and the carrier declares no object twice, otherwise a dict."""
+        faster as a dict by the loops over it, which run in the scan, where
+        a dict it may read whole is curried whole) and the carrier declares
+        no object twice, otherwise a dict."""
         axis = self.objects_sorted
         if "positions" not in self._cache:
             self._cache["positions"] = {x: i for i, x in enumerate(axis)}
@@ -440,7 +442,6 @@ class GFunctor(_Memo):
     target: FinGroupoid
     obj_map: dict[str, str]
     mor_map: dict[str, str]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def obj(self, x: str) -> str:
         try:
@@ -556,7 +557,6 @@ class NatFamily(_Memo):
     components: Mapping[tuple[str, ...], str]
     src_expr: ex.Expr
     tgt_expr: ex.Expr
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def at(self, *idx: str) -> str:
         try:

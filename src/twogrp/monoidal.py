@@ -10,7 +10,7 @@ two axioms report not-applicable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
 from operator import eq
@@ -102,6 +102,12 @@ class SumStructure(_Memo):
     def add(self, x: str, y: str) -> str:
         return self.sum_obj[(x, y)]
 
+    def tables(self) -> tuple:
+        """Every table of the structure, as a record holds them (:func:`groupoid._recorded`)."""
+        gpd = self.carrier
+        return (gpd, gpd.identity, gpd.inverse, self.sum_obj, self.sum_mor, self.unit,
+                *[t for fam in self.families().values() for t in (fam, fam.components)])
+
     def preserves_identities(self) -> bool:
         """Does the sum of two identities give the identity of the sum?"""
         ident = self.carrier.identity
@@ -125,7 +131,6 @@ class MonStructure(SumStructure):
     comm: NatFamily | None
     lunit: NatFamily
     runit: NatFamily
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def families(self) -> dict[str, NatFamily]:
         fams = {"a": self.assoc, "l": self.lunit, "r": self.runit}

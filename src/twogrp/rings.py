@@ -25,7 +25,7 @@ inversion an ``ap`` over the inverse table.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 from . import expr as ex
@@ -94,7 +94,6 @@ class TwoRingData(_Memo):
     dist_r: NatFamily
     absorb_l: NatFamily | None = None
     absorb_r: NatFamily | None = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def presentation(self) -> str:

@@ -154,7 +154,7 @@ def test_identity_families_match_the_per_tuple_reference():
         fresh = identity_family(lambda table: replace(fam, components=table, _cache={}), gpd, env)
         for got in (fam.components, fresh.components):
             assert type(got) is type(want) and list(got.items()) == list(want.items()), label
-        assert _recorded(fresh, "strict", (gpd, fresh.components), env) is True, label
+        assert _recorded(fresh, "strict", (gpd, fresh.components, gpd.objects_sorted), env) is True, label
         assert set(fresh._cache) == {"strict"}, label
 
 

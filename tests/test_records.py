@@ -1,9 +1,10 @@
 """Recorded data rows, held to fresh validations.
 
 A family's endpoint row and strict bit, a functor's rows, the sum's
-bifunctor row and ``boxplus``'s 2-group verdict are recorded on the object
-whose tables decide them (the family, the ``GFunctor``, the carrier, the
-target structure) by ``groupoid._recorded``, one record per row and
+bifunctor row, ``boxplus``'s 2-group verdict and the canonical
+associo-commutator are recorded on the object whose tables decide them (the
+family, the ``GFunctor``, the carrier, the structure) by
+``groupoid._recorded``, one record per row and
 holder (two bifunctor rows per carrier, one for each sum of a 2-ring),
 read back only while the holder holds every table the row read.
 The tests read a record through the same helper.  A later validation
@@ -27,18 +28,22 @@ import random
 import re
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from twogrp import (
     boxplus,
+    build_derivation_2ring,
     build_dual_numbers_2group,
     build_mult_endofunctor,
     build_strict_2ring,
     build_super_line_2group,
+    canonical_acomm_at,
     canonical_zero_iso,
     diagram,
     groupoid,
+    identity_structured,
     monoidal,
     ring_zmod,
     to_ac,
@@ -57,7 +62,7 @@ from twogrp.document import parse_document
 from twogrp.errors import ArityMismatch, DomainMismatch, MalformedTable, PreconditionFailed, StructureError
 from twogrp.functors import MonTransformation, StructuredFunctor, check_fsum_naturality, tau_family
 from twogrp.groupoid import GFunctor, _recorded, _strict_bit, identity_family, validate_family, validate_functor
-from twogrp.monoidal import _check_bifunctor, assoc_family, validate_2group
+from twogrp.monoidal import _check_bifunctor, assoc_family, comm_family, validate_2group
 from twogrp.report import Report, Status
 
 from helpers import SEED, fresh, random_flip, with_canonical_zero
@@ -66,7 +71,7 @@ FLIPS = 25  # flips drawn per pool
 
 
 def _endpoint_record(fam, gpd, env):
-    return _recorded(fam, "endpoints", (gpd, fam.components), env)
+    return _recorded(fam, "endpoints", (gpd, fam.components, gpd.objects_sorted), env)
 
 
 def _functor_record(fun):
@@ -423,8 +428,46 @@ def _codes_case(rng):
             [("sum_mor", reassigned)] * 3 + [("restored", lambda: setattr(dn3, "sum_mor", plus))])
 
 
+def _outcome(run):
+    try:
+        return run()
+    except StructureError as err:
+        return type(err).__name__, str(err)
+
+
+def _canonical_b_case(rng):
+    # b is recorded on its symmetric structure with every table it reads: a
+    # family reassigned in place, on the super line and on the additive half
+    # of a 2-ring, gives b afresh, as every reader reads it
+    sl, = fresh(build_super_line_2group())
+    ring, = fresh(build_derivation_2ring(3))
+    names = ("assoc", "comm", "lunit", "runit")
+    kept = [(m, {name: getattr(m, name) for name in names}) for m in (sl, ring.add)]
+
+    def run(s, r):
+        f = identity_structured(s)
+        return (_outcome(lambda: [canonical_acomm_at(s, *idx) for idx in product(s.carrier.objects_sorted, repeat=4)]),
+                _outcome(lambda: dict(to_ac(s).acomm.components.items())),
+                _outcome(lambda: boxplus(f, f, s).fsum.components),
+                rows(*(suite(r, check_data=False, allow_strict_skip=False) for suite in (validate_jp, validate_quang))))
+
+    def reassigned(name):
+        for m in (sl, ring.add):
+            setattr(m, name, random_flip(m.carrier, getattr(m, name), rng)[0])
+
+    def restored():
+        for m, fams in kept:
+            for name, fam in fams.items():
+                setattr(m, name, fam)
+
+    # c the identity keeps the super line a 2-group, so to_ac and boxplus give values
+    trivial = ("comm identity", lambda: setattr(sl, "comm", identity_family(comm_family, sl.carrier, sl.env())))
+    return (lambda: run(sl, ring), lambda: run(*fresh(sl, ring)),
+            [(name, lambda name=name: reassigned(name)) for name in names] + [("restored", restored), trivial])
+
+
 RECORDS = {"family": _family_case, "functor": _functor_case, "bifunctor": _bifunctor_case, "2-group": _two_group_case,
-           "kernel codes": _codes_case}
+           "kernel codes": _codes_case, "canonical b": _canonical_b_case}
 
 
 @pytest.mark.parametrize("record", sorted(RECORDS))

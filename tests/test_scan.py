@@ -16,7 +16,8 @@ sweep benchmark's flip pools, on the kappa-twisted rings, on the three data
 rows (endpoints, naturality and the sum's interchange with its
 ``witness_at``), and on malformed tables: a miss at a hoisted loop and in the
 innermost one, keys of the wrong arity, a family held as a ``Column`` and a
-computed table that raises."""
+computed table that raises.  A candidate, from the scan or the kernel, that
+the reference loop passes is refused with an error naming the law."""
 
 import functools
 import random
@@ -29,6 +30,7 @@ import pytest
 from twogrp import Report, build_dual_numbers_2group, build_super_line_2group, diagram, groupoid
 from twogrp import build_mult_endofunctor, build_strict_2ring, ring_zmod, validate_jp, validate_quang
 from twogrp.errors import MalformedTable, StructureError
+from twogrp.expr import Law
 from twogrp.functors import SF1, SF2
 from twogrp.groupoid import Column, NatFamily, check_naturality, validate_family
 from twogrp.monoidal import INTERCHANGE, SM_LAWS, _check_bifunctor
@@ -388,3 +390,25 @@ def test_a_miss_at_a_hoisted_loop_yields_every_position_below_it():
     blocks = [(i * n + j) * n * n for i, x in enumerate(objs) for j, y in enumerate(objs)
               if sm.sum_obj[x, y] == zero]
     assert blocks and all(set(range(b, b + n * n)) <= expected for b in blocks)
+
+
+@pytest.mark.parametrize("source", ["scan", "kernel"])
+def test_a_candidate_the_reference_loop_passes_is_refused_with_the_laws_name(source, monkeypatch):
+    # a candidate source yields the instances that may fail; one the
+    # reference loop passes is a fault of the source, raised, not reported
+    sm = build_dual_numbers_2group(3, "sm")
+    gpd, objs, env = sm.carrier, sm.carrier.objects_sorted, sm.law_env()
+    law = SM_LAWS[0]
+    assert diagram.check_diagram(law, gpd, objs, env).passed
+    if source == "scan":
+        routes = Law.routes
+        monkeypatch.setattr(Law, "routes", lambda *args: (*routes(*args)[:2], lambda values, stop: iter(range(stop))))
+    else:
+        pytest.importorskip("numpy")
+        from twogrp import _kernel
+
+        for floor in ("KERNEL_FLOOR", "REFERENCE_HEAD", "LOADED_HEAD"):
+            monkeypatch.setattr(diagram, floor, 0)
+        monkeypatch.setattr(_kernel, "failures", lambda law, gpd, values, *rest: iter([(0, (values[0],) * law.arity)]))
+    with pytest.raises(RuntimeError, match=r"^SC1: a scan fails the instance at .*, the reference loop does not$"):
+        diagram.check_diagram(law, gpd, objs, env)
